@@ -352,9 +352,6 @@ def build_parser():
         prog="fgig",
         description="Numerical laboratory for the free generalized inverse "
                     "Gaussian family")
-    parser.add_argument("--threads", type=int, default=os.cpu_count(),
-                        help="cap on internal parallelism (computations are "
-                             "deterministic for any value)")
     sub = parser.add_subparsers(dest="subcommand", required=True)
 
     sp = sub.add_parser("params", help="convert parameterizations")

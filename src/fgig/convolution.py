@@ -20,9 +20,7 @@ import numpy as np
 
 from .errors import DomainError, NumericError
 from .measures import from_grid, shift
-from .transforms import cauchy_nodes
-
-_LADDER = tuple(1e-2 * 0.5 ** k for k in range(8))
+from .transforms import _DEFAULT_LADDER, cauchy_nodes
 
 
 @dataclass(frozen=True)
@@ -275,7 +273,8 @@ def free_convolve(mu, nu, n_grid=2001, margin=0.05, ladder=None,
     lo, hi = lo1 + lo2, hi1 + hi2
     pad = margin * (hi - lo)
     xs = np.linspace(lo - pad, hi + pad, n_grid)
-    rungs = np.asarray(_LADDER if ladder is None else ladder, dtype=float)
+    rungs = np.asarray(_DEFAULT_LADDER if ladder is None else ladder,
+                       dtype=float)
 
     density = _recover_density(mu, nu, xs, rungs, tol, max_iter)
     xs_all, density = _refine_edges(mu, nu, xs, density, rungs, tol, max_iter)

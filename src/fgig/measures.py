@@ -15,6 +15,11 @@ angular grid via the substitution ``x = mid + rad*cos(theta)``, which
 absorbs the edge singularities exactly, and is then interpolated.
 Measures recovered on a plain grid (convolution outputs) carry a monotone
 piecewise-cubic density instead.
+
+The builders also attach the closed-form Cauchy transform of their law,
+written with ``r(z) = sqrt(z - lo) * sqrt(z - hi)`` (principal roots, so
+the only cut is the support), and the affine and reciprocal maps carry it
+through the change of variables.  Grid measures have none.
 """
 
 import math
@@ -52,6 +57,8 @@ class SpectralMeasure:
     approximates ``integral f d(mu_ac)``.  ``density`` is a vectorized
     evaluator vanishing outside ``support``.  The a.c. cumulative mass is
     tabulated in ``cdf_x``/``cdf_y``; atoms are added on evaluation.
+    ``cauchy_fn``, when set, is the closed-form Cauchy transform of the
+    whole measure, atoms included.
     """
 
     atoms: tuple
@@ -69,6 +76,8 @@ class SpectralMeasure:
     # angles of the cosine parameterization x = mid + rad*cos(theta), when
     # the quadrature nodes carry one
     param_theta: Optional[np.ndarray] = field(default=None, repr=False)
+    cauchy_fn: Optional[Callable] = field(default=None, repr=False,
+                                          kw_only=True)
 
     # -- basic functionals -------------------------------------------------
 
@@ -159,7 +168,7 @@ def _edge_matched_rule(n, p_exp, q_exp):
 
 
 def _jacobi_measure(lo, hi, g, p_exp=0.5, q_exp=0.5, n=256, atoms=(),
-                    cdf_panels=_DEFAULT_CDF_PTS):
+                    cdf_panels=_DEFAULT_CDF_PTS, cauchy_fn=None):
     """Measure with density ``(x-lo)**p (hi-x)**q g(x)`` on ``(lo, hi)``."""
     if not hi > lo:
         raise DomainError("support must be a nondegenerate interval")
@@ -190,7 +199,8 @@ def _jacobi_measure(lo, hi, g, p_exp=0.5, q_exp=0.5, n=256, atoms=(),
         meta_theta = np.arange(1, n + 1) * meta_h
     return SpectralMeasure(tuple(atoms), (lo, hi), density,
                            nodes, weights, xs, cdf, interp,
-                           meta_h, meta_dxdt, meta_theta)
+                           meta_h, meta_dxdt, meta_theta,
+                           cauchy_fn=cauchy_fn)
 
 
 def _pairwise_quadrature(xs, ys):
@@ -275,6 +285,89 @@ def atom_measure(atoms):
                            np.array([]), np.array([]))
 
 
+# ---------------------------------------------------------------------------
+# closed-form Cauchy transforms
+# ---------------------------------------------------------------------------
+
+def _support_root(z, lo, hi):
+    """``sqrt(z - lo) * sqrt(z - hi)``: analytic off ``[lo, hi]``, ~ ``z``
+    at infinity, and ``-sqrt(lo*hi)`` at the origin when ``lo > 0``."""
+    return np.sqrt(z - lo) * np.sqrt(z - hi)
+
+
+def _root_sum(u, r, prod):
+    """``u + r`` given ``(u + r) * (u - r) == prod``, free of cancellation.
+
+    Where ``u - r`` is the larger factor, the sum is taken as
+    ``prod / (u - r)`` instead of being formed directly.
+    """
+    s, d = u + r, u - r
+    alt = np.abs(d) > np.abs(s)
+    return np.where(alt, prod / np.where(alt, d, 1.0), s)
+
+
+def _fgig_cauchy(alpha, beta, a, b):
+    """Closed-form Cauchy transform of ``mu(alpha, beta, lam)`` on ``[a, b]``.
+
+    With ``g = sqrt(ab)``, ``A = (sqrt(b) - sqrt(a))**2`` and
+    ``B = (sqrt(a) + sqrt(b))**2``, the two partial fractions of the
+    density, ``sqrt((x-a)(b-x))/(2 pi)`` times ``alpha/x`` and times
+    ``beta/(g x**2)``, have the transforms
+
+        alpha * A / (2 D),      beta * A * B / (4 a b D W),
+        D = z - g + r(z),       W = z + g - r(z).
+
+    Both factors are free of cancellation: ``D`` never vanishes and
+    dominates its conjugate (``(z - g)**2 - r**2 = A z``), and ``W`` is
+    formed by :func:`_root_sum` against ``(z + g)**2 - r**2 = B z``.  The
+    textbook form
+
+        (alpha z**2 + (1-lam) z - beta - (alpha z + beta/g) r) / (2 z**2)
+
+    loses relative accuracy as ``eps (a/|z|)**2`` near the origin, and its
+    rationalization has a removable zero over zero on the negative axis.
+    """
+    sa, sb = math.sqrt(a), math.sqrt(b)
+    g = sa * sb
+    A = ((b - a) / (sa + sb)) ** 2
+    B = (sa + sb) ** 2
+    k = beta * B / (2.0 * a * b)
+
+    def cauchy_fn(z):
+        z = np.asarray(z, dtype=complex)
+        r = _support_root(z, a, b)
+        w = _root_sum(z + g, -r, B * z)
+        return A / (2.0 * (z - g + r)) * (alpha + k / w)
+
+    return cauchy_fn
+
+
+def _free_poisson_cauchy(jump, lo, hi, offset):
+    """``G(z) = 2 / (z + offset + r(z))`` of the Marchenko--Pastur law,
+    ``offset = jump*(1 - rate)``; the pole at 0 is the atom when
+    ``rate < 1``.  The denominator comes from :func:`_root_sum` against
+    ``(z + offset)**2 - r**2 = 4 jump z``, which keeps the atom's pole
+    accurate."""
+
+    def cauchy_fn(z):
+        z = np.asarray(z, dtype=complex)
+        return 2.0 / _root_sum(z + offset, _support_root(z, lo, hi),
+                               4.0 * jump * z)
+
+    return cauchy_fn
+
+
+def _semicircle_cauchy(center, radius):
+    """``G(z) = 2 / (w + sqrt(w - R) sqrt(w + R))`` with ``w = z - center``."""
+    lo, hi = center - radius, center + radius
+
+    def cauchy_fn(z):
+        z = np.asarray(z, dtype=complex)
+        return 2.0 / (z - center + _support_root(z, lo, hi))
+
+    return cauchy_fn
+
+
 def _fgig_smooth_factor(p):
     s = solve_support(p)
     sab = math.sqrt(s.a * s.b)
@@ -325,7 +418,8 @@ def build_fgig(p, n=256):
     g, s = _fgig_smooth_factor(p)
     n_eff = _auto_nodes(n, s.a, s.b, s.a)
     panels = max(_DEFAULT_CDF_PTS, min(4 * n_eff, 32768))
-    return _jacobi_measure(s.a, s.b, g, 0.5, 0.5, n_eff, cdf_panels=panels)
+    return _jacobi_measure(s.a, s.b, g, 0.5, 0.5, n_eff, cdf_panels=panels,
+                           cauchy_fn=_fgig_cauchy(p.alpha, p.beta, s.a, s.b))
 
 
 def build_free_poisson(fp, n=256):
@@ -349,13 +443,17 @@ def build_free_poisson(fp, n=256):
         def g(x, c=1.0 / (_TWO_PI * gam)):
             return np.full_like(np.asarray(x, dtype=float), c)
 
-        return _jacobi_measure(0.0, hi, g, -0.5, 0.5, n)
+        return _jacobi_measure(0.0, hi, g, -0.5, 0.5, n,
+                               cauchy_fn=_free_poisson_cauchy(gam, 0.0, hi,
+                                                              0.0))
 
     def g(x, c=1.0 / (_TWO_PI * gam)):
         return c / x
 
     n_eff = _auto_nodes(n, lo, hi, lo)
-    return _jacobi_measure(lo, hi, g, 0.5, 0.5, n_eff, atoms=atoms)
+    return _jacobi_measure(
+        lo, hi, g, 0.5, 0.5, n_eff, atoms=atoms,
+        cauchy_fn=_free_poisson_cauchy(gam, lo, hi, gam * (1.0 - rate)))
 
 
 def build_semicircle(center=0.0, radius=2.0, n=256):
@@ -366,7 +464,8 @@ def build_semicircle(center=0.0, radius=2.0, n=256):
     def g(x, c=2.0 / (math.pi * radius ** 2)):
         return np.full_like(np.asarray(x, dtype=float), c)
 
-    return _jacobi_measure(center - radius, center + radius, g, 0.5, 0.5, n)
+    return _jacobi_measure(center - radius, center + radius, g, 0.5, 0.5, n,
+                           cauchy_fn=_semicircle_cauchy(center, radius))
 
 
 def free_poisson_density(fp, x):
@@ -461,7 +560,8 @@ def trim_support(m, rel_tol=1e-12):
                            m.nodes[inside], m.weights[inside],
                            m.cdf_x[i0:i1 + 1], m.cdf_y[i0:i1 + 1],
                            m._cdf_interp, m.param_spacing,
-                           m.param_dxdt[inside] if m.param_dxdt is not None else None)
+                           m.param_dxdt[inside] if m.param_dxdt is not None else None,
+                           cauchy_fn=m.cauchy_fn)
 
 
 def pushforward_reciprocal(m):
@@ -495,8 +595,17 @@ def pushforward_reciprocal(m):
     cdf_x = 1.0 / m.cdf_x[::-1]
     cdf_y = np.clip(ac_mass - m.cdf_y[::-1], 0.0, None)
     interp = PchipInterpolator(cdf_x, cdf_y)
+    cauchy_fn = None
+    if m.cauchy_fn is not None:
+        def cauchy_fn(z, _g=m.cauchy_fn, _mean=moment(m, 1)):
+            # G_{1/X}(z) = (1 - G_X(1/z)/z)/z, which tends to -E X at 0
+            z = np.asarray(z, dtype=complex)
+            zero = z == 0
+            zi = np.where(zero, 1.0, z)
+            return np.where(zero, -_mean, (1.0 - _g(1.0 / zi) / zi) / zi)
     return SpectralMeasure(atoms, (float(cdf_x[0]), float(cdf_x[-1])),
-                           density, nodes, weights, cdf_x, cdf_y, interp)
+                           density, nodes, weights, cdf_x, cdf_y, interp,
+                           cauchy_fn=cauchy_fn)
 
 
 def shift(m, c):
@@ -511,12 +620,16 @@ def shift(m, c):
         return _f(np.asarray(x, dtype=float) - _c)
 
     interp = PchipInterpolator(m.cdf_x + c, m.cdf_y) if m.cdf_x is not None else None
+    cauchy_fn = None
+    if m.cauchy_fn is not None:
+        def cauchy_fn(z, _c=c, _g=m.cauchy_fn):
+            return _g(np.asarray(z, dtype=complex) - _c)
     return SpectralMeasure(atoms, (lo + c, hi + c), density,
                            m.nodes + c, m.weights.copy(),
                            None if m.cdf_x is None else m.cdf_x + c,
                            None if m.cdf_y is None else m.cdf_y.copy(),
                            interp, m.param_spacing, m.param_dxdt,
-                           m.param_theta)
+                           m.param_theta, cauchy_fn=cauchy_fn)
 
 
 def dilate(m, c):
@@ -535,11 +648,16 @@ def dilate(m, c):
     interp = (PchipInterpolator(m.cdf_x * c, m.cdf_y)
               if m.cdf_x is not None else None)
     dxdt = None if m.param_dxdt is None else m.param_dxdt * c
+    cauchy_fn = None
+    if m.cauchy_fn is not None:
+        def cauchy_fn(z, _c=c, _g=m.cauchy_fn):
+            return _g(np.asarray(z, dtype=complex) / _c) / _c
     return SpectralMeasure(atoms, (lo * c, hi * c), density,
                            m.nodes * c, m.weights.copy(),
                            None if m.cdf_x is None else m.cdf_x * c,
                            None if m.cdf_y is None else m.cdf_y.copy(),
-                           interp, m.param_spacing, dxdt, m.param_theta)
+                           interp, m.param_spacing, dxdt, m.param_theta,
+                           cauchy_fn=cauchy_fn)
 
 
 def kolmogorov_distance(m1, m2):

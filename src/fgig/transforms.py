@@ -13,9 +13,10 @@ is removable for ``lam < 0``, a simple pole of residue ``-lam`` for
 the upper half-plane are defined by reflection ``r(conj z) = conj r(z)``.
 
 Cauchy transforms are evaluated on the upper half-plane (Herglotz side)
-either by quadrature against a measure or by numerically inverting
-``r(w) + 1/w = z``.  Densities come back through the boundary values
-``-Im G(x + i eps)/pi`` with Richardson extrapolation in ``eps``.
+from the closed form a built measure carries, by quadrature against a
+grid measure, or by numerically inverting ``r(w) + 1/w = z``.  Densities
+come back through the boundary values ``-Im G(x + i eps)/pi`` with
+Richardson extrapolation in ``eps``.
 """
 
 import math
@@ -164,17 +165,26 @@ def _node_spacing(m):
 def cauchy(m, z, safety=4.0):
     """Cauchy transform ``integral d mu(x) / (z - x)`` of a measure.
 
-    Away from the support the node sum is spectrally accurate; close to
-    it (within ``safety`` node spacings) the integral falls back to
-    adaptive quadrature against the density.  Querying a point of the
-    support itself (or an atom) raises.
+    A measure that carries a closed form is evaluated through it.  For a
+    grid measure the node sum is used away from the support; close to it
+    (within ``safety`` node spacings) the integral falls back to adaptive
+    quadrature against the density.  Querying a point of the support
+    itself (or an atom) raises.
     """
     scalar = np.isscalar(z) or isinstance(z, complex)
     z = np.atleast_1d(np.asarray(z, dtype=complex))
-    out = np.zeros_like(z)
-    for loc, w in m.atoms:
+    for loc, _ in m.atoms:
         if np.any(z == loc):
             raise DomainError(f"Cauchy transform queried at atom {loc}")
+    if m.cauchy_fn is not None:
+        if m.support is not None:
+            lo, hi = m.support
+            if np.any((z.imag == 0.0) & (z.real >= lo) & (z.real <= hi)):
+                raise DomainError("Cauchy transform queried on the support")
+        out = m.cauchy_fn(z)
+        return complex(out[0]) if scalar else out
+    out = np.zeros_like(z)
+    for loc, w in m.atoms:
         out = out + w / (z - loc)
     if m.support is not None:
         lo, hi = m.support
@@ -207,12 +217,15 @@ def _cauchy_quad(m, z):
 
 
 def cauchy_nodes(m, z):
-    """Bare node-sum Cauchy transform (no support-proximity fallback).
+    """Cauchy transform without support checks or quadrature fallback.
 
     Vectorized workhorse for the subordination solver, where the query
-    points stay in the upper half-plane.
+    points stay in the upper half-plane: the closed form when the measure
+    carries one, otherwise the bare node sum.
     """
     z = np.asarray(z, dtype=complex)
+    if m.cauchy_fn is not None:
+        return m.cauchy_fn(z)
     out = np.zeros_like(z)
     for loc, w in m.atoms:
         out = out + w / (z - loc)

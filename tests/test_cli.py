@@ -174,6 +174,14 @@ class TestHeavyCommands:
         assert doc["kolmogorov_distance"] <= 1e-4
         assert doc["mass"] == pytest.approx(1.0, abs=1e-6)
 
+    def test_convolve_near_axis_passes(self, capsys):
+        code, out = run_capture(capsys, [
+            "convolve", "--alpha", "0.5", "--beta", "0.5", "--lambda", "3"])
+        assert code == 0
+        doc = json.loads(out)
+        assert doc["passed"] is True
+        assert doc["kolmogorov_distance"] <= 1e-4
+
     def test_fixpoint_report(self, capsys):
         code, out = run_capture(capsys, [
             "fixpoint", "--alpha", "2", "--lambda", "1", "--order", "6"])

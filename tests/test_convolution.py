@@ -92,6 +92,17 @@ class TestFreeConvolve:
         assert abs(out.mass() - 1.0) <= 1e-6
         assert kolmogorov_distance(out, target) <= 1e-4
 
+    @pytest.mark.parametrize("alpha, beta, lam", [(0.5, 0.5, 3.0),
+                                                   (1.0, 1.0, 0.01)])
+    def test_free_poisson_identity_near_axis(self, alpha, beta, lam):
+        # the subordination points of these draws come within 1e-3 of the
+        # axis, where a node-sum Cauchy transform is off by O(1)
+        X = build_fgig(NaturalParams(alpha, beta, -lam), 1024)
+        Y = build_free_poisson(FreePoissonParams(1.0 / alpha, lam), 1024)
+        out = free_convolve(X, Y)
+        target = build_fgig(NaturalParams(alpha, beta, lam), 1024)
+        assert kolmogorov_distance(out, target) <= 1e-4
+
     def test_mean_additivity(self, gig_poisson_pair):
         X, Y = gig_poisson_pair
         out = free_convolve(X, Y)

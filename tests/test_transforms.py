@@ -180,7 +180,9 @@ class TestCauchy:
             cauchy(m, 2.0 + 0.0j)
 
     def test_near_axis_quadrature_fallback(self):
-        # just below the node-sum resolution the quad path must take over
+        # just below the node-sum resolution a built measure answers from
+        # its closed form; grid measures take the quad path here
+        # (test_cauchy_closed_form covers that fallback)
         p = NaturalParams(2.0, 8.0, 0.0)
         m = build_fgig(p, 64)
         z = 2.0 + 1e-4j
