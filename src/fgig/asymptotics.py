@@ -16,10 +16,9 @@ both unbounded on the boundaries.
 """
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
-from scipy.interpolate import PchipInterpolator
 
 from .errors import DomainError
 from .measures import (FreePoissonParams, SpectralMeasure, atom_measure,
@@ -38,19 +37,17 @@ class LimitDescription:
 
 
 def _scaled_copy(m, weight, extra_atoms):
-    """Measure with the a.c. part of ``m`` scaled by ``weight`` plus atoms."""
-    interp = (PchipInterpolator(m.cdf_x, weight * m.cdf_y)
-              if m.cdf_x is not None else None)
-    parent = m.density
+    """Measure with the a.c. part of ``m`` scaled by ``weight`` plus atoms.
 
-    def density(x, _w=weight, _f=parent):
+    The result is a different law from ``m``, so its closed-form Cauchy
+    transform is dropped rather than carried.
+    """
+    def density(x, _w=weight, _f=m.density):
         return _w * _f(x)
 
-    return SpectralMeasure(tuple(extra_atoms), m.support, density,
-                           m.nodes, weight * m.weights,
-                           m.cdf_x, None if m.cdf_y is None else weight * m.cdf_y,
-                           interp, m.param_spacing, m.param_dxdt,
-                           m.param_theta)
+    return replace(m, atoms=tuple(extra_atoms), density=density,
+                   weights=weight * m.weights, cdf_y=weight * m.cdf_y,
+                   cauchy_fn=None)
 
 
 def limit_regime(lam):

@@ -20,7 +20,12 @@ import numpy as np
 
 from .errors import DomainError, NumericError
 from .measures import from_grid, shift
-from .transforms import _DEFAULT_LADDER, cauchy_nodes
+from .transforms import _DEFAULT_LADDER, _richardson, cauchy_nodes
+
+_N_GRID = 2001  # uniform recovery grid over the sum of the supports
+_MARGIN = 0.05  # grid padding beyond that sum, relative to its width
+_TOL = 1e-12  # relative fixed-point tolerance of the recovery
+_MAX_ITER = 2000  # subordination map evaluations per ladder rung
 
 
 @dataclass(frozen=True)
@@ -115,15 +120,15 @@ def _is_unit_atom(m):
             and abs(m.atoms[0][1] - 1.0) <= 1e-12)
 
 
-def _recover_density(mu, nu, xs, rungs, tol, max_iter):
+def _recover_density(mu, nu, xs):
     """Extrapolated boundary density of ``mu (+) nu`` at the points ``xs``."""
-    h_vals = np.empty((rungs.size, xs.size))
+    h_vals = np.empty((len(_DEFAULT_LADDER), xs.size))
     w_prev = None
-    for k, eps in enumerate(rungs):
+    for k, eps in enumerate(_DEFAULT_LADDER):
         z = xs + 1j * eps
-        w, res, _ = _solve_omega(mu, nu, z, w0=w_prev, tol=tol,
-                                 max_iter=max_iter)
-        bad = res > tol * np.maximum(1.0, np.abs(w))
+        w, res, _ = _solve_omega(mu, nu, z, w0=w_prev, tol=_TOL,
+                                 max_iter=_MAX_ITER)
+        bad = res > _TOL * np.maximum(1.0, np.abs(w))
         if np.any(bad):
             raise NumericError(
                 f"subordination failed on {int(bad.sum())} grid points "
@@ -131,9 +136,7 @@ def _recover_density(mu, nu, xs, rungs, tol, max_iter):
         g = cauchy_nodes(mu, w)
         h_vals[k] = -g.imag / math.pi
         w_prev = w
-    r1 = 2.0 * h_vals[1:] - h_vals[:-1]
-    r2 = (4.0 * r1[1:] - r1[:-1]) / 3.0
-    return r2[-1]
+    return _richardson(h_vals)[-1]
 
 
 def _sqrt_edge_fit(xs, density, side):
@@ -177,7 +180,7 @@ def _sqrt_edge_fit(xs, density, side):
     return float(roots[np.argmin(np.abs(roots - xs[idx]))])
 
 
-def _polish_edge(mu, nu, e0, sgn, d_bias, rungs, tol, max_iter):
+def _polish_edge(mu, nu, e0, sgn, d_bias):
     """Sharpen an edge estimate with ladder samples just inside it.
 
     The squared density through three samples a couple of bias widths
@@ -186,8 +189,7 @@ def _polish_edge(mu, nu, e0, sgn, d_bias, rungs, tol, max_iter):
     """
     offs = np.array([2.0, 3.0, 4.5]) * d_bias
     s = e0 + sgn * offs
-    vals = np.clip(_recover_density(mu, nu, s, rungs, tol, max_iter),
-                   0.0, None) ** 2
+    vals = np.clip(_recover_density(mu, nu, s), 0.0, None) ** 2
     if not np.all(np.diff(vals) > 0.0):
         return e0
     coeffs = np.polyfit(offs, vals, 2)
@@ -199,7 +201,7 @@ def _polish_edge(mu, nu, e0, sgn, d_bias, rungs, tol, max_iter):
     return e0 + sgn * float(roots[np.argmin(np.abs(roots))])
 
 
-def _refine_edges(mu, nu, xs, density, rungs, tol, max_iter, n_sub=48):
+def _refine_edges(mu, nu, xs, density, n_sub=48):
     """Resolve the square-root support edges of a recovered density.
 
     Sub-grid points are clustered quadratically over the two cells inside
@@ -211,7 +213,7 @@ def _refine_edges(mu, nu, xs, density, rungs, tol, max_iter, n_sub=48):
     """
     h = xs[1] - xs[0]
     density = np.clip(density, 0.0, None)
-    d_bias = 6.0 * rungs[-1]
+    d_bias = 6.0 * _DEFAULT_LADDER[-1]
     k2 = (np.arange(1, n_sub + 1) / n_sub) ** 2
     edges = []
     extra_x = []
@@ -220,7 +222,7 @@ def _refine_edges(mu, nu, xs, density, rungs, tol, max_iter, n_sub=48):
         if e is None:
             continue
         sgn = 1.0 if side == "left" else -1.0
-        e = _polish_edge(mu, nu, e, sgn, d_bias, rungs, tol, max_iter)
+        e = _polish_edge(mu, nu, e, sgn, d_bias)
         edges.append((e, sgn))
         extra_x.append(e + sgn * k2 * 2.0 * h)
         extra_x.append(np.array([e]))
@@ -228,8 +230,7 @@ def _refine_edges(mu, nu, xs, density, rungs, tol, max_iter, n_sub=48):
         return xs, density
 
     extras = np.concatenate(extra_x)
-    extra_vals = np.clip(
-        _recover_density(mu, nu, extras, rungs, tol, max_iter), 0.0, None)
+    extra_vals = np.clip(_recover_density(mu, nu, extras), 0.0, None)
     xs = np.concatenate([xs, extras])
     density = np.concatenate([density, extra_vals])
     order = np.argsort(xs)
@@ -252,8 +253,7 @@ def _refine_edges(mu, nu, xs, density, rungs, tol, max_iter, n_sub=48):
     return xs, density
 
 
-def free_convolve(mu, nu, n_grid=2001, margin=0.05, ladder=None,
-                  tol=1e-12, max_iter=2000):
+def free_convolve(mu, nu):
     """Distribution of ``X + Y`` for free ``X ~ mu``, ``Y ~ nu``.
 
     A point mass acts by translation and is handled exactly.  Otherwise
@@ -271,13 +271,10 @@ def free_convolve(mu, nu, n_grid=2001, margin=0.05, ladder=None,
     lo1, hi1 = _bounds(mu)
     lo2, hi2 = _bounds(nu)
     lo, hi = lo1 + lo2, hi1 + hi2
-    pad = margin * (hi - lo)
-    xs = np.linspace(lo - pad, hi + pad, n_grid)
-    rungs = np.asarray(_DEFAULT_LADDER if ladder is None else ladder,
-                       dtype=float)
-
-    density = _recover_density(mu, nu, xs, rungs, tol, max_iter)
-    xs_all, density = _refine_edges(mu, nu, xs, density, rungs, tol, max_iter)
+    pad = _MARGIN * (hi - lo)
+    xs = np.linspace(lo - pad, hi + pad, _N_GRID)
+    density = _recover_density(mu, nu, xs)
+    xs_all, density = _refine_edges(mu, nu, xs, density)
     out = from_grid(xs_all, np.clip(density, 0.0, None))
     err = abs(out.mass() - 1.0)
     if err > 1e-4:

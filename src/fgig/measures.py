@@ -23,7 +23,8 @@ through the change of variables.  Grid measures have none.
 """
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
+from functools import cached_property
 from typing import Callable, Optional
 
 import numpy as np
@@ -35,6 +36,7 @@ from .params import require_valid, solve_support
 
 _TWO_PI = 2.0 * math.pi
 _DEFAULT_CDF_PTS = 4096  # angular panels for the cdf table
+_TRIM_REL_TOL = 1e-12  # density below this fraction of the peak is zero
 
 
 @dataclass(frozen=True, slots=True)
@@ -49,7 +51,7 @@ class FreePoissonParams:
             raise DomainError("free Poisson parameters must be positive")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, kw_only=True)
 class SpectralMeasure:
     """Probability measure = atoms + absolutely continuous part.
 
@@ -57,8 +59,10 @@ class SpectralMeasure:
     approximates ``integral f d(mu_ac)``.  ``density`` is a vectorized
     evaluator vanishing outside ``support``.  The a.c. cumulative mass is
     tabulated in ``cdf_x``/``cdf_y``; atoms are added on evaluation.
-    ``cauchy_fn``, when set, is the closed-form Cauchy transform of the
-    whole measure, atoms included.
+    ``chebyshev`` marks nodes of the Gauss--Chebyshev (second kind) rule,
+    ``x_j = mid + rad*cos(j pi/(n+1))`` in order, whose uniform angles
+    the log-energy quadrature needs.  ``cauchy_fn``, when set, is the
+    closed-form Cauchy transform of the whole measure, atoms included.
     """
 
     atoms: tuple
@@ -68,16 +72,12 @@ class SpectralMeasure:
     weights: np.ndarray
     cdf_x: Optional[np.ndarray] = None
     cdf_y: Optional[np.ndarray] = None
-    _cdf_interp: object = field(default=None, repr=False)
-    # uniform-parameter metadata (spacing, |dx/dt| at the nodes); set for
-    # cosine-angle and uniform-grid measures, used by the entropy module
-    param_spacing: Optional[float] = field(default=None, repr=False)
-    param_dxdt: Optional[np.ndarray] = field(default=None, repr=False)
-    # angles of the cosine parameterization x = mid + rad*cos(theta), when
-    # the quadrature nodes carry one
-    param_theta: Optional[np.ndarray] = field(default=None, repr=False)
-    cauchy_fn: Optional[Callable] = field(default=None, repr=False,
-                                          kw_only=True)
+    chebyshev: bool = field(default=False, repr=False)
+    cauchy_fn: Optional[Callable] = field(default=None, repr=False)
+
+    @cached_property
+    def _cdf_interp(self):
+        return PchipInterpolator(self.cdf_x, self.cdf_y)
 
     # -- basic functionals -------------------------------------------------
 
@@ -147,7 +147,7 @@ def _angular_cdf_table(lo, hi, g, p_exp, q_exp, n_panels):
     # cumulative mass from hi downwards -> cdf values on the ascending grid
     xs = x[::-1]
     cdf = (total - cum)[::-1]
-    return xs, np.clip(cdf, 0.0, None), theta, cum
+    return xs, np.clip(cdf, 0.0, None)
 
 
 def _edge_matched_rule(n, p_exp, q_exp):
@@ -188,18 +188,11 @@ def _jacobi_measure(lo, hi, g, p_exp=0.5, q_exp=0.5, n=256, atoms=(),
             out = np.where(inside, vals, 0.0)
         return out if out.ndim else float(out)
 
-    xs, cdf, theta, _ = _angular_cdf_table(lo, hi, g, p_exp, q_exp, cdf_panels)
-    interp = PchipInterpolator(xs, cdf)
-    meta_h = meta_dxdt = meta_theta = None
-    if p_exp == 0.5 and q_exp == 0.5:
-        # Gauss-Chebyshev (2nd kind): the nodes sit at uniform angles, so
-        # the rule doubles as a uniform-parameter midpoint rule
-        meta_h = math.pi / (n + 1)
-        meta_dxdt = rad * np.sqrt(np.clip(1.0 - t ** 2, 0.0, None))
-        meta_theta = np.arange(1, n + 1) * meta_h
-    return SpectralMeasure(tuple(atoms), (lo, hi), density,
-                           nodes, weights, xs, cdf, interp,
-                           meta_h, meta_dxdt, meta_theta,
+    xs, cdf = _angular_cdf_table(lo, hi, g, p_exp, q_exp, cdf_panels)
+    return SpectralMeasure(atoms=tuple(atoms), support=(lo, hi),
+                           density=density, nodes=nodes, weights=weights,
+                           cdf_x=xs, cdf_y=cdf,
+                           chebyshev=(p_exp == 0.5 and q_exp == 0.5),
                            cauchy_fn=cauchy_fn)
 
 
@@ -269,20 +262,16 @@ def from_grid(xs, ys, atoms=()):
 
     coeffs, cdf = _pairwise_quadrature(xs, ys)
     cdf = np.maximum.accumulate(np.clip(cdf, 0.0, None))
-    gaps = np.diff(xs)
-    weights = coeffs * ys
-    uniform = bool(np.all(np.abs(gaps - gaps[0]) <= 1e-9 * gaps[0]))
-    return SpectralMeasure(tuple(atoms), (float(xs[0]), float(xs[-1])),
-                           density, xs, weights, xs, cdf,
-                           PchipInterpolator(xs, cdf),
-                           float(gaps[0]) if uniform else None,
-                           np.ones_like(xs) if uniform else None)
+    return SpectralMeasure(atoms=tuple(atoms),
+                           support=(float(xs[0]), float(xs[-1])),
+                           density=density, nodes=xs, weights=coeffs * ys,
+                           cdf_x=xs, cdf_y=cdf)
 
 
 def atom_measure(atoms):
     """Purely atomic measure, e.g. a point mass."""
-    return SpectralMeasure(tuple(atoms), None, None,
-                           np.array([]), np.array([]))
+    return SpectralMeasure(atoms=tuple(atoms), support=None, density=None,
+                           nodes=np.array([]), weights=np.array([]))
 
 
 # ---------------------------------------------------------------------------
@@ -542,26 +531,29 @@ def mode_quadratic(p):
     return c2, c1, c0
 
 
-def trim_support(m, rel_tol=1e-12):
-    """Restrict a grid measure to where its density is effectively positive."""
+def trim_support(m):
+    """Restrict a grid measure to where its density is effectively positive.
+
+    The zero sample next to each end of the positive run is kept, so the
+    support still ends where the density vanishes and a built measure is
+    returned unchanged.  A measure that does lose nodes loses its
+    Chebyshev marker with them.
+    """
     if m.cdf_x is None or m.density is None:
         return m
     ys = m.density(m.cdf_x)
     peak = float(np.max(ys)) if ys.size else 0.0
-    keep = np.nonzero(ys > rel_tol * peak)[0]
+    keep = np.nonzero(ys > _TRIM_REL_TOL * peak)[0]
     if keep.size == 0:
         raise DomainError("measure has no detectable density")
-    i0, i1 = keep[0], keep[-1]
-    if i0 == 0 and i1 == m.cdf_x.size - 1:
+    i0, i1 = max(keep[0] - 1, 0), min(keep[-1] + 1, ys.size - 1)
+    if i0 == 0 and i1 == ys.size - 1:
         return m
     lo, hi = float(m.cdf_x[i0]), float(m.cdf_x[i1])
     inside = (m.nodes >= lo) & (m.nodes <= hi)
-    return SpectralMeasure(m.atoms, (lo, hi), m.density,
-                           m.nodes[inside], m.weights[inside],
-                           m.cdf_x[i0:i1 + 1], m.cdf_y[i0:i1 + 1],
-                           m._cdf_interp, m.param_spacing,
-                           m.param_dxdt[inside] if m.param_dxdt is not None else None,
-                           cauchy_fn=m.cauchy_fn)
+    return replace(m, support=(lo, hi), nodes=m.nodes[inside],
+                   weights=m.weights[inside], cdf_x=m.cdf_x[i0:i1 + 1],
+                   cdf_y=m.cdf_y[i0:i1 + 1], chebyshev=False)
 
 
 def pushforward_reciprocal(m):
@@ -594,7 +586,6 @@ def pushforward_reciprocal(m):
     ac_mass = m.ac_mass()
     cdf_x = 1.0 / m.cdf_x[::-1]
     cdf_y = np.clip(ac_mass - m.cdf_y[::-1], 0.0, None)
-    interp = PchipInterpolator(cdf_x, cdf_y)
     cauchy_fn = None
     if m.cauchy_fn is not None:
         def cauchy_fn(z, _g=m.cauchy_fn, _mean=moment(m, 1)):
@@ -603,61 +594,47 @@ def pushforward_reciprocal(m):
             zero = z == 0
             zi = np.where(zero, 1.0, z)
             return np.where(zero, -_mean, (1.0 - _g(1.0 / zi) / zi) / zi)
-    return SpectralMeasure(atoms, (float(cdf_x[0]), float(cdf_x[-1])),
-                           density, nodes, weights, cdf_x, cdf_y, interp,
-                           cauchy_fn=cauchy_fn)
+    return SpectralMeasure(atoms=atoms,
+                           support=(float(cdf_x[0]), float(cdf_x[-1])),
+                           density=density, nodes=nodes, weights=weights,
+                           cdf_x=cdf_x, cdf_y=cdf_y, cauchy_fn=cauchy_fn)
+
+
+def _affine(m, scale, offset):
+    """Image under ``x -> scale*x + offset`` for ``scale > 0``.
+
+    Multiplying by ``scale = 1`` or adding ``offset = 0`` changes no
+    value, so a pure shift or dilation gives the numbers it would alone.
+    """
+    atoms = tuple((scale * loc + offset, w) for loc, w in m.atoms)
+    if m.support is None:
+        return atom_measure(atoms)
+    lo, hi = m.support
+
+    def density(x, _f=m.density):
+        return _f((np.asarray(x, dtype=float) - offset) / scale) / scale
+
+    cauchy_fn = None
+    if m.cauchy_fn is not None:
+        def cauchy_fn(z, _g=m.cauchy_fn):
+            return _g((np.asarray(z, dtype=complex) - offset) / scale) / scale
+    return replace(m, atoms=atoms,
+                   support=(scale * lo + offset, scale * hi + offset),
+                   density=density, nodes=scale * m.nodes + offset,
+                   cdf_x=None if m.cdf_x is None else scale * m.cdf_x + offset,
+                   cauchy_fn=cauchy_fn)
 
 
 def shift(m, c):
     """Translate a measure by ``c``."""
-    atoms = tuple((loc + c, w) for loc, w in m.atoms)
-    if m.support is None:
-        return atom_measure(atoms)
-    lo, hi = m.support
-    parent = m.density
-
-    def density(x, _c=c, _f=parent):
-        return _f(np.asarray(x, dtype=float) - _c)
-
-    interp = PchipInterpolator(m.cdf_x + c, m.cdf_y) if m.cdf_x is not None else None
-    cauchy_fn = None
-    if m.cauchy_fn is not None:
-        def cauchy_fn(z, _c=c, _g=m.cauchy_fn):
-            return _g(np.asarray(z, dtype=complex) - _c)
-    return SpectralMeasure(atoms, (lo + c, hi + c), density,
-                           m.nodes + c, m.weights.copy(),
-                           None if m.cdf_x is None else m.cdf_x + c,
-                           None if m.cdf_y is None else m.cdf_y.copy(),
-                           interp, m.param_spacing, m.param_dxdt,
-                           m.param_theta, cauchy_fn=cauchy_fn)
+    return _affine(m, 1.0, c)
 
 
 def dilate(m, c):
     """Image under ``x -> c*x`` for ``c > 0``."""
     if not c > 0:
         raise DomainError("dilation factor must be positive")
-    atoms = tuple((loc * c, w) for loc, w in m.atoms)
-    if m.support is None:
-        return atom_measure(atoms)
-    lo, hi = m.support
-    parent = m.density
-
-    def density(x, _c=c, _f=parent):
-        return _f(np.asarray(x, dtype=float) / _c) / _c
-
-    interp = (PchipInterpolator(m.cdf_x * c, m.cdf_y)
-              if m.cdf_x is not None else None)
-    dxdt = None if m.param_dxdt is None else m.param_dxdt * c
-    cauchy_fn = None
-    if m.cauchy_fn is not None:
-        def cauchy_fn(z, _c=c, _g=m.cauchy_fn):
-            return _g(np.asarray(z, dtype=complex) / _c) / _c
-    return SpectralMeasure(atoms, (lo * c, hi * c), density,
-                           m.nodes * c, m.weights.copy(),
-                           None if m.cdf_x is None else m.cdf_x * c,
-                           None if m.cdf_y is None else m.cdf_y.copy(),
-                           interp, m.param_spacing, dxdt, m.param_theta,
-                           cauchy_fn=cauchy_fn)
+    return _affine(m, c, 0.0)
 
 
 def kolmogorov_distance(m1, m2):

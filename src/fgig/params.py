@@ -381,14 +381,20 @@ def solve_support(p, guess=None):
     ------
     NumericError
         If neither the Newton iteration nor the bisection fallback
-        converges (carries the last residual).
+        converges: a residual above ``1e-9`` relative to the largest term
+        it cancels (carries that relative residual).
     """
     sf = solve_spread(p, guess=guess)
     s = reparameterize(sf)
     r1, r2 = support_residuals(p, s)
-    if max(abs(r1), abs(r2)) > 1e-9:
-        raise NumericError("support solve did not converge",
-                           residual=max(abs(r1), abs(r2)))
+    # each residual relative to the largest term it cancels (at least 1)
+    sab = math.sqrt(s.a * s.b)
+    res = max(abs(r1) / max(1.0, abs(p.lam), p.alpha * sab,
+                            p.beta * (s.a + s.b) / (2.0 * s.a * s.b)),
+              abs(r2) / max(1.0, abs(p.lam), p.beta / sab,
+                            p.alpha * (s.a + s.b) / 2.0))
+    if res > 1e-9:
+        raise NumericError("support solve did not converge", residual=res)
     return s
 
 

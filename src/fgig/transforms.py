@@ -30,6 +30,8 @@ from .params import require_valid, spectral_roots
 from .series import Series
 
 _DEFAULT_LADDER = tuple(1e-2 * 0.5 ** k for k in range(8))
+# a grid measure's node sum gives way to quadrature within this many spacings
+_NEAR_SPACINGS = 4.0
 
 
 @dataclass(frozen=True)
@@ -162,14 +164,14 @@ def _node_spacing(m):
     return float(np.max(np.diff(np.sort(m.nodes))))
 
 
-def cauchy(m, z, safety=4.0):
+def cauchy(m, z):
     """Cauchy transform ``integral d mu(x) / (z - x)`` of a measure.
 
     A measure that carries a closed form is evaluated through it.  For a
     grid measure the node sum is used away from the support; close to it
-    (within ``safety`` node spacings) the integral falls back to adaptive
-    quadrature against the density.  Querying a point of the support
-    itself (or an atom) raises.
+    (within ``_NEAR_SPACINGS`` node spacings) the integral falls back to
+    adaptive quadrature against the density.  Querying a point of the
+    support itself (or an atom) raises.
     """
     scalar = np.isscalar(z) or isinstance(z, complex)
     z = np.atleast_1d(np.asarray(z, dtype=complex))
@@ -191,7 +193,7 @@ def cauchy(m, z, safety=4.0):
         x, y = z.real, z.imag
         dist = np.hypot(np.clip(lo - x, 0.0, None) + np.clip(x - hi, 0.0, None), y)
         h = _node_spacing(m)
-        near = dist < safety * h
+        near = dist < _NEAR_SPACINGS * h
         far = ~near
         if np.any(far):
             zf = z[far]
@@ -288,41 +290,37 @@ def cauchy_from_r(r, z, seed=None, tol=1e-12):
     return w
 
 
-def stieltjes_density(G, x, eps_ladder=None, strict=True):
-    """Recover a density from a Cauchy transform evaluator.
+def _richardson(h):
+    """Two Richardson rounds over rows ``h[k]`` sampled at ``_DEFAULT_LADDER``.
+
+    The halving ladder makes the rounds ``2 h[k+1] - h[k]`` and then
+    ``(4 r[k+1] - r[k])/3``, removing the ``O(eps)`` and ``O(eps**2)``
+    smoothing bias; the last row is the extrapolated value.
+    """
+    r1 = 2.0 * h[1:] - h[:-1]
+    return (4.0 * r1[1:] - r1[:-1]) / 3.0
+
+
+def stieltjes_density(G, x):
+    """Recover a density from a vectorized Cauchy transform evaluator.
 
     Evaluates ``-Im G(x + i eps)/pi`` along a halving ladder and removes
-    the smoothing bias with two rounds of Richardson extrapolation.
-    With ``strict`` the final two extrapolants must agree, otherwise a
-    :class:`NumericError` is raised.
+    the smoothing bias with two rounds of Richardson extrapolation.  The
+    final two extrapolants must agree, otherwise a :class:`NumericError`
+    is raised.
     """
-    ladder = np.asarray(_DEFAULT_LADDER if eps_ladder is None else eps_ladder,
-                        dtype=float)
-    if ladder.size < 3:
-        raise DomainError("ladder needs at least three rungs")
     scalar = np.isscalar(x)
     x = np.atleast_1d(np.asarray(x, dtype=float))
-    h = np.empty((ladder.size, x.size))
-    for k, eps in enumerate(ladder):
-        zk = x + 1j * eps
-        try:
-            vals = np.asarray(G(zk), dtype=complex)
-            if vals.shape != zk.shape:
-                raise TypeError
-        except Exception:
-            vals = np.array([G(complex(xi, eps)) for xi in x], dtype=complex)
-        h[k] = -vals.imag / math.pi
-    r1 = 2.0 * h[1:] - h[:-1]
-    r2 = (4.0 * r1[1:] - r1[:-1]) / 3.0
+    h = np.array([-np.asarray(G(x + 1j * eps), dtype=complex).imag / math.pi
+                  for eps in _DEFAULT_LADDER])
+    r2 = _richardson(h)
     val = r2[-1]
-    if strict:
-        wobble = np.abs(r2[-1] - r2[-2])
-        bad = wobble > np.maximum(1e-5, 1e-3 * np.abs(val))
-        if np.any(bad):
-            i = int(np.argmax(wobble))
-            raise NumericError(
-                f"Stieltjes ladder did not settle at x = {x[i]}",
-                residual=float(wobble[i]))
+    wobble = np.abs(r2[-1] - r2[-2])
+    bad = wobble > np.maximum(1e-5, 1e-3 * np.abs(val))
+    if np.any(bad):
+        i = int(np.argmax(wobble))
+        raise NumericError(f"Stieltjes ladder did not settle at x = {x[i]}",
+                           residual=float(wobble[i]))
     val = np.clip(val, 0.0, None)
     return float(val[0]) if scalar else val
 

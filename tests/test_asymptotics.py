@@ -35,6 +35,10 @@ class TestLimitMeasure:
         # a.c. part: (1/2) nu(1/2, 1) supported on (0, 2)
         assert desc.limit.support[1] == pytest.approx(2.0, rel=1e-12)
 
+    def test_middle_regime_drops_the_closed_form(self):
+        # half a Marchenko-Pastur law plus an atom is not that law
+        assert limit_measure(1.0, 0.3).limit.cauchy_fn is None
+
     def test_lower_regime(self):
         desc = limit_measure(1.0, -3.0)
         assert desc.regime == REGIME_LAM_LE_M1

@@ -102,6 +102,16 @@ class TestHighPrecisionOracle:
 
         return mp.findroot(equations, (mp.mpf(s.a), mp.mpf(s.b)))
 
+    @pytest.mark.parametrize("triple", [(1e6, 1e6, 0.0), (1e6, 1e6, 3.0)])
+    def test_support_at_large_rates(self, triple):
+        mp = pytest.importorskip("mpmath")
+        p = NaturalParams(*triple)
+        s = solve_support(p)
+        with mp.workdps(40):
+            A, B = self.support40(mp, p)
+            assert abs(mp.mpf(s.a) / A - 1) <= 1e-12
+            assert abs(mp.mpf(s.b) / B - 1) <= 1e-12
+
     @pytest.mark.parametrize("triple", TRIPLES)
     def test_fgig(self, triple):
         mp = pytest.importorskip("mpmath")

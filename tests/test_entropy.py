@@ -19,7 +19,7 @@ from fgig.entropy import (
     log_energy,
     maximality_scan,
 )
-from fgig.measures import build_fgig, build_semicircle, dilate
+from fgig.measures import build_fgig, build_semicircle, dilate, from_grid
 from fgig.params import solve_support
 
 
@@ -56,10 +56,30 @@ class TestLogEnergy:
         assert log_energy(build_fgig(p, 512)) == pytest.approx(
             log_energy_harmonic_oracle(p), abs=1e-10)
 
+    @pytest.mark.parametrize("n", [256, 1024])
+    def test_matches_dense_cosine_sum(self, n):
+        # the same quadrature with the cosine coefficients summed densely
+        m = build_fgig(NaturalParams(1.0, 1.0, 0.5), n)
+        w = m.weights
+        ks = np.arange(1, w.size + 1)
+        theta = ks * math.pi / (w.size + 1)
+        a = 2.0 / math.pi * (np.cos(np.outer(ks, theta)) @ w)
+        rad = 0.5 * (m.support[1] - m.support[0])
+        dense = (math.log(rad / 2.0) * np.sum(w) ** 2
+                 - 0.5 * math.pi ** 2 * np.sum(a * a / ks))
+        assert log_energy(m) == pytest.approx(dense, abs=1e-14)
+
     def test_rejects_atoms(self):
         from fgig.measures import atom_measure
         with pytest.raises(DomainError):
             log_energy(atom_measure([(1.0, 1.0)]))
+
+    def test_rejects_uniform_grid_measures(self):
+        xs = np.linspace(1.0, 4.0, 401)
+        m = from_grid(xs, 2.0 / (math.pi * 1.5 ** 2)
+                      * np.sqrt((xs - 1.0) * (4.0 - xs)))
+        with pytest.raises(DomainError):
+            log_energy(m)
 
 
 class TestFreeEntropy:

@@ -6,6 +6,7 @@ import pytest
 from fgig import DomainError, NaturalParams
 from fgig.measures import (
     FreePoissonParams,
+    SpectralMeasure,
     atom_measure,
     build_fgig,
     build_free_poisson,
@@ -20,8 +21,10 @@ from fgig.measures import (
     moment,
     pushforward_reciprocal,
     shift,
+    trim_support,
 )
-from fgig.transforms import r_fgig
+from fgig.params import solve_support
+from fgig.transforms import cauchy, r_fgig
 
 
 def random_params(rng, lam_range=(-4.0, 4.0)):
@@ -198,6 +201,21 @@ class TestReciprocalPushforward:
         with pytest.raises(DomainError):
             pushforward_reciprocal(atom_measure([(0.0, 1.0)]))
 
+    def test_support_is_the_reciprocal_interval(self):
+        p = NaturalParams(2.0, 8.0, -1.0)
+        s = solve_support(p)
+        r = pushforward_reciprocal(build_fgig(p, 1024))
+        assert r.support[0] == pytest.approx(1.0 / s.b, rel=1e-14)
+        assert r.support[1] == pytest.approx(1.0 / s.a, rel=1e-14)
+        with pytest.raises(DomainError):
+            cauchy(r, r.support[0] + 0.0j)
+
+
+class TestTrimSupport:
+    def test_built_measure_is_returned_unchanged(self):
+        m = build_fgig(NaturalParams(2.0, 8.0, -1.0), 1024)
+        assert trim_support(m) is m
+
 
 class TestKolmogorovDistance:
     def test_identity(self):
@@ -234,7 +252,24 @@ class TestTransformHelpers:
         assert moment(d, 1) == pytest.approx(2.0 * moment(m, 1), rel=1e-12)
         assert moment(d, 2) == pytest.approx(4.0 * moment(m, 2), rel=1e-12)
 
+    @pytest.mark.parametrize("op", [shift, dilate])
+    def test_maps_carry_closed_form_and_marker(self, op):
+        m = build_fgig(NaturalParams(2.0, 8.0, 0.0), 256)
+        out = op(m, 1.5)
+        assert out.chebyshev
+        z = np.array([0.3 + 2.0j, 7.0 + 0.5j])
+        w = z - 1.5 if op is shift else z / 1.5
+        scale = 1.0 if op is shift else 1.5
+        assert np.allclose(out.cauchy_fn(z), m.cauchy_fn(w) / scale,
+                           rtol=1e-14, atol=0.0)
+
     def test_dilate_density_scaling(self):
         m = build_semicircle(1.0, 1.0, 128)
         d = dilate(m, 3.0)
         assert d.density(3.0) == pytest.approx(m.density(1.0) / 3.0, rel=1e-12)
+
+
+class TestSpectralMeasure:
+    def test_positional_construction_raises(self):
+        with pytest.raises(TypeError):
+            SpectralMeasure((), None, None, np.array([]), np.array([]))
