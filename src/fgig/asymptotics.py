@@ -76,31 +76,16 @@ def limit_measure(alpha, lam, n=512):
 
 
 def spread_path(alpha, lam, betas):
-    """Spread coordinates along a decreasing ``beta`` sweep.
+    """Spread coordinates of ``mu(alpha, beta, lam)`` for each ``beta``.
 
-    Continuation: starts at ``beta = 0.1`` (or above the largest target)
-    and walks down geometrically, warm-starting each solve; the support
-    degenerates as ``beta`` vanishes and cold Newton becomes fragile.
+    Each point is one bracketed solve, so the order of ``betas`` does not
+    matter and no point depends on another.
     """
     betas = np.asarray(betas, dtype=float)
     if np.any(betas <= 0):
         raise DomainError("beta values must be positive")
-    order = np.argsort(-betas)
-    results = {}
-    current_beta = max(0.1, float(betas.max()))
-    guess = None
-    sf = solve_spread(NaturalParams(alpha, current_beta, lam))
-    guess = (sf.A, sf.B)
-    for idx in order:
-        target = float(betas[idx])
-        while current_beta > target * 1.0000001:
-            current_beta = max(target, current_beta / 3.1622776601683795)
-            sf = solve_spread(NaturalParams(alpha, current_beta, lam),
-                              guess=guess)
-            guess = (sf.A, sf.B)
-        results[idx] = solve_spread(NaturalParams(alpha, target, lam),
-                                    guess=guess)
-    return [results[i] for i in range(betas.size)]
+    return [solve_spread(NaturalParams(alpha, float(beta), lam))
+            for beta in betas]
 
 
 def convergence_curve(alpha, lam, betas, n=2048):
@@ -111,13 +96,10 @@ def convergence_curve(alpha, lam, betas, n=2048):
     distribution functions then stays pinned near the atom mass, so the
     weak-convergence (Levy) metric is the honest yardstick here.
     """
-    desc = limit_measure(alpha, lam)
-    spread_path(alpha, lam, betas)  # prime the solver cache down the sweep
-    out = []
-    for beta in betas:
-        m = build_fgig(NaturalParams(alpha, float(beta), lam), n)
-        out.append(levy_distance(m, desc.limit))
-    return out
+    limit = limit_measure(alpha, lam).limit
+    return [levy_distance(build_fgig(NaturalParams(alpha, float(b), lam), n),
+                          limit)
+            for b in betas]
 
 
 def _fit_exponent(betas, values, slope_floor=0.02, variation_floor=0.05):

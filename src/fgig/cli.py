@@ -25,8 +25,8 @@ from .convolution import free_convolve
 from .errors import DomainError, NumericError
 from .measures import (FreePoissonParams, build_fgig, build_free_poisson,
                        fgig_density, kolmogorov_distance, moment)
-from .params import (NaturalParams, SupportForm, from_support, solve_support,
-                     spectral_roots, validate)
+from .params import (NaturalParams, SupportForm, from_support, reparameterize,
+                     solve_support, spectral_roots, validate)
 
 SCHEMA = "fgig-report/1"
 log = logging.getLogger("fgig")
@@ -297,7 +297,6 @@ def _run_limits(args):
     spreads = asymptotics.spread_path(args.alpha, args.lam, betas)
     rows = []
     for beta, sf, dist in zip(betas, spreads, curve):
-        from .params import reparameterize
         s = reparameterize(sf)
         roots = spectral_roots(NaturalParams(args.alpha, beta, args.lam))
         rows.append((beta, s.a, s.b, roots.delta, roots.eta, dist))

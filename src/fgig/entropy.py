@@ -108,12 +108,6 @@ def free_entropy(m, V):
     return log_energy(m) - integrate(m, V)
 
 
-def fgig_free_entropy(p, n=512):
-    """Convenience: ``I`` of ``mu(alpha, beta, lam)`` under its own potential."""
-    require_valid(p)
-    return free_entropy(build_fgig(p, n), Potential.of(p))
-
-
 def maximality_scan(p, perturbations, n=512):
     """Margins of the base law's free entropy over perturbed competitors.
 

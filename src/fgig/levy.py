@@ -26,7 +26,8 @@ import numpy as np
 from scipy.special import roots_legendre
 
 from .errors import NumericError
-from .params import SpreadForm, require_valid, solve_spread, spectral_roots
+from .params import (SpreadForm, require_valid, solve_spread, spectral_roots,
+                     spread_to_natural)
 from .transforms import r_fgig
 
 _GL_COARSE = roots_legendre(512)
@@ -229,7 +230,6 @@ def fsd_report(p, grid_points=10_000, increment_tol=1e-9):
     if isinstance(p, SpreadForm):
         require_valid(p)
         sf = p
-        from .params import spread_to_natural
         p = spread_to_natural(sf)
     else:
         require_valid(p)

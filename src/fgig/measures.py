@@ -110,9 +110,6 @@ class SpectralMeasure:
         step = sum(w for loc, w in self.atoms if loc == x)
         return float(self.cdf(x)) - step
 
-    def atom_at(self, loc, tol=0.0):
-        return sum(w for p, w in self.atoms if abs(p - loc) <= tol)
-
     def breakpoints(self):
         """Evaluation grid dense enough to locate sup-distances."""
         pieces = [np.array([loc for loc, _ in self.atoms])]

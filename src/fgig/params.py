@@ -32,10 +32,6 @@ import numpy as np
 
 from .errors import DomainError, NumericError
 
-_SOLVE_TOL = 1e-13
-_MAX_ITER = 200
-
-
 @dataclass(frozen=True, slots=True)
 class NaturalParams:
     """Natural coordinates ``(alpha, beta, lam)`` with ``alpha, beta > 0``."""
@@ -207,185 +203,79 @@ def invert_params(p):
 # the support solver
 # ---------------------------------------------------------------------------
 
-def _spread_residuals(A, B, alpha, beta, lam):
-    f1 = 2.0 / A + 2.0 * lam / B - alpha
-    f2 = (B - A) ** 2 * (1.0 / A - lam / B) / 8.0 - beta
-    return f1, f2
+def _ratio_factors(mt, w, lam):
+    """``(t, 1 - t, 1 + |lam| t, 1 - |lam| t)`` from ``m t`` and ``1 - m t``.
 
-
-def _spread_jacobian(A, B, lam):
-    d1A = -2.0 / A ** 2
-    d1B = -2.0 * lam / B ** 2
-    d2A = -(B - A) * (1.0 / A - lam / B) / 4.0 - (B - A) ** 2 / (8.0 * A ** 2)
-    d2B = (B - A) * (1.0 / A - lam / B) / 4.0 + (B - A) ** 2 * lam / (8.0 * B ** 2)
-    return d1A, d1B, d2A, d2B
-
-
-def _solve_spread_newton(alpha, beta, lam, guess=None):
-    """Damped Newton for (A, B) in variables (log A, log(B - m*A)).
-
-    The log transform keeps ``0 < m*A < B`` unconditionally.  Returns
-    ``(A, B)`` or None when the step is rejected 20 times in a row.
+    ``m = max(1, |lam|)`` and ``w = 1 - m t``.  Each factor is a sum of
+    nonnegative terms in ``m t`` and ``w``, so it is as precise as they are.
     """
-    m = max(1.0, abs(lam))
-    if guess is None:
-        A = 2.0 / alpha
-        B = 4.0 * m * A
-    else:
-        A, B = guess
-        if not (A > 0 and B > m * A):
-            A = 2.0 / alpha
-            B = 4.0 * m * A
-    x1, x2 = math.log(A), math.log(B - m * A)
-    scale = max(alpha, beta)
-
-    def norm(A, B):
-        try:
-            f1, f2 = _spread_residuals(A, B, alpha, beta, lam)
-            return math.hypot(f1 / alpha, f2 / beta), f1, f2
-        except OverflowError:
-            return math.inf, math.inf, math.inf
-
-    err, f1, f2 = norm(A, B)
-    rejections = 0
-    for _ in range(_MAX_ITER):
-        if err <= _SOLVE_TOL:
-            return A, B
-        d1A, d1B, d2A, d2B = _spread_jacobian(A, B, lam)
-        # chain rule through A = exp(x1), B = exp(x2) + m*exp(x1)
-        g11 = d1A * A + d1B * m * A
-        g12 = d1B * (B - m * A)
-        g21 = d2A * A + d2B * m * A
-        g22 = d2B * (B - m * A)
-        det = g11 * g22 - g12 * g21
-        if det == 0.0 or not math.isfinite(det):
-            return None
-        s1 = -(g22 * f1 - g12 * f2) / det
-        s2 = -(-g21 * f1 + g11 * f2) / det
-        step = 1.0
-        accepted = False
-        for _ in range(25):
-            nx1, nx2 = x1 + step * s1, x2 + step * s2
-            if abs(nx1) < 300 and abs(nx2) < 300:
-                nA = math.exp(nx1)
-                nB = math.exp(nx2) + m * nA
-                nerr, nf1, nf2 = norm(nA, nB)
-                if nerr < err:
-                    x1, x2, A, B = nx1, nx2, nA, nB
-                    err, f1, f2 = nerr, nf1, nf2
-                    accepted = True
-                    break
-            step *= 0.5
-        if accepted:
-            rejections = 0
-        else:
-            rejections += 1
-            if rejections >= 20:
-                return None
-    if err <= 1e-10 * max(1.0, scale):
-        return A, B
-    return None
-
-
-def _solve_spread_bisection(alpha, beta, lam):
-    """Nested bisection fallback: outer on B, inner on A.
-
-    For fixed B the first residual is strictly decreasing in A, so the
-    inner solve brackets ``A`` in ``(0, B/m)``; the outer residual then
-    changes sign exactly once in ``B``.
-    """
-    m = max(1.0, abs(lam))
-
-    def inner(B):
-        lo, hi = 1e-300, B / m
-        # f1 -> +inf as A -> 0+; require f1 < 0 at A = B/m
-        f_hi = 2.0 * m / B + 2.0 * lam / B - alpha
-        if f_hi >= 0.0:
-            return None
-        for _ in range(200):
-            mid = 0.5 * (lo + hi)
-            f = 2.0 / mid + 2.0 * lam / B - alpha
-            if f > 0.0:
-                lo = mid
-            else:
-                hi = mid
-            if hi - lo <= 1e-16 * hi:
-                break
-        return 0.5 * (lo + hi)
-
-    def outer(B):
-        A = inner(B)
-        if A is None:
-            return None
-        return (B - A) ** 2 * (1.0 / A - lam / B) / 8.0 - beta
-
-    b_min = max((2.0 * m + 2.0 * lam) / alpha, 0.0)
-    lo = b_min * (1.0 + 1e-12) + 1e-300
-    f_lo = outer(lo)
-    hi = max(2.0 * lo, 1.0 / alpha)
-    f_hi = outer(hi)
-    grow = 0
-    while f_hi is not None and f_hi < 0.0:
-        lo, f_lo = hi, f_hi
-        hi *= 4.0
-        f_hi = outer(hi)
-        grow += 1
-        if grow > 400:
-            raise NumericError("support solve: failed to bracket outer root",
-                               residual=f_hi)
-    for _ in range(200):
-        mid = 0.5 * (lo + hi)
-        f_mid = outer(mid)
-        if f_mid is None or f_mid < 0.0:
-            lo = mid
-        else:
-            hi = mid
-        if hi - lo <= 1e-16 * hi:
-            break
-    B = 0.5 * (lo + hi)
-    return inner(B), B
+    s = abs(lam)
+    m = max(1.0, s)
+    return mt / m, ((m - 1.0) + w) / m, 1.0 + s * mt / m, ((m - s) + s * w) / m
 
 
 @lru_cache(maxsize=4096)
-def _solve_spread_cached(alpha, beta, lam):
-    sol = _solve_spread_newton(alpha, beta, lam)
-    if sol is None:
-        sol = _solve_spread_bisection(alpha, beta, lam)
-        sol = _solve_spread_newton(alpha, beta, lam, guess=sol) or sol
-    return sol
+def _solve_ratio(alpha, beta, lam):
+    """The support ratio ``t = A/B`` and the factors built on it.
 
-
-def solve_spread(p, guess=None):
-    """Spread coordinates ``(A, B)`` for natural parameters ``p``.
-
-    ``guess`` optionally warm-starts the Newton iteration (used by the
-    small-``beta`` continuation sweeps).
+    With ``A = 2 (1 + lam t)/alpha`` the second spread equation becomes
+    ``sqrt((1 - lam t)(1 + lam t)) (1 - t) = 2 sqrt(alpha beta) t``.  On
+    ``0 < m t < 1``, ``m = max(1, |lam|)``, the left side falls and the
+    right side rises, so the root is unique.  It is bisected to adjacent
+    floats in ``m t`` when it lies at ``m t <= 1/2`` and in ``w = 1 - m t``
+    otherwise, so both are known to full relative precision.  Returns
+    ``(t, A, B, 1 - t, 1 + lam t, 1 - lam t)``.
     """
+    c = 2.0 * math.sqrt(alpha * beta)
+
+    def excess(mt, w):  # left side minus right side: positive below the root
+        t, u, plus, minus = _ratio_factors(mt, w, lam)
+        return math.sqrt(plus * minus) * u - c * t
+
+    upper = excess(0.5, 0.5) > 0.0
+
+    def split(x):  # (m t, w), with x = w above m t = 1/2 and x = m t below
+        return (1.0 - x, x) if upper else (x, 1.0 - x)
+
+    lo, hi = 0.0, 0.5
+    while lo < (x := 0.5 * (lo + hi)) < hi:
+        if (excess(*split(x)) > 0.0) != upper:
+            lo = x
+        else:
+            hi = x
+    x = min(lo, hi, key=lambda x: abs(excess(*split(x))))
+    t, u, plus, minus = _ratio_factors(*split(x), lam)
+    if lam < 0:
+        plus, minus = minus, plus
+    A = 2.0 * plus / alpha
+    return t, A, A / t, u, plus, minus
+
+
+def solve_spread(p):
+    """Spread coordinates ``(A, B)`` for natural parameters ``p``."""
     require_valid(p)
-    if guess is not None:
-        sol = _solve_spread_newton(p.alpha, p.beta, p.lam, guess=guess)
-        if sol is not None:
-            return SpreadForm(sol[0], sol[1], p.lam)
-    A, B = _solve_spread_cached(p.alpha, p.beta, p.lam)
+    _, A, B, _, _, _ = _solve_ratio(p.alpha, p.beta, p.lam)
     return SpreadForm(A, B, p.lam)
 
 
-def solve_support(p, guess=None):
+def solve_support(p):
     """Support endpoints ``(a, b)`` for natural parameters ``p``.
 
-    Solves the two-equation system via spread coordinates; the result
-    satisfies both defining equations to near machine precision and the
-    admissibility bound automatically.
+    Takes the support ratio ``t = A/B`` from one bracketed scalar root
+    and forms ``a = B ((1 - t)/(1 + sqrt t))**2/4`` and
+    ``b = B (1 + sqrt t)**2/4``, neither of which cancels.
 
     Raises
     ------
     NumericError
-        If neither the Newton iteration nor the bisection fallback
-        converges: a residual above ``1e-9`` relative to the largest term
-        it cancels (carries that relative residual).
+        If the result misses either defining equation by more than
+        ``1e-9`` relative to the largest term it cancels (carries that
+        relative residual).
     """
-    sf = solve_spread(p, guess=guess)
-    s = reparameterize(sf)
+    require_valid(p)
+    t, _, B, u, _, _ = _solve_ratio(p.alpha, p.beta, p.lam)
+    rt = 1.0 + math.sqrt(t)
+    s = SupportForm(B * (u / rt) ** 2 / 4.0, B * rt ** 2 / 4.0, p.lam)
     r1, r2 = support_residuals(p, s)
     # each residual relative to the largest term it cancels (at least 1)
     sab = math.sqrt(s.a * s.b)
@@ -413,17 +303,20 @@ def support_residuals(p, s):
 def spectral_roots(p):
     """Roots ``(gamma, delta, eta)`` of the quartic under the square root.
 
-    In spread coordinates:
+    In spread coordinates, with ``t = A/B``:
 
-        gamma = 2*(lam*A**2 + A*B - 2*B**2) / (B*(B - A)**2)
-        delta = -2*(B + lam*A) / (B*(B - A))
-        eta   = 2*B / (A*(B - lam*A))
+        gamma = -2*((1 - t)*(1 + lam*t) + (1 - lam*t)) / (B*(1 - t)**2)
+        delta = -2*(1 + lam*t) / (B*(1 - t))
+        eta   = 2 / (A*(1 - lam*t))
+
+    Every factor is formed without cancellation, so the identity
+    ``4*beta*eta*delta**2 == alpha**2`` holds to rounding.
     """
-    sf = solve_spread(p)
-    A, B, lam = sf.A, sf.B, sf.lam
-    gamma = 2.0 * (lam * A ** 2 + A * B - 2.0 * B ** 2) / (B * (B - A) ** 2)
-    delta = -2.0 * (B + lam * A) / (B * (B - A))
-    eta = 2.0 * B / (A * (B - lam * A))
+    require_valid(p)
+    _, A, B, u, plus, minus = _solve_ratio(p.alpha, p.beta, p.lam)
+    gamma = -2.0 * (u * plus + minus) / (B * u * u)
+    delta = -2.0 * plus / (B * u)
+    eta = 2.0 / (A * minus)
     return SpectralRoots(gamma, delta, eta)
 
 

@@ -89,40 +89,27 @@ class TestHighPrecisionOracle:
     TRIPLES = [(1.0, 1.0, 0.5), (8.0, 8.0, -3.0), (1e3, 1e3, 0.3),
                (1e-3, 1e-3, -4.0), (1e3, 1e-3, 2.0)]
 
-    @staticmethod
-    def support40(mp, p):
-        """Support endpoints solved to 40 digits from the double ones."""
-        s = solve_support(p)
-        al, be, la = (mp.mpf(v) for v in (p.alpha, p.beta, p.lam))
-
-        def equations(a, b):
-            g = mp.sqrt(a * b)
-            return [1 - la + al * g - be * (a + b) / (2 * a * b),
-                    1 + la + be / g - al * (a + b) / 2]
-
-        return mp.findroot(equations, (mp.mpf(s.a), mp.mpf(s.b)))
-
     @pytest.mark.parametrize("triple", [(1e6, 1e6, 0.0), (1e6, 1e6, 3.0)])
-    def test_support_at_large_rates(self, triple):
+    def test_support_at_large_rates(self, triple, support40):
         mp = pytest.importorskip("mpmath")
         p = NaturalParams(*triple)
         s = solve_support(p)
         with mp.workdps(40):
-            A, B = self.support40(mp, p)
+            A, B = support40(p)
             assert abs(mp.mpf(s.a) / A - 1) <= 1e-12
             assert abs(mp.mpf(s.b) / B - 1) <= 1e-12
 
     @pytest.mark.parametrize("triple", TRIPLES)
-    def test_fgig(self, triple):
+    def test_fgig(self, triple, support40):
         mp = pytest.importorskip("mpmath")
         with mp.workdps(40):
-            self.check_fgig(mp, triple)
+            self.check_fgig(mp, triple, support40)
 
-    def check_fgig(self, mp, triple):
+    def check_fgig(self, mp, triple, support40):
         p = NaturalParams(*triple)
         m = build_fgig(p, 64)
         a, b = m.support
-        A, B = self.support40(mp, p)
+        A, B = support40(p)
         al, be, la = (mp.mpf(v) for v in triple)
         c = be / mp.sqrt(A * B)
 
