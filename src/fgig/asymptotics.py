@@ -23,7 +23,7 @@ import numpy as np
 from .errors import DomainError
 from .measures import (FreePoissonParams, SpectralMeasure, atom_measure,
                        build_fgig, build_free_poisson, levy_distance)
-from .params import NaturalParams, reparameterize, solve_spread
+from .params import NaturalParams, solve_spread, solve_support
 
 REGIME_LAM_GE_1 = "lambda_ge_1"
 REGIME_ABS_LT_1 = "abs_lambda_lt_1"
@@ -123,8 +123,8 @@ def scaling_exponents(alpha, lam, betas, tail=4):
     betas = np.asarray(betas, dtype=float)
     if betas.size < 4 or np.any(np.diff(betas) >= 0):
         raise DomainError("need at least four strictly decreasing betas")
-    spreads = spread_path(alpha, lam, betas)
-    supports = [reparameterize(sf) for sf in spreads]
+    supports = [solve_support(NaturalParams(alpha, float(beta), lam))
+                for beta in betas]
     take = min(max(tail, 4), betas.size)
     bs = betas[-take:]
     a_vals = np.array([s.a for s in supports[-take:]])

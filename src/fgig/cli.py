@@ -25,8 +25,8 @@ from .convolution import free_convolve
 from .errors import DomainError, NumericError
 from .measures import (FreePoissonParams, build_fgig, build_free_poisson,
                        fgig_density, kolmogorov_distance, moment)
-from .params import (NaturalParams, SupportForm, from_support, reparameterize,
-                     solve_support, spectral_roots, validate)
+from .params import (NaturalParams, SupportForm, from_support, solve_support,
+                     spectral_roots, validate)
 
 SCHEMA = "fgig-report/1"
 log = logging.getLogger("fgig")
@@ -294,11 +294,11 @@ def _run_limits(args):
              else [1e-1, 1e-2, 1e-3, 1e-4])
     desc = asymptotics.limit_measure(args.alpha, args.lam)
     curve = asymptotics.convergence_curve(args.alpha, args.lam, betas)
-    spreads = asymptotics.spread_path(args.alpha, args.lam, betas)
     rows = []
-    for beta, sf, dist in zip(betas, spreads, curve):
-        s = reparameterize(sf)
-        roots = spectral_roots(NaturalParams(args.alpha, beta, args.lam))
+    for beta, dist in zip(betas, curve):
+        p = NaturalParams(args.alpha, beta, args.lam)
+        s = solve_support(p)
+        roots = spectral_roots(p)
         rows.append((beta, s.a, s.b, roots.delta, roots.eta, dist))
     if args.format == "csv":
         _write_csv(args.output, ["beta", "a", "b", "delta", "eta", "distance"],

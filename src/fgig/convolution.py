@@ -9,8 +9,9 @@ For probability measures ``mu`` and ``nu`` there are analytic self-maps
 Writing ``h(w) = 1/G(w) - w`` for each factor, ``omega_1(z)`` is the
 fixed point of ``w -> z + h_nu(z + h_mu(w))``, located here by damped
 Picard iteration (globally convergent on the upper half-plane).  The
-convolved density is then recovered on a real grid from the boundary
-values of ``G_mu(omega_1)`` via the extrapolated Stieltjes ladder.
+subordination functions extend continuously to the real line (Belinschi,
+PTRF 2008), so the convolved density ``-Im G_mu(omega_1(x))/pi`` is read
+at real ``x`` directly, with no extrapolation towards the axis.
 """
 
 import math
@@ -19,13 +20,17 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DomainError, NumericError
-from .measures import from_grid, shift
-from .transforms import _DEFAULT_LADDER, _richardson, cauchy_nodes
+from .measures import _edge_matched_rule, _jacobi_measure, shift
+from .transforms import cauchy_nodes
 
-_N_GRID = 2001  # uniform recovery grid over the sum of the supports
+_N_GRID = 2001  # uniform grid over the sum of the supports, to find the edges
 _MARGIN = 0.05  # grid padding beyond that sum, relative to its width
-_TOL = 1e-12  # relative fixed-point tolerance of the recovery
-_MAX_ITER = 2000  # subordination map evaluations per ladder rung
+_TOL = 1e-12  # relative fixed-point tolerance of the real-axis solves
+_MAX_ITER = 2000  # subordination map evaluations per solve
+_FLOOR = 1e-9  # density below this fraction of the peak is outside the support
+_EDGE_STEP = 1e-7  # closest approach of an edge probe, relative to the width
+_EDGE_PROBES = 40  # probes allowed per edge
+_BLOCK = 1 << 20  # matrix entries per block of the node interpolant
 
 
 @dataclass(frozen=True)
@@ -120,164 +125,148 @@ def _is_unit_atom(m):
             and abs(m.atoms[0][1] - 1.0) <= 1e-12)
 
 
-def _recover_density(mu, nu, xs):
-    """Extrapolated boundary density of ``mu (+) nu`` at the points ``xs``."""
-    h_vals = np.empty((len(_DEFAULT_LADDER), xs.size))
-    w_prev = None
-    for k, eps in enumerate(_DEFAULT_LADDER):
-        z = xs + 1j * eps
-        w, res, _ = _solve_omega(mu, nu, z, w0=w_prev, tol=_TOL,
-                                 max_iter=_MAX_ITER)
-        bad = res > _TOL * np.maximum(1.0, np.abs(w))
-        if np.any(bad):
-            raise NumericError(
-                f"subordination failed on {int(bad.sum())} grid points "
-                f"at eps = {eps}", residual=float(res[bad].max()))
-        g = cauchy_nodes(mu, w)
-        h_vals[k] = -g.imag / math.pi
-        w_prev = w
-    return _richardson(h_vals)[-1]
+def _real_density(mu, nu, xs):
+    """Density of ``mu (+) nu`` at real ``xs`` and where its solve converged.
 
-
-def _sqrt_edge_fit(xs, density, side):
-    """Locate a square-root support edge of a recovered density.
-
-    Near such an edge the squared density vanishes linearly with a
-    curvature correction, so a parabola through three samples of
-    ``density**2`` pins the edge to high order.  The samples sit two,
-    four and six cells inside the thresholded edge, clear of the band
-    (a few of the smallest ladder rungs wide) where the boundary-value
-    extrapolation is biased.  Returns the edge abscissa or None.
+    Inside the support a solve converges within a few dozen map
+    evaluations; at an edge and just outside it the contraction factor
+    tends to 1 and the solve may stall.
     """
-    peak = float(np.max(density))
-    if peak <= 0.0:
-        return None
-    pos = np.flatnonzero(density > 1e-4 * peak)
-    if pos.size < 8:
-        return None
-    step = 1 if side == "left" else -1
-    idx = pos[0] if side == "left" else pos[-1]
-    i3 = idx + 6 * step
-    if not (0 <= i3 < xs.size):
-        return None
-    sel = [idx + 2 * step, idx + 4 * step, i3]
-    x3, y3 = xs[sel], density[sel] ** 2
-    # sel walks inward from the edge, so the density must rise along it
-    if not np.all(np.diff(y3) > 0.0):
-        return None
-    h = xs[1] - xs[0]
-    coeffs = np.polyfit(x3 - xs[idx], y3, 2)
-    roots = np.roots(coeffs)
-    roots = roots[np.abs(roots.imag) < 1e-12].real + xs[idx]
-    roots = roots[np.abs(roots - xs[idx]) <= 3.0 * h]
-    if roots.size == 0:
-        # fall back to the pure square-root pair fit
-        (x1, y1), (x2, y2) = (x3[0], y3[0]), (x3[1], y3[1])
-        if y2 == y1:
-            return None
-        e = (x1 * y2 - x2 * y1) / (y2 - y1)
-        return e if abs(e - xs[idx]) <= 3.0 * h else None
-    return float(roots[np.argmin(np.abs(roots - xs[idx]))])
+    xs = np.asarray(xs, dtype=float)
+    w, res, _ = _solve_omega(mu, nu, xs.astype(complex), tol=_TOL,
+                             max_iter=_MAX_ITER)
+    ok = res <= _TOL * np.maximum(1.0, np.abs(w))
+    return -cauchy_nodes(mu, w).imag / math.pi, ok
 
 
-def _polish_edge(mu, nu, e0, sgn, d_bias):
-    """Sharpen an edge estimate with ladder samples just inside it.
+def _locate_edge(mu, nu, x_out, xs, rho, floor, width):
+    """Square-root support edge between ``x_out`` and the samples ``xs``.
 
-    The squared density through three samples a couple of bias widths
-    inside the provisional edge extrapolates to its zero with error far
-    below the grid-based fit, whose samples sit whole cells away.
+    ``xs``/``rho`` are three density samples inside the support, the
+    nearest to the edge first, and ``x_out`` lies outside it.  Near the
+    edge ``rho**2`` vanishes linearly, so ``x`` is a smooth function of
+    ``rho**2`` and inverse quadratic interpolation through the three
+    nearest samples estimates the edge at ``rho**2 = 0``.  Each probe
+    then lands a twentieth of the way from that estimate to the nearest
+    sample, but never closer than ``_EDGE_STEP`` widths to the estimate:
+    the edge is approached from the inside, where solves converge fast,
+    and no closer than their accuracy allows.  A probe found outside
+    tightens the bracket, and an estimate outside the bracket gives way
+    to its midpoint.  Done once the nearest sample is within two such
+    steps of the estimate.
     """
-    offs = np.array([2.0, 3.0, 4.5]) * d_bias
-    s = e0 + sgn * offs
-    vals = np.clip(_recover_density(mu, nu, s), 0.0, None) ** 2
-    if not np.all(np.diff(vals) > 0.0):
-        return e0
-    coeffs = np.polyfit(offs, vals, 2)
-    roots = np.roots(coeffs)
-    roots = roots[np.abs(roots.imag) < 1e-12].real
-    roots = roots[np.abs(roots) <= 1.5 * offs[0]]
-    if roots.size == 0:
-        return e0
-    return e0 + sgn * float(roots[np.argmin(np.abs(roots))])
+    sgn = math.copysign(1.0, xs[0] - x_out)
+    xs, f = list(xs), [r * r for r in rho]
+    step = _EDGE_STEP * width
+    for _ in range(_EDGE_PROBES):
+        e = sum(xs[i] * math.prod(f[j] / (f[j] - f[i])
+                                  for j in range(3) if j != i)
+                for i in range(3))
+        if not (sgn * (e - x_out) > 0.0 and sgn * (xs[0] - e) > 0.0):
+            e = 0.5 * (x_out + xs[0])
+        gap = sgn * (xs[0] - e)
+        if gap <= 2.0 * step:
+            return e
+        probe = e + sgn * max(0.05 * gap, step)
+        r, ok = _real_density(mu, nu, [probe])
+        if ok[0] and r[0] > floor:
+            xs, f = [probe] + xs[:2], [r[0] * r[0]] + f[:2]
+        else:
+            x_out = probe
+    raise NumericError("support edge not located",
+                       residual=abs(xs[0] - x_out) / width)
 
 
-def _refine_edges(mu, nu, xs, density, n_sub=48):
-    """Resolve the square-root support edges of a recovered density.
+def _node_interpolant(nodes, values, weights):
+    """Barycentric interpolant through ``values`` at the Chebyshev nodes.
 
-    Sub-grid points are clustered quadratically over the two cells inside
-    each fitted edge and filled by the ladder, except within a few of the
-    smallest ladder rungs of the edge itself, where the extrapolation is
-    biased and the values follow the fitted ``c*sqrt(distance)`` profile
-    instead (anchored at the innermost trustworthy sample).  Spurious
-    smear outside the edges is zeroed.
+    ``nodes`` are ``mid + rad*cos(k pi/(n+1))``, ``k = 1..n``, and
+    ``weights`` their Gauss weights, proportional to ``sin(k pi/(n+1))**2``;
+    with alternating signs these are the barycentric weights.  A node is
+    answered with its own value.
     """
-    h = xs[1] - xs[0]
-    density = np.clip(density, 0.0, None)
-    d_bias = 6.0 * _DEFAULT_LADDER[-1]
-    k2 = (np.arange(1, n_sub + 1) / n_sub) ** 2
-    edges = []
-    extra_x = []
-    for side in ("left", "right"):
-        e = _sqrt_edge_fit(xs, density, side)
-        if e is None:
-            continue
-        sgn = 1.0 if side == "left" else -1.0
-        e = _polish_edge(mu, nu, e, sgn, d_bias)
-        edges.append((e, sgn))
-        extra_x.append(e + sgn * k2 * 2.0 * h)
-        extra_x.append(np.array([e]))
-    if not edges:
-        return xs, density
+    n = nodes.size
+    # ascending order for the node lookup
+    xa = nodes[::-1]
+    va = values[::-1]
+    wa = ((-1.0) ** np.arange(1, n + 1) * weights)[::-1]
 
-    extras = np.concatenate(extra_x)
-    extra_vals = np.clip(_recover_density(mu, nu, extras), 0.0, None)
-    xs = np.concatenate([xs, extras])
-    density = np.concatenate([density, extra_vals])
-    order = np.argsort(xs)
-    xs, density = xs[order], density[order]
-    xs, keep = np.unique(xs, return_index=True)
-    density = density[keep]
+    def g(x):
+        x = np.asarray(x, dtype=float)
+        flat = x.ravel()
+        j = np.minimum(np.searchsorted(xa, flat), n - 1)
+        out = va[j]
+        miss = np.flatnonzero(xa[j] != flat)
+        rows = max(1, _BLOCK // n)
+        for s in range(0, miss.size, rows):
+            i = miss[s:s + rows]
+            c = wa / (flat[i, None] - xa)
+            out[i] = (c @ va) / c.sum(axis=1)
+        return out.reshape(x.shape)
 
-    for e, sgn in edges:
-        dist = sgn * (xs - e)
-        anchor = (dist >= d_bias) & (dist <= 3.0 * d_bias)
-        if not np.any(anchor):
-            continue
-        i = np.flatnonzero(anchor)[0 if sgn > 0 else -1]
-        c = density[i] / math.sqrt(dist[i])
-        sliver = (dist >= 0.0) & (dist < d_bias)
-        density = np.where(sliver, c * np.sqrt(np.clip(dist, 0.0, None)),
-                           density)
-        spurious = (dist < 0.0) & (np.abs(xs - e) <= 6.0 * h)
-        density = np.where(spurious, 0.0, density)
-    return xs, density
+    return g
 
 
 def free_convolve(mu, nu):
     """Distribution of ``X + Y`` for free ``X ~ mu``, ``Y ~ nu``.
 
     A point mass acts by translation and is handled exactly.  Otherwise
-    the density is recovered through the Stieltjes ladder applied to
-    ``G_mu(omega_1)`` on a uniform grid spanning the arithmetic sum of
-    the supports (plus a safety margin), with each rung warm-starting
-    the next; a second pass refines the two support edges, where the
-    square-root profile would otherwise bias the total mass.
+    the density is solved on the real axis: first on a uniform grid over
+    the arithmetic sum of the supports (plus a margin), which brackets
+    the two square-root edges of the support, then near each edge to
+    locate it (:func:`_locate_edge`), and last at the Chebyshev nodes of
+    the support found, as many as the larger input has.  The result is
+    built like any square-root-edge law, its smooth factor
+    ``rho/sqrt((x-lo)(hi-x))`` interpolated through the node values; its
+    cdf table is taken on the angles of those nodes, so the edges
+    themselves are never solved.
+
+    Raises
+    ------
+    DomainError
+        If neither law has an absolutely continuous part.
+    NumericError
+        If a solve inside the support fails, if the density vanishes
+        inside its support (only single-interval laws are built), or if
+        an edge cannot be located.
     """
     if _is_unit_atom(nu):
         return shift(mu, nu.atoms[0][0])
     if _is_unit_atom(mu):
         return shift(nu, mu.atoms[0][0])
+    n = max(mu.nodes.size, nu.nodes.size)
+    if n == 0:
+        raise DomainError("one law needs an absolutely continuous part")
 
     lo1, hi1 = _bounds(mu)
     lo2, hi2 = _bounds(nu)
     lo, hi = lo1 + lo2, hi1 + hi2
     pad = _MARGIN * (hi - lo)
     xs = np.linspace(lo - pad, hi + pad, _N_GRID)
-    density = _recover_density(mu, nu, xs)
-    xs_all, density = _refine_edges(mu, nu, xs, density)
-    out = from_grid(xs_all, np.clip(density, 0.0, None))
+    rho, ok = _real_density(mu, nu, xs)
+    floor = _FLOOR * float(np.max(rho, where=ok, initial=0.0))
+    idx = np.flatnonzero(ok & (rho > floor))
+    if idx.size < 3 or idx[0] == 0 or idx[-1] == xs.size - 1:
+        raise NumericError("convolution density not resolved on the grid")
+    i0, i1 = idx[0], idx[-1]
+    if not ok[i0:i1 + 1].all():
+        raise NumericError("subordination failed inside the support")
+    if idx.size != i1 - i0 + 1:
+        raise NumericError("convolution density vanishes inside its support")
+    width = xs[i1] - xs[i0]
+    a = _locate_edge(mu, nu, xs[i0 - 1], xs[i0:i0 + 3], rho[i0:i0 + 3],
+                     floor, width)
+    b = _locate_edge(mu, nu, xs[i1 + 1], xs[i1:i1 - 3:-1], rho[i1:i1 - 3:-1],
+                     floor, width)
+
+    t, w = _edge_matched_rule(n, 0.5, 0.5)
+    nodes = 0.5 * (a + b) + 0.5 * (b - a) * t
+    rho, ok = _real_density(mu, nu, nodes)
+    if not np.all(ok & (rho > floor)):
+        raise NumericError("subordination failed inside the support")
+    g = _node_interpolant(nodes, rho / np.sqrt((nodes - a) * (b - nodes)), w)
+    out = _jacobi_measure(a, b, g, 0.5, 0.5, n, cdf_panels=n + 1)
     err = abs(out.mass() - 1.0)
     if err > 1e-4:
-        raise NumericError("recovered convolution density lost mass",
-                           residual=err)
+        raise NumericError("convolution density lost mass", residual=err)
     return out

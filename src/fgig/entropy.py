@@ -80,7 +80,7 @@ def log_energy(m):
     piece is resolved by the measure's own nodes, so the value is exact
     to quadrature precision.  The coefficients are the real part of one
     zero-padded FFT: O(n log n) time and O(n) memory.  Measures without
-    the cosine rule (grid measures, trimmed measures) raise.
+    the cosine rule (reciprocal images, for one) raise.
     """
     if m.atoms:
         raise DomainError("log-energy needs an atomless measure")

@@ -13,13 +13,14 @@ function with poles only at the origin.
 The cumulative distribution is tabulated once per measure on a fine
 angular grid via the substitution ``x = mid + rad*cos(theta)``, which
 absorbs the edge singularities exactly, and is then interpolated.
-Measures recovered on a plain grid (convolution outputs) carry a monotone
-piecewise-cubic density instead.
+Every absolutely continuous measure is built this way or is an affine or
+reciprocal image of one; convolution outputs are built from density
+values at their Chebyshev nodes.
 
-The builders also attach the closed-form Cauchy transform of their law,
+The closed-form builders also attach the Cauchy transform of their law,
 written with ``r(z) = sqrt(z - lo) * sqrt(z - hi)`` (principal roots, so
 the only cut is the support), and the affine and reciprocal maps carry it
-through the change of variables.  Grid measures have none.
+through the change of variables.  Convolution outputs have none.
 """
 
 import math
@@ -36,7 +37,6 @@ from .params import require_valid, solve_support
 
 _TWO_PI = 2.0 * math.pi
 _DEFAULT_CDF_PTS = 4096  # angular panels for the cdf table
-_TRIM_REL_TOL = 1e-12  # density below this fraction of the peak is zero
 
 
 @dataclass(frozen=True, slots=True)
@@ -191,78 +191,6 @@ def _jacobi_measure(lo, hi, g, p_exp=0.5, q_exp=0.5, n=256, atoms=(),
                            cdf_x=xs, cdf_y=cdf,
                            chebyshev=(p_exp == 0.5 and q_exp == 0.5),
                            cauchy_fn=cauchy_fn)
-
-
-def _pairwise_quadrature(xs, ys):
-    """Quadrature weights and cumulative integral on an irregular grid.
-
-    Interval pairs are integrated under the quadratic through their three
-    points (the two sub-integrals are accumulated separately, so weights
-    and cumulative values stay consistent).  A pair whose interval
-    lengths differ by more than 4x falls back to trapezoid cells: the
-    quadratic coefficients are ill-conditioned across abrupt spacing
-    changes, such as the junction between a uniform grid and an
-    edge-refinement cluster.
-    """
-    n = xs.size
-    w = np.zeros(n)
-    cum = np.zeros(n)
-    i = 0
-    while i + 2 < n:
-        h0 = xs[i + 1] - xs[i]
-        h1 = xs[i + 2] - xs[i + 1]
-        if max(h0, h1) > 4.0 * min(h0, h1):
-            w[i] += 0.5 * h0
-            w[i + 1] += 0.5 * (h0 + h1)
-            w[i + 2] += 0.5 * h1
-            cum[i + 1] = cum[i] + 0.5 * h0 * (ys[i] + ys[i + 1])
-            cum[i + 2] = cum[i + 1] + 0.5 * h1 * (ys[i + 1] + ys[i + 2])
-        else:
-            s = h0 + h1
-            a0 = h0 * (2.0 * h0 + 3.0 * h1) / (6.0 * s)
-            a1 = h0 * (h0 + 3.0 * h1) / (6.0 * h1)
-            a2 = -h0 ** 3 / (6.0 * s * h1)
-            b2 = h1 * (2.0 * h1 + 3.0 * h0) / (6.0 * s)
-            b1 = h1 * (h1 + 3.0 * h0) / (6.0 * h0)
-            b0 = -h1 ** 3 / (6.0 * s * h0)
-            w[i] += a0 + b0
-            w[i + 1] += a1 + b1
-            w[i + 2] += a2 + b2
-            cum[i + 1] = cum[i] + a0 * ys[i] + a1 * ys[i + 1] + a2 * ys[i + 2]
-            cum[i + 2] = (cum[i + 1]
-                          + b0 * ys[i] + b1 * ys[i + 1] + b2 * ys[i + 2])
-        i += 2
-    if i + 1 < n:  # one interval left
-        h = xs[i + 1] - xs[i]
-        w[i] += 0.5 * h
-        w[i + 1] += 0.5 * h
-        cum[i + 1] = cum[i] + 0.5 * h * (ys[i] + ys[i + 1])
-    return w, cum
-
-
-def from_grid(xs, ys, atoms=()):
-    """Measure from density samples on an ascending grid.
-
-    The grid may be non-uniform (convolution outputs cluster points at
-    the recovered support edges); integration weights are composite
-    Simpson coefficients times the samples.
-    """
-    xs = np.asarray(xs, dtype=float)
-    ys = np.clip(np.asarray(ys, dtype=float), 0.0, None)
-    interp = PchipInterpolator(xs, ys)
-
-    def density(x, _lo=xs[0], _hi=xs[-1], _f=interp):
-        x = np.asarray(x, dtype=float)
-        inside = (x >= _lo) & (x <= _hi)
-        out = np.where(inside, _f(np.clip(x, _lo, _hi)), 0.0)
-        return np.clip(out, 0.0, None) if out.ndim else float(max(out, 0.0))
-
-    coeffs, cdf = _pairwise_quadrature(xs, ys)
-    cdf = np.maximum.accumulate(np.clip(cdf, 0.0, None))
-    return SpectralMeasure(atoms=tuple(atoms),
-                           support=(float(xs[0]), float(xs[-1])),
-                           density=density, nodes=xs, weights=coeffs * ys,
-                           cdf_x=xs, cdf_y=cdf)
 
 
 def atom_measure(atoms):
@@ -528,38 +456,12 @@ def mode_quadratic(p):
     return c2, c1, c0
 
 
-def trim_support(m):
-    """Restrict a grid measure to where its density is effectively positive.
-
-    The zero sample next to each end of the positive run is kept, so the
-    support still ends where the density vanishes and a built measure is
-    returned unchanged.  A measure that does lose nodes loses its
-    Chebyshev marker with them.
-    """
-    if m.cdf_x is None or m.density is None:
-        return m
-    ys = m.density(m.cdf_x)
-    peak = float(np.max(ys)) if ys.size else 0.0
-    keep = np.nonzero(ys > _TRIM_REL_TOL * peak)[0]
-    if keep.size == 0:
-        raise DomainError("measure has no detectable density")
-    i0, i1 = max(keep[0] - 1, 0), min(keep[-1] + 1, ys.size - 1)
-    if i0 == 0 and i1 == ys.size - 1:
-        return m
-    lo, hi = float(m.cdf_x[i0]), float(m.cdf_x[i1])
-    inside = (m.nodes >= lo) & (m.nodes <= hi)
-    return replace(m, support=(lo, hi), nodes=m.nodes[inside],
-                   weights=m.weights[inside], cdf_x=m.cdf_x[i0:i1 + 1],
-                   cdf_y=m.cdf_y[i0:i1 + 1], chebyshev=False)
-
-
 def pushforward_reciprocal(m):
     """Image measure under ``x -> 1/x``; mass is preserved exactly.
 
     Requires the support (and every atom) to sit strictly inside
     ``(0, inf)``.
     """
-    m = trim_support(m)
     if any(loc <= 1e-12 for loc, _ in m.atoms):
         raise DomainError("reciprocal pushforward needs atoms away from zero")
     atoms = tuple((1.0 / loc, w) for loc, w in m.atoms)

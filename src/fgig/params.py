@@ -225,8 +225,16 @@ def _solve_ratio(alpha, beta, lam):
     floats in ``m t`` when it lies at ``m t <= 1/2`` and in ``w = 1 - m t``
     otherwise, so both are known to full relative precision.  Returns
     ``(t, A, B, 1 - t, 1 + lam t, 1 - lam t)``.
+
+    Raises
+    ------
+    NumericError
+        If ``alpha*beta`` under- or overflows: ``t`` would then round to
+        0 or 1 and the support would not be representable.
     """
     c = 2.0 * math.sqrt(alpha * beta)
+    if not 0.0 < c < math.inf:
+        raise NumericError("alpha*beta is out of floating-point range")
 
     def excess(mt, w):  # left side minus right side: positive below the root
         t, u, plus, minus = _ratio_factors(mt, w, lam)
@@ -278,20 +286,25 @@ def solve_support(p):
     s = SupportForm(B * (u / rt) ** 2 / 4.0, B * rt ** 2 / 4.0, p.lam)
     r1, r2 = support_residuals(p, s)
     # each residual relative to the largest term it cancels (at least 1)
-    sab = math.sqrt(s.a * s.b)
+    sab = math.sqrt(s.a) * math.sqrt(s.b)
     res = max(abs(r1) / max(1.0, abs(p.lam), p.alpha * sab,
-                            p.beta * (s.a + s.b) / (2.0 * s.a * s.b)),
+                            p.beta / (2.0 * s.a) + p.beta / (2.0 * s.b)),
               abs(r2) / max(1.0, abs(p.lam), p.beta / sab,
                             p.alpha * (s.a + s.b) / 2.0))
-    if res > 1e-9:
+    if not res <= 1e-9:
         raise NumericError("support solve did not converge", residual=res)
     return s
 
 
 def support_residuals(p, s):
-    """Residuals of the two defining equations at ``(a, b, lam)``."""
-    sab = math.sqrt(s.a * s.b)
-    r1 = 1.0 - p.lam + p.alpha * sab - p.beta * (s.a + s.b) / (2.0 * s.a * s.b)
+    """Residuals of the two defining equations at ``(a, b, lam)``.
+
+    ``sqrt(ab)`` and ``(a + b)/(2ab)`` are formed without the product
+    ``ab``, which under- or overflows at extreme rates.
+    """
+    sab = math.sqrt(s.a) * math.sqrt(s.b)
+    r1 = (1.0 - p.lam + p.alpha * sab
+          - (p.beta / (2.0 * s.a) + p.beta / (2.0 * s.b)))
     r2 = 1.0 + p.lam + p.beta / sab - p.alpha * (s.a + s.b) / 2.0
     return r1, r2
 

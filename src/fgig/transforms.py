@@ -13,10 +13,11 @@ is removable for ``lam < 0``, a simple pole of residue ``-lam`` for
 the upper half-plane are defined by reflection ``r(conj z) = conj r(z)``.
 
 Cauchy transforms are evaluated on the upper half-plane (Herglotz side)
-from the closed form a built measure carries, by quadrature against a
-grid measure, or by numerically inverting ``r(w) + 1/w = z``.  Densities
-come back through the boundary values ``-Im G(x + i eps)/pi`` with
-Richardson extrapolation in ``eps``.
+from the closed form a measure carries, by its node sum (with adaptive
+quadrature near the support) for a convolution output, which has none,
+or by numerically inverting ``r(w) + 1/w = z``.  Densities come back
+through the boundary values ``-Im G(x + i eps)/pi`` with Richardson
+extrapolation in ``eps``.
 """
 
 import math
@@ -30,7 +31,7 @@ from .params import require_valid, spectral_roots
 from .series import Series
 
 _DEFAULT_LADDER = tuple(1e-2 * 0.5 ** k for k in range(8))
-# a grid measure's node sum gives way to quadrature within this many spacings
+# a node sum gives way to quadrature within this many node spacings
 _NEAR_SPACINGS = 4.0
 
 
@@ -167,8 +168,9 @@ def _node_spacing(m):
 def cauchy(m, z):
     """Cauchy transform ``integral d mu(x) / (z - x)`` of a measure.
 
-    A measure that carries a closed form is evaluated through it.  For a
-    grid measure the node sum is used away from the support; close to it
+    A measure that carries a closed form is evaluated through it.  For
+    one without (a convolution output or a map of one) the node sum is
+    used away from the support; close to it
     (within ``_NEAR_SPACINGS`` node spacings) the integral falls back to
     adaptive quadrature against the density.  Querying a point of the
     support itself (or an atom) raises.
@@ -290,30 +292,21 @@ def cauchy_from_r(r, z, seed=None, tol=1e-12):
     return w
 
 
-def _richardson(h):
-    """Two Richardson rounds over rows ``h[k]`` sampled at ``_DEFAULT_LADDER``.
-
-    The halving ladder makes the rounds ``2 h[k+1] - h[k]`` and then
-    ``(4 r[k+1] - r[k])/3``, removing the ``O(eps)`` and ``O(eps**2)``
-    smoothing bias; the last row is the extrapolated value.
-    """
-    r1 = 2.0 * h[1:] - h[:-1]
-    return (4.0 * r1[1:] - r1[:-1]) / 3.0
-
-
 def stieltjes_density(G, x):
     """Recover a density from a vectorized Cauchy transform evaluator.
 
     Evaluates ``-Im G(x + i eps)/pi`` along a halving ladder and removes
-    the smoothing bias with two rounds of Richardson extrapolation.  The
-    final two extrapolants must agree, otherwise a :class:`NumericError`
-    is raised.
+    the ``O(eps)`` and ``O(eps**2)`` smoothing bias with two rounds of
+    Richardson extrapolation, ``2 h[k+1] - h[k]`` and then
+    ``(4 r[k+1] - r[k])/3``.  The final two extrapolants must agree,
+    otherwise a :class:`NumericError` is raised.
     """
     scalar = np.isscalar(x)
     x = np.atleast_1d(np.asarray(x, dtype=float))
     h = np.array([-np.asarray(G(x + 1j * eps), dtype=complex).imag / math.pi
                   for eps in _DEFAULT_LADDER])
-    r2 = _richardson(h)
+    r1 = 2.0 * h[1:] - h[:-1]
+    r2 = (4.0 * r1[1:] - r1[:-1]) / 3.0
     val = r2[-1]
     wobble = np.abs(r2[-1] - r2[-2])
     bad = wobble > np.maximum(1e-5, 1e-3 * np.abs(val))

@@ -11,9 +11,10 @@ import numpy as np
 import pytest
 
 from fgig import DomainError, NaturalParams, solve_support
+from fgig.convolution import free_convolve
 from fgig.measures import (FreePoissonParams, build_fgig, build_free_poisson,
-                           build_semicircle, dilate, from_grid,
-                           pushforward_reciprocal, shift, trim_support)
+                           build_semicircle, dilate, pushforward_reciprocal,
+                           shift)
 from fgig.transforms import cauchy, cauchy_nodes
 
 MU = build_fgig(NaturalParams(2.0, 8.0, -1.0), 1024)
@@ -52,20 +53,16 @@ def test_matches_node_sum_off_axis(name):
     assert np.max(np.abs(cauchy_nodes(m, zs.conj()) - exact.conj())) <= 1e-15
 
 
-def test_grid_measures_keep_the_node_sum():
-    xs = np.linspace(1.0, 4.0, 401)
-    grid = from_grid(xs, np.sqrt((xs - 1.0) * (4.0 - xs)))
-    assert grid.cauchy_fn is None
-    assert trim_support(MU).cauchy_fn is MU.cauchy_fn
-
-
-def test_grid_measure_quadrature_fallback():
-    # a grid measure near the axis still falls back to adaptive quadrature
-    p = NaturalParams(2.0, 8.0, 0.0)
-    xs = np.linspace(1.0, 4.0, 2001)
-    grid = from_grid(xs, build_fgig(p).density(xs))
-    val = cauchy(grid, 2.0 + 1e-4j)
-    assert val == pytest.approx(cauchy(build_fgig(p), 2.0 + 1e-4j), rel=1e-4)
+def test_convolution_output_quadrature_fallback():
+    # a convolution output carries no closed form; near the axis its
+    # Cauchy transform falls back to adaptive quadrature
+    X = build_fgig(NaturalParams(2.0, 8.0, -1.0), 1024)
+    Y = build_free_poisson(FreePoissonParams(0.5, 1.0), 1024)
+    out = free_convolve(X, Y)
+    assert out.cauchy_fn is None
+    target = build_fgig(NaturalParams(2.0, 8.0, 1.0), 1024)
+    val = cauchy(out, 2.0 + 1e-4j)
+    assert val == pytest.approx(cauchy(target, 2.0 + 1e-4j), rel=1e-4)
 
 
 class TestRaises:

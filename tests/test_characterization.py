@@ -149,7 +149,6 @@ class TestOracle:
         assert 1.0 / u ** 2 <= oracle.coeffs[1] <= 1.0 / u
 
 
-@pytest.mark.slow
 class TestFixedPoint:
     def test_report(self):
         rep = verify_fixed_point(2.0, 1.0)
@@ -173,3 +172,9 @@ class TestFixedPoint:
         for _, dist in rep.stages:
             assert dist <= 2e-3
         assert rep.final_distance <= 2e-3
+
+    def test_iterated_chain_stages_to_1e_7(self):
+        # both convolutions read the density on the real axis; the second
+        # sums the nodes of a reciprocal convolution output
+        rep = verify_iterated(2.0, 8.0, 1.0)
+        assert max(dist for _, dist in rep.stages) <= 1e-7

@@ -2,9 +2,14 @@ import csv
 import io
 import json
 import math
+import os
+import subprocess
+import sys
 
 import pytest
 
+import fgig
+from fgig import NaturalParams, solve_support
 from fgig.cli import dumps_stable, run
 
 
@@ -141,6 +146,20 @@ class TestLimitsCommand:
         assert rows[0] == ["beta", "a", "b", "delta", "eta", "distance"]
         assert len(rows) == 4
 
+    def test_rows_take_the_support_solve(self, capsys):
+        # a support read back from spread coordinates cancels at small beta
+        betas = [1e-2, 1e-6, 1e-8, 1e-10]
+        code, out = run_capture(capsys, [
+            "limits", "--alpha", "1", "--lambda", "0.3",
+            "--betas", ",".join(format(b, "g") for b in betas)])
+        assert code == 0
+        rows = json.loads(out)["rows"]
+        assert [row["beta"] for row in rows] == betas
+        for row, beta in zip(rows, betas):
+            s = solve_support(NaturalParams(1.0, beta, 0.3))
+            assert row["a"] == pytest.approx(s.a, rel=1e-15, abs=0.0)
+            assert row["b_end"] == pytest.approx(s.b, rel=1e-15, abs=0.0)
+
     def test_json_regime(self, capsys):
         code, out = run_capture(capsys, [
             "limits", "--alpha", "1", "--lambda", "-2",
@@ -162,7 +181,6 @@ class TestEntropyCommand:
         assert all(entry["margin"] > 0 for entry in doc["margins"])
 
 
-@pytest.mark.slow
 class TestHeavyCommands:
     def test_convolve_report(self, capsys):
         code, out = run_capture(capsys, [
@@ -191,6 +209,36 @@ class TestHeavyCommands:
         assert -1.0 < doc["c"] < 0.0
         assert doc["max_rel_dev"] <= 1e-6
         assert doc["fixed_point_distance"] <= 1e-3
+
+
+class TestLogging:
+    @staticmethod
+    def stderr_of_params(tmp_path, level):
+        """stderr of ``fgig params ... --output`` in a fresh interpreter:
+        in-process, pytest's log handlers make ``logging.basicConfig`` a
+        no-op."""
+        env = dict(os.environ)
+        env["PYTHONPATH"] = os.pathsep.join(filter(None, [
+            os.path.dirname(os.path.dirname(fgig.__file__)),
+            env.get("PYTHONPATH")]))
+        env.pop("FGIG_LOG", None)
+        if level is not None:
+            env["FGIG_LOG"] = level
+        target = tmp_path / "report.json"
+        done = subprocess.run(
+            [sys.executable, "-m", "fgig.cli", "params", "--alpha", "2",
+             "--beta", "8", "--lambda", "0", "--output", str(target)],
+            env=env, capture_output=True, text=True, check=True, timeout=60)
+        assert done.stdout == "" and target.exists()
+        return done.stderr, target
+
+    def test_info_reports_the_written_file(self, tmp_path):
+        stderr, target = self.stderr_of_params(tmp_path, "info")
+        assert stderr == f"fgig: wrote {target}\n"
+
+    def test_default_is_quiet(self, tmp_path):
+        stderr, _ = self.stderr_of_params(tmp_path, None)
+        assert stderr == ""
 
 
 class TestOutputFile:

@@ -3,8 +3,9 @@ import math
 import numpy as np
 import pytest
 
-from fgig import DomainError, NaturalParams
+from fgig import DomainError, NaturalParams, NumericError, solve_support
 from fgig.convolution import free_convolve, subordination_at
+from fgig.entropy import log_energy
 from fgig.measures import (
     FreePoissonParams,
     atom_measure,
@@ -108,3 +109,42 @@ class TestFreeConvolve:
         out = free_convolve(X, Y)
         assert moment(out, 1) == pytest.approx(moment(X, 1) + moment(Y, 1),
                                                abs=1e-6)
+
+    def test_node_count_is_the_larger_inputs(self):
+        X = build_fgig(NaturalParams(2.0, 8.0, -1.0), 512)
+        Y = build_free_poisson(FreePoissonParams(0.5, 1.0), 1024)
+        assert free_convolve(X, Y).nodes.size == 1024
+        assert free_convolve(Y, X).nodes.size == 1024
+
+    @pytest.mark.parametrize("atoms", [[(-3.0, 0.4), (3.0, 0.6)],
+                                       [(0.0, 0.3), (4.0, 0.7)]])
+    def test_interior_gap_raises(self, atoms):
+        # two well separated atoms smeared by a narrow semicircle: the sum
+        # lives on two intervals
+        with pytest.raises(NumericError):
+            free_convolve(atom_measure(atoms), build_semicircle(0.0, 1.0, 256))
+
+
+class TestRealAxisRecovery:
+    """The density read at Im z = 0 and built on Chebyshev nodes."""
+
+    @pytest.mark.parametrize("triple", [
+        (2.0, 8.0, 1.0), (0.5, 0.5, 3.0), (1.0, 1.0, 0.01),
+        # the square-root regime at the left edge is narrower than a cell
+        # of the coarse grid
+        (0.2663073019193684, 0.41632017456437564, 0.5519318029917581)])
+    def test_identity_outputs(self, triple):
+        alpha, beta, lam = triple
+        X = build_fgig(NaturalParams(alpha, beta, -lam), 1024)
+        Y = build_free_poisson(FreePoissonParams(1.0 / alpha, lam), 1024)
+        out = free_convolve(X, Y)
+        p = NaturalParams(alpha, beta, lam)
+        s = solve_support(p)
+        assert out.chebyshev and out.cauchy_fn is None
+        assert abs(out.support[0] - s.a) <= 1e-9 * (s.b - s.a)
+        assert abs(out.support[1] - s.b) <= 1e-9 * (s.b - s.a)
+        assert abs(out.mass() - 1.0) <= 1e-10
+        built = build_fgig(p, 1024)
+        assert kolmogorov_distance(out, built) <= 1e-6
+        # the output carries the cosine rule that log_energy needs
+        assert log_energy(out) == pytest.approx(log_energy(built), abs=1e-8)

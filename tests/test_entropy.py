@@ -19,7 +19,8 @@ from fgig.entropy import (
     log_energy,
     maximality_scan,
 )
-from fgig.measures import build_fgig, build_semicircle, dilate, from_grid
+from fgig.measures import (build_fgig, build_semicircle, dilate,
+                           pushforward_reciprocal)
 from fgig.params import solve_support
 
 
@@ -74,10 +75,10 @@ class TestLogEnergy:
         with pytest.raises(DomainError):
             log_energy(atom_measure([(1.0, 1.0)]))
 
-    def test_rejects_uniform_grid_measures(self):
-        xs = np.linspace(1.0, 4.0, 401)
-        m = from_grid(xs, 2.0 / (math.pi * 1.5 ** 2)
-                      * np.sqrt((xs - 1.0) * (4.0 - xs)))
+    def test_rejects_non_cosine_measures(self):
+        # the reciprocal image keeps the mass but not the cosine angles
+        m = pushforward_reciprocal(
+            build_fgig(NaturalParams(2.0, 8.0, 1.0), 256))
         with pytest.raises(DomainError):
             log_energy(m)
 

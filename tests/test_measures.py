@@ -21,7 +21,6 @@ from fgig.measures import (
     moment,
     pushforward_reciprocal,
     shift,
-    trim_support,
 )
 from fgig.params import solve_support
 from fgig.transforms import cauchy, r_fgig
@@ -209,12 +208,6 @@ class TestReciprocalPushforward:
         assert r.support[1] == pytest.approx(1.0 / s.a, rel=1e-14)
         with pytest.raises(DomainError):
             cauchy(r, r.support[0] + 0.0j)
-
-
-class TestTrimSupport:
-    def test_built_measure_is_returned_unchanged(self):
-        m = build_fgig(NaturalParams(2.0, 8.0, -1.0), 1024)
-        assert trim_support(m) is m
 
 
 class TestKolmogorovDistance:

@@ -6,6 +6,7 @@ import pytest
 from fgig import (
     DomainError,
     NaturalParams,
+    NumericError,
     SpreadForm,
     SupportForm,
     from_support,
@@ -84,6 +85,25 @@ class TestSolveSupport:
             r1, r2 = support_residuals(p, s)
             scale = max(1.0, abs(p.lam), p.alpha * s.b, p.beta / s.a)
             assert max(abs(r1), abs(r2)) <= 1e-12 * scale
+
+    @pytest.mark.parametrize("alpha, beta", [(1e-200, 1e-200),
+                                             (1e200, 1e200)])
+    def test_rate_product_out_of_range_raises(self, alpha, beta):
+        # alpha*beta underflows to 0 or overflows to inf
+        with pytest.raises(NumericError):
+            solve_support(NaturalParams(alpha, beta, 0.5))
+
+    def test_extreme_rates_with_a_normal_product(self, support40):
+        # a*b underflows here; the residuals never form it.  c*X has the
+        # law mu(alpha/c, beta*c, lam) when X ~ mu(alpha, beta, lam), so
+        # the support is 1e-300 times that of mu(1, 1, -3).
+        p = NaturalParams(1e300, 1e-300, -3.0)
+        s = solve_support(p)
+        a, b = (1e-300 * v for v in support40(NaturalParams(1.0, 1.0, -3.0)))
+        assert abs(s.a / a - 1) <= 1e-12
+        assert abs(s.b / b - 1) <= 1e-12
+        r1, r2 = support_residuals(p, s)
+        assert max(abs(r1), abs(r2)) <= 1e-12 * abs(p.lam)
 
 
 class TestReparameterize:

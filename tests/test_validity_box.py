@@ -1,12 +1,19 @@
-"""The support solve over the whole validity box.
+"""Properties over whole parameter boxes.
 
-alpha and beta log-uniform in [1e-6, 1e6], lam in [-50, 50], checked
-against a 40-digit support that does not use the package's solver.
+The support solve over the validity box: alpha and beta log-uniform in
+[1e-6, 1e6], lam in [-50, 50], checked against a 40-digit support that
+does not use the package's solver.  The free Poisson identity over the
+convolve box: alpha and beta log-uniform in [0.25, 8], lam in [0.1, 4].
 """
+
+import math
 
 import pytest
 
 from fgig import NaturalParams, reparameterize, solve_support, spectral_roots
+from fgig.convolution import free_convolve
+from fgig.measures import (FreePoissonParams, build_fgig, build_free_poisson,
+                           kolmogorov_distance)
 from fgig.params import solve_spread
 
 hypothesis = pytest.importorskip("hypothesis")
@@ -31,3 +38,24 @@ def test_support_solve(support40, log_alpha, log_beta, lam):
     sf, back = solve_spread(p), reparameterize(s)
     assert back.A == pytest.approx(sf.A, rel=1e-12)
     assert back.B == pytest.approx(sf.B, rel=1e-12)
+
+
+@hypothesis.settings(derandomize=True, database=None, deadline=None,
+                     max_examples=25)
+@hypothesis.given(log_alpha=st.floats(math.log(0.25), math.log(8.0)),
+                  log_beta=st.floats(math.log(0.25), math.log(8.0)),
+                  lam=st.floats(0.1, 4.0))
+def test_convolution_identity(log_alpha, log_beta, lam):
+    # mu(alpha, beta, -lam) (+) nu(1/alpha, lam) = mu(alpha, beta, lam),
+    # built on Chebyshev nodes of the support
+    alpha, beta = math.exp(log_alpha), math.exp(log_beta)
+    out = free_convolve(
+        build_fgig(NaturalParams(alpha, beta, -lam), 1024),
+        build_free_poisson(FreePoissonParams(1.0 / alpha, lam), 1024))
+    p = NaturalParams(alpha, beta, lam)
+    s = solve_support(p)
+    assert out.chebyshev
+    assert abs(out.support[0] - s.a) <= 1e-9 * (s.b - s.a)
+    assert abs(out.support[1] - s.b) <= 1e-9 * (s.b - s.a)
+    assert abs(out.mass() - 1.0) <= 1e-10
+    assert kolmogorov_distance(out, build_fgig(p, 1024)) <= 1e-6
