@@ -14,21 +14,18 @@ uniquely maximized over densities on ``(0, inf)`` by the classical GIG
 density ``C x^(lam-1) exp(-alpha x - beta/x)`` whose normalizer involves
 the modified Bessel function ``K_lam`` (computed here from its integral
 representation; no special-function dependency).  Gibbs' inequality caps
-``H`` at ``-log C`` with equality exactly at the GIG density.
+``H`` at ``-log C`` with equality exactly at the GIG density.  ``H`` is
+integrated by scipy's ``quad``, imported on first use.
 """
 
 import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.integrate import quad
-from scipy.special import roots_legendre
 
 from .errors import DomainError, NumericError
-from .measures import build_fgig, dilate, integrate
+from .measures import _gauss_legendre, build_fgig, dilate, integrate
 from .params import NaturalParams, require_valid
-
-_GL64 = roots_legendre(64)
 
 
 @dataclass(frozen=True)
@@ -154,7 +151,7 @@ def bessel_k(order, w):
             t_max = t_new
             break
         t_max = t_new
-    nodes, weights = _GL64
+    nodes, weights = _gauss_legendre(64)
     panels = max(int(math.ceil(t_max)), 1)
     edges = np.linspace(0.0, t_max, panels + 1)
     total = 0.0
@@ -190,7 +187,11 @@ def classical_gig_density(alpha, beta, lam, x):
     Evaluated in log space so the far tails underflow cleanly to zero
     instead of tripping ``x**(lam-1)`` overflow.
     """
-    c = gig_normalizer(alpha, beta, lam)
+    return _gig_density(gig_normalizer(alpha, beta, lam), alpha, beta, lam, x)
+
+
+def _gig_density(c, alpha, beta, lam, x):
+    """The classical GIG density with its normalizer ``c`` given."""
     x = np.asarray(x, dtype=float)
     pos = x > 0
     xp = np.where(pos, x, 1.0)
@@ -210,6 +211,8 @@ def halfline_integral(f, split):
 
     ``split`` should sit near the integrand's bulk (the density mode).
     """
+    from scipy.integrate import quad
+
     def g(u):
         if u > 700.0:
             return 0.0
@@ -246,8 +249,9 @@ def gig_entropy(alpha, beta, lam):
     """``H`` of the classical GIG density under its own potential."""
     V = Potential(alpha, beta, lam)
     split = gig_mode(alpha, beta, lam)
-    return classical_entropy(
-        lambda x: classical_gig_density(alpha, beta, lam, x), V, split=split)
+    c = gig_normalizer(alpha, beta, lam)
+    return classical_entropy(lambda x: _gig_density(c, alpha, beta, lam, x),
+                             V, split=split)
 
 
 def gibbs_bound(alpha, beta, lam):

@@ -15,7 +15,8 @@ R-transform.  The cumulant transform then reconstructs as
 
 The ``x**(-3/2)`` edge at the origin and the square-root edge at
 ``1/eta`` are both absorbed by the substitution ``x = sin(phi)**2/eta``,
-leaving a smooth integrand on ``(0, pi/2)``.
+leaving a smooth integrand on ``(0, pi/2)``, integrated by numpy
+Gauss--Legendre rules that are built on first use.
 """
 
 import math
@@ -23,15 +24,12 @@ from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
-from scipy.special import roots_legendre
 
 from .errors import NumericError
+from .measures import _gauss_legendre
 from .params import (SpreadForm, require_valid, solve_spread, spectral_roots,
                      spread_to_natural)
 from .transforms import r_fgig
-
-_GL_COARSE = roots_legendre(512)
-_GL_FINE = roots_legendre(1024)
 
 
 @dataclass(frozen=True)
@@ -156,8 +154,8 @@ def _levy_integral(t, f, kink=None, settle_tol=1e-7):
                                          axis=-1)
         return total
 
-    coarse = with_rule(_GL_COARSE)
-    fine = with_rule(_GL_FINE)
+    coarse = with_rule(_gauss_legendre(512))
+    fine = with_rule(_gauss_legendre(1024))
     if abs(fine - coarse) > settle_tol * max(1.0, abs(fine)):
         raise NumericError("Levy-measure quadrature did not settle",
                            residual=float(abs(fine - coarse)))

@@ -12,7 +12,8 @@ function with poles only at the origin.
 
 The cumulative distribution is tabulated once per measure on a fine
 angular grid via the substitution ``x = mid + rad*cos(theta)``, which
-absorbs the edge singularities exactly, and is then interpolated.
+absorbs the edge singularities exactly, and is then interpolated; both
+steps import scipy on first use, and nothing else here needs it.
 Every absolutely continuous measure is built this way or is an affine or
 reciprocal image of one; convolution outputs are built from density
 values at their Chebyshev nodes.
@@ -29,8 +30,6 @@ from functools import cached_property
 from typing import Callable, Optional
 
 import numpy as np
-from scipy.integrate import cumulative_simpson
-from scipy.interpolate import PchipInterpolator
 
 from .errors import DomainError
 from .params import require_valid, solve_support
@@ -77,6 +76,7 @@ class SpectralMeasure:
 
     @cached_property
     def _cdf_interp(self):
+        from scipy.interpolate import PchipInterpolator
         return PchipInterpolator(self.cdf_x, self.cdf_y)
 
     # -- basic functionals -------------------------------------------------
@@ -130,9 +130,11 @@ def _angular_cdf_table(lo, hi, g, p_exp, q_exp, n_panels):
         rho(x) |dx/dtheta| = 2*rad*(2*rad)**(p+q) * g(x)
                              * cos(theta/2)**(2p+1) * sin(theta/2)**(2q+1)
     """
+    from scipy.integrate import cumulative_simpson
     mid = 0.5 * (lo + hi)
     rad = 0.5 * (hi - lo)
-    theta = np.linspace(0.0, math.pi, n_panels + 1)
+    # the angles of _edge_matched_rule, to the bit, when n_panels = n + 1
+    theta = np.arange(n_panels + 1) * math.pi / n_panels
     x = mid + rad * np.cos(theta)
     half = 0.5 * theta
     integrand = (2.0 * rad * (2.0 * rad) ** (p_exp + q_exp)
@@ -162,6 +164,16 @@ def _edge_matched_rule(n, p_exp, q_exp):
         w = 4.0 * math.pi / (2 * n + 1) * np.sin(0.5 * ang) ** 2
         return np.cos(ang), w
     raise DomainError(f"unsupported edge exponents ({p_exp}, {q_exp})")
+
+
+_LEGENDRE_RULES = {}  # n -> (nodes, weights); outlives functools clears
+
+
+def _gauss_legendre(n):
+    """Gauss--Legendre rule on [-1, 1], built on first use and kept."""
+    if n not in _LEGENDRE_RULES:
+        _LEGENDRE_RULES[n] = np.polynomial.legendre.leggauss(n)
+    return _LEGENDRE_RULES[n]
 
 
 def _jacobi_measure(lo, hi, g, p_exp=0.5, q_exp=0.5, n=256, atoms=(),

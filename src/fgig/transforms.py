@@ -24,7 +24,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.integrate import quad
 
 from .errors import DomainError, NumericError, PoleError
 from .params import require_valid, spectral_roots
@@ -208,6 +207,7 @@ def cauchy(m, z):
 
 
 def _cauchy_quad(m, z):
+    from scipy.integrate import quad
     lo, hi = m.support
     x, y = z.real, z.imag
     if y == 0.0 and lo <= x <= hi:

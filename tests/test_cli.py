@@ -241,6 +241,28 @@ class TestLogging:
         assert stderr == ""
 
 
+class TestImports:
+    def test_light_commands_load_no_scipy(self):
+        code = (
+            "import contextlib, io, sys\n"
+            "import fgig.cli\n"
+            "loaded = [m for m in sys.modules if m.startswith('scipy')]\n"
+            "for sub in ('params', 'density', 'transform', 'levy', 'fsd'):\n"
+            "    with contextlib.redirect_stdout(io.StringIO()):\n"
+            "        assert fgig.cli.run([sub, '--alpha', '1.3', '--beta',\n"
+            "                             '2.1', '--lambda', '0.7']) == 0\n"
+            "    loaded += [m for m in sys.modules if m.startswith('scipy')]\n"
+            "print(sorted(set(loaded)))\n")
+        env = dict(os.environ)
+        env["PYTHONPATH"] = os.pathsep.join(filter(None, [
+            os.path.dirname(os.path.dirname(fgig.__file__)),
+            env.get("PYTHONPATH")]))
+        done = subprocess.run([sys.executable, "-c", code], env=env,
+                              capture_output=True, text=True, check=True,
+                              timeout=120)
+        assert done.stdout == "[]\n"
+
+
 class TestOutputFile:
     def test_writes_file(self, tmp_path, capsys):
         target = tmp_path / "report.json"

@@ -104,6 +104,13 @@ class TestFreeConvolve:
         target = build_fgig(NaturalParams(alpha, beta, lam), 1024)
         assert kolmogorov_distance(out, target) <= 1e-4
 
+    def test_cdf_table_points_are_nodes(self, gig_poisson_pair):
+        # the table's interior angles equal the node angles to the bit, so
+        # the node interpolant answers them by lookup
+        X, Y = gig_poisson_pair
+        out = free_convolve(X, Y)
+        assert np.array_equal(out.cdf_x[1:-1], out.nodes[::-1])
+
     def test_mean_additivity(self, gig_poisson_pair):
         X, Y = gig_poisson_pair
         out = free_convolve(X, Y)

@@ -191,6 +191,25 @@ class TestClassicalEntropy:
             split=gig_mode(al, be, lam) / 1.3)
         assert h_scaled < gibbs_bound(al, be, lam) - 1e-4
 
+    def test_gig_entropy_computes_the_normalizer_once(self, monkeypatch):
+        from fgig import entropy
+        calls = []
+
+        def counted(order, w):
+            calls.append((order, w))
+            return bessel_k(order, w)
+
+        monkeypatch.setattr(entropy, "bessel_k", counted)
+        gig_entropy(1.3, 2.1, 0.7)
+        assert len(calls) == 1
+
+    def test_gig_entropy_matches_the_direct_route(self):
+        al, be, lam = 1.3, 2.1, 0.7
+        direct = classical_entropy(
+            lambda x: classical_gig_density(al, be, lam, x),
+            Potential(al, be, lam), split=gig_mode(al, be, lam))
+        assert gig_entropy(al, be, lam) == direct
+
     def test_gibbs_inequality_cross_pairs(self):
         # -int p log p <= -int p log q for densities p, q from the family
         rng = np.random.default_rng(1)

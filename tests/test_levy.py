@@ -15,6 +15,8 @@ from fgig.levy import (
     min1x_integral,
     reconstruct_cumulant,
 )
+from fgig.entropy import gibbs_bound
+from fgig.measures import _gauss_legendre
 from fgig.params import solve_spread
 from fgig.transforms import r_fgig
 
@@ -117,6 +119,40 @@ class TestReconstruction:
                 z = complex(z)
                 assert abs(z * r_fgig(p, z)
                            - reconstruct_cumulant(t, z)) <= 1e-6
+
+
+class TestGaussLegendre:
+    @pytest.mark.parametrize("n", [64, 512, 1024])
+    def test_even_monomials_exact(self, n):
+        nodes, weights = _gauss_legendre(n)
+        assert abs(weights.sum() - 2.0) <= 1e-15
+        for k in range(n):  # degree 2k <= 2n - 2
+            exact = 2.0 / (2 * k + 1)
+            assert abs(weights @ nodes ** (2 * k) - exact) <= 1e-13
+
+    def test_built_once(self):
+        assert _gauss_legendre(512) is _gauss_legendre(512)
+
+    # reference values from scipy's roots_legendre rules, an independent
+    # implementation of the same quadrature
+    @pytest.mark.parametrize("triple, min1x, recon, gibbs", [
+        ((1.3, 2.1, 0.7), 1.2158354277139722,
+         0.03788639641358607 - 1.3788034626585142j, -2.7834392830129455),
+        ((0.01, 50.0, -3.0), 8.011788243925052,
+         -2.404453899704792 - 5.114739847788681j, -11.27287556718097),
+        ((300.0, 0.2, 2.5), 0.022800679338544124,
+         0.009315973713754052 - 0.021819379915951804j, -24.897247288013357),
+        ((5.0, 5.0, 0.0), 1.0499999999634992,
+         0.2653493662818145 - 0.7766936407538761j, -10.244285642478388),
+        ((2.0, 8.0, 1.0), 1.8888509669322096,
+         0.3429374995684893 - 1.8739719386076308j, -7.383411900772579),
+    ])
+    def test_reference_values(self, triple, min1x, recon, gibbs):
+        t = levy_triplet(NaturalParams(*triple))
+        assert min1x_integral(t) == pytest.approx(min1x, rel=1e-12)
+        assert reconstruct_cumulant(t, 0.3 - 0.7j) == pytest.approx(
+            recon, rel=1e-12)
+        assert gibbs_bound(*triple) == pytest.approx(gibbs, rel=1e-12)
 
 
 class TestExtrapolation:
