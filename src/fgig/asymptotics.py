@@ -21,8 +21,9 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .errors import DomainError
-from .measures import (FreePoissonParams, SpectralMeasure, atom_measure,
-                       build_fgig, build_free_poisson, levy_distance)
+from .measures import (FreePoissonParams, SpectralMeasure, _atoms_cauchy,
+                       atom_measure, build_fgig, build_free_poisson,
+                       levy_distance)
 from .params import NaturalParams, solve_spread, solve_support
 
 REGIME_LAM_GE_1 = "lambda_ge_1"
@@ -39,15 +40,20 @@ class LimitDescription:
 def _scaled_copy(m, weight, extra_atoms):
     """Measure with the a.c. part of ``m`` scaled by ``weight`` plus atoms.
 
-    The result is a different law from ``m``, so its closed-form Cauchy
-    transform is dropped rather than carried.
+    ``m`` has no atoms, so the Cauchy transform is ``weight * G_m`` plus
+    the atoms' terms.
     """
+    atoms = tuple(extra_atoms)
+
     def density(x, _w=weight, _f=m.density):
         return _w * _f(x)
 
-    return replace(m, atoms=tuple(extra_atoms), density=density,
+    def cauchy_fn(z, _w=weight, _g=m.cauchy_fn):
+        return _w * _g(z) + _atoms_cauchy(atoms, z)
+
+    return replace(m, atoms=atoms, density=density,
                    weights=weight * m.weights, cdf_y=weight * m.cdf_y,
-                   cauchy_fn=None)
+                   cauchy_fn=cauchy_fn)
 
 
 def limit_regime(lam):

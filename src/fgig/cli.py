@@ -209,6 +209,8 @@ def _run_transform(args):
 
 def _run_levy(args):
     p = _triple(args)
+    if args.samples < 1:
+        raise DomainError("--samples must be at least 1")
     t = levy.levy_triplet(p)
     rng = np.random.default_rng(args.seed)
     zs = rng.uniform(-3, 3, args.samples) + 1j * rng.uniform(-3, -0.1,

@@ -20,7 +20,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DomainError, NumericError
-from .measures import _edge_matched_rule, _jacobi_measure, shift
+from .measures import (_chebyshev_cauchy, _edge_matched_rule,
+                       _jacobi_measure, shift)
 from .transforms import cauchy_nodes
 
 _N_GRID = 2001  # uniform grid over the sum of the supports, to find the edges
@@ -31,6 +32,7 @@ _FLOOR = 1e-9  # density below this fraction of the peak is outside the support
 _EDGE_STEP = 1e-7  # closest approach of an edge probe, relative to the width
 _EDGE_PROBES = 40  # probes allowed per edge
 _BLOCK = 1 << 20  # matrix entries per block of the node interpolant
+_DAMPING = 0.5  # Picard step of the subordination solve
 
 
 @dataclass(frozen=True)
@@ -50,7 +52,7 @@ def _h_transform(m, w):
     return 1.0 / cauchy_nodes(m, w) - w
 
 
-def _solve_omega(mu, nu, z, w0=None, tol=1e-12, max_iter=500, damping=0.5):
+def _solve_omega(mu, nu, z, tol=1e-12, max_iter=500):
     """Vectorized fixed-point solve; returns (omega1, residual, evaluations).
 
     Damped Picard with a vectorized Aitken update every cycle: near the
@@ -59,7 +61,7 @@ def _solve_omega(mu, nu, z, w0=None, tol=1e-12, max_iter=500, damping=0.5):
     counts evaluations of the subordination map.
     """
     z = np.asarray(z, dtype=complex)
-    w = (z + 1j) if w0 is None else np.array(w0, dtype=complex, copy=True)
+    w = z + 1j
     res = np.full(z.shape, np.inf)
     active = np.ones(z.shape, dtype=bool)
     evals = 0
@@ -81,9 +83,9 @@ def _solve_omega(mu, nu, z, w0=None, tol=1e-12, max_iter=500, damping=0.5):
         if not np.any(keep) or evals >= max_iter:
             continue
         za, u0, t0 = za[keep], wa[keep], t0[keep]
-        u1 = u0 + damping * (t0 - u0)
+        u1 = u0 + _DAMPING * (t0 - u0)
         t1 = T(u1, za)
-        u2 = u1 + damping * (t1 - u1)
+        u2 = u1 + _DAMPING * (t1 - u1)
         evals += 1
         d0, d1 = u1 - u0, u2 - u1
         denom = d1 - d0
@@ -217,7 +219,8 @@ def free_convolve(mu, nu):
     locate it (:func:`_locate_edge`), and last at the Chebyshev nodes of
     the support found, as many as the larger input has.  The result is
     built like any square-root-edge law, its smooth factor
-    ``rho/sqrt((x-lo)(hi-x))`` interpolated through the node values; its
+    ``rho/sqrt((x-lo)(hi-x))`` interpolated through the node values and
+    its Cauchy transform summed from their Chebyshev coefficients; its
     cdf table is taken on the angles of those nodes, so the edges
     themselves are never solved.
 
@@ -264,8 +267,10 @@ def free_convolve(mu, nu):
     rho, ok = _real_density(mu, nu, nodes)
     if not np.all(ok & (rho > floor)):
         raise NumericError("subordination failed inside the support")
-    g = _node_interpolant(nodes, rho / np.sqrt((nodes - a) * (b - nodes)), w)
-    out = _jacobi_measure(a, b, g, 0.5, 0.5, n, cdf_panels=n + 1)
+    gv = rho / np.sqrt((nodes - a) * (b - nodes))
+    out = _jacobi_measure(a, b, _node_interpolant(nodes, gv, w), 0.5, 0.5, n,
+                          cdf_panels=n + 1,
+                          cauchy_fn=_chebyshev_cauchy(a, b, gv))
     err = abs(out.mass() - 1.0)
     if err > 1e-4:
         raise NumericError("convolution density lost mass", residual=err)

@@ -18,15 +18,17 @@ Every absolutely continuous measure is built this way or is an affine or
 reciprocal image of one; convolution outputs are built from density
 values at their Chebyshev nodes.
 
-The closed-form builders also attach the Cauchy transform of their law,
-written with ``r(z) = sqrt(z - lo) * sqrt(z - hi)`` (principal roots, so
-the only cut is the support), and the affine and reciprocal maps carry it
-through the change of variables.  Convolution outputs have none.
+Every measure carries its own Cauchy transform, written with
+``r(z) = sqrt(z - lo) * sqrt(z - hi)`` (principal roots, so the only cut
+is the support): the closed form of its law for the builders, a
+Chebyshev series summed from the node values for a convolution output,
+the sum over atoms for an atomic measure; the affine and reciprocal maps
+carry it through the change of variables.
 """
 
 import math
 from dataclasses import dataclass, field, replace
-from functools import cached_property
+from functools import cached_property, partial
 from typing import Callable, Optional
 
 import numpy as np
@@ -60,8 +62,8 @@ class SpectralMeasure:
     tabulated in ``cdf_x``/``cdf_y``; atoms are added on evaluation.
     ``chebyshev`` marks nodes of the Gauss--Chebyshev (second kind) rule,
     ``x_j = mid + rad*cos(j pi/(n+1))`` in order, whose uniform angles
-    the log-energy quadrature needs.  ``cauchy_fn``, when set, is the
-    closed-form Cauchy transform of the whole measure, atoms included.
+    the log-energy quadrature needs.  ``cauchy_fn`` is the vectorized
+    Cauchy transform of the whole measure, atoms included.
     """
 
     atoms: tuple
@@ -72,7 +74,7 @@ class SpectralMeasure:
     cdf_x: Optional[np.ndarray] = None
     cdf_y: Optional[np.ndarray] = None
     chebyshev: bool = field(default=False, repr=False)
-    cauchy_fn: Optional[Callable] = field(default=None, repr=False)
+    cauchy_fn: Callable = field(repr=False)
 
     @cached_property
     def _cdf_interp(self):
@@ -177,7 +179,7 @@ def _gauss_legendre(n):
 
 
 def _jacobi_measure(lo, hi, g, p_exp=0.5, q_exp=0.5, n=256, atoms=(),
-                    cdf_panels=_DEFAULT_CDF_PTS, cauchy_fn=None):
+                    cdf_panels=_DEFAULT_CDF_PTS, *, cauchy_fn):
     """Measure with density ``(x-lo)**p (hi-x)**q g(x)`` on ``(lo, hi)``."""
     if not hi > lo:
         raise DomainError("support must be a nondegenerate interval")
@@ -205,10 +207,21 @@ def _jacobi_measure(lo, hi, g, p_exp=0.5, q_exp=0.5, n=256, atoms=(),
                            cauchy_fn=cauchy_fn)
 
 
+def _atoms_cauchy(atoms, z):
+    """``sum w / (z - loc)`` over the atoms."""
+    z = np.asarray(z, dtype=complex)
+    out = np.zeros_like(z)
+    for loc, w in atoms:
+        out = out + w / (z - loc)
+    return out
+
+
 def atom_measure(atoms):
     """Purely atomic measure, e.g. a point mass."""
-    return SpectralMeasure(atoms=tuple(atoms), support=None, density=None,
-                           nodes=np.array([]), weights=np.array([]))
+    atoms = tuple(atoms)
+    return SpectralMeasure(atoms=atoms, support=None, density=None,
+                           nodes=np.array([]), weights=np.array([]),
+                           cauchy_fn=partial(_atoms_cauchy, atoms))
 
 
 # ---------------------------------------------------------------------------
@@ -264,6 +277,33 @@ def _fgig_cauchy(alpha, beta, a, b):
         r = _support_root(z, a, b)
         w = _root_sum(z + g, -r, B * z)
         return A / (2.0 * (z - g + r)) * (alpha + k / w)
+
+    return cauchy_fn
+
+
+def _chebyshev_cauchy(lo, hi, g):
+    """Cauchy transform of ``sqrt((x-lo)(hi-x)) g(x)`` from the values
+    ``g_j`` at the nodes ``mid + rad*cos(theta_j)``, ``theta_j = j pi/(n+1)``.
+
+    ``c_k = 2/(n+1) sum_j g_j sin(theta_j) sin((k+1) theta_j)`` (one DST-I,
+    taken by a zero-padded FFT) gives ``g = sum_k c_k U_k``, and each
+    ``sqrt(1 - t**2) U_k(t)`` transforms to ``pi w**(k+1)``: by Horner,
+    ``G(z) = pi rad sum_k c_k w**(k+1)``, ``w = rad/(z - mid + r(z))``.
+    """
+    n = g.size
+    mid, rad = 0.5 * (lo + hi), 0.5 * (hi - lo)
+    theta = np.arange(1, n + 1) * math.pi / (n + 1)
+    f = np.concatenate(([0.0], g * np.sin(theta)))
+    c = (-2.0 / (n + 1)) * np.fft.rfft(f, 2 * (n + 1)).imag[1:n + 1]
+    c = math.pi * rad * c[::-1]  # highest order first
+
+    def cauchy_fn(z):
+        z = np.asarray(z, dtype=complex)
+        w = rad / (z - mid + _support_root(z, lo, hi))
+        acc = np.zeros_like(w)
+        for ck in c:
+            acc = acc * w + ck
+        return acc * w
 
     return cauchy_fn
 
@@ -483,9 +523,7 @@ def pushforward_reciprocal(m):
     if lo <= 1e-12:
         raise DomainError("reciprocal pushforward needs support inside (0, inf)")
 
-    parent_density = m.density
-
-    def density(y, _lo=1.0 / hi, _hi=1.0 / lo, _f=parent_density):
+    def density(y, _lo=1.0 / hi, _hi=1.0 / lo, _f=m.density):
         y = np.asarray(y, dtype=float)
         inside = (y > _lo) & (y < _hi)
         yi = np.where(inside, y, 1.0)
@@ -497,14 +535,14 @@ def pushforward_reciprocal(m):
     ac_mass = m.ac_mass()
     cdf_x = 1.0 / m.cdf_x[::-1]
     cdf_y = np.clip(ac_mass - m.cdf_y[::-1], 0.0, None)
-    cauchy_fn = None
-    if m.cauchy_fn is not None:
-        def cauchy_fn(z, _g=m.cauchy_fn, _mean=moment(m, 1)):
-            # G_{1/X}(z) = (1 - G_X(1/z)/z)/z, which tends to -E X at 0
-            z = np.asarray(z, dtype=complex)
-            zero = z == 0
-            zi = np.where(zero, 1.0, z)
-            return np.where(zero, -_mean, (1.0 - _g(1.0 / zi) / zi) / zi)
+
+    def cauchy_fn(z, _g=m.cauchy_fn, _mean=moment(m, 1)):
+        # G_{1/X}(z) = (1 - G_X(1/z)/z)/z, which tends to -E X at 0
+        z = np.asarray(z, dtype=complex)
+        zero = z == 0
+        zi = np.where(zero, 1.0, z)
+        return np.where(zero, -_mean, (1.0 - _g(1.0 / zi) / zi) / zi)
+
     return SpectralMeasure(atoms=atoms,
                            support=(float(cdf_x[0]), float(cdf_x[-1])),
                            density=density, nodes=nodes, weights=weights,
@@ -525,10 +563,9 @@ def _affine(m, scale, offset):
     def density(x, _f=m.density):
         return _f((np.asarray(x, dtype=float) - offset) / scale) / scale
 
-    cauchy_fn = None
-    if m.cauchy_fn is not None:
-        def cauchy_fn(z, _g=m.cauchy_fn):
-            return _g((np.asarray(z, dtype=complex) - offset) / scale) / scale
+    def cauchy_fn(z, _g=m.cauchy_fn):
+        return _g((np.asarray(z, dtype=complex) - offset) / scale) / scale
+
     return replace(m, atoms=atoms,
                    support=(scale * lo + offset, scale * hi + offset),
                    density=density, nodes=scale * m.nodes + offset,

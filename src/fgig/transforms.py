@@ -12,10 +12,9 @@ is removable for ``lam < 0``, a simple pole of residue ``-lam`` for
 ``lam > 0``, and a square-root divergence for ``lam == 0``.  Values on
 the upper half-plane are defined by reflection ``r(conj z) = conj r(z)``.
 
-Cauchy transforms are evaluated on the upper half-plane (Herglotz side)
-from the closed form a measure carries, by its node sum (with adaptive
-quadrature near the support) for a convolution output, which has none,
-or by numerically inverting ``r(w) + 1/w = z``.  Densities come back
+Cauchy transforms are evaluated from the one a measure carries (closed
+form, Chebyshev series or atom sum; see :mod:`fgig.measures`), or by
+numerically inverting ``r(w) + 1/w = z``.  Densities come back
 through the boundary values ``-Im G(x + i eps)/pi`` with Richardson
 extrapolation in ``eps``.
 """
@@ -30,8 +29,6 @@ from .params import require_valid, spectral_roots
 from .series import Series
 
 _DEFAULT_LADDER = tuple(1e-2 * 0.5 ** k for k in range(8))
-# a node sum gives way to quadrature within this many node spacings
-_NEAR_SPACINGS = 4.0
 
 
 @dataclass(frozen=True)
@@ -158,84 +155,33 @@ def r_free_poisson(fp, z):
 # Cauchy transforms
 # ---------------------------------------------------------------------------
 
-def _node_spacing(m):
-    if m.nodes.size < 2:
-        return 0.0
-    return float(np.max(np.diff(np.sort(m.nodes))))
-
-
 def cauchy(m, z):
     """Cauchy transform ``integral d mu(x) / (z - x)`` of a measure.
 
-    A measure that carries a closed form is evaluated through it.  For
-    one without (a convolution output or a map of one) the node sum is
-    used away from the support; close to it
-    (within ``_NEAR_SPACINGS`` node spacings) the integral falls back to
-    adaptive quadrature against the density.  Querying a point of the
-    support itself (or an atom) raises.
+    Evaluated through the transform the measure carries.  Querying a
+    point of the support itself (or an atom) raises.
     """
     scalar = np.isscalar(z) or isinstance(z, complex)
     z = np.atleast_1d(np.asarray(z, dtype=complex))
     for loc, _ in m.atoms:
         if np.any(z == loc):
             raise DomainError(f"Cauchy transform queried at atom {loc}")
-    if m.cauchy_fn is not None:
-        if m.support is not None:
-            lo, hi = m.support
-            if np.any((z.imag == 0.0) & (z.real >= lo) & (z.real <= hi)):
-                raise DomainError("Cauchy transform queried on the support")
-        out = m.cauchy_fn(z)
-        return complex(out[0]) if scalar else out
-    out = np.zeros_like(z)
-    for loc, w in m.atoms:
-        out = out + w / (z - loc)
     if m.support is not None:
         lo, hi = m.support
-        x, y = z.real, z.imag
-        dist = np.hypot(np.clip(lo - x, 0.0, None) + np.clip(x - hi, 0.0, None), y)
-        h = _node_spacing(m)
-        near = dist < _NEAR_SPACINGS * h
-        far = ~near
-        if np.any(far):
-            zf = z[far]
-            out[far] = out[far] + np.sum(
-                m.weights / (zf[:, None] - m.nodes[None, :]), axis=1)
-        if np.any(near):
-            vals = np.array([_cauchy_quad(m, complex(zi)) for zi in z[near]])
-            out[near] = out[near] + vals
+        if np.any((z.imag == 0.0) & (z.real >= lo) & (z.real <= hi)):
+            raise DomainError("Cauchy transform queried on the support")
+    out = m.cauchy_fn(z)
     return complex(out[0]) if scalar else out
 
 
-def _cauchy_quad(m, z):
-    from scipy.integrate import quad
-    lo, hi = m.support
-    x, y = z.real, z.imag
-    if y == 0.0 and lo <= x <= hi:
-        raise DomainError("Cauchy transform queried on the support")
-    pts = [x] if lo < x < hi else None
-    re = quad(lambda t: m.density(t) * (x - t) / ((x - t) ** 2 + y ** 2),
-              lo, hi, points=pts, limit=200)[0]
-    im = quad(lambda t: -m.density(t) * y / ((x - t) ** 2 + y ** 2),
-              lo, hi, points=pts, limit=200)[0]
-    return re + 1j * im
-
-
 def cauchy_nodes(m, z):
-    """Cauchy transform without support checks or quadrature fallback.
+    """Cauchy transform without the support and atom checks.
 
     Vectorized workhorse for the subordination solver, where the query
-    points stay in the upper half-plane: the closed form when the measure
-    carries one, otherwise the bare node sum.
+    points stay in the upper half-plane: the transform the measure
+    carries, ``m.cauchy_fn(z)``.
     """
-    z = np.asarray(z, dtype=complex)
-    if m.cauchy_fn is not None:
-        return m.cauchy_fn(z)
-    out = np.zeros_like(z)
-    for loc, w in m.atoms:
-        out = out + w / (z - loc)
-    if m.nodes.size:
-        out = out + np.sum(m.weights / (z[..., None] - m.nodes), axis=-1)
-    return out
+    return m.cauchy_fn(np.asarray(z, dtype=complex))
 
 
 def _newton_invert(r, z, w0, tol, max_iter=80):
@@ -370,6 +316,8 @@ def fid_certificate(p, n_grid=200, tol=1e-9):
     the maximum imaginary part stays below ``tol``.
     """
     require_valid(p)
+    if n_grid < 2:
+        raise DomainError("certificate grid needs at least 2 points per axis")
     roots = spectral_roots(p)
     scale = max(1.0, p.alpha, roots.eta, -roots.delta)
     xs = np.linspace(-3.0 * scale, 3.0 * scale, n_grid)

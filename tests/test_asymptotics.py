@@ -35,9 +35,15 @@ class TestLimitMeasure:
         # a.c. part: (1/2) nu(1/2, 1) supported on (0, 2)
         assert desc.limit.support[1] == pytest.approx(2.0, rel=1e-12)
 
-    def test_middle_regime_drops_the_closed_form(self):
-        # half a Marchenko-Pastur law plus an atom is not that law
-        assert limit_measure(1.0, 0.3).limit.cauchy_fn is None
+    def test_middle_regime_carries_its_cauchy_transform(self):
+        # half a Marchenko-Pastur law plus an atom: half its transform
+        # plus the atom's term, equal to the node sum off the axis
+        m = limit_measure(1.0, 0.3).limit
+        zs = np.linspace(-0.5, 2.0, 50) + 0.1j
+        (loc, w), = m.atoms
+        oracle = w / (zs - loc) + np.sum(m.weights / (zs[:, None] - m.nodes),
+                                         axis=1)
+        assert np.max(np.abs(m.cauchy_fn(zs) / oracle - 1.0)) <= 1e-13
 
     def test_lower_regime(self):
         desc = limit_measure(1.0, -3.0)

@@ -1,23 +1,24 @@
-"""Closed-form Cauchy transforms carried by the built measures.
+"""Cauchy transforms carried by every measure.
 
 Two independent oracles: the node sum of the same measure at
 ``Im z >= 0.1``, where it is spectrally accurate, and a 40-digit
 evaluation of the textbook closed form on a 40-digit support.
 """
 
-import dataclasses
-
 import numpy as np
 import pytest
 
 from fgig import DomainError, NaturalParams, solve_support
+from fgig.asymptotics import limit_measure
 from fgig.convolution import free_convolve
-from fgig.measures import (FreePoissonParams, build_fgig, build_free_poisson,
-                           build_semicircle, dilate, pushforward_reciprocal,
-                           shift)
+from fgig.measures import (FreePoissonParams, atom_measure, build_fgig,
+                           build_free_poisson, build_semicircle, dilate,
+                           pushforward_reciprocal, shift)
 from fgig.transforms import cauchy, cauchy_nodes
 
 MU = build_fgig(NaturalParams(2.0, 8.0, -1.0), 1024)
+CONVOLVED = free_convolve(MU, build_free_poisson(FreePoissonParams(0.5, 1.0),
+                                                 1024))
 
 CARRIERS = {
     "fgig": MU,
@@ -31,18 +32,26 @@ CARRIERS = {
     "shift": shift(MU, -0.7),
     "dilate": dilate(MU, 2.5),
     "pushforward_reciprocal": pushforward_reciprocal(MU),
+    "convolution_output": CONVOLVED,
+    "convolution_reciprocal": pushforward_reciprocal(CONVOLVED),
+    "two_atoms": atom_measure([(-1.0, 0.3), (2.0, 0.7)]),
+    "limit_middle_regime": limit_measure(1.0, 0.3).limit,
 }
 
 
 def node_sum(m, z):
-    return cauchy_nodes(dataclasses.replace(m, cauchy_fn=None), z)
+    out = np.zeros_like(z)
+    for loc, w in m.atoms:
+        out = out + w / (z - loc)
+    return out + np.sum(m.weights / (z[:, None] - m.nodes), axis=1)
 
 
 @pytest.mark.parametrize("name", sorted(CARRIERS))
 def test_matches_node_sum_off_axis(name):
     m = CARRIERS[name]
     assert m.cauchy_fn is not None
-    lo, hi = m.support
+    locs = [loc for loc, _ in m.atoms] + list(m.support or ())
+    lo, hi = min(locs), max(locs)
     rng = np.random.default_rng(7)
     zs = (rng.uniform(lo - 1.0, hi + 1.0, 300)
           + 1j * rng.uniform(0.1, 3.0, 300))
@@ -53,16 +62,12 @@ def test_matches_node_sum_off_axis(name):
     assert np.max(np.abs(cauchy_nodes(m, zs.conj()) - exact.conj())) <= 1e-15
 
 
-def test_convolution_output_quadrature_fallback():
-    # a convolution output carries no closed form; near the axis its
-    # Cauchy transform falls back to adaptive quadrature
-    X = build_fgig(NaturalParams(2.0, 8.0, -1.0), 1024)
-    Y = build_free_poisson(FreePoissonParams(0.5, 1.0), 1024)
-    out = free_convolve(X, Y)
-    assert out.cauchy_fn is None
+def test_convolution_output_near_the_axis():
+    # the Chebyshev series of a convolution output stays exact where a
+    # node sum is off by O(1)
     target = build_fgig(NaturalParams(2.0, 8.0, 1.0), 1024)
-    val = cauchy(out, 2.0 + 1e-4j)
-    assert val == pytest.approx(cauchy(target, 2.0 + 1e-4j), rel=1e-4)
+    val = cauchy(CONVOLVED, 2.0 + 1e-12j)
+    assert val == pytest.approx(cauchy(target, 2.0 + 1e-12j), rel=1e-10)
 
 
 class TestRaises:

@@ -175,6 +175,8 @@ class TestFixedPoint:
 
     def test_iterated_chain_stages_to_1e_7(self):
         # both convolutions read the density on the real axis; the second
-        # sums the nodes of a reciprocal convolution output
-        rep = verify_iterated(2.0, 8.0, 1.0)
-        assert max(dist for _, dist in rep.stages) <= 1e-7
+        # takes the Cauchy transform of a reciprocal convolution output,
+        # which at (1, 1, 0.01) subordination queries next to the axis
+        for triple in ((2.0, 8.0, 1.0), (1.0, 1.0, 0.01)):
+            rep = verify_iterated(*triple)
+            assert max(dist for _, dist in rep.stages) <= 1e-7, triple

@@ -124,6 +124,13 @@ class TestTransformCommand:
         assert doc["free_cumulants"][0] == pytest.approx(2.125)
         assert doc["fid_certificate"]["passed"] is True
 
+    @pytest.mark.parametrize("n", ["0", "1"])
+    def test_certificate_grid_too_small_exit_code(self, capsys, n):
+        code, _ = run_capture(capsys, [
+            "transform", "--alpha", "2", "--beta", "8", "--lambda", "0",
+            "--certificate-grid", n])
+        assert code == 2
+
 
 class TestLevyCommand:
     def test_report_passes(self, capsys):
@@ -134,6 +141,12 @@ class TestLevyCommand:
         doc = json.loads(out)
         assert doc["passed"] is True
         assert abs(doc["drift"]) <= 1e-6
+
+    def test_no_samples_exit_code(self, capsys):
+        code, _ = run_capture(capsys, [
+            "levy", "--alpha", "2", "--beta", "8", "--lambda", "0",
+            "--samples", "0"])
+        assert code == 2
 
 
 class TestLimitsCommand:

@@ -135,6 +135,9 @@ class TestFreeConvolve:
 class TestRealAxisRecovery:
     """The density read at Im z = 0 and built on Chebyshev nodes."""
 
+    # fractions of the support, 0.1% to 99.9% across
+    INTERIOR = np.array([1e-3, 1e-2, 0.1, 0.3, 0.5, 0.7, 0.9, 0.99, 0.999])
+
     @pytest.mark.parametrize("triple", [
         (2.0, 8.0, 1.0), (0.5, 0.5, 3.0), (1.0, 1.0, 0.01),
         # the square-root regime at the left edge is narrower than a cell
@@ -147,11 +150,15 @@ class TestRealAxisRecovery:
         out = free_convolve(X, Y)
         p = NaturalParams(alpha, beta, lam)
         s = solve_support(p)
-        assert out.chebyshev and out.cauchy_fn is None
+        assert out.chebyshev and out.cauchy_fn is not None
         assert abs(out.support[0] - s.a) <= 1e-9 * (s.b - s.a)
         assert abs(out.support[1] - s.b) <= 1e-9 * (s.b - s.a)
         assert abs(out.mass() - 1.0) <= 1e-10
         built = build_fgig(p, 1024)
         assert kolmogorov_distance(out, built) <= 1e-6
+        # the Chebyshev series stays exact next to the support
+        zs = s.a + (s.b - s.a) * self.INTERIOR + 1e-12j
+        want = built.cauchy_fn(zs)
+        assert np.max(np.abs(cauchy(out, zs) / want - 1.0)) <= 1e-10
         # the output carries the cosine rule that log_energy needs
         assert log_energy(out) == pytest.approx(log_energy(built), abs=1e-8)

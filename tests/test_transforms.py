@@ -179,10 +179,9 @@ class TestCauchy:
         with pytest.raises(DomainError):
             cauchy(m, 2.0 + 0.0j)
 
-    def test_near_axis_quadrature_fallback(self):
-        # just below the node-sum resolution a built measure answers from
-        # its closed form; grid measures take the quad path here
-        # (test_cauchy_closed_form covers that fallback)
+    def test_near_axis_closed_form(self):
+        # below the resolution of 64 nodes a built measure answers from its
+        # closed form, and -Im G/pi is the density to O(Im z)
         p = NaturalParams(2.0, 8.0, 0.0)
         m = build_fgig(p, 64)
         z = 2.0 + 1e-4j

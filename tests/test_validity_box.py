@@ -8,6 +8,7 @@ convolve box: alpha and beta log-uniform in [0.25, 8], lam in [0.1, 4].
 
 import math
 
+import numpy as np
 import pytest
 
 from fgig import NaturalParams, reparameterize, solve_support, spectral_roots
@@ -15,6 +16,7 @@ from fgig.convolution import free_convolve
 from fgig.measures import (FreePoissonParams, build_fgig, build_free_poisson,
                            kolmogorov_distance)
 from fgig.params import solve_spread
+from fgig.transforms import cauchy
 
 hypothesis = pytest.importorskip("hypothesis")
 st = hypothesis.strategies
@@ -47,7 +49,8 @@ def test_support_solve(support40, log_alpha, log_beta, lam):
                   lam=st.floats(0.1, 4.0))
 def test_convolution_identity(log_alpha, log_beta, lam):
     # mu(alpha, beta, -lam) (+) nu(1/alpha, lam) = mu(alpha, beta, lam),
-    # built on Chebyshev nodes of the support
+    # built on Chebyshev nodes of the support, with a Cauchy transform
+    # exact next to it
     alpha, beta = math.exp(log_alpha), math.exp(log_beta)
     out = free_convolve(
         build_fgig(NaturalParams(alpha, beta, -lam), 1024),
@@ -58,4 +61,8 @@ def test_convolution_identity(log_alpha, log_beta, lam):
     assert abs(out.support[0] - s.a) <= 1e-9 * (s.b - s.a)
     assert abs(out.support[1] - s.b) <= 1e-9 * (s.b - s.a)
     assert abs(out.mass() - 1.0) <= 1e-10
-    assert kolmogorov_distance(out, build_fgig(p, 1024)) <= 1e-6
+    built = build_fgig(p, 1024)
+    assert kolmogorov_distance(out, built) <= 1e-6
+    zs = s.a + (s.b - s.a) * np.array([1e-3, 0.1, 0.5, 0.9, 0.999]) + 1e-12j
+    want = built.cauchy_fn(zs)
+    assert np.max(np.abs(cauchy(out, zs) / want - 1.0)) <= 1e-10
