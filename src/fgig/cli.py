@@ -436,11 +436,9 @@ def run(argv=None):
     try:
         args.func(args)
     except DomainError as exc:
-        log.error("validation error: %s", exc)
         print(f"fgig: validation error: {exc}", file=sys.stderr)
         return 2
     except NumericError as exc:
-        log.error("numeric failure: %s", exc)
         print(f"fgig: numeric failure: {exc}", file=sys.stderr)
         return 3
     return 0

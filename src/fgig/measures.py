@@ -12,8 +12,14 @@ function with poles only at the origin.
 
 The cumulative distribution is tabulated once per measure on a fine
 angular grid via the substitution ``x = mid + rad*cos(theta)``, which
-absorbs the edge singularities exactly, and is then interpolated; both
-steps import scipy on first use, and nothing else here needs it.
+absorbs the edge singularities exactly; both the table and its PCHIP
+interpolant import scipy on first use, and nothing else here needs it.
+The interpolant serves only ``cdf`` and :func:`kolmogorov_distance`.
+:func:`levy_distance` reads the table without it: the Levy metric is the
+largest vertical gap between the two completed cdf graphs along the
+lines ``x + y = s``, each graph a cubic Hermite in ``s`` through the
+table and atom knots with slopes ``rho/(1 + rho)`` (1 along an atom's
+jump), taken once on the merged knots and midpoints with no tolerance.
 Every absolutely continuous measure is built this way or is an affine or
 reciprocal image of one; convolution outputs are built from density
 values at their Chebyshev nodes.
@@ -600,41 +606,89 @@ def kolmogorov_distance(m1, m2):
     return d
 
 
-def levy_distance(m1, m2, tol=1e-9):
+def _completed_graph(m):
+    """Height of the completed graph of ``m``'s cdf along ``x + y = s``.
+
+    The completed graph is the graph of the cdf with every jump filled in
+    by a vertical segment, so each line ``x + y = s`` meets it once, and
+    ``s`` increases along it.  Knots are the cdf table's points plus, per
+    atom, its left and right limits at ``loc`` (an atom on a table point
+    replaces that knot), each at height table value plus atom mass below.
+
+    Between knots the height is the cubic Hermite with slopes
+    ``dy/ds = rho/(1 + rho)``, ``rho`` the density one ulp inside the
+    support, so a ``-1/2`` edge gives 1 and a ``+1/2`` edge 0, and an
+    atom's segment has slope 1 at both ends.
+    Returns ``(s, y, h, A, B, C)``: knots, their heights and, per interval
+    from each knot on, its width and the cubic ``y + t (A + t (B + t C))``
+    in ``t = (s - s_j)/h``; the last (open) interval is flat.
+    """
+    atoms = sorted(m.atoms)
+    locs = np.array([loc for loc, _ in atoms], dtype=float)
+    below = np.concatenate(([0.0], np.cumsum([w for _, w in atoms])))
+    if m.cdf_x is None:
+        tx = ty = np.array([])
+        base = np.zeros_like(locs)
+    else:
+        keep = ~np.isin(m.cdf_x, locs)
+        tx = m.cdf_x[keep]
+        ty = m.cdf_y[keep] + below[np.searchsorted(locs, tx, side="right")]
+        # exact on a table point and beyond the table; no atom in this
+        # package sits strictly inside an absolutely continuous support
+        base = np.interp(locs, m.cdf_x, m.cdf_y)
+    x = np.concatenate((tx, np.repeat(locs, 2)))
+    y = np.concatenate((ty, np.repeat(base, 2)
+                        + np.column_stack((below[:-1], below[1:])).ravel()))
+    order = np.lexsort((y, x))
+    x, y = x[order], y[order]
+
+    slope = np.zeros_like(x)
+    if m.density is not None:
+        lo, hi = m.support
+        rho = m.density(np.clip(x, np.nextafter(lo, hi), np.nextafter(hi, lo)))
+        slope = rho / (1.0 + rho)
+    vertical = x[:-1] == x[1:]
+    s = x + y
+    h = np.diff(s)
+    rise = np.diff(y)
+    d0 = h * np.where(vertical, 1.0, slope[:-1])
+    d1 = h * np.where(vertical, 1.0, slope[1:])
+    h = np.where(h > 0, h, np.inf)  # a zero-width interval reads as its start
+    return (s, y, np.append(h, np.inf), np.append(d0, 0.0),
+            np.append(3.0 * rise - 2.0 * d0 - d1, 0.0),
+            np.append(d0 + d1 - 2.0 * rise, 0.0))
+
+
+def _graph_height(graph, s):
+    """Height of a :func:`_completed_graph` at ``s``: ``y[0]`` below the
+    first knot, ``y[-1]`` above the last."""
+    gs, gy, h, a, b, c = graph
+    j = np.maximum(np.searchsorted(gs, s, side="right") - 1, 0)
+    t = np.maximum(s - gs[j], 0.0) / h[j]
+    return gy[j] + t * (a[j] + t * (b[j] + t * c[j]))
+
+
+def levy_distance(m1, m2):
     """Levy metric: the weak-convergence distance between two laws.
 
     Smallest ``eps`` with ``F(x - eps) - eps <= G(x) <= F(x + eps) + eps``
     everywhere; unlike the sup-distance it tolerates atoms in one
     argument approximated by steep absolutely continuous ramps in the
-    other.  Located by bisection over a merged evaluation grid.
+    other.  It equals the largest vertical gap between the completed
+    graphs of ``F`` and ``G`` along the lines ``x + y = s``:
+
+        L(F, G) = sup_s |y_F(s) - y_G(s)|,
+
+    with each height ``y(s)`` the cubic Hermite of
+    :func:`_completed_graph`'s knots and slopes.  The sup is read once on
+    the merged knots and their midpoints, with no tolerance to set.
     """
-    pts = np.unique(np.concatenate([m1.breakpoints(), m2.breakpoints()]))
-    if pts.size == 0:
+    g1, g2 = _completed_graph(m1), _completed_graph(m2)
+    if g1[0].size == 0 and g2[0].size == 0:
         return 0.0
-    f1 = m1.cdf(pts)
-    f2 = m2.cdf(pts)
-
-    def separated(eps):
-        # violated iff G(x) > F(x + eps) + eps somewhere (either order)
-        a1 = m1.cdf(pts + eps) + eps
-        a2 = m2.cdf(pts + eps) + eps
-        return np.any(f2 > a1 + 1e-15) or np.any(f1 > a2 + 1e-15)
-
-    hi = float(np.max(np.abs(f1 - f2)))  # sup-distance bounds the Levy metric
-    if hi <= tol:
-        return hi
-    lo = 0.0
-    for _ in range(60):
-        mid = 0.5 * (lo + hi)
-        if mid == lo or mid == hi:
-            break
-        if separated(mid):
-            lo = mid
-        else:
-            hi = mid
-        if hi - lo <= tol:
-            break
-    return hi
+    knots = np.unique(np.concatenate((g1[0], g2[0])))
+    s = np.concatenate((knots, 0.5 * (knots[:-1] + knots[1:])))
+    return float(np.max(np.abs(_graph_height(g1, s) - _graph_height(g2, s))))
 
 
 def density_sup_distance(m1, m2, n_pts=2001):

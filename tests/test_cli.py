@@ -13,6 +13,18 @@ from fgig import NaturalParams, solve_support
 from fgig.cli import dumps_stable, run
 
 
+def fresh_env(**overrides):
+    """Environment for a fresh interpreter that imports this package;
+    ``FGIG_LOG`` is unset unless given."""
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [
+        os.path.dirname(os.path.dirname(fgig.__file__)),
+        env.get("PYTHONPATH")]))
+    env.pop("FGIG_LOG", None)
+    env.update(overrides)
+    return env
+
+
 def run_capture(capsys, argv):
     code = run(argv)
     captured = capsys.readouterr()
@@ -226,22 +238,22 @@ class TestHeavyCommands:
 
 class TestLogging:
     @staticmethod
-    def stderr_of_params(tmp_path, level):
-        """stderr of ``fgig params ... --output`` in a fresh interpreter:
-        in-process, pytest's log handlers make ``logging.basicConfig`` a
-        no-op."""
-        env = dict(os.environ)
-        env["PYTHONPATH"] = os.pathsep.join(filter(None, [
-            os.path.dirname(os.path.dirname(fgig.__file__)),
-            env.get("PYTHONPATH")]))
-        env.pop("FGIG_LOG", None)
-        if level is not None:
-            env["FGIG_LOG"] = level
+    def run_fresh(args, level):
+        """``fgig ARGS`` in a fresh interpreter with ``FGIG_LOG=level``
+        (unset for None): in-process, pytest's log handlers make
+        ``logging.basicConfig`` a no-op."""
+        env = fresh_env() if level is None else fresh_env(FGIG_LOG=level)
+        return subprocess.run([sys.executable, "-m", "fgig.cli", *args],
+                              env=env, capture_output=True, text=True,
+                              timeout=60)
+
+    def stderr_of_params(self, tmp_path, level):
+        """stderr of ``fgig params ... --output``."""
         target = tmp_path / "report.json"
-        done = subprocess.run(
-            [sys.executable, "-m", "fgig.cli", "params", "--alpha", "2",
-             "--beta", "8", "--lambda", "0", "--output", str(target)],
-            env=env, capture_output=True, text=True, check=True, timeout=60)
+        done = self.run_fresh(["params", "--alpha", "2", "--beta", "8",
+                               "--lambda", "0", "--output", str(target)],
+                              level)
+        assert done.returncode == 0
         assert done.stdout == "" and target.exists()
         return done.stderr, target
 
@@ -253,8 +265,26 @@ class TestLogging:
         stderr, _ = self.stderr_of_params(tmp_path, None)
         assert stderr == ""
 
+    @pytest.mark.parametrize("level", [None, "info"])
+    def test_error_is_reported_once(self, level):
+        done = self.run_fresh(["params", "--alpha", "1", "--beta", "-1",
+                               "--lambda", "0"], level)
+        assert done.returncode == 2
+        assert done.stdout == ""
+        assert done.stderr.splitlines() == [
+            "fgig: validation error: invalid natural parameters: "
+            "beta > 0 violated"]
+
 
 class TestImports:
+    @staticmethod
+    def stdout_of(code):
+        """stdout of ``python -c code`` in a fresh interpreter."""
+        done = subprocess.run([sys.executable, "-c", code], env=fresh_env(),
+                              capture_output=True, text=True, check=True,
+                              timeout=120)
+        return done.stdout
+
     def test_light_commands_load_no_scipy(self):
         code = (
             "import contextlib, io, sys\n"
@@ -266,14 +296,21 @@ class TestImports:
             "                             '2.1', '--lambda', '0.7']) == 0\n"
             "    loaded += [m for m in sys.modules if m.startswith('scipy')]\n"
             "print(sorted(set(loaded)))\n")
-        env = dict(os.environ)
-        env["PYTHONPATH"] = os.pathsep.join(filter(None, [
-            os.path.dirname(os.path.dirname(fgig.__file__)),
-            env.get("PYTHONPATH")]))
-        done = subprocess.run([sys.executable, "-c", code], env=env,
-                              capture_output=True, text=True, check=True,
-                              timeout=120)
-        assert done.stdout == "[]\n"
+        assert self.stdout_of(code) == "[]\n"
+
+    def test_limits_loads_no_scipy_interpolate(self):
+        # the cdf tables still need scipy.integrate; the Levy distance
+        # reads them without an interpolant
+        code = (
+            "import contextlib, io, sys\n"
+            "import fgig.cli\n"
+            "with contextlib.redirect_stdout(io.StringIO()):\n"
+            "    assert fgig.cli.run(['limits', '--alpha', '1',\n"
+            "                         '--lambda', '0']) == 0\n"
+            "loaded = [m for m in sys.modules\n"
+            "          if m.startswith('scipy.interpolate')]\n"
+            "print(sorted(set(loaded)))\n")
+        assert self.stdout_of(code) == "[]\n"
 
 
 class TestOutputFile:

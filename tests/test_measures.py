@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from fgig import DomainError, NaturalParams
+from fgig.asymptotics import limit_measure
 from fgig.measures import (
     FreePoissonParams,
     SpectralMeasure,
@@ -16,6 +17,7 @@ from fgig.measures import (
     fgig_density,
     free_poisson_density,
     kolmogorov_distance,
+    levy_distance,
     mode,
     mode_quadratic,
     moment,
@@ -230,6 +232,72 @@ class TestKolmogorovDistance:
         shifted = shift(m, 0.1)
         d = kolmogorov_distance(m, shifted)
         assert 0.05 < d < 0.2
+
+
+class TestLevyDistance:
+    @pytest.mark.parametrize("c, expected", [(0.3, 0.3), (2.0, 1.0)])
+    def test_point_masses(self, c, expected):
+        d = levy_distance(atom_measure([(0.0, 1.0)]),
+                          atom_measure([(c, 1.0)]))
+        assert d == pytest.approx(expected, abs=1e-15)
+
+    def test_partial_atoms(self):
+        d = levy_distance(atom_measure([(0.0, 0.5), (1.0, 0.5)]),
+                          atom_measure([(0.0, 1.0)]))
+        assert d == pytest.approx(0.5, abs=1e-15)
+
+    def test_identity_and_symmetry(self):
+        m = build_fgig(NaturalParams(2.0, 8.0, 0.0), 128)
+        mp = build_free_poisson(FreePoissonParams(0.5, 0.7))
+        assert levy_distance(m, m) == 0.0
+        assert levy_distance(mp, mp) == 0.0
+        assert levy_distance(m, mp) == pytest.approx(levy_distance(mp, m),
+                                                     abs=1e-15)
+
+    @pytest.mark.parametrize("seed", range(4))
+    def test_bounded_by_kolmogorov(self, seed):
+        rng = np.random.default_rng(seed)
+        m = build_fgig(random_params(rng), 256)
+        mp = build_free_poisson(FreePoissonParams(rng.uniform(0.5, 2.0),
+                                                  rng.uniform(0.3, 2.0)))
+        assert levy_distance(m, mp) <= kolmogorov_distance(m, mp) + 1e-12
+
+    @pytest.mark.parametrize("op", [lambda m: shift(m, 0.01),
+                                    lambda m: dilate(m, 1.01)],
+                             ids=["shift", "dilate"])
+    def test_definition(self, op):
+        """``F(x - eps) - eps <= G(x) <= F(x + eps) + eps`` holds at the
+        returned ``eps`` and fails just below it."""
+        f = build_semicircle(0.0, 2.0, 256)
+        g = op(f)
+        dist = levy_distance(f, g)
+        x = np.linspace(-2.1, 2.1, 20001)
+        gx = g.cdf(x)
+
+        def holds(eps):
+            return bool(np.all(f.cdf(x - eps) - eps <= gx)
+                        and np.all(gx <= f.cdf(x + eps) + eps))
+
+        assert holds(dist + 1e-8)
+        assert not holds(dist - 1e-6)
+
+    @pytest.mark.parametrize("triple, reference, tol", [
+        ((1.0, 1e-4, 2.0), 3.103270814e-05, 2e-10),
+        ((1.0, 1e-4, 0.0), 1.095940327607e-02, 2e-10),
+        ((1.0, 1e-4, -3.0), 1.848501591066e-04, 2e-10),
+        ((0.005038451866901079, 1e-2, 0.5004807270348692),
+         9.223309338212e-02, 1e-6),
+        # an atom at the -1/2 edge of its limit: a slope rule that bends
+        # the atom's segment reads 0.0526 here
+        ((0.0037396202946215202, 1e-4, -0.9823509331567948),
+         3.376816373e-02, 1e-8),
+    ])
+    def test_fine_reference(self, triple, reference, tol):
+        """Against the bisection on 2**19 angular panels and 8192 nodes."""
+        alpha, beta, lam = triple
+        m = build_fgig(NaturalParams(alpha, beta, lam), 2048)
+        d = levy_distance(m, limit_measure(alpha, lam).limit)
+        assert d == pytest.approx(reference, abs=tol)
 
 
 class TestTransformHelpers:
