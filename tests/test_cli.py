@@ -205,6 +205,15 @@ class TestEntropyCommand:
         assert doc["gibbs_gap"] <= 1e-6
         assert all(entry["margin"] > 0 for entry in doc["margins"])
 
+    def test_large_bessel_argument(self):
+        # 2 sqrt(alpha beta) = 2000: K underflows, its logarithm does not
+        done = subprocess.run(
+            [sys.executable, "-m", "fgig.cli", "entropy", "--alpha", "1000",
+             "--beta", "1000", "--lambda", "0.3"],
+            env=fresh_env(), capture_output=True, text=True, timeout=60)
+        assert done.returncode == 0, done.stderr
+        assert json.loads(done.stdout)["gibbs_gap"] <= 1e-6
+
 
 class TestHeavyCommands:
     def test_convolve_report(self, capsys):
@@ -310,6 +319,17 @@ class TestImports:
             "loaded = [m for m in sys.modules\n"
             "          if m.startswith('scipy.interpolate')]\n"
             "print(sorted(set(loaded)))\n")
+        assert self.stdout_of(code) == "[]\n"
+
+    def test_classical_entropy_loads_no_scipy(self):
+        code = (
+            "import sys\n"
+            "from fgig import entropy as E\n"
+            "E.gig_entropy(1.3, 2.1, 0.7)\n"
+            "E.gibbs_bound(1.3, 2.1, 0.7)\n"
+            "E.classical_entropy(lambda x: E.classical_gig_density(\n"
+            "    2.0, 8.0, 1.0, x), E.Potential(2.0, 8.0, 1.0), split=2.0)\n"
+            "print(sorted(m for m in sys.modules if m.startswith('scipy')))\n")
         assert self.stdout_of(code) == "[]\n"
 
 

@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from fgig import DomainError, NaturalParams
+from fgig import DomainError, NaturalParams, NumericError
 from fgig.entropy import (
     Potential,
     bessel_k,
@@ -16,6 +16,7 @@ from fgig.entropy import (
     gig_mode,
     gig_normalizer,
     halfline_integral,
+    log_bessel_k,
     log_energy,
     maximality_scan,
 )
@@ -145,6 +146,13 @@ class TestBesselK:
         with pytest.raises(DomainError):
             bessel_k(1.0, 0.0)
 
+    def test_log_past_underflow(self):
+        # log K_{1/2}(w) = log(pi/(2w))/2 - w, where K itself underflows
+        for w in (1e3, 2e6):
+            exact = 0.5 * math.log(math.pi / (2.0 * w)) - w
+            assert log_bessel_k(0.5, w) == pytest.approx(exact, rel=1e-15)
+        assert bessel_k(0.5, 1e3) == 0.0
+
 
 class TestClassicalGig:
     def test_normalization(self):
@@ -172,6 +180,11 @@ class TestClassicalGig:
         ratio = classical_gig_density(al, be, lam, xs) * np.exp(V(xs))
         assert np.max(ratio) - np.min(ratio) <= 1e-10 * np.max(ratio)
 
+    def test_mode_without_cancellation(self):
+        # lam - 1 < 0 with alpha beta tiny: the naive root rounds to 0
+        assert gig_mode(1e-6, 1e-6, -50.0) == pytest.approx(2e-6 / 102.0,
+                                                            rel=1e-14)
+
     def test_zero_for_nonpositive_arguments(self):
         assert classical_gig_density(1.0, 1.0, 0.5, -1.0) == 0.0
         assert classical_gig_density(1.0, 1.0, 0.5, 0.0) == 0.0
@@ -180,6 +193,13 @@ class TestClassicalGig:
 class TestClassicalEntropy:
     def test_gig_attains_gibbs_bound(self):
         for al, be, lam in [(2.0, 8.0, 1.0), (1.0, 1.0, -0.5), (0.7, 2.0, 2.0)]:
+            assert abs(gig_entropy(al, be, lam)
+                       - gibbs_bound(al, be, lam)) <= 1e-6
+
+    def test_large_rates_keep_the_gibbs_gap(self):
+        # -log C ~ -2e6: the density's e^-w must cancel exactly
+        for al, be, lam in [(1e6, 1e6, 3.0), (1e5, 1e-5, -40.0),
+                            (1e3, 1e3, 0.3)]:
             assert abs(gig_entropy(al, be, lam)
                        - gibbs_bound(al, be, lam)) <= 1e-6
 
@@ -192,14 +212,16 @@ class TestClassicalEntropy:
         assert h_scaled < gibbs_bound(al, be, lam) - 1e-4
 
     def test_gig_entropy_computes_the_normalizer_once(self, monkeypatch):
+        # the Bessel sum S = e^w K, which the density needs unrounded by w
         from fgig import entropy
         calls = []
+        log_bessel_sum = entropy._log_bessel_sum
 
         def counted(order, w):
             calls.append((order, w))
-            return bessel_k(order, w)
+            return log_bessel_sum(order, w)
 
-        monkeypatch.setattr(entropy, "bessel_k", counted)
+        monkeypatch.setattr(entropy, "_log_bessel_sum", counted)
         gig_entropy(1.3, 2.1, 0.7)
         assert len(calls) == 1
 
@@ -232,8 +254,11 @@ class TestClassicalEntropy:
                 lambda x: _xlogy(p_eval(x), q_eval(x)), split)
             assert neg_self <= neg_cross + 1e-9
 
+    def test_halfline_integral_needs_decay(self):
+        with pytest.raises(NumericError):
+            halfline_integral(lambda x: 1.0 / (1.0 + x), 1.0)
+
 
 def _xlogy(p, q):
-    if p <= 0.0:
-        return 0.0
-    return p * math.log(q) if q > 0.0 else -math.inf
+    logq = np.log(np.where(q > 0.0, q, 1.0))
+    return np.where(p > 0.0, np.where(q > 0.0, p * logq, -np.inf), 0.0)

@@ -2,8 +2,10 @@
 
 The support solve over the validity box: alpha and beta log-uniform in
 [1e-6, 1e6], lam in [-50, 50], checked against a 40-digit support that
-does not use the package's solver.  The free Poisson identity over the
-convolve box: alpha and beta log-uniform in [0.25, 8], lam in [0.1, 4].
+does not use the package's solver.  The classical side over the same box:
+``log K`` against 40-digit mpmath and the Gibbs gap.  The free Poisson
+identity over the convolve box: alpha and beta log-uniform in [0.25, 8],
+lam in [0.1, 4].
 """
 
 import math
@@ -11,8 +13,10 @@ import math
 import numpy as np
 import pytest
 
-from fgig import NaturalParams, reparameterize, solve_support, spectral_roots
+from fgig import (NaturalParams, NumericError, reparameterize, solve_support,
+                  spectral_roots)
 from fgig.convolution import free_convolve
+from fgig.entropy import gibbs_bound, gig_entropy, log_bessel_k
 from fgig.measures import (FreePoissonParams, build_fgig, build_free_poisson,
                            kolmogorov_distance)
 from fgig.params import solve_spread
@@ -40,6 +44,32 @@ def test_support_solve(support40, log_alpha, log_beta, lam):
     sf, back = solve_spread(p), reparameterize(s)
     assert back.A == pytest.approx(sf.A, rel=1e-12)
     assert back.B == pytest.approx(sf.B, rel=1e-12)
+
+
+@hypothesis.settings(derandomize=True, database=None, deadline=None,
+                     max_examples=200)
+@hypothesis.given(log_w=st.floats(-6.0, math.log10(2e6)),
+                  order=st.floats(-50.0, 50.0))
+def test_log_bessel_k(log_w, order):
+    mp = pytest.importorskip("mpmath")
+    w = 10.0 ** log_w
+    with mp.workdps(40):
+        want = float(mp.log(mp.besselk(order, w)))
+    assert abs(log_bessel_k(order, w) - want) <= 1e-12 * max(1.0, abs(want))
+
+
+@hypothesis.settings(derandomize=True, database=None, deadline=None,
+                     max_examples=300)
+@hypothesis.given(log_alpha=st.floats(-6.0, 6.0),
+                  log_beta=st.floats(-6.0, 6.0), lam=st.floats(-50.0, 50.0))
+def test_gibbs_gap(log_alpha, log_beta, lam):
+    # the classical GIG density attains -log C: right, or NumericError
+    alpha, beta = 10.0 ** log_alpha, 10.0 ** log_beta
+    try:
+        gap = gig_entropy(alpha, beta, lam) - gibbs_bound(alpha, beta, lam)
+    except NumericError:
+        return
+    assert abs(gap) <= 1e-6
 
 
 @hypothesis.settings(derandomize=True, database=None, deadline=None,
