@@ -20,7 +20,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DomainError, NumericError
-from .measures import (_chebyshev_cauchy, _edge_matched_rule,
+from .measures import (_chebyshev_cauchy, _chebyshev_coefficients,
+                       _chebyshev_upper_mass, _edge_matched_rule,
                        _jacobi_measure, shift)
 from .transforms import cauchy_nodes
 
@@ -219,10 +220,10 @@ def free_convolve(mu, nu):
     locate it (:func:`_locate_edge`), and last at the Chebyshev nodes of
     the support found, as many as the larger input has.  The result is
     built like any square-root-edge law, its smooth factor
-    ``rho/sqrt((x-lo)(hi-x))`` interpolated through the node values and
-    its Cauchy transform summed from their Chebyshev coefficients; its
-    cdf table is taken on the angles of those nodes, so the edges
-    themselves are never solved.
+    ``rho/sqrt((x-lo)(hi-x))`` interpolated through the node values, and
+    its Cauchy transform and cdf knots summed from their Chebyshev
+    coefficients; the knots sit at the angles of those nodes, so the
+    edges themselves are never solved.
 
     Raises
     ------
@@ -268,9 +269,10 @@ def free_convolve(mu, nu):
     if not np.all(ok & (rho > floor)):
         raise NumericError("subordination failed inside the support")
     gv = rho / np.sqrt((nodes - a) * (b - nodes))
+    c = _chebyshev_coefficients(gv)
     out = _jacobi_measure(a, b, _node_interpolant(nodes, gv, w), 0.5, 0.5, n,
-                          cdf_panels=n + 1,
-                          cauchy_fn=_chebyshev_cauchy(a, b, gv))
+                          cauchy_fn=_chebyshev_cauchy(a, b, c),
+                          upper_mass=_chebyshev_upper_mass(0.5 * (b - a), c))
     err = abs(out.mass() - 1.0)
     if err > 1e-4:
         raise NumericError("convolution density lost mass", residual=err)

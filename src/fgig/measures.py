@@ -10,15 +10,16 @@ uses Gauss--Jacobi nodes matched to the edge exponents, which makes the
 quadrature spectrally accurate: for the fGIG family ``g`` is a rational
 function with poles only at the origin.
 
-The cumulative distribution is tabulated once per measure on a fine
-angular grid via the substitution ``x = mid + rad*cos(theta)``, which
-absorbs the edge singularities exactly; both the table and its PCHIP
-interpolant import scipy on first use, and nothing else here needs it.
-The interpolant serves only ``cdf`` and :func:`kolmogorov_distance`.
-:func:`levy_distance` reads the table without it: the Levy metric is the
-largest vertical gap between the two completed cdf graphs along the
+The cumulative distribution is kept as knots at the angles ``k pi/N`` of
+the substitution ``x = mid + rad*cos(theta)``, which absorbs the edge
+singularities: each law gives the mass above ``x`` in closed form in
+``theta`` (a convolution output by a sine series), so the knots are
+exact.  ``cdf`` and :func:`kolmogorov_distance` read them through a PCHIP
+interpolant, which imports scipy on first use; nothing else here needs
+it.  :func:`levy_distance` reads the knots without it: the Levy metric is
+the largest vertical gap between the two completed cdf graphs along the
 lines ``x + y = s``, each graph a cubic Hermite in ``s`` through the
-table and atom knots with slopes ``rho/(1 + rho)`` (1 along an atom's
+cdf and atom knots with slopes ``rho/(1 + rho)`` (1 along an atom's
 jump), taken once on the merged knots and midpoints with no tolerance.
 Every absolutely continuous measure is built this way or is an affine or
 reciprocal image of one; convolution outputs are built from density
@@ -34,7 +35,7 @@ carry it through the change of variables.
 
 import math
 from dataclasses import dataclass, field, replace
-from functools import cached_property, partial
+from functools import cached_property, lru_cache, partial
 from typing import Callable, Optional
 
 import numpy as np
@@ -43,7 +44,8 @@ from .errors import DomainError
 from .params import require_valid, solve_support
 
 _TWO_PI = 2.0 * math.pi
-_DEFAULT_CDF_PTS = 4096  # angular panels for the cdf table
+_DEFAULT_KNOTS = 4096  # angular intervals between the cdf knots
+_NARROW = 0.25  # rho below which _rational_upper_mass cancels by hand
 
 
 @dataclass(frozen=True, slots=True)
@@ -65,7 +67,9 @@ class SpectralMeasure:
     ``nodes``/``weights`` integrate the a.c. part: ``sum(w * f(x))``
     approximates ``integral f d(mu_ac)``.  ``density`` is a vectorized
     evaluator vanishing outside ``support``.  The a.c. cumulative mass is
-    tabulated in ``cdf_x``/``cdf_y``; atoms are added on evaluation.
+    known exactly at the knots ``cdf_x``/``cdf_y``, whose total
+    ``cdf_y[-1]`` need not equal the weights' sum; atoms are added on
+    evaluation.
     ``chebyshev`` marks nodes of the Gauss--Chebyshev (second kind) rule,
     ``x_j = mid + rad*cos(j pi/(n+1))`` in order, whose uniform angles
     the log-energy quadrature needs.  ``cauchy_fn`` is the vectorized
@@ -130,31 +134,83 @@ class SpectralMeasure:
 # constructors
 # ---------------------------------------------------------------------------
 
-def _angular_cdf_table(lo, hi, g, p_exp, q_exp, n_panels):
-    """Tabulate the a.c. cumulative mass via ``x = mid + rad*cos(theta)``.
+@lru_cache(maxsize=4)
+def _knot_angles(n_knots):
+    """Knot angles ``theta = k pi/N``, ``k = 0..N``, with ``sin(theta/2)``,
+    ``cos(theta/2)`` and ``cos(theta)``; shared, so read-only.
 
-    The integrand in ``theta`` is smooth for any edge exponents >= -1/2:
-
-        rho(x) |dx/dtheta| = 2*rad*(2*rad)**(p+q) * g(x)
-                             * cos(theta/2)**(2p+1) * sin(theta/2)**(2q+1)
+    The angles are those of :func:`_edge_matched_rule`, to the bit, when
+    ``N = n + 1``.  The last can round one ulp above ``pi``, where
+    ``sin(theta)`` changes sign, so it is clamped.
     """
-    from scipy.integrate import cumulative_simpson
-    mid = 0.5 * (lo + hi)
-    rad = 0.5 * (hi - lo)
-    # the angles of _edge_matched_rule, to the bit, when n_panels = n + 1
-    theta = np.arange(n_panels + 1) * math.pi / n_panels
-    x = mid + rad * np.cos(theta)
-    half = 0.5 * theta
-    integrand = (2.0 * rad * (2.0 * rad) ** (p_exp + q_exp)
-                 * g(x)
-                 * np.power(np.cos(half), 2.0 * p_exp + 1.0)
-                 * np.power(np.sin(half), 2.0 * q_exp + 1.0))
-    cum = cumulative_simpson(integrand, x=theta, initial=0.0)
-    total = cum[-1]
-    # cumulative mass from hi downwards -> cdf values on the ascending grid
-    xs = x[::-1]
-    cdf = (total - cum)[::-1]
-    return xs, np.clip(cdf, 0.0, None)
+    theta = np.minimum(np.arange(n_knots + 1) * math.pi / n_knots, math.pi)
+    out = (theta, np.sin(0.5 * theta), np.cos(0.5 * theta), np.cos(theta))
+    for a in out:
+        a.flags.writeable = False
+    return out
+
+
+def _rational_upper_mass(lo, hi, c1, c2, theta, sh, ch):
+    """Mass above ``x = mid + rad*cos(theta)`` of the density
+    ``sqrt((x-lo)(hi-x)) (c1/x + c2/x**2) / (2 pi)``, ``0 <= lo < hi``,
+    given ``sh, ch = sin(theta/2), cos(theta/2)``.
+
+    With ``s = sqrt(lo*hi)`` and ``h = theta/2`` the mass is
+    ``(c1 F + c2 G)/(2 pi)``, where ``F = rad**2 I1``, ``G = rad**2 I2``
+    and ``I_k`` integrates ``sin(phi)**2 / x(phi)**k`` over ``(0, theta)``:
+
+        F = mid theta - rad sin(theta) - 2 s A,
+        G = 2 (mid/s) A - theta + rad sin(theta)/x,
+        A = arctan(sqrt(lo/hi) tan h),    x = hi cos(h)**2 + lo sin(h)**2.
+
+    On a narrow support, ``rho = (hi - lo)/(sqrt(lo) + sqrt(hi))**2``
+    below ``_NARROW``, both lose digits as ``1/rho**2``.  There, with
+    ``S = (sqrt(lo) + sqrt(hi))**2``, ``D = arg(1 + rho e^{i theta})``
+    ``= arctan(y)``, ``y = rho sin(theta)/E``, ``E = 1 + rho cos(theta)``
+    and ``N = |1 + rho e^{i theta}|**2``, the terms of first order in
+    ``rho`` cancel by hand:
+
+        F = S/2 (rho**2 (theta - D) + T - rho**2 sin(theta) cos(theta)/E),
+        G = 2 (rho**2 (theta - D) + Q) / (1 - rho**2),
+        Q = -T - rho**2 sin(theta) ((1 + rho**2) cos(theta) + 2 rho)/(N E),
+
+    and ``T = arctan(y) - y`` is summed as its series.  ``sin`` and
+    ``cos`` of ``h`` stand in for ``tan h``, and ``x``, ``E`` and ``N``
+    are sums of positive terms.
+    """
+    sin_t = 2.0 * sh * ch
+    sq = (math.sqrt(lo) + math.sqrt(hi)) ** 2
+    rho = (hi - lo) / sq
+    if rho >= _NARROW:
+        mid, rad, s = 0.5 * (lo + hi), 0.5 * (hi - lo), math.sqrt(lo * hi)
+        A = np.arctan2(math.sqrt(lo / hi) * sh, ch)
+        F = mid * theta - rad * sin_t - 2.0 * s * A
+        if c2 == 0.0:  # lo may be 0 here
+            return c1 * F / _TWO_PI
+        x = hi * ch * ch + lo * sh * sh
+        G = 2.0 * (mid / s) * A - theta + rad * sin_t / x
+        return (c1 * F + c2 * G) / _TWO_PI
+    rr = rho * rho
+    ch2, sh2 = ch * ch, sh * sh
+    e = (1.0 + rho) * ch2 + (1.0 - rho) * sh2  # 1 + rho cos(theta)
+    cos_t = (ch - sh) * (ch + sh)
+    y = rho * sin_t / e
+    y2 = y * y
+    # arctan(y) - y = -y**3 sum_k (-y**2)**k/(2k+3), cut where
+    # (y**2)**k < 1e-17 at the largest y**2, rho**2/(1 - rho**2)
+    acc = np.zeros_like(y)
+    for k in range(math.ceil(math.log(1e-17) / math.log(rr / (1.0 - rr))),
+                   -1, -1):
+        acc = 1.0 / (2 * k + 3) - y2 * acc
+    T = -y * y2 * acc
+    base = rr * (theta - np.arctan2(rho * sin_t, e))
+    F = 0.5 * sq * (base + T - rr * sin_t * cos_t / e)
+    if c2 == 0.0:
+        return c1 * F / _TWO_PI
+    nsq = (1.0 + rho) ** 2 * ch2 + (1.0 - rho) ** 2 * sh2  # |1 + rho e^it|^2
+    Q = -T - rr * sin_t * (cos_t * (1.0 + rr) + 2.0 * rho) / (nsq * e)
+    G = 2.0 * (base + Q) / ((1.0 - rho) * (1.0 + rho))
+    return (c1 * F + c2 * G) / _TWO_PI
 
 
 def _edge_matched_rule(n, p_exp, q_exp):
@@ -184,9 +240,13 @@ def _gauss_legendre(n):
     return _LEGENDRE_RULES[n]
 
 
-def _jacobi_measure(lo, hi, g, p_exp=0.5, q_exp=0.5, n=256, atoms=(),
-                    cdf_panels=_DEFAULT_CDF_PTS, *, cauchy_fn):
-    """Measure with density ``(x-lo)**p (hi-x)**q g(x)`` on ``(lo, hi)``."""
+def _jacobi_measure(lo, hi, g, p_exp=0.5, q_exp=0.5, n=256, atoms=(), *,
+                    cauchy_fn, upper_mass):
+    """Measure with density ``(x-lo)**p (hi-x)**q g(x)`` on ``(lo, hi)``.
+
+    ``upper_mass`` is the a.c. mass above ``mid + rad*cos(theta)`` at the
+    knot angles ``_knot_angles(upper_mass.size - 1)``.
+    """
     if not hi > lo:
         raise DomainError("support must be a nondegenerate interval")
     mid = 0.5 * (lo + hi)
@@ -205,10 +265,12 @@ def _jacobi_measure(lo, hi, g, p_exp=0.5, q_exp=0.5, n=256, atoms=(),
             out = np.where(inside, vals, 0.0)
         return out if out.ndim else float(out)
 
-    xs, cdf = _angular_cdf_table(lo, hi, g, p_exp, q_exp, cdf_panels)
+    cos_t = _knot_angles(upper_mass.size - 1)[3]
+    cdf_y = np.clip(upper_mass[-1] - upper_mass, 0.0, None)
     return SpectralMeasure(atoms=tuple(atoms), support=(lo, hi),
                            density=density, nodes=nodes, weights=weights,
-                           cdf_x=xs, cdf_y=cdf,
+                           cdf_x=(mid + rad * cos_t)[::-1],
+                           cdf_y=cdf_y[::-1],
                            chebyshev=(p_exp == 0.5 and q_exp == 0.5),
                            cauchy_fn=cauchy_fn)
 
@@ -287,20 +349,25 @@ def _fgig_cauchy(alpha, beta, a, b):
     return cauchy_fn
 
 
-def _chebyshev_cauchy(lo, hi, g):
-    """Cauchy transform of ``sqrt((x-lo)(hi-x)) g(x)`` from the values
-    ``g_j`` at the nodes ``mid + rad*cos(theta_j)``, ``theta_j = j pi/(n+1)``.
-
-    ``c_k = 2/(n+1) sum_j g_j sin(theta_j) sin((k+1) theta_j)`` (one DST-I,
-    taken by a zero-padded FFT) gives ``g = sum_k c_k U_k``, and each
-    ``sqrt(1 - t**2) U_k(t)`` transforms to ``pi w**(k+1)``: by Horner,
-    ``G(z) = pi rad sum_k c_k w**(k+1)``, ``w = rad/(z - mid + r(z))``.
-    """
+def _chebyshev_coefficients(g):
+    """``c_k`` with ``g = sum_k c_k U_k(t)`` from the values ``g_j`` at
+    ``t_j = cos(theta_j)``, ``theta_j = j pi/(n+1)``, ``j = 1..n``:
+    ``c_k = 2/(n+1) sum_j g_j sin(theta_j) sin((k+1) theta_j)``, one DST-I
+    taken by a zero-padded FFT."""
     n = g.size
-    mid, rad = 0.5 * (lo + hi), 0.5 * (hi - lo)
     theta = np.arange(1, n + 1) * math.pi / (n + 1)
     f = np.concatenate(([0.0], g * np.sin(theta)))
-    c = (-2.0 / (n + 1)) * np.fft.rfft(f, 2 * (n + 1)).imag[1:n + 1]
+    return (-2.0 / (n + 1)) * np.fft.rfft(f, 2 * (n + 1)).imag[1:n + 1]
+
+
+def _chebyshev_cauchy(lo, hi, c):
+    """Cauchy transform of ``sqrt((x-lo)(hi-x)) g(x)``, ``g`` given by its
+    :func:`_chebyshev_coefficients` in ``t = (x - mid)/rad``.
+
+    Each ``sqrt(1 - t**2) U_k(t)`` transforms to ``pi w**(k+1)``: by
+    Horner, ``G(z) = pi rad sum_k c_k w**(k+1)``, ``w = rad/(z - mid + r(z))``.
+    """
+    mid, rad = 0.5 * (lo + hi), 0.5 * (hi - lo)
     c = math.pi * rad * c[::-1]  # highest order first
 
     def cauchy_fn(z):
@@ -312,6 +379,26 @@ def _chebyshev_cauchy(lo, hi, g):
         return acc * w
 
     return cauchy_fn
+
+
+def _chebyshev_upper_mass(rad, c):
+    """Mass above ``mid + rad*cos(theta)`` of ``sqrt((x-lo)(hi-x)) g(x)``
+    at the knot angles ``theta_j = j pi/N``, ``N = c.size + 1``.
+
+    The density is ``rad sum_k c_k sin((k+1) theta)``, so the mass is
+
+        rad**2/2 (c_0 theta + sum_{m>=1} (c_m - c_{m-2}) sin(m theta)/m),
+
+    the sine sum one more zero-padded FFT on the knot angles.
+    """
+    n_knots = c.size + 1
+    e = np.zeros(n_knots + 1)
+    e[:-2] = c
+    e[2:] -= c
+    e[1:] /= np.arange(1, n_knots + 1)
+    e[0] = 0.0
+    sines = -np.fft.rfft(e, 2 * n_knots).imag
+    return 0.5 * rad * rad * (c[0] * _knot_angles(n_knots)[0] + sines)
 
 
 def _free_poisson_cauchy(jump, lo, hi, offset):
@@ -389,9 +476,13 @@ def build_fgig(p, n=256):
         raise DomainError("node count must be at least 16")
     g, s = _fgig_smooth_factor(p)
     n_eff = _auto_nodes(n, s.a, s.b, s.a)
-    panels = max(_DEFAULT_CDF_PTS, min(4 * n_eff, 32768))
-    return _jacobi_measure(s.a, s.b, g, 0.5, 0.5, n_eff, cdf_panels=panels,
-                           cauchy_fn=_fgig_cauchy(p.alpha, p.beta, s.a, s.b))
+    theta, sh, ch, _ = _knot_angles(max(_DEFAULT_KNOTS,
+                                        min(4 * n_eff, 32768)))
+    upper = _rational_upper_mass(s.a, s.b, p.alpha,
+                                 p.beta / math.sqrt(s.a * s.b), theta, sh, ch)
+    return _jacobi_measure(s.a, s.b, g, 0.5, 0.5, n_eff,
+                           cauchy_fn=_fgig_cauchy(p.alpha, p.beta, s.a, s.b),
+                           upper_mass=upper)
 
 
 def build_free_poisson(fp, n=256):
@@ -411,13 +502,16 @@ def build_free_poisson(fp, n=256):
     atoms = ((0.0, 1.0 - rate),) if rate < 1.0 else ()
 
     if abs(rate - 1.0) <= 1e-12:
-        # density = sqrt(hi - x) * x**(-1/2) / (2 pi jump)
+        # density = sqrt(hi - x) * x**(-1/2) / (2 pi jump), the 1/x term
+        # of _rational_upper_mass at lo = 0
         def g(x, c=1.0 / (_TWO_PI * gam)):
             return np.full_like(np.asarray(x, dtype=float), c)
 
-        return _jacobi_measure(0.0, hi, g, -0.5, 0.5, n,
-                               cauchy_fn=_free_poisson_cauchy(gam, 0.0, hi,
-                                                              0.0))
+        return _jacobi_measure(
+            0.0, hi, g, -0.5, 0.5, n,
+            cauchy_fn=_free_poisson_cauchy(gam, 0.0, hi, 0.0),
+            upper_mass=_rational_upper_mass(
+                0.0, hi, 1.0 / gam, 0.0, *_knot_angles(_DEFAULT_KNOTS)[:3]))
 
     def g(x, c=1.0 / (_TWO_PI * gam)):
         return c / x
@@ -425,7 +519,9 @@ def build_free_poisson(fp, n=256):
     n_eff = _auto_nodes(n, lo, hi, lo)
     return _jacobi_measure(
         lo, hi, g, 0.5, 0.5, n_eff, atoms=atoms,
-        cauchy_fn=_free_poisson_cauchy(gam, lo, hi, gam * (1.0 - rate)))
+        cauchy_fn=_free_poisson_cauchy(gam, lo, hi, gam * (1.0 - rate)),
+        upper_mass=_rational_upper_mass(
+            lo, hi, 1.0 / gam, 0.0, *_knot_angles(_DEFAULT_KNOTS)[:3]))
 
 
 def build_semicircle(center=0.0, radius=2.0, n=256):
@@ -436,8 +532,10 @@ def build_semicircle(center=0.0, radius=2.0, n=256):
     def g(x, c=2.0 / (math.pi * radius ** 2)):
         return np.full_like(np.asarray(x, dtype=float), c)
 
+    theta, sh, ch, cos_t = _knot_angles(_DEFAULT_KNOTS)
     return _jacobi_measure(center - radius, center + radius, g, 0.5, 0.5, n,
-                           cauchy_fn=_semicircle_cauchy(center, radius))
+                           cauchy_fn=_semicircle_cauchy(center, radius),
+                           upper_mass=(theta - 2.0 * sh * ch * cos_t) / math.pi)
 
 
 def free_poisson_density(fp, x):
@@ -538,9 +636,8 @@ def pushforward_reciprocal(m):
 
     nodes = 1.0 / m.nodes[::-1]
     weights = m.weights[::-1].copy()
-    ac_mass = m.ac_mass()
     cdf_x = 1.0 / m.cdf_x[::-1]
-    cdf_y = np.clip(ac_mass - m.cdf_y[::-1], 0.0, None)
+    cdf_y = np.clip(m.cdf_y[-1] - m.cdf_y[::-1], 0.0, None)
 
     def cauchy_fn(z, _g=m.cauchy_fn, _mean=moment(m, 1)):
         # G_{1/X}(z) = (1 - G_X(1/z)/z)/z, which tends to -E X at 0
@@ -611,36 +708,23 @@ def _completed_graph(m):
 
     The completed graph is the graph of the cdf with every jump filled in
     by a vertical segment, so each line ``x + y = s`` meets it once, and
-    ``s`` increases along it.  Knots are the cdf table's points plus, per
-    atom, its left and right limits at ``loc`` (an atom on a table point
-    replaces that knot), each at height table value plus atom mass below.
+    ``s`` increases along it.  Knots are the cdf knots plus, per atom, its
+    left and right limits at ``loc`` (an atom on a cdf knot replaces that
+    knot), each at height a.c. mass plus atom mass below.
 
     Between knots the height is the cubic Hermite with slopes
     ``dy/ds = rho/(1 + rho)``, ``rho`` the density one ulp inside the
     support, so a ``-1/2`` edge gives 1 and a ``+1/2`` edge 0, and an
     atom's segment has slope 1 at both ends.
-    Returns ``(s, y, h, A, B, C)``: knots, their heights and, per interval
-    from each knot on, its width and the cubic ``y + t (A + t (B + t C))``
-    in ``t = (s - s_j)/h``; the last (open) interval is flat.
+    Returns the rows ``(s, y, h, A, B, C)`` of one array: knots, their
+    heights and, per interval from each knot on, its width and the cubic
+    ``y + t (A + t (B + t C))`` in ``t = (s - s_j)/h``; the last (open)
+    interval is flat.
     """
-    atoms = sorted(m.atoms)
-    locs = np.array([loc for loc, _ in atoms], dtype=float)
-    below = np.concatenate(([0.0], np.cumsum([w for _, w in atoms])))
-    if m.cdf_x is None:
-        tx = ty = np.array([])
-        base = np.zeros_like(locs)
+    if m.atoms or m.cdf_x is None:
+        x, y = _graph_knots(m)
     else:
-        keep = ~np.isin(m.cdf_x, locs)
-        tx = m.cdf_x[keep]
-        ty = m.cdf_y[keep] + below[np.searchsorted(locs, tx, side="right")]
-        # exact on a table point and beyond the table; no atom in this
-        # package sits strictly inside an absolutely continuous support
-        base = np.interp(locs, m.cdf_x, m.cdf_y)
-    x = np.concatenate((tx, np.repeat(locs, 2)))
-    y = np.concatenate((ty, np.repeat(base, 2)
-                        + np.column_stack((below[:-1], below[1:])).ravel()))
-    order = np.lexsort((y, x))
-    x, y = x[order], y[order]
+        x, y = m.cdf_x, m.cdf_y  # in order already
 
     slope = np.zeros_like(x)
     if m.density is not None:
@@ -654,18 +738,41 @@ def _completed_graph(m):
     d0 = h * np.where(vertical, 1.0, slope[:-1])
     d1 = h * np.where(vertical, 1.0, slope[1:])
     h = np.where(h > 0, h, np.inf)  # a zero-width interval reads as its start
-    return (s, y, np.append(h, np.inf), np.append(d0, 0.0),
-            np.append(3.0 * rise - 2.0 * d0 - d1, 0.0),
-            np.append(d0 + d1 - 2.0 * rise, 0.0))
+    return np.vstack((s, y, np.append(h, np.inf), np.append(d0, 0.0),
+                      np.append(3.0 * rise - 2.0 * d0 - d1, 0.0),
+                      np.append(d0 + d1 - 2.0 * rise, 0.0)))
 
 
-def _graph_height(graph, s):
-    """Height of a :func:`_completed_graph` at ``s``: ``y[0]`` below the
-    first knot, ``y[-1]`` above the last."""
-    gs, gy, h, a, b, c = graph
-    j = np.maximum(np.searchsorted(gs, s, side="right") - 1, 0)
-    t = np.maximum(s - gs[j], 0.0) / h[j]
-    return gy[j] + t * (a[j] + t * (b[j] + t * c[j]))
+def _graph_knots(m):
+    """Knots ``(x, y)`` of the completed graph of a measure with atoms,
+    sorted by ``x`` and then ``y``."""
+    atoms = sorted(m.atoms)
+    locs = np.array([loc for loc, _ in atoms], dtype=float)
+    below = np.concatenate(([0.0], np.cumsum([w for _, w in atoms])))
+    if m.cdf_x is None:
+        tx = ty = np.array([])
+        base = np.zeros_like(locs)
+    else:
+        keep = ~np.isin(m.cdf_x, locs)
+        tx = m.cdf_x[keep]
+        ty = m.cdf_y[keep] + below[np.searchsorted(locs, tx, side="right")]
+        # exact on a cdf knot and beyond the knots; no atom in this
+        # package sits strictly inside an absolutely continuous support
+        base = np.interp(locs, m.cdf_x, m.cdf_y)
+    x = np.concatenate((tx, np.repeat(locs, 2)))
+    y = np.concatenate((ty, np.repeat(base, 2)
+                        + np.column_stack((below[:-1], below[1:])).ravel()))
+    order = np.lexsort((y, x))
+    return x[order], y[order]
+
+
+def _graph_heights(graph, j, s):
+    """Heights of a :func:`_completed_graph` at ``s``, ``j`` being the
+    index of its last knot at or below each point (-1 for none): ``y[0]``
+    below its first knot, ``y[-1]`` above its last."""
+    gs, gy, h, a, b, c = np.take(graph, np.maximum(j, 0), axis=1)
+    t = np.maximum(s - gs, 0.0) / h
+    return gy + t * (a + t * (b + t * c))
 
 
 def levy_distance(m1, m2):
@@ -682,13 +789,26 @@ def levy_distance(m1, m2):
     with each height ``y(s)`` the cubic Hermite of
     :func:`_completed_graph`'s knots and slopes.  The sup is read once on
     the merged knots and their midpoints, with no tolerance to set.
+
+    Both knot lists are sorted, so one stable merge gives the merged knots
+    and, by counting, each graph's last knot at or below each of them; a
+    midpoint lies in the same interval as the knot to its left.
     """
     g1, g2 = _completed_graph(m1), _completed_graph(m2)
-    if g1[0].size == 0 and g2[0].size == 0:
+    s = np.concatenate((g1[0], g2[0]))
+    if s.size == 0:
         return 0.0
-    knots = np.unique(np.concatenate((g1[0], g2[0])))
+    order = np.argsort(s, kind="stable")
+    s = s[order]
+    last = np.append(s[1:] != s[:-1], True)  # the last of each run of ties
+    knots = s[last]
+    upto1 = np.cumsum(order < g1[0].size)[last]
+    upto2 = np.flatnonzero(last) + 1 - upto1
     s = np.concatenate((knots, 0.5 * (knots[:-1] + knots[1:])))
-    return float(np.max(np.abs(_graph_height(g1, s) - _graph_height(g2, s))))
+    j1 = np.concatenate((upto1, upto1[:-1])) - 1
+    j2 = np.concatenate((upto2, upto2[:-1])) - 1
+    return float(np.max(np.abs(_graph_heights(g1, j1, s)
+                               - _graph_heights(g2, j2, s))))
 
 
 def density_sup_distance(m1, m2, n_pts=2001):

@@ -33,3 +33,37 @@ def support40():
                                            B * (1 + mp.sqrt(t)) ** 2 / 4))
 
     return solve
+
+
+@pytest.fixture(scope="session")
+def mass_below40():
+    """Mass of ``fgig_density`` on ``(a, x)`` to 40 digits, for ``x`` the
+    exact point ``mid + rad*cos(theta)`` of the support ``(a, b)``.
+
+    ``mass_below(p, a, b, theta)`` integrates the density written in
+    mpmath with ``mp.quad``, with breakpoints crowding ``a`` geometrically
+    down to a hundredth of ``a``, where the ``1/x**2`` term varies.
+    Skips the test when mpmath is missing.
+    """
+    mp = pytest.importorskip("mpmath")
+
+    def mass_below(p, a, b, theta):
+        with mp.workdps(40):
+            a, b = mp.mpf(a), mp.mpf(b)
+            al, be = mp.mpf(p.alpha), mp.mpf(p.beta)
+            g = mp.sqrt(a * b)
+            x = (a + b) / 2 + (b - a) / 2 * mp.cos(mp.mpf(theta))
+            if x <= a:
+                return 0.0
+
+            def rho(t):
+                return (mp.sqrt((t - a) * (b - t))
+                        * (al / t + be / (g * t * t)) / (2 * mp.pi))
+
+            pts, step = [x], x - a
+            while step > a / 100:
+                step /= 100
+                pts.append(a + step)
+            return float(mp.quad(rho, [a] + pts[::-1]))
+
+    return mass_below

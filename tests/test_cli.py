@@ -307,19 +307,31 @@ class TestImports:
             "print(sorted(set(loaded)))\n")
         assert self.stdout_of(code) == "[]\n"
 
-    def test_limits_loads_no_scipy_interpolate(self):
-        # the cdf tables still need scipy.integrate; the Levy distance
-        # reads them without an interpolant
+    def test_limits_and_entropy_load_no_scipy(self):
+        # the cdf knots are closed forms, and the Levy distance reads them
+        # without an interpolant
+        code = (
+            "import contextlib, io, sys\n"
+            "import fgig.cli\n"
+            "for sub in ('limits', 'entropy'):\n"
+            "    with contextlib.redirect_stdout(io.StringIO()):\n"
+            "        assert fgig.cli.run([sub, '--alpha', '2', '--beta',\n"
+            "                             '8', '--lambda', '0']) == 0\n"
+            "print(sorted(m for m in sys.modules if m.startswith('scipy')))\n")
+        assert self.stdout_of(code) == "[]\n"
+
+    def test_convolve_loads_no_scipy_integrate(self):
+        # only the PCHIP read of the Kolmogorov distance needs scipy
         code = (
             "import contextlib, io, sys\n"
             "import fgig.cli\n"
             "with contextlib.redirect_stdout(io.StringIO()):\n"
-            "    assert fgig.cli.run(['limits', '--alpha', '1',\n"
-            "                         '--lambda', '0']) == 0\n"
-            "loaded = [m for m in sys.modules\n"
-            "          if m.startswith('scipy.interpolate')]\n"
-            "print(sorted(set(loaded)))\n")
-        assert self.stdout_of(code) == "[]\n"
+            "    assert fgig.cli.run(['convolve', '--alpha', '2', '--beta',\n"
+            "                         '8', '--lambda', '1']) == 0\n"
+            "print('scipy.interpolate' in sys.modules,\n"
+            "      sorted(m for m in sys.modules\n"
+            "             if m.startswith('scipy.integrate')))\n")
+        assert self.stdout_of(code) == "True []\n"
 
     def test_classical_entropy_loads_no_scipy(self):
         code = (

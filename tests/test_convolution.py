@@ -8,6 +8,7 @@ from fgig.convolution import free_convolve, subordination_at
 from fgig.entropy import log_energy
 from fgig.measures import (
     FreePoissonParams,
+    _rational_upper_mass,
     atom_measure,
     build_fgig,
     build_free_poisson,
@@ -105,8 +106,8 @@ class TestFreeConvolve:
         assert kolmogorov_distance(out, target) <= 1e-4
 
     def test_cdf_table_points_are_nodes(self, gig_poisson_pair):
-        # the table's interior angles equal the node angles to the bit, so
-        # the node interpolant answers them by lookup
+        # the interior knot angles equal the node angles to the bit, so
+        # the node interpolant answers the density there by lookup
         X, Y = gig_poisson_pair
         out = free_convolve(X, Y)
         assert np.array_equal(out.cdf_x[1:-1], out.nodes[::-1])
@@ -156,6 +157,13 @@ class TestRealAxisRecovery:
         assert abs(out.mass() - 1.0) <= 1e-10
         built = build_fgig(p, 1024)
         assert kolmogorov_distance(out, built) <= 1e-6
+        # the sine series puts the target's closed-form mass on the knots
+        mid, rad = 0.5 * (s.a + s.b), 0.5 * (s.b - s.a)
+        theta = np.arccos(np.clip((out.cdf_x - mid) / rad, -1.0, 1.0))
+        above = _rational_upper_mass(s.a, s.b, alpha,
+                                     beta / math.sqrt(s.a * s.b), theta,
+                                     np.sin(0.5 * theta), np.cos(0.5 * theta))
+        assert np.max(np.abs(out.cdf_y - (built.cdf_y[-1] - above))) <= 1e-12
         # the Chebyshev series stays exact next to the support
         zs = s.a + (s.b - s.a) * self.INTERIOR + 1e-12j
         want = built.cauchy_fn(zs)

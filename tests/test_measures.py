@@ -4,10 +4,12 @@ import numpy as np
 import pytest
 
 from fgig import DomainError, NaturalParams
-from fgig.asymptotics import limit_measure
+from fgig.asymptotics import convergence_curve, limit_measure
 from fgig.measures import (
     FreePoissonParams,
     SpectralMeasure,
+    _completed_graph,
+    _knot_angles,
     atom_measure,
     build_fgig,
     build_free_poisson,
@@ -106,6 +108,76 @@ class TestFreePoisson:
         assert free_poisson_density(fp, lo - 1e-9) == 0.0
         assert free_poisson_density(fp, 0.5 * (lo + hi)) > 0.0
         assert free_poisson_density(fp, hi + 1e-9) == 0.0
+
+
+class TestCdfKnots:
+    """The knots ``(cdf_x, cdf_y)`` sit at the angles ``k pi/N`` of
+    ``x = mid + rad*cos(theta)`` and carry the exact mass below."""
+
+    @pytest.mark.parametrize("triple", [
+        (2.0, 8.0, 1.0), (1.0, 1.0, -3.0), (1e3, 1e-3, 2.0), (0.01, 50.0, -3.0),
+        (300.0, 0.2, 2.5), (1e3, 1e3, 0.3), (1e-3, 1e-3, 0.0)])
+    def test_fgig_against_quadrature(self, mass_below40, triple):
+        p = NaturalParams(*triple)
+        s = solve_support(p)
+        m = build_fgig(p)
+        n = m.cdf_x.size - 1
+        for k in (1, 2, n // 8, n // 2, 7 * n // 8, n - 2, n - 1):
+            want = mass_below40(p, s.a, s.b, k * math.pi / n)
+            assert abs(m.cdf_y[n - k] - want) <= 1e-13
+
+    @pytest.mark.parametrize("fp", [FreePoissonParams(0.5, 0.3),
+                                    FreePoissonParams(2.0, 1.0),
+                                    FreePoissonParams(0.7, 40.0)],
+                             ids=["rate<1", "rate=1", "rate>1"])
+    def test_free_poisson_against_quadrature(self, fp):
+        mp = pytest.importorskip("mpmath")
+        m = build_free_poisson(fp)
+        n = m.cdf_x.size - 1
+        with mp.workdps(30):
+            jump, rate = mp.mpf(fp.jump), mp.mpf(fp.rate)
+            lo = jump * (1 - mp.sqrt(rate)) ** 2
+            hi = jump * (1 + mp.sqrt(rate)) ** 2
+
+            def rho(x):
+                return (mp.sqrt((x - lo) * (hi - x))
+                        / (2 * mp.pi * jump * x))
+
+            for k in (1, n // 3, n - 1):
+                x = (lo + hi) / 2 + (hi - lo) / 2 * mp.cos(k * math.pi / n)
+                want = float(mp.quad(rho, [x, hi]))
+                assert abs(m.cdf_y[-1] - m.cdf_y[n - k] - want) <= 1e-14
+
+    def test_semicircle_closed_form(self):
+        m = build_semicircle(0.0, 2.0, 64)
+        theta = np.arange(4097) * math.pi / 4096
+        x = 2.0 * np.cos(theta)
+        want = 1.0 - (theta - np.sin(theta) * np.cos(theta)) / math.pi
+        assert np.array_equal(m.cdf_x, x[::-1])
+        assert np.max(np.abs(m.cdf_y - want[::-1])) <= 1e-15
+
+    def test_last_angle_past_pi(self):
+        # with N = 21180 knot intervals the last angle N pi/N rounds one
+        # ulp above pi, where sin(theta) < 0 and tan(theta/2) jumps
+        alpha, lam = 0.09753681234408854, -0.8178028099658832
+        m = build_fgig(NaturalParams(alpha, 1e-4, lam), 2048)
+        n = m.cdf_y.size - 1
+        assert n == 21180 and n * math.pi / n > math.pi
+        assert _knot_angles(n)[0][-1] == math.pi
+        assert m.cdf_y[0] == 0.0
+        assert np.all(np.diff(m.cdf_y) >= 0.0)
+        assert m.cdf_y[-1] == pytest.approx(1.0, abs=1e-12)
+        curve = convergence_curve(alpha, lam, [1e-2, 1e-3, 1e-4])
+        assert curve[-1] == pytest.approx(0.027568604098018, abs=1e-10)
+
+    def test_reciprocal_knots_reach_the_knot_total(self):
+        # the weights lose 1.2e-6 of mass here; the knots do not
+        m = build_fgig(NaturalParams(1e-3, 1e-3, 0.0))
+        r = pushforward_reciprocal(m)
+        assert abs(m.ac_mass() - 1.0) > 1e-7
+        assert r.cdf_y[0] == 0.0
+        assert r.cdf_y[-1] == m.cdf_y[-1]
+        assert np.all(np.diff(r.cdf_y) >= 0.0)
 
 
 class TestMoment:
@@ -234,7 +306,38 @@ class TestKolmogorovDistance:
         assert 0.05 < d < 0.2
 
 
+def _two_search_levy(m1, m2):
+    """Levy distance read as before the merge: the heights at the merged
+    knots and midpoints, each graph searched once per point."""
+    g1, g2 = _completed_graph(m1), _completed_graph(m2)
+    knots = np.unique(np.concatenate((g1[0], g2[0])))
+    s = np.concatenate((knots, 0.5 * (knots[:-1] + knots[1:])))
+
+    def height(graph):
+        gs, gy, h, a, b, c = graph
+        j = np.maximum(np.searchsorted(gs, s, side="right") - 1, 0)
+        t = np.maximum(s - gs[j], 0.0) / h[j]
+        return gy[j] + t * (a[j] + t * (b[j] + t * c[j]))
+
+    return float(np.max(np.abs(height(g1) - height(g2))))
+
+
 class TestLevyDistance:
+    @pytest.mark.parametrize("lam", [2.0, 0.0, -3.0])
+    def test_merge_reads_as_two_searches(self, lam):
+        m = build_fgig(NaturalParams(1.0, 1e-4, lam), 2048)
+        limit = limit_measure(1.0, lam).limit
+        assert levy_distance(m, limit) == _two_search_levy(m, limit)
+        assert levy_distance(limit, m) == _two_search_levy(limit, m)
+
+    @pytest.mark.parametrize("m1, m2", [
+        (atom_measure([(0.0, 1.0)]), atom_measure([(0.3, 1.0)])),
+        (atom_measure([(0.0, 1.0)]), atom_measure([(2.0, 1.0)])),
+        (atom_measure([(0.0, 0.5), (1.0, 0.5)]), atom_measure([(0.0, 1.0)])),
+    ], ids=["near", "far", "partial"])
+    def test_merge_reads_as_two_searches_on_atoms(self, m1, m2):
+        assert levy_distance(m1, m2) == _two_search_levy(m1, m2)
+
     @pytest.mark.parametrize("c, expected", [(0.3, 0.3), (2.0, 1.0)])
     def test_point_masses(self, c, expected):
         d = levy_distance(atom_measure([(0.0, 1.0)]),

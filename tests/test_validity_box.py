@@ -2,7 +2,8 @@
 
 The support solve over the validity box: alpha and beta log-uniform in
 [1e-6, 1e6], lam in [-50, 50], checked against a 40-digit support that
-does not use the package's solver.  The classical side over the same box:
+does not use the package's solver.  The cdf knots of the built laws over
+the same box, against a 40-digit quadrature.  The classical side over it:
 ``log K`` against 40-digit mpmath and the Gibbs gap.  The free Poisson
 identity over the convolve box: alpha and beta log-uniform in [0.25, 8],
 lam in [0.1, 4].
@@ -44,6 +45,26 @@ def test_support_solve(support40, log_alpha, log_beta, lam):
     sf, back = solve_spread(p), reparameterize(s)
     assert back.A == pytest.approx(sf.A, rel=1e-12)
     assert back.B == pytest.approx(sf.B, rel=1e-12)
+
+
+@hypothesis.settings(derandomize=True, database=None, deadline=None,
+                     max_examples=40)
+@hypothesis.given(log_alpha=st.floats(-6.0, 6.0),
+                  log_beta=st.floats(-6.0, 6.0), lam=st.floats(-50.0, 50.0),
+                  where=st.floats(0.0, 1.0))
+def test_cdf_knots(mass_below40, log_alpha, log_beta, lam, where):
+    # the knot at angle k pi/N carries the mass below mid + rad*cos of
+    # that angle: right, or NumericError
+    p = NaturalParams(10.0 ** log_alpha, 10.0 ** log_beta, lam)
+    try:
+        s, m = solve_support(p), build_fgig(p)
+    except NumericError:
+        return
+    n = m.cdf_x.size - 1
+    assert m.cdf_y[0] == 0.0 and np.all(np.diff(m.cdf_y) >= 0.0)
+    for k in (1, 1 + round(where * (n - 2)), n - 1):
+        want = mass_below40(p, s.a, s.b, k * math.pi / n)
+        assert abs(m.cdf_y[n - k] - want) <= 1e-13
 
 
 @hypothesis.settings(derandomize=True, database=None, deadline=None,
