@@ -11,6 +11,9 @@ at the origin.  ``z = 0`` is removable for every ``lam``; ``z = alpha``
 is removable for ``lam < 0``, a simple pole of residue ``-lam`` for
 ``lam > 0``, and a square-root divergence for ``lam == 0``.  Values on
 the upper half-plane are defined by reflection ``r(conj z) = conj r(z)``.
+It is evaluated as this quotient or through the conjugate numerator,
+whichever factor is larger, so one expression serves every ``z``
+(see :func:`r_fgig`).
 
 Cauchy transforms are evaluated from the one a measure carries (closed
 form, Chebyshev series or atom sum; see :mod:`fgig.measures`), or by
@@ -25,7 +28,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DomainError, NumericError, PoleError
-from .params import require_valid, spectral_roots
+from .params import require_valid, solve_spread, spectral_roots
 from .series import Series
 
 _DEFAULT_LADDER = tuple(1e-2 * 0.5 ** k for k in range(8))
@@ -60,46 +63,36 @@ class CertificateReport:
     n_points: int
 
 
-def _r_closed(alpha, lam, delta, sq, z):
-    # the constant term must cancel 2*(-delta)*sqrt(beta*eta) exactly at
-    # z = 0; writing it through the same square-root data removes the
-    # solver-precision mismatch with alpha that would otherwise dominate
-    # near the origin
-    alpha_num = 2.0 * (-delta) * sq(0.0).real
-    return ((-alpha_num + (lam + 1.0) * z + 2.0 * (z - delta) * sq(z))
-            / (2.0 * z * (alpha - z)))
-
-
-def _series_coeffs(alpha, beta, lam, delta, eta, at):
-    """Taylor data of the numerator at ``at`` (0 or alpha): P', P'', P'''."""
-    s = math.sqrt(beta * (eta - at))
-    sp = -beta / (2.0 * s)
-    spp = -beta ** 2 / (4.0 * s ** 3)
-    sppp = -3.0 * beta ** 3 / (8.0 * s ** 5)
-    w = at - delta
-    p1 = (lam + 1.0) + 2.0 * s + 2.0 * w * sp
-    p2 = 4.0 * sp + 2.0 * w * spp
-    p3 = 6.0 * spp + 2.0 * w * sppp
-    return p1, p2, p3
-
-
 def r_fgig(p, z):
     """R-transform of ``mu(alpha, beta, lam)``, vectorized in ``z``.
 
-    Within a relative radius of ``1e-5`` of the removable points the
-    closed form loses all precision to cancellation and a second-order
-    local expansion is used instead.
+    With ``u = lam z + (z - alpha)``, exact at ``alpha``, and
+    ``v = 2 (z - delta) sqrt(beta (eta - z))`` the numerator is
+    ``N = u + v``.  Its conjugate ``N' = u - v`` has
+    ``N N' = 4 beta z (z - alpha)(z - z3)`` with ``z3 = -alpha m/beta``, so
+
+        r(z) = N / (2 z (alpha - z)) = -2 (beta z + alpha m) / N'.
+
+    Each point takes the form with the larger factor: ``N'`` where
+    ``Re(u conj v) <= 0``, ``N`` elsewhere.  Neither cancels, so one
+    expression covers the removable points, the pole and the square-root
+    divergence.  The mean ``m = r(0) = alpha A B/16 + beta A/(4 sqrt(ab))``
+    is the sum of positive terms ``alpha A B/16 - beta delta/alpha``.
 
     Raises
     ------
     PoleError
         At ``z == alpha`` when ``lam > 0`` (carries the residue ``-lam``)
         or when ``lam == 0`` (square-root divergence, residue 0).
+    NumericError
+        If a value is out of floating-point range, as at ``z == alpha``
+        when ``lam < 0`` is so small that ``r(alpha)`` overflows.
     """
     require_valid(p)
     alpha, beta, lam = p.alpha, p.beta, p.lam
     roots = spectral_roots(p)
-    delta, eta = roots.delta, roots.eta
+    sf = solve_spread(p)
+    mean = alpha * sf.A * sf.B / 16.0 - beta * roots.delta / alpha
     scalar = np.isscalar(z) or isinstance(z, complex)
     z = np.atleast_1d(np.asarray(z, dtype=complex))
 
@@ -112,30 +105,16 @@ def r_fgig(p, z):
 
     upper = z.imag > 0
     zz = np.where(upper, np.conj(z), z)
-    out = np.empty_like(zz)
-    guard = 1e-5 * max(1.0, alpha)
-    near0 = np.abs(zz) < guard
-    near_a = (np.abs(zz - alpha) < guard) & (lam != 0.0)
-    rest = ~(near0 | near_a)
-
-    if np.any(rest):
-        sq = BranchedSqrtEvaluator(beta, eta)
-        zr = zz[rest]
-        out[rest] = _r_closed(alpha, lam, delta, sq, zr)
-    if np.any(near0):
-        p1, p2, p3 = _series_coeffs(alpha, beta, lam, delta, eta, 0.0)
-        z0 = zz[near0]
-        out[near0] = (p1 + p2 * z0 / 2.0 + p3 * z0 ** 2 / 6.0) / (2.0 * (alpha - z0))
-    if np.any(near_a):
-        p1, p2, p3 = _series_coeffs(alpha, beta, lam, delta, eta, alpha)
-        za = zz[near_a]
-        dz = za - alpha
-        q = p1 + p2 * dz / 2.0 + p3 * dz ** 2 / 6.0
-        vals = -q / (2.0 * za)
-        if lam > 0:  # the pole survives only for positive shape
-            vals = vals + lam * (1.0 / za + 1.0 / (alpha - za))
-        out[near_a] = vals
-
+    u = lam * zz + (zz - alpha)
+    v = 2.0 * (zz - roots.delta) * BranchedSqrtEvaluator(beta, roots.eta)(zz)
+    # |u - v| >= |u + v| exactly where Re(u conj v) <= 0; both factors
+    # are chosen before dividing, so no zero denominator is formed
+    conj = u.real * v.real + u.imag * v.imag <= 0.0
+    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+        out = (np.where(conj, -2.0 * (beta * zz + alpha * mean), u + v)
+               / np.where(conj, u - v, 2.0 * zz * (alpha - zz)))
+    if not np.all(np.isfinite(out)):
+        raise NumericError("R-transform is out of floating-point range")
     out = np.where(upper, np.conj(out), out)
     return complex(out[0]) if scalar else out
 

@@ -3,7 +3,8 @@ import math
 import numpy as np
 import pytest
 
-from fgig import DomainError, NaturalParams, PoleError, spectral_roots
+from fgig import (DomainError, NaturalParams, NumericError, PoleError,
+                  spectral_roots)
 from fgig.measures import (FreePoissonParams, atom_measure, build_fgig,
                            build_free_poisson, fgig_density,
                            free_poisson_density, moment)
@@ -104,18 +105,19 @@ class TestRTransform:
             r_fgig(NaturalParams(1.0, 1.0, 5.0), 1.0)
         assert info.value.residue == pytest.approx(-5.0)
 
-    def test_guard_matches_closed_form_at_guard_boundary(self):
-        # series and closed form agree where they hand over; the pair of
-        # points straddles the guard so tightly that the function's own
-        # variation between them is negligible
-        rng = np.random.default_rng(2)
-        for _ in range(10):
-            p = random_params(rng)
-            g = 1e-5 * max(1.0, p.alpha)
-            z_in = g * (1.0 - 1e-9)
-            z_out = g * (1.0 + 1e-9)
-            assert r_fgig(p, z_in) == pytest.approx(r_fgig(p, z_out),
-                                                    rel=1e-9)
+    def test_mean_at_origin_with_a_tiny_rate(self):
+        # the value moment(build_fgig(p, 1024), 1) gives; the closed form
+        # cancels here to inf + nan j
+        p = NaturalParams(1.4033009307223134e-06, 5379.688130033956,
+                          -6.582040051910646)
+        val = r_fgig(p, 0.0)
+        assert np.isfinite(val)
+        assert abs(val / 963.4743188617 - 1.0) <= 1e-12
+
+    def test_out_of_range_raises(self):
+        # at lam = -5e-324 the removable value at alpha overflows
+        with pytest.raises(NumericError):
+            r_fgig(NaturalParams(1.0, 1.0, -5e-324), 1.0)
 
     def test_schwarz_reflection(self):
         p = NaturalParams(1.5, 2.5, -1.0)
@@ -299,7 +301,11 @@ class TestRAdditivity:
 
 class TestFidCertificate:
     @pytest.mark.parametrize("triple", [(2.0, 8.0, 0.0), (1.0, 1.0, 5.0),
-                                        (0.5, 2.0, -3.0)])
+                                        (0.5, 2.0, -3.0),
+                                        # the closed form cancels here
+                                        (697.24, 437.65, 0.1535),
+                                        (0.0180, 15.32, -0.0369),
+                                        (1e3, 1e3, 3.0)])
     def test_passes(self, triple):
         report = fid_certificate(NaturalParams(*triple), n_grid=120)
         assert report.passed
