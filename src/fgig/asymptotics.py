@@ -41,7 +41,7 @@ def _scaled_copy(m, weight, extra_atoms):
     """Measure with the a.c. part of ``m`` scaled by ``weight`` plus atoms.
 
     ``m`` has no atoms, so the Cauchy transform is ``weight * G_m`` plus
-    the atoms' terms.
+    the atoms' terms, and the a.c. cdf is ``weight`` times that of ``m``.
     """
     atoms = tuple(extra_atoms)
 
@@ -51,9 +51,12 @@ def _scaled_copy(m, weight, extra_atoms):
     def cauchy_fn(z, _w=weight, _g=m.cauchy_fn):
         return _w * _g(z) + _atoms_cauchy(atoms, z)
 
+    def ac_cdf(x, _w=weight, _f=m.ac_cdf):
+        return _w * _f(x)
+
     return replace(m, atoms=atoms, density=density,
                    weights=weight * m.weights, cdf_y=weight * m.cdf_y,
-                   cauchy_fn=cauchy_fn)
+                   cauchy_fn=cauchy_fn, ac_cdf=ac_cdf)
 
 
 def limit_regime(lam):

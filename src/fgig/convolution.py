@@ -20,9 +20,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DomainError, NumericError
-from .measures import (_chebyshev_cauchy, _chebyshev_coefficients,
-                       _chebyshev_upper_mass, _edge_matched_rule,
-                       _jacobi_measure, shift)
+from .measures import _chebyshev_measure, _edge_matched_rule, shift
 from .transforms import cauchy_nodes
 
 _N_GRID = 2001  # uniform grid over the sum of the supports, to find the edges
@@ -32,7 +30,6 @@ _MAX_ITER = 2000  # subordination map evaluations per solve
 _FLOOR = 1e-9  # density below this fraction of the peak is outside the support
 _EDGE_STEP = 1e-7  # closest approach of an edge probe, relative to the width
 _EDGE_PROBES = 40  # probes allowed per edge
-_BLOCK = 1 << 20  # matrix entries per block of the node interpolant
 _DAMPING = 0.5  # Picard step of the subordination solve
 
 
@@ -156,19 +153,20 @@ def _locate_edge(mu, nu, x_out, xs, rho, floor, width):
     and no closer than their accuracy allows.  A probe found outside
     tightens the bracket, and an estimate outside the bracket gives way
     to its midpoint.  Done once the nearest sample is within two such
-    steps of the estimate.
+    steps of the estimate, after one probe at least: grid samples alone
+    lie a grid cell apart, too far for the quadratic to be exact.
     """
     sgn = math.copysign(1.0, xs[0] - x_out)
     xs, f = list(xs), [r * r for r in rho]
     step = _EDGE_STEP * width
-    for _ in range(_EDGE_PROBES):
+    for probes in range(_EDGE_PROBES):
         e = sum(xs[i] * math.prod(f[j] / (f[j] - f[i])
                                   for j in range(3) if j != i)
                 for i in range(3))
         if not (sgn * (e - x_out) > 0.0 and sgn * (xs[0] - e) > 0.0):
             e = 0.5 * (x_out + xs[0])
         gap = sgn * (xs[0] - e)
-        if gap <= 2.0 * step:
+        if gap <= 2.0 * step and probes:
             return e
         probe = e + sgn * max(0.05 * gap, step)
         r, ok = _real_density(mu, nu, [probe])
@@ -180,36 +178,6 @@ def _locate_edge(mu, nu, x_out, xs, rho, floor, width):
                        residual=abs(xs[0] - x_out) / width)
 
 
-def _node_interpolant(nodes, values, weights):
-    """Barycentric interpolant through ``values`` at the Chebyshev nodes.
-
-    ``nodes`` are ``mid + rad*cos(k pi/(n+1))``, ``k = 1..n``, and
-    ``weights`` their Gauss weights, proportional to ``sin(k pi/(n+1))**2``;
-    with alternating signs these are the barycentric weights.  A node is
-    answered with its own value.
-    """
-    n = nodes.size
-    # ascending order for the node lookup
-    xa = nodes[::-1]
-    va = values[::-1]
-    wa = ((-1.0) ** np.arange(1, n + 1) * weights)[::-1]
-
-    def g(x):
-        x = np.asarray(x, dtype=float)
-        flat = x.ravel()
-        j = np.minimum(np.searchsorted(xa, flat), n - 1)
-        out = va[j]
-        miss = np.flatnonzero(xa[j] != flat)
-        rows = max(1, _BLOCK // n)
-        for s in range(0, miss.size, rows):
-            i = miss[s:s + rows]
-            c = wa / (flat[i, None] - xa)
-            out[i] = (c @ va) / c.sum(axis=1)
-        return out.reshape(x.shape)
-
-    return g
-
-
 def free_convolve(mu, nu):
     """Distribution of ``X + Y`` for free ``X ~ mu``, ``Y ~ nu``.
 
@@ -219,11 +187,10 @@ def free_convolve(mu, nu):
     the two square-root edges of the support, then near each edge to
     locate it (:func:`_locate_edge`), and last at the Chebyshev nodes of
     the support found, as many as the larger input has.  The result is
-    built like any square-root-edge law, its smooth factor
-    ``rho/sqrt((x-lo)(hi-x))`` interpolated through the node values, and
-    its Cauchy transform and cdf knots summed from their Chebyshev
-    coefficients; the knots sit at the angles of those nodes, so the
-    edges themselves are never solved.
+    the chopped Chebyshev vector of its smooth factor
+    ``rho/sqrt((x-lo)(hi-x))`` at those nodes, whose sums give its
+    density, Cauchy transform and cdf (:func:`_chebyshev_measure`), so
+    the edges themselves are never solved.
 
     Raises
     ------
@@ -263,16 +230,11 @@ def free_convolve(mu, nu):
     b = _locate_edge(mu, nu, xs[i1 + 1], xs[i1:i1 - 3:-1], rho[i1:i1 - 3:-1],
                      floor, width)
 
-    t, w = _edge_matched_rule(n, 0.5, 0.5)
-    nodes = 0.5 * (a + b) + 0.5 * (b - a) * t
+    nodes = 0.5 * (a + b) + 0.5 * (b - a) * _edge_matched_rule(n, 0.5, 0.5)[0]
     rho, ok = _real_density(mu, nu, nodes)
     if not np.all(ok & (rho > floor)):
         raise NumericError("subordination failed inside the support")
-    gv = rho / np.sqrt((nodes - a) * (b - nodes))
-    c = _chebyshev_coefficients(gv)
-    out = _jacobi_measure(a, b, _node_interpolant(nodes, gv, w), 0.5, 0.5, n,
-                          cauchy_fn=_chebyshev_cauchy(a, b, c),
-                          upper_mass=_chebyshev_upper_mass(0.5 * (b - a), c))
+    out = _chebyshev_measure(a, b, rho / np.sqrt((nodes - a) * (b - nodes)))
     err = abs(out.mass() - 1.0)
     if err > 1e-4:
         raise NumericError("convolution density lost mass", residual=err)

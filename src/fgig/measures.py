@@ -10,32 +10,32 @@ uses Gauss--Jacobi nodes matched to the edge exponents, which makes the
 quadrature spectrally accurate: for the fGIG family ``g`` is a rational
 function with poles only at the origin.
 
-The cumulative distribution is kept as knots at the angles ``k pi/N`` of
-the substitution ``x = mid + rad*cos(theta)``, which absorbs the edge
-singularities: each law gives the mass above ``x`` in closed form in
-``theta`` (a convolution output by a sine series), so the knots are
-exact.  ``cdf`` and :func:`kolmogorov_distance` read them through a PCHIP
-interpolant, which imports scipy on first use; nothing else here needs
-it.  :func:`levy_distance` reads the knots without it: the Levy metric is
-the largest vertical gap between the two completed cdf graphs along the
-lines ``x + y = s``, each graph a cubic Hermite in ``s`` through the
+Every measure carries its own a.c. cdf, as it carries its Cauchy
+transform.  In the substitution ``x = mid + rad*cos(theta)``, which absorbs
+the edge singularities, each law gives the mass above ``x`` in closed form
+in ``theta`` (a convolution output by a sine series), read at
+``theta(x)`` for ``cdf`` and :func:`kolmogorov_distance`, and kept as
+knots at the angles ``k pi/N`` for :func:`levy_distance`: the Levy metric
+is the largest vertical gap between the two completed cdf graphs along
+the lines ``x + y = s``, each graph a cubic Hermite in ``s`` through the
 cdf and atom knots with slopes ``rho/(1 + rho)`` (1 along an atom's
 jump), taken once on the merged knots and midpoints with no tolerance.
 Every absolutely continuous measure is built this way or is an affine or
-reciprocal image of one; convolution outputs are built from density
-values at their Chebyshev nodes.
+reciprocal image of one; a convolution output is nothing but its chopped
+Chebyshev coefficient vector, whose density, Cauchy transform and mass
+above ``x`` are three sums over it.
 
 Every measure carries its own Cauchy transform, written with
 ``r(z) = sqrt(z - lo) * sqrt(z - hi)`` (principal roots, so the only cut
 is the support): the closed form of its law for the builders, a
-Chebyshev series summed from the node values for a convolution output,
-the sum over atoms for an atomic measure; the affine and reciprocal maps
-carry it through the change of variables.
+Chebyshev series for a convolution output, the sum over atoms for an
+atomic measure; the affine and reciprocal maps carry it, and the cdf,
+through the change of variables.
 """
 
 import math
 from dataclasses import dataclass, field, replace
-from functools import cached_property, lru_cache, partial
+from functools import lru_cache, partial
 from typing import Callable, Optional
 
 import numpy as np
@@ -46,6 +46,7 @@ from .params import require_valid, solve_support
 _TWO_PI = 2.0 * math.pi
 _DEFAULT_KNOTS = 4096  # angular intervals between the cdf knots
 _NARROW = 0.25  # rho below which _rational_upper_mass cancels by hand
+_CHOP_TOL = np.finfo(float).eps  # relative noise level of a Chebyshev series
 
 
 @dataclass(frozen=True, slots=True)
@@ -66,10 +67,10 @@ class SpectralMeasure:
 
     ``nodes``/``weights`` integrate the a.c. part: ``sum(w * f(x))``
     approximates ``integral f d(mu_ac)``.  ``density`` is a vectorized
-    evaluator vanishing outside ``support``.  The a.c. cumulative mass is
-    known exactly at the knots ``cdf_x``/``cdf_y``, whose total
-    ``cdf_y[-1]`` need not equal the weights' sum; atoms are added on
-    evaluation.
+    evaluator vanishing outside ``support``.  ``ac_cdf`` gives the a.c.
+    mass at or below ``x`` as an array, vectorized; its total need not
+    equal the weights' sum, and atoms are added by ``cdf``.  The knots
+    ``cdf_x``/``cdf_y`` hold exact values of it for the Levy distance.
     ``chebyshev`` marks nodes of the Gauss--Chebyshev (second kind) rule,
     ``x_j = mid + rad*cos(j pi/(n+1))`` in order, whose uniform angles
     the log-energy quadrature needs.  ``cauchy_fn`` is the vectorized
@@ -85,11 +86,7 @@ class SpectralMeasure:
     cdf_y: Optional[np.ndarray] = None
     chebyshev: bool = field(default=False, repr=False)
     cauchy_fn: Callable = field(repr=False)
-
-    @cached_property
-    def _cdf_interp(self):
-        from scipy.interpolate import PchipInterpolator
-        return PchipInterpolator(self.cdf_x, self.cdf_y)
+    ac_cdf: Callable = field(repr=False)
 
     # -- basic functionals -------------------------------------------------
 
@@ -105,14 +102,7 @@ class SpectralMeasure:
     def cdf(self, x):
         """Right-continuous distribution function, vectorized."""
         x = np.asarray(x, dtype=float)
-        out = np.zeros_like(x)
-        if self.cdf_x is not None:
-            lo, hi = self.cdf_x[0], self.cdf_x[-1]
-            inside = (x >= lo) & (x <= hi)
-            out = np.where(x > hi, self.cdf_y[-1], out)
-            if np.any(inside):
-                vals = self._cdf_interp(np.clip(x, lo, hi))
-                out = np.where(inside, vals, out)
+        out = self.ac_cdf(x)
         for loc, w in self.atoms:
             out = out + w * (x >= loc)
         return out if out.ndim else float(out)
@@ -136,15 +126,17 @@ class SpectralMeasure:
 
 @lru_cache(maxsize=4)
 def _knot_angles(n_knots):
-    """Knot angles ``theta = k pi/N``, ``k = 0..N``, with ``sin(theta/2)``,
-    ``cos(theta/2)`` and ``cos(theta)``; shared, so read-only.
+    """Knot angles ``theta = k pi/N``, ``k = 0..N``, with ``sin(theta/2)``
+    and ``cos(theta/2)``; shared, so read-only.
 
     The angles are those of :func:`_edge_matched_rule`, to the bit, when
-    ``N = n + 1``.  The last can round one ulp above ``pi``, where
-    ``sin(theta)`` changes sign, so it is clamped.
+    ``N = n + 1``.  The last can round off ``pi``, where ``sin(theta)``
+    changes sign, so it is set to ``pi``, and its ``cos(theta/2)`` to 0.
     """
-    theta = np.minimum(np.arange(n_knots + 1) * math.pi / n_knots, math.pi)
-    out = (theta, np.sin(0.5 * theta), np.cos(0.5 * theta), np.cos(theta))
+    theta = np.arange(n_knots + 1) * math.pi / n_knots
+    theta[-1] = math.pi
+    out = (theta, np.sin(0.5 * theta), np.cos(0.5 * theta))
+    out[2][-1] = 0.0
     for a in out:
         a.flags.writeable = False
     return out
@@ -241,11 +233,14 @@ def _gauss_legendre(n):
 
 
 def _jacobi_measure(lo, hi, g, p_exp=0.5, q_exp=0.5, n=256, atoms=(), *,
-                    cauchy_fn, upper_mass):
+                    cauchy_fn, upper, n_knots=_DEFAULT_KNOTS):
     """Measure with density ``(x-lo)**p (hi-x)**q g(x)`` on ``(lo, hi)``.
 
-    ``upper_mass`` is the a.c. mass above ``mid + rad*cos(theta)`` at the
-    knot angles ``_knot_angles(upper_mass.size - 1)``.
+    ``upper(theta, sin(theta/2), cos(theta/2))`` is the a.c. mass above
+    ``mid + rad*cos(theta)``, vectorized.  ``cdf`` reads it at the angle
+    of ``x``, the knots at the cached angles ``_knot_angles(n_knots)``,
+    whose abscissas ``hi cos(theta/2)**2 + lo sin(theta/2)**2`` keep their
+    relative accuracy at both edges.
     """
     if not hi > lo:
         raise DomainError("support must be a nondegenerate interval")
@@ -265,14 +260,23 @@ def _jacobi_measure(lo, hi, g, p_exp=0.5, q_exp=0.5, n=256, atoms=(), *,
             out = np.where(inside, vals, 0.0)
         return out if out.ndim else float(out)
 
-    cos_t = _knot_angles(upper_mass.size - 1)[3]
-    cdf_y = np.clip(upper_mass[-1] - upper_mass, 0.0, None)
+    theta, sh, ch = _knot_angles(n_knots)
+    knots = upper(theta, sh, ch)
+    total = knots[-1]
+
+    def ac_cdf(x):
+        # sin and cos of theta(x)/2, exactly 1 and 0 beyond the edges
+        x = np.asarray(x, dtype=float)
+        c = np.sqrt(np.clip((x - lo) / (hi - lo), 0.0, 1.0))
+        s = np.sqrt(np.clip((hi - x) / (hi - lo), 0.0, 1.0))
+        return np.clip(total - upper(2.0 * np.arctan2(s, c), s, c), 0.0, total)
+
     return SpectralMeasure(atoms=tuple(atoms), support=(lo, hi),
                            density=density, nodes=nodes, weights=weights,
-                           cdf_x=(mid + rad * cos_t)[::-1],
-                           cdf_y=cdf_y[::-1],
+                           cdf_x=(hi * ch * ch + lo * sh * sh)[::-1],
+                           cdf_y=np.clip(total - knots, 0.0, None)[::-1],
                            chebyshev=(p_exp == 0.5 and q_exp == 0.5),
-                           cauchy_fn=cauchy_fn)
+                           cauchy_fn=cauchy_fn, ac_cdf=ac_cdf)
 
 
 def _atoms_cauchy(atoms, z):
@@ -289,7 +293,8 @@ def atom_measure(atoms):
     atoms = tuple(atoms)
     return SpectralMeasure(atoms=atoms, support=None, density=None,
                            nodes=np.array([]), weights=np.array([]),
-                           cauchy_fn=partial(_atoms_cauchy, atoms))
+                           cauchy_fn=partial(_atoms_cauchy, atoms),
+                           ac_cdf=np.zeros_like)
 
 
 # ---------------------------------------------------------------------------
@@ -349,56 +354,102 @@ def _fgig_cauchy(alpha, beta, a, b):
     return cauchy_fn
 
 
+def _standard_chop(c):
+    """Number of leading Chebyshev coefficients worth keeping.
+
+    ``standardChop`` of Aurentz & Trefethen (Chopping a Chebyshev series,
+    ACM TOMS 43, 2017) at ``tol = _CHOP_TOL``: find a plateau of the
+    normalized envelope ``e_j = max |c_{j..}|``, a stretch ``j..1.25j+5``
+    over which it falls by less than ``3 (1 - log(e_j)/log(tol))``, and
+    cut where the envelope plus a line tilted to the left is least.  With
+    no plateau, or fewer than 17 terms, all stay.  Indices are 1-based.
+    """
+    n, tol = c.size, _CHOP_TOL
+    if n < 17:
+        return n
+    env = np.maximum.accumulate(np.abs(c)[::-1])[::-1]
+    if env[0] == 0.0:
+        return 1
+    env = env / env[0]
+    j = np.arange(2, n + 1)
+    j2 = np.floor(1.25 * j + 5.5).astype(int)
+    j, j2 = j[j2 <= n], j2[j2 <= n]
+    e1, e2 = env[j - 1], env[j2 - 1]
+    with np.errstate(divide="ignore", invalid="ignore"):
+        r = 3.0 - 3.0 * np.log(e1) / math.log(tol)
+        plateau = (e1 == 0.0) | (e2 / e1 > r)
+    if not plateau.any():
+        return n
+    k = int(np.argmax(plateau))
+    point, j2 = j[k] - 1, j2[k]
+    if env[point - 1] == 0.0:
+        return point
+    j3 = np.count_nonzero(env >= tol ** (7.0 / 6.0))
+    if j3 < j2:
+        j2 = j3 + 1
+        env[j2 - 1] = tol ** (7.0 / 6.0)
+    cc = np.log10(env[:j2]) + np.linspace(0.0, -math.log10(tol) / 3.0, j2)
+    return max(int(np.argmin(cc)), 1)
+
+
 def _chebyshev_coefficients(g):
     """``c_k`` with ``g = sum_k c_k U_k(t)`` from the values ``g_j`` at
     ``t_j = cos(theta_j)``, ``theta_j = j pi/(n+1)``, ``j = 1..n``:
     ``c_k = 2/(n+1) sum_j g_j sin(theta_j) sin((k+1) theta_j)``, one DST-I
-    taken by a zero-padded FFT."""
+    taken by a zero-padded FFT, chopped by :func:`_standard_chop`."""
     n = g.size
     theta = np.arange(1, n + 1) * math.pi / (n + 1)
     f = np.concatenate(([0.0], g * np.sin(theta)))
-    return (-2.0 / (n + 1)) * np.fft.rfft(f, 2 * (n + 1)).imag[1:n + 1]
+    c = (-2.0 / (n + 1)) * np.fft.rfft(f, 2 * (n + 1)).imag[1:n + 1]
+    return c[:_standard_chop(c)]
 
 
-def _chebyshev_cauchy(lo, hi, c):
-    """Cauchy transform of ``sqrt((x-lo)(hi-x)) g(x)``, ``g`` given by its
-    :func:`_chebyshev_coefficients` in ``t = (x - mid)/rad``.
+def _clenshaw_u(c, t):
+    """``sum_k c_k U_k(t)`` by Clenshaw's recurrence."""
+    t2 = 2.0 * np.asarray(t, dtype=float)
+    b1 = b2 = np.zeros_like(t2)
+    for ck in c[::-1]:
+        b1, b2 = ck + t2 * b1 - b2, b1
+    return b1
 
-    Each ``sqrt(1 - t**2) U_k(t)`` transforms to ``pi w**(k+1)``: by
-    Horner, ``G(z) = pi rad sum_k c_k w**(k+1)``, ``w = rad/(z - mid + r(z))``.
+
+def _chebyshev_measure(lo, hi, values):
+    """Measure with density ``sqrt((x-lo)(hi-x)) g(x)``, ``g`` kept as the
+    chopped :func:`_chebyshev_coefficients` of its ``values`` at the ``n``
+    Chebyshev nodes, in ``t = (x - mid)/rad``; three sums over them:
+
+    - ``g`` itself by :func:`_clenshaw_u`;
+    - the Cauchy transform by Horner: each ``sqrt(1 - t**2) U_k(t)``
+      transforms to ``pi w**(k+1)``, ``w = rad/(z - mid + r(z))``;
+    - the mass above ``mid + rad*cos(theta)``: the density is
+      ``rad sum_k c_k sin((k+1) theta)``, so the mass is
+      ``rad**2/2 (c_0 theta + sum_{m>=1} e_m sin(m theta))`` with
+      ``e_m = (c_m - c_{m-2})/m``, the sine sum
+      ``sin(theta) sum_m e_m U_{m-1}(cos(theta))`` by :func:`_clenshaw_u`.
+
+    The cdf knots sit at the node angles.
     """
+    c = _chebyshev_coefficients(values)
     mid, rad = 0.5 * (lo + hi), 0.5 * (hi - lo)
-    c = math.pi * rad * c[::-1]  # highest order first
+    horner = math.pi * rad * c[::-1]  # highest order first
+    e = np.append(c, (0.0, 0.0)) - np.append((0.0, 0.0), c)  # c_m - c_{m-2}
+    e = e[1:] / np.arange(1, c.size + 2)
 
     def cauchy_fn(z):
         z = np.asarray(z, dtype=complex)
         w = rad / (z - mid + _support_root(z, lo, hi))
         acc = np.zeros_like(w)
-        for ck in c:
+        for ck in horner:
             acc = acc * w + ck
         return acc * w
 
-    return cauchy_fn
+    def upper(theta, sh, ch):
+        return 0.5 * rad * rad * (c[0] * theta + 2.0 * sh * ch
+                                  * _clenshaw_u(e, (ch - sh) * (ch + sh)))
 
-
-def _chebyshev_upper_mass(rad, c):
-    """Mass above ``mid + rad*cos(theta)`` of ``sqrt((x-lo)(hi-x)) g(x)``
-    at the knot angles ``theta_j = j pi/N``, ``N = c.size + 1``.
-
-    The density is ``rad sum_k c_k sin((k+1) theta)``, so the mass is
-
-        rad**2/2 (c_0 theta + sum_{m>=1} (c_m - c_{m-2}) sin(m theta)/m),
-
-    the sine sum one more zero-padded FFT on the knot angles.
-    """
-    n_knots = c.size + 1
-    e = np.zeros(n_knots + 1)
-    e[:-2] = c
-    e[2:] -= c
-    e[1:] /= np.arange(1, n_knots + 1)
-    e[0] = 0.0
-    sines = -np.fft.rfft(e, 2 * n_knots).imag
-    return 0.5 * rad * rad * (c[0] * _knot_angles(n_knots)[0] + sines)
+    return _jacobi_measure(lo, hi, lambda x: _clenshaw_u(c, (x - mid) / rad),
+                           0.5, 0.5, values.size, cauchy_fn=cauchy_fn,
+                           upper=upper, n_knots=values.size + 1)
 
 
 def _free_poisson_cauchy(jump, lo, hi, offset):
@@ -476,13 +527,12 @@ def build_fgig(p, n=256):
         raise DomainError("node count must be at least 16")
     g, s = _fgig_smooth_factor(p)
     n_eff = _auto_nodes(n, s.a, s.b, s.a)
-    theta, sh, ch, _ = _knot_angles(max(_DEFAULT_KNOTS,
-                                        min(4 * n_eff, 32768)))
-    upper = _rational_upper_mass(s.a, s.b, p.alpha,
-                                 p.beta / math.sqrt(s.a * s.b), theta, sh, ch)
-    return _jacobi_measure(s.a, s.b, g, 0.5, 0.5, n_eff,
-                           cauchy_fn=_fgig_cauchy(p.alpha, p.beta, s.a, s.b),
-                           upper_mass=upper)
+    return _jacobi_measure(
+        s.a, s.b, g, 0.5, 0.5, n_eff,
+        cauchy_fn=_fgig_cauchy(p.alpha, p.beta, s.a, s.b),
+        upper=partial(_rational_upper_mass, s.a, s.b, p.alpha,
+                      p.beta / math.sqrt(s.a * s.b)),
+        n_knots=max(_DEFAULT_KNOTS, min(4 * n_eff, 32768)))
 
 
 def build_free_poisson(fp, n=256):
@@ -510,8 +560,7 @@ def build_free_poisson(fp, n=256):
         return _jacobi_measure(
             0.0, hi, g, -0.5, 0.5, n,
             cauchy_fn=_free_poisson_cauchy(gam, 0.0, hi, 0.0),
-            upper_mass=_rational_upper_mass(
-                0.0, hi, 1.0 / gam, 0.0, *_knot_angles(_DEFAULT_KNOTS)[:3]))
+            upper=partial(_rational_upper_mass, 0.0, hi, 1.0 / gam, 0.0))
 
     def g(x, c=1.0 / (_TWO_PI * gam)):
         return c / x
@@ -520,8 +569,7 @@ def build_free_poisson(fp, n=256):
     return _jacobi_measure(
         lo, hi, g, 0.5, 0.5, n_eff, atoms=atoms,
         cauchy_fn=_free_poisson_cauchy(gam, lo, hi, gam * (1.0 - rate)),
-        upper_mass=_rational_upper_mass(
-            lo, hi, 1.0 / gam, 0.0, *_knot_angles(_DEFAULT_KNOTS)[:3]))
+        upper=partial(_rational_upper_mass, lo, hi, 1.0 / gam, 0.0))
 
 
 def build_semicircle(center=0.0, radius=2.0, n=256):
@@ -532,10 +580,12 @@ def build_semicircle(center=0.0, radius=2.0, n=256):
     def g(x, c=2.0 / (math.pi * radius ** 2)):
         return np.full_like(np.asarray(x, dtype=float), c)
 
-    theta, sh, ch, cos_t = _knot_angles(_DEFAULT_KNOTS)
+    def upper(theta, sh, ch):  # (theta - sin(theta) cos(theta))/pi
+        return (theta - 2.0 * sh * ch * (ch - sh) * (ch + sh)) / math.pi
+
     return _jacobi_measure(center - radius, center + radius, g, 0.5, 0.5, n,
                            cauchy_fn=_semicircle_cauchy(center, radius),
-                           upper_mass=(theta - 2.0 * sh * ch * cos_t) / math.pi)
+                           upper=upper)
 
 
 def free_poisson_density(fp, x):
@@ -639,6 +689,12 @@ def pushforward_reciprocal(m):
     cdf_x = 1.0 / m.cdf_x[::-1]
     cdf_y = np.clip(m.cdf_y[-1] - m.cdf_y[::-1], 0.0, None)
 
+    def ac_cdf(y, _f=m.ac_cdf, _total=m.cdf_y[-1]):
+        # mass at or above 1/y
+        y = np.asarray(y, dtype=float)
+        pos = y > 0
+        return np.where(pos, _total - _f(1.0 / np.where(pos, y, 1.0)), 0.0)
+
     def cauchy_fn(z, _g=m.cauchy_fn, _mean=moment(m, 1)):
         # G_{1/X}(z) = (1 - G_X(1/z)/z)/z, which tends to -E X at 0
         z = np.asarray(z, dtype=complex)
@@ -649,7 +705,8 @@ def pushforward_reciprocal(m):
     return SpectralMeasure(atoms=atoms,
                            support=(float(cdf_x[0]), float(cdf_x[-1])),
                            density=density, nodes=nodes, weights=weights,
-                           cdf_x=cdf_x, cdf_y=cdf_y, cauchy_fn=cauchy_fn)
+                           cdf_x=cdf_x, cdf_y=cdf_y, cauchy_fn=cauchy_fn,
+                           ac_cdf=ac_cdf)
 
 
 def _affine(m, scale, offset):
@@ -669,11 +726,14 @@ def _affine(m, scale, offset):
     def cauchy_fn(z, _g=m.cauchy_fn):
         return _g((np.asarray(z, dtype=complex) - offset) / scale) / scale
 
+    def ac_cdf(x, _f=m.ac_cdf):
+        return _f((np.asarray(x, dtype=float) - offset) / scale)
+
     return replace(m, atoms=atoms,
                    support=(scale * lo + offset, scale * hi + offset),
                    density=density, nodes=scale * m.nodes + offset,
                    cdf_x=None if m.cdf_x is None else scale * m.cdf_x + offset,
-                   cauchy_fn=cauchy_fn)
+                   cauchy_fn=cauchy_fn, ac_cdf=ac_cdf)
 
 
 def shift(m, c):

@@ -38,21 +38,24 @@ def support40():
 @pytest.fixture(scope="session")
 def mass_below40():
     """Mass of ``fgig_density`` on ``(a, x)`` to 40 digits, for ``x`` the
-    exact point ``mid + rad*cos(theta)`` of the support ``(a, b)``.
+    exact point ``mid + rad*cos(theta)`` of the support ``(a, b)``, or the
+    float ``x`` itself when given.
 
-    ``mass_below(p, a, b, theta)`` integrates the density written in
-    mpmath with ``mp.quad``, with breakpoints crowding ``a`` geometrically
-    down to a hundredth of ``a``, where the ``1/x**2`` term varies.
+    ``mass_below(p, a, b, theta=None, x=None)`` integrates the density
+    written in mpmath with ``mp.quad``, with breakpoints crowding ``a``
+    geometrically down to a hundredth of ``a``, where the ``1/x**2`` term
+    varies.
     Skips the test when mpmath is missing.
     """
     mp = pytest.importorskip("mpmath")
 
-    def mass_below(p, a, b, theta):
+    def mass_below(p, a, b, theta=None, x=None):
         with mp.workdps(40):
             a, b = mp.mpf(a), mp.mpf(b)
             al, be = mp.mpf(p.alpha), mp.mpf(p.beta)
             g = mp.sqrt(a * b)
-            x = (a + b) / 2 + (b - a) / 2 * mp.cos(mp.mpf(theta))
+            x = (mp.mpf(x) if theta is None
+                 else (a + b) / 2 + (b - a) / 2 * mp.cos(mp.mpf(theta)))
             if x <= a:
                 return 0.0
 

@@ -286,63 +286,38 @@ class TestLogging:
 
 
 class TestImports:
-    @staticmethod
-    def stdout_of(code):
-        """stdout of ``python -c code`` in a fresh interpreter."""
-        done = subprocess.run([sys.executable, "-c", code], env=fresh_env(),
-                              capture_output=True, text=True, check=True,
-                              timeout=120)
-        return done.stdout
+    README = [
+        "params --a 1 --b 4 --lambda 0",
+        "density --alpha 2 --beta 8 --lambda 0 --grid 1:4:401 --format csv",
+        "transform --alpha 2 --beta 8 --lambda 0 --order 8",
+        "levy --alpha 2 --beta 8 --lambda 0",
+        "fsd --alpha 2 --beta 8 --lambda -1",
+        "convolve --alpha 2 --beta 8 --lambda 1",
+        "fixpoint --alpha 2 --lambda 1",
+        "limits --alpha 1 --lambda 2 --betas 0.1,0.01,0.001 --format csv",
+        "entropy --alpha 2 --beta 8 --lambda 1",
+    ]
 
-    def test_light_commands_load_no_scipy(self):
+    def test_runs_without_scipy(self):
+        # every README subcommand and the classical entropy, in a fresh
+        # interpreter where importing scipy fails
         code = (
             "import contextlib, io, sys\n"
+            "sys.modules['scipy'] = None\n"
             "import fgig.cli\n"
-            "loaded = [m for m in sys.modules if m.startswith('scipy')]\n"
-            "for sub in ('params', 'density', 'transform', 'levy', 'fsd'):\n"
-            "    with contextlib.redirect_stdout(io.StringIO()):\n"
-            "        assert fgig.cli.run([sub, '--alpha', '1.3', '--beta',\n"
-            "                             '2.1', '--lambda', '0.7']) == 0\n"
-            "    loaded += [m for m in sys.modules if m.startswith('scipy')]\n"
-            "print(sorted(set(loaded)))\n")
-        assert self.stdout_of(code) == "[]\n"
-
-    def test_limits_and_entropy_load_no_scipy(self):
-        # the cdf knots are closed forms, and the Levy distance reads them
-        # without an interpolant
-        code = (
-            "import contextlib, io, sys\n"
-            "import fgig.cli\n"
-            "for sub in ('limits', 'entropy'):\n"
-            "    with contextlib.redirect_stdout(io.StringIO()):\n"
-            "        assert fgig.cli.run([sub, '--alpha', '2', '--beta',\n"
-            "                             '8', '--lambda', '0']) == 0\n"
-            "print(sorted(m for m in sys.modules if m.startswith('scipy')))\n")
-        assert self.stdout_of(code) == "[]\n"
-
-    def test_convolve_loads_no_scipy_integrate(self):
-        # only the PCHIP read of the Kolmogorov distance needs scipy
-        code = (
-            "import contextlib, io, sys\n"
-            "import fgig.cli\n"
-            "with contextlib.redirect_stdout(io.StringIO()):\n"
-            "    assert fgig.cli.run(['convolve', '--alpha', '2', '--beta',\n"
-            "                         '8', '--lambda', '1']) == 0\n"
-            "print('scipy.interpolate' in sys.modules,\n"
-            "      sorted(m for m in sys.modules\n"
-            "             if m.startswith('scipy.integrate')))\n")
-        assert self.stdout_of(code) == "True []\n"
-
-    def test_classical_entropy_loads_no_scipy(self):
-        code = (
-            "import sys\n"
             "from fgig import entropy as E\n"
+            f"for line in {self.README!r}:\n"
+            "    with contextlib.redirect_stdout(io.StringIO()):\n"
+            "        assert fgig.cli.run(line.split()) == 0, line\n"
             "E.gig_entropy(1.3, 2.1, 0.7)\n"
             "E.gibbs_bound(1.3, 2.1, 0.7)\n"
             "E.classical_entropy(lambda x: E.classical_gig_density(\n"
             "    2.0, 8.0, 1.0, x), E.Potential(2.0, 8.0, 1.0), split=2.0)\n"
-            "print(sorted(m for m in sys.modules if m.startswith('scipy')))\n")
-        assert self.stdout_of(code) == "[]\n"
+            "print('ok')\n")
+        done = subprocess.run([sys.executable, "-c", code], env=fresh_env(),
+                              capture_output=True, text=True, timeout=120)
+        assert done.returncode == 0, done.stderr
+        assert done.stdout == "ok\n"
 
 
 class TestOutputFile:

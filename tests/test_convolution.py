@@ -1,4 +1,5 @@
 import math
+from functools import partial
 
 import numpy as np
 import pytest
@@ -105,13 +106,6 @@ class TestFreeConvolve:
         target = build_fgig(NaturalParams(alpha, beta, lam), 1024)
         assert kolmogorov_distance(out, target) <= 1e-4
 
-    def test_cdf_table_points_are_nodes(self, gig_poisson_pair):
-        # the interior knot angles equal the node angles to the bit, so
-        # the node interpolant answers the density there by lookup
-        X, Y = gig_poisson_pair
-        out = free_convolve(X, Y)
-        assert np.array_equal(out.cdf_x[1:-1], out.nodes[::-1])
-
     def test_mean_additivity(self, gig_poisson_pair):
         X, Y = gig_poisson_pair
         out = free_convolve(X, Y)
@@ -143,7 +137,10 @@ class TestRealAxisRecovery:
         (2.0, 8.0, 1.0), (0.5, 0.5, 3.0), (1.0, 1.0, 0.01),
         # the square-root regime at the left edge is narrower than a cell
         # of the coarse grid
-        (0.2663073019193684, 0.41632017456437564, 0.5519318029917581)])
+        (0.2663073019193684, 0.41632017456437564, 0.5519318029917581),
+        # the first grid sample inside the support lies within two probe
+        # steps of the left edge
+        (math.exp(-1.1), math.exp(-0.7320863169411742), 0.3543356310329365)])
     def test_identity_outputs(self, triple):
         alpha, beta, lam = triple
         X = build_fgig(NaturalParams(alpha, beta, -lam), 1024)
@@ -156,14 +153,19 @@ class TestRealAxisRecovery:
         assert abs(out.support[1] - s.b) <= 1e-9 * (s.b - s.a)
         assert abs(out.mass() - 1.0) <= 1e-10
         built = build_fgig(p, 1024)
-        assert kolmogorov_distance(out, built) <= 1e-6
+        assert kolmogorov_distance(out, built) <= 1e-11
         # the sine series puts the target's closed-form mass on the knots
+        # and between them
         mid, rad = 0.5 * (s.a + s.b), 0.5 * (s.b - s.a)
+        upper = partial(_rational_upper_mass, s.a, s.b, alpha,
+                        beta / math.sqrt(s.a * s.b))
         theta = np.arccos(np.clip((out.cdf_x - mid) / rad, -1.0, 1.0))
-        above = _rational_upper_mass(s.a, s.b, alpha,
-                                     beta / math.sqrt(s.a * s.b), theta,
-                                     np.sin(0.5 * theta), np.cos(0.5 * theta))
+        above = upper(theta, np.sin(0.5 * theta), np.cos(0.5 * theta))
         assert np.max(np.abs(out.cdf_y - (built.cdf_y[-1] - above))) <= 1e-12
+        xs = s.a + (s.b - s.a) * self.INTERIOR
+        theta = np.arccos((xs - mid) / rad)
+        above = upper(theta, np.sin(0.5 * theta), np.cos(0.5 * theta))
+        assert np.max(np.abs(out.cdf(xs) - (built.cdf_y[-1] - above))) <= 1e-13
         # the Chebyshev series stays exact next to the support
         zs = s.a + (s.b - s.a) * self.INTERIOR + 1e-12j
         want = built.cauchy_fn(zs)

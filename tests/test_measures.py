@@ -10,6 +10,7 @@ from fgig.measures import (
     SpectralMeasure,
     _completed_graph,
     _knot_angles,
+    _standard_chop,
     atom_measure,
     build_fgig,
     build_free_poisson,
@@ -125,6 +126,22 @@ class TestCdfKnots:
         for k in (1, 2, n // 8, n // 2, 7 * n // 8, n - 2, n - 1):
             want = mass_below40(p, s.a, s.b, k * math.pi / n)
             assert abs(m.cdf_y[n - k] - want) <= 1e-13
+        # and between the knots
+        for f in (1e-9, 1e-4, 0.3, 0.77, 1.0 - 1e-6):
+            x = s.a + f * (s.b - s.a)
+            assert abs(m.cdf(x) - mass_below40(p, s.a, s.b, x=x)) <= 1e-13
+
+    def test_knot_abscissas_carry_their_mass(self, mass_below40):
+        # each float abscissa, hi cos(theta/2)**2 + lo sin(theta/2)**2,
+        # keeps its relative accuracy next to lo << hi, so the pair
+        # (cdf_x, cdf_y) is exact as it stands
+        p = NaturalParams(1e-3, 1e-3, 0.0)
+        s = solve_support(p)
+        m = build_fgig(p)
+        n = m.cdf_x.size - 1
+        for j in (1, 2, 3, 10, n // 2, n - 1):
+            x = m.cdf_x[j]
+            assert abs(m.cdf_y[j] - mass_below40(p, s.a, s.b, x=x)) <= 1e-13
 
     @pytest.mark.parametrize("fp", [FreePoissonParams(0.5, 0.3),
                                     FreePoissonParams(2.0, 1.0),
@@ -151,7 +168,7 @@ class TestCdfKnots:
     def test_semicircle_closed_form(self):
         m = build_semicircle(0.0, 2.0, 64)
         theta = np.arange(4097) * math.pi / 4096
-        x = 2.0 * np.cos(theta)
+        x = 2.0 * np.cos(0.5 * theta) ** 2 - 2.0 * np.sin(0.5 * theta) ** 2
         want = 1.0 - (theta - np.sin(theta) * np.cos(theta)) / math.pi
         assert np.array_equal(m.cdf_x, x[::-1])
         assert np.max(np.abs(m.cdf_y - want[::-1])) <= 1e-15
@@ -178,6 +195,27 @@ class TestCdfKnots:
         assert r.cdf_y[0] == 0.0
         assert r.cdf_y[-1] == m.cdf_y[-1]
         assert np.all(np.diff(r.cdf_y) >= 0.0)
+
+
+class TestStandardChop:
+    """The chop rule on synthetic coefficient vectors."""
+
+    K = np.arange(200)
+
+    @pytest.mark.parametrize("seed", range(3))
+    def test_noise_plateau_cuts_near_the_crossing(self, seed):
+        # 2**-k meets a 1e-14 noise floor at k = log2(1e14) = 46.5
+        noise = np.random.default_rng(seed).standard_normal(self.K.size)
+        cut = _standard_chop(0.5 ** self.K + 1e-14 * noise)
+        assert 40 <= cut <= 50
+
+    def test_unfinished_decay_keeps_every_term(self):
+        c = 10.0 ** (-self.K[:101] / 10.0)  # down to 1e-10, no plateau
+        assert _standard_chop(c) == c.size
+
+    def test_zero_tail_cuts_at_its_start(self):
+        c = np.where(self.K < 20, 0.5 ** self.K, 0.0)
+        assert _standard_chop(c) == 20
 
 
 class TestMoment:
