@@ -298,6 +298,63 @@ class TestImports:
         "entropy --alpha 2 --beta 8 --lambda 1",
     ]
 
+    @staticmethod
+    def stdout_of(code):
+        """stdout of ``python -c code`` in a fresh interpreter."""
+        done = subprocess.run([sys.executable, "-c", code], env=fresh_env(),
+                              capture_output=True, text=True, check=True,
+                              timeout=120)
+        return done.stdout
+
+    def test_light_commands_load_no_scipy(self):
+        code = (
+            "import contextlib, io, sys\n"
+            "import fgig.cli\n"
+            "loaded = [m for m in sys.modules if m.startswith('scipy')]\n"
+            "for sub in ('params', 'density', 'transform', 'levy', 'fsd'):\n"
+            "    with contextlib.redirect_stdout(io.StringIO()):\n"
+            "        assert fgig.cli.run([sub, '--alpha', '1.3', '--beta',\n"
+            "                             '2.1', '--lambda', '0.7']) == 0\n"
+            "    loaded += [m for m in sys.modules if m.startswith('scipy')]\n"
+            "print(sorted(set(loaded)))\n")
+        assert self.stdout_of(code) == "[]\n"
+
+    def test_limits_and_entropy_load_no_scipy(self):
+        # the cdf knots are closed forms, and the Levy distance reads them
+        # without an interpolant
+        code = (
+            "import contextlib, io, sys\n"
+            "import fgig.cli\n"
+            "for sub in ('limits', 'entropy'):\n"
+            "    with contextlib.redirect_stdout(io.StringIO()):\n"
+            "        assert fgig.cli.run([sub, '--alpha', '2', '--beta',\n"
+            "                             '8', '--lambda', '0']) == 0\n"
+            "print(sorted(m for m in sys.modules if m.startswith('scipy')))\n")
+        assert self.stdout_of(code) == "[]\n"
+
+    def test_convolve_loads_no_scipy_integrate(self):
+        # the Kolmogorov distance reads the output's own cdf, so convolve
+        # loads no scipy module at all, scipy.integrate included
+        code = (
+            "import contextlib, io, sys\n"
+            "import fgig.cli\n"
+            "with contextlib.redirect_stdout(io.StringIO()):\n"
+            "    assert fgig.cli.run(['convolve', '--alpha', '2', '--beta',\n"
+            "                         '8', '--lambda', '1']) == 0\n"
+            "print(sorted(m for m in sys.modules if m.startswith('scipy')))\n")
+        assert self.stdout_of(code) == "[]\n"
+
+    def test_classical_entropy_loads_no_scipy(self):
+        code = (
+            "import sys\n"
+            "from fgig import entropy as E\n"
+            "E.gig_entropy(1.3, 2.1, 0.7)\n"
+            "E.gibbs_bound(1.3, 2.1, 0.7)\n"
+            "E.classical_entropy(lambda x: E.classical_gig_density(\n"
+            "    2.0, 8.0, 1.0, x), E.Potential(2.0, 8.0, 1.0), split=2.0)\n"
+            "print(sorted(m for m in sys.modules if m.startswith('scipy')))\n")
+        assert self.stdout_of(code) == "[]\n"
+
     def test_runs_without_scipy(self):
         # every README subcommand and the classical entropy, in a fresh
         # interpreter where importing scipy fails
