@@ -13,10 +13,14 @@ R-transform.  The cumulant transform then reconstructs as
     z r(z) = drift*z + atom*(1/(1 - z/alpha) - 1)
              + integral (1/(1 - z x) - 1) tau(dx).
 
-The ``x**(-3/2)`` edge at the origin and the square-root edge at
-``1/eta`` are both absorbed by the substitution ``x = sin(phi)**2/eta``,
-leaving a smooth integrand on ``(0, pi/2)``, integrated by numpy
-Gauss--Legendre rules that are built on first use.
+The integrals against ``tau`` are closed forms.  With ``L = 1/eta`` and
+``kappa = 1 - alpha/eta = (lam t)**2``, ``t = A/B``, the x-weighted part
+
+    sigma(dx) = x tau(dx) = sqrt(beta eta)/pi * sqrt(x (L - x))
+                            * (1/x + (alpha - delta)/(1 - alpha*x)) dx
+
+is a Marchenko--Pastur-type term plus a pole term that the reflection
+``y = 1/alpha - x`` makes one on ``[kappa/alpha, 1/alpha]``.
 """
 
 import math
@@ -25,11 +29,40 @@ from typing import Callable
 
 import numpy as np
 
-from .errors import NumericError
-from .measures import _gauss_legendre
-from .params import (SpreadForm, require_valid, solve_spread, spectral_roots,
+from .errors import NumericError, PoleError
+from .measures import _rational_upper_mass, _support_root
+from .params import (SpreadForm, _solve_ratio, solve_spread, spectral_roots,
                      spread_to_natural)
-from .transforms import r_fgig
+from .transforms import extrapolate_to_zero, r_fgig
+
+
+@dataclass(frozen=True)
+class XWeightedLevy:
+    """``sigma`` in closed form from ``scale = sqrt(beta eta)``, ``hi = L``
+    (exactly ``1/alpha`` at ``lam = 0``), ``pole = 1/alpha``,
+    ``lo = kappa/alpha``, ``gap = 1 - sqrt(kappa)`` and
+    ``slope = alpha - delta``, each free of cancellation."""
+
+    scale: float
+    hi: float
+    pole: float
+    lo: float
+    gap: float
+    slope: float
+
+    def cauchy(self, w):
+        """``integral sigma(dx)/(w - x)`` is
+        ``scale (L/(w + R) + c/(w + R - gap/alpha))`` with ``R = r(w; 0, L)``
+        and ``c = slope (gap/alpha)**2``, since the pole term's support root
+        at ``1/alpha - w`` is ``-R``.  Like ``D`` in ``_fgig_cauchy``, each
+        denominator is the larger factor of a conjugate pair; the second
+        vanishes only at ``w = 1/alpha = L``, where ``r`` diverges."""
+        big = w + _support_root(w, 0.0, self.hi)
+        den = big - self.pole * self.gap
+        if den == 0:
+            raise PoleError("square-root divergence at z = alpha", residue=0.0)
+        c = self.slope * (self.gap * self.pole) ** 2
+        return self.scale * (self.hi / big + c / den)
 
 
 @dataclass(frozen=True)
@@ -41,6 +74,7 @@ class LevyTriplet:
     atom: tuple  # (location 1/alpha, weight max(lam, 0))
     levy_density: Callable
     support: tuple  # (0, 1/eta)
+    sigma: XWeightedLevy
 
 
 @dataclass(frozen=True)
@@ -57,61 +91,40 @@ class FsdReport:
 
 
 def _density_factory(p):
+    # 1 - alpha x = (1 - eta x) + kappa eta x: nonnegative terms, and
+    # 1 - eta x, cancelling against the square root, at lam = 0
     roots = spectral_roots(p)
-    alpha, beta, lam = p.alpha, p.beta, p.lam
-    delta, eta = roots.delta, roots.eta
+    t = _solve_ratio(p.alpha, p.beta, p.lam)[0]
 
-    if lam == 0.0:
-        # eta == alpha: the zero of 1 - alpha*x cancels against the square
-        # root; evaluate the cancelled form directly
-        def density(x, a=alpha, b=beta, d=delta):
-            x = np.asarray(x, dtype=float)
-            inside = (x > 0.0) & (x < 1.0 / a)
-            xi = np.where(inside, x, 0.5 / a)
-            vals = ((1.0 - d * xi) * math.sqrt(b)
-                    / (math.pi * xi ** 1.5 * np.sqrt(1.0 - a * xi)))
-            out = np.where(inside, vals, 0.0)
-            return out if out.ndim else float(out)
-    else:
-        def density(x, a=alpha, b=beta, d=delta, e=eta):
-            x = np.asarray(x, dtype=float)
-            inside = (x > 0.0) & (x < 1.0 / e)
-            xi = np.where(inside, x, 0.5 / e)
-            vals = ((1.0 - d * xi) * np.sqrt(b * np.clip(1.0 - e * xi, 0.0, None))
-                    / (math.pi * xi ** 1.5 * (1.0 - a * xi)))
-            out = np.where(inside, vals, 0.0)
-            return out if out.ndim else float(out)
+    def density(x, b=p.beta, d=roots.delta, e=roots.eta, k=(p.lam * t) ** 2):
+        x = np.asarray(x, dtype=float)
+        inside = (x > 0.0) & (e * x < 1.0)
+        xi = np.where(inside, x, 0.5 / e)
+        rest = 1.0 - e * xi
+        vals = ((1.0 - d * xi) * np.sqrt(b * rest)
+                / (math.pi * xi ** 1.5 * (rest + k * e * xi)))
+        out = np.where(inside, vals, 0.0)
+        return out if out.ndim else float(out)
 
     return density, roots
 
 
 def levy_density(p, x):
     """Density of the a.c. part of the free Levy measure on ``(0, 1/eta)``."""
-    require_valid(p)
-    density, _ = _density_factory(p)
-    return density(x)
-
-
-def extrapolate_to_zero(h, y):
-    """Neville polynomial extrapolation of ``y(h)`` to ``h = 0``."""
-    h = np.asarray(h, dtype=float)
-    t = np.asarray(y, dtype=float).copy()
-    n = t.size
-    for m in range(1, n):
-        for i in range(n - m):
-            t[i] = (h[i] * t[i + 1] - h[i + m] * t[i]) / (h[i] - h[i + m])
-    return float(t[0])
+    return _density_factory(p)[0](x)
 
 
 def levy_triplet(p):
-    """Numeric triplet: drift and semicircular part as extrapolated limits.
+    """Triplet with the drift and semicircular part as extrapolated limits.
 
     The R-transform decays like ``|u|**(-1/2)`` down the negative axis, so
     both limits are Neville-extrapolated in ``|u|**(-1/2)`` along
-    ``u = -10**k, k = 2..6``.  A sequence that fails to decay raises.
+    ``u = -s 10**k, k = 2..6``, past the scale ``s = max(1, alpha, eta,
+    -delta)`` of the tail.  A sequence that fails to decay raises.
     """
-    require_valid(p)
-    u = -np.power(10.0, np.arange(2, 7))
+    density, roots = _density_factory(p)
+    scale = max(1.0, p.alpha, roots.eta, -roots.delta)
+    u = -scale * np.power(10.0, np.arange(2, 7))
     r_vals = np.real(r_fgig(p, u.astype(complex)))
     if not np.all(np.abs(r_vals[1:]) <= np.abs(r_vals[:-1]) * 1.5):
         raise NumericError("R-transform tail is not decaying",
@@ -119,67 +132,53 @@ def levy_triplet(p):
     h = np.abs(u) ** -0.5
     drift = extrapolate_to_zero(h, r_vals)
     semicirc = extrapolate_to_zero(h, r_vals / u)
-    density, roots = _density_factory(p)
-    atom = (1.0 / p.alpha, max(p.lam, 0.0))
-    return LevyTriplet(drift, semicirc, atom, density, (0.0, 1.0 / roots.eta))
-
-
-def _levy_integral(t, f, kink=None, settle_tol=1e-7):
-    """Integral of a (complex-valued, vectorized) ``f`` against the a.c. part.
-
-    Substitutes ``x = sin(phi)**2 / eta``, which absorbs both the
-    ``x**(-3/2)`` origin singularity and the square-root upper edge;
-    splits at ``kink`` when ``f`` has one.  The rule is evaluated at two
-    orders and must settle: a pole of ``f`` hugging the interval makes
-    the quadrature meaningless and raises instead of returning noise.
-    """
-    hi = t.support[1]
-    eta = 1.0 / hi
-
-    def transformed(phi):
-        x = np.sin(phi) ** 2 / eta
-        jac = 2.0 * np.sin(phi) * np.cos(phi) / eta
-        return f(x) * t.levy_density(x) * jac
-
-    def with_rule(rule):
-        nodes, weights = rule
-        pieces = [(0.0, 0.5 * math.pi)]
-        if kink is not None and 0.0 < kink < hi:
-            phi_star = math.asin(math.sqrt(eta * kink))
-            pieces = [(0.0, phi_star), (phi_star, 0.5 * math.pi)]
-        total = 0.0
-        for a, b in pieces:
-            mid, rad = 0.5 * (a + b), 0.5 * (b - a)
-            total = total + rad * np.sum(weights * transformed(mid + rad * nodes),
-                                         axis=-1)
-        return total
-
-    coarse = with_rule(_gauss_legendre(512))
-    fine = with_rule(_gauss_legendre(1024))
-    if abs(fine - coarse) > settle_tol * max(1.0, abs(fine)):
-        raise NumericError("Levy-measure quadrature did not settle",
-                           residual=float(abs(fine - coarse)))
-    return fine
+    t, _, _, _, plus, minus = _solve_ratio(p.alpha, p.beta, p.lam)
+    v = 1.0 / p.alpha
+    sigma = XWeightedLevy(math.sqrt(p.beta * roots.eta), v * plus * minus, v,
+                          v * (p.lam * t) ** 2, min(plus, minus),
+                          p.alpha - roots.delta)
+    return LevyTriplet(drift, semicirc, (v, max(p.lam, 0.0)), density,
+                       (0.0, 1.0 / roots.eta), sigma)
 
 
 def min1x_integral(t):
-    """``integral min(1, x) tau(dx)`` over the a.c. part (finiteness check)."""
-    return float(np.real(_levy_integral(t, lambda x: np.minimum(1.0, x),
-                                        kink=1.0)))
+    """``integral min(1, x) tau(dx)`` over the a.c. part (finiteness check),
+    ``sigma((0, m]) + tau((m, L))`` with ``m = min(1, L)``.
+
+    On ``[0, L]`` the ``1/x`` term of ``sigma`` is ``_rational_upper_mass``
+    with ``(c1, c2) = (2 s, 0)``, ``s = sqrt(beta eta)``, and the ``1/x``,
+    ``1/x**2`` terms of ``tau`` with ``(2 s (alpha - delta), 2 s)``.  The
+    pole term, reflected, has ``c1 = 2 s (alpha - delta)/alpha`` in
+    ``sigma`` and alpha times it in ``tau``, and is read at ``pi - theta``.
+    """
+    g = t.sigma
+    s, hi, v = g.scale, g.hi, g.pole
+    pole_total = 0.5 * s * g.slope * (g.gap * v) ** 2
+    if hi <= 1.0:
+        return 0.5 * s * hi + pole_total
+    sh, ch = math.sqrt((hi - 1.0) / hi), math.sqrt(1.0 / hi)  # x = 1
+    theta = 2.0 * math.atan2(sh, ch)
+    near = _rational_upper_mass(0.0, hi, 2.0 * s, 0.0, theta, sh, ch)
+    far = _rational_upper_mass(0.0, hi, 2.0 * s * g.slope, 2.0 * s,
+                               theta, sh, ch)
+    # the pole term of sigma on (0, 1]; tau's on (1, L) is alpha times the rest
+    pole_near = _rational_upper_mass(g.lo, v, 2.0 * s * g.slope * v, 0.0,
+                                     2.0 * math.atan2(ch, sh), ch, sh)
+    return float(0.5 * s * hi - near + pole_near
+                 + far + (pole_total - pole_near) / v)
 
 
 def reconstruct_cumulant(t, z):
-    """Rebuild ``z r(z)`` from the triplet at a point of the lower half-plane."""
+    """Rebuild ``z r(z)`` from the triplet at a point of the lower half-plane,
+    the integral as the Cauchy transform of ``sigma`` at ``1/z``.  Raises
+    :class:`PoleError` at ``z = alpha`` when ``lam = 0``."""
     z = complex(z)
     atom_loc, atom_w = t.atom
     total = t.drift * z + t.semicircular * z * z
     if atom_w:
         total += atom_w * (1.0 / (1.0 - z * atom_loc) - 1.0)
-
-    def f(x):
-        return z * x / (1.0 - z * x)
-
-    total += _levy_integral(t, f)
+    if z:
+        total += complex(t.sigma.cauchy(1.0 / z))
     return total
 
 
@@ -226,16 +225,13 @@ def fsd_report(p, grid_points=10_000, increment_tol=1e-9):
     decrease; ``agrees`` records whether the two routes coincide.
     """
     if isinstance(p, SpreadForm):
-        require_valid(p)
-        sf = p
-        p = spread_to_natural(sf)
+        sf, p = p, spread_to_natural(p)
     else:
-        require_valid(p)
         sf = solve_spread(p)
 
     disc = fsd_discriminant(p)
     threshold = fsd_threshold(sf.A, sf.B)
-    roots = spectral_roots(p)
+    density, roots = _density_factory(p)
     # the boundary case D == 0 is self-decomposable; tolerate roundoff at
     # the scale of the cancelled terms
     disc_scale = ((roots.delta - 3.0 * p.alpha) ** 2
@@ -244,7 +240,6 @@ def fsd_report(p, grid_points=10_000, increment_tol=1e-9):
                               + p.alpha * roots.delta))
     is_fsd = (p.lam <= 0.0) and (disc <= 1e-12 * disc_scale)
 
-    density, roots = _density_factory(p)
     hi = 1.0 / roots.eta
     xs = hi * np.arange(1, grid_points + 1) / (grid_points + 1)
     k = xs * density(xs)

@@ -153,7 +153,9 @@ def _rational_upper_mass(lo, hi, c1, c2, theta, sh, ch):
 
         F = mid theta - rad sin(theta) - 2 s A,
         G = 2 (mid/s) A - theta + rad sin(theta)/x,
-        A = arctan(sqrt(lo/hi) tan h),    x = hi cos(h)**2 + lo sin(h)**2.
+        A = arctan(sqrt(lo/hi) tan h),    x = hi cos(h)**2 + lo sin(h)**2,
+
+    and ``G = 2 tan h - theta`` at ``lo = 0``.
 
     On a narrow support, ``rho = (hi - lo)/(sqrt(lo) + sqrt(hi))**2``
     below ``_NARROW``, both lose digits as ``1/rho**2``.  There, with
@@ -180,7 +182,8 @@ def _rational_upper_mass(lo, hi, c1, c2, theta, sh, ch):
         if c2 == 0.0:  # lo may be 0 here
             return c1 * F / _TWO_PI
         x = hi * ch * ch + lo * sh * sh
-        G = 2.0 * (mid / s) * A - theta + rad * sin_t / x
+        G = (2.0 * (mid / s) * A - theta + rad * sin_t / x if lo
+             else 2.0 * sh / ch - theta)
         return (c1 * F + c2 * G) / _TWO_PI
     rr = rho * rho
     ch2, sh2 = ch * ch, sh * sh
@@ -220,16 +223,6 @@ def _edge_matched_rule(n, p_exp, q_exp):
         w = 4.0 * math.pi / (2 * n + 1) * np.sin(0.5 * ang) ** 2
         return np.cos(ang), w
     raise DomainError(f"unsupported edge exponents ({p_exp}, {q_exp})")
-
-
-_LEGENDRE_RULES = {}  # n -> (nodes, weights); outlives functools clears
-
-
-def _gauss_legendre(n):
-    """Gauss--Legendre rule on [-1, 1], built on first use and kept."""
-    if n not in _LEGENDRE_RULES:
-        _LEGENDRE_RULES[n] = np.polynomial.legendre.leggauss(n)
-    return _LEGENDRE_RULES[n]
 
 
 def _jacobi_measure(lo, hi, g, p_exp=0.5, q_exp=0.5, n=256, atoms=(), *,

@@ -18,7 +18,7 @@ whichever factor is larger, so one expression serves every ``z``
 Cauchy transforms are evaluated from the one a measure carries (closed
 form, Chebyshev series or atom sum; see :mod:`fgig.measures`), or by
 numerically inverting ``r(w) + 1/w = z``.  Densities come back
-through the boundary values ``-Im G(x + i eps)/pi`` with Richardson
+through the boundary values ``-Im G(x + i eps)/pi`` with Neville
 extrapolation in ``eps``.
 """
 
@@ -31,7 +31,7 @@ from .errors import DomainError, NumericError, PoleError
 from .params import require_valid, solve_spread, spectral_roots
 from .series import Series
 
-_DEFAULT_LADDER = tuple(1e-2 * 0.5 ** k for k in range(8))
+_DEFAULT_LADDER = tuple(1e-2 * 0.5 ** k for k in range(4, 8))
 
 
 @dataclass(frozen=True)
@@ -217,23 +217,32 @@ def cauchy_from_r(r, z, seed=None, tol=1e-12):
     return w
 
 
+def extrapolate_to_zero(h, y):
+    """Neville polynomial extrapolation of ``y(h)`` to ``h = 0``, along
+    the first axis of ``y``."""
+    h = np.asarray(h, dtype=float)
+    t = np.array(y, dtype=float)
+    for m in range(1, len(t)):
+        for i in range(len(t) - m):
+            t[i] = (h[i] * t[i + 1] - h[i + m] * t[i]) / (h[i] - h[i + m])
+    return float(t[0]) if t.ndim == 1 else t[0]
+
+
 def stieltjes_density(G, x):
     """Recover a density from a vectorized Cauchy transform evaluator.
 
-    Evaluates ``-Im G(x + i eps)/pi`` along a halving ladder and removes
-    the ``O(eps)`` and ``O(eps**2)`` smoothing bias with two rounds of
-    Richardson extrapolation, ``2 h[k+1] - h[k]`` and then
-    ``(4 r[k+1] - r[k])/3``.  The final two extrapolants must agree,
+    Evaluates ``-Im G(x + i eps)/pi`` on four rungs of a halving ladder
+    and removes the ``O(eps)`` and ``O(eps**2)`` smoothing bias by
+    quadratic extrapolation to ``eps = 0`` through the last three rungs.
+    The extrapolant through the first three must agree with it,
     otherwise a :class:`NumericError` is raised.
     """
     scalar = np.isscalar(x)
     x = np.atleast_1d(np.asarray(x, dtype=float))
     h = np.array([-np.asarray(G(x + 1j * eps), dtype=complex).imag / math.pi
                   for eps in _DEFAULT_LADDER])
-    r1 = 2.0 * h[1:] - h[:-1]
-    r2 = (4.0 * r1[1:] - r1[:-1]) / 3.0
-    val = r2[-1]
-    wobble = np.abs(r2[-1] - r2[-2])
+    val = extrapolate_to_zero(_DEFAULT_LADDER[1:], h[1:])
+    wobble = np.abs(val - extrapolate_to_zero(_DEFAULT_LADDER[:-1], h[:-1]))
     bad = wobble > np.maximum(1e-5, 1e-3 * np.abs(val))
     if np.any(bad):
         i = int(np.argmax(wobble))

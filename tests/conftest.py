@@ -36,6 +36,29 @@ def support40():
 
 
 @pytest.fixture(scope="session")
+def roots40(support40):
+    """``(alpha, beta, delta, eta)`` of ``mu(alpha, beta, lam)`` as mpmath
+    numbers, ``delta`` and ``eta`` on the 40-digit support.
+
+    ``spectral_roots``' ``delta = -2 (1 + lam t)/(B (1 - t))`` and
+    ``eta = 2/(A (1 - lam t))``, ``t = A/B``, with ``1 + lam t = alpha A/2``
+    and ``1 - lam t = 8 beta A/(B - A)**2`` from the spread form of
+    ``(alpha, beta)``, and ``B - A = 4 sqrt(ab)``: nothing cancels.
+    """
+    mp = pytest.importorskip("mpmath")
+
+    def roots(p):
+        a, b = support40(p)
+        with mp.workdps(40):
+            alpha, beta = mp.mpf(p.alpha), mp.mpf(p.beta)
+            g = mp.sqrt(a * b)
+            A = (mp.sqrt(b) - mp.sqrt(a)) ** 2
+            return alpha, beta, -alpha * A / (4 * g), (2 * g / A) ** 2 / beta
+
+    return roots
+
+
+@pytest.fixture(scope="session")
 def mass_below40():
     """Mass of ``fgig_density`` on ``(a, x)`` to 40 digits, for ``x`` the
     exact point ``mid + rad*cos(theta)`` of the support ``(a, b)``, or the

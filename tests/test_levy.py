@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from fgig import NaturalParams, SpreadForm, spectral_roots
+from fgig import NaturalParams, PoleError, SpreadForm, spectral_roots
 from fgig.levy import (
     extrapolate_to_zero,
     fsd_discriminant,
@@ -16,7 +16,6 @@ from fgig.levy import (
     reconstruct_cumulant,
 )
 from fgig.entropy import gibbs_bound
-from fgig.measures import _gauss_legendre
 from fgig.params import solve_spread
 from fgig.transforms import r_fgig
 
@@ -70,6 +69,12 @@ class TestLevyTriplet:
         t0 = levy_triplet(NaturalParams(1.0, 1.0, -5.0))
         assert t0.atom[1] == 0.0
 
+    def test_limits_where_the_fixed_ladder_was_not_asymptotic(self):
+        # u = -10**k was not yet in the tail here: drift was -5.9e-5
+        t = levy_triplet(NaturalParams(697.24, 437.65, 0.1535))
+        assert abs(t.drift) <= 1e-7
+        assert abs(t.semicircular) <= 1e-7
+
     def test_support_upper_end(self):
         p = NaturalParams(2.0, 8.0, 0.0)
         t = levy_triplet(p)
@@ -84,7 +89,7 @@ class TestLevyTriplet:
         assert val == pytest.approx(2.125, rel=1e-8)
 
     def test_min1x_with_kink(self):
-        # support reaching past 1 exercises the split at the kink
+        # support reaching past 1 exercises the masses read at x = 1
         p = NaturalParams(0.3, 0.2, -1.0)
         assert 1.0 / spectral_roots(p).eta > 1.0
         t = levy_triplet(p)
@@ -93,6 +98,21 @@ class TestLevyTriplet:
 
 
 class TestReconstruction:
+    def test_sigma_part_where_the_quadrature_did_not_settle(self):
+        # desk triple whose pole 1/z sat inside the support of tau: the
+        # Cauchy transform of x tau(dx) at 1/z is z r(z) less the atom term
+        p = NaturalParams(0.017022254342310077, 116.49235882409742,
+                          1.058055283689157)
+        t = levy_triplet(p)
+        z = 2.5 - 0.15j
+        want = z * r_fgig(p, z) - p.lam * z / (p.alpha - z)
+        assert abs(t.sigma.cauchy(1.0 / z) - want) <= 1e-12 * abs(want)
+
+    def test_pole_at_alpha_for_lam_zero(self):
+        t = levy_triplet(NaturalParams(2.0, 8.0, 0.0))
+        with pytest.raises(PoleError):
+            reconstruct_cumulant(t, 2.0)
+
     def test_worked_point(self):
         p = NaturalParams(2.0, 8.0, 0.0)
         t = levy_triplet(p)
@@ -121,37 +141,29 @@ class TestReconstruction:
                            - reconstruct_cumulant(t, z)) <= 1e-6
 
 
-class TestGaussLegendre:
-    @pytest.mark.parametrize("n", [64, 512, 1024])
-    def test_even_monomials_exact(self, n):
-        nodes, weights = _gauss_legendre(n)
-        assert abs(weights.sum() - 2.0) <= 1e-15
-        for k in range(n):  # degree 2k <= 2n - 2
-            exact = 2.0 / (2 * k + 1)
-            assert abs(weights @ nodes ** (2 * k) - exact) <= 1e-13
-
-    def test_built_once(self):
-        assert _gauss_legendre(512) is _gauss_legendre(512)
-
-    # reference values from scipy's roots_legendre rules, an independent
-    # implementation of the same quadrature
+class TestReferenceValues:
+    # min1x from a 40-digit mpmath quadrature of tau, recon = z r(z) at
+    # 0.3 - 0.7i on the 40-digit support; the extrapolated drift and
+    # semicircular terms are taken off the reconstruction, since they
+    # have their own gate.  gibbs from scipy's roots_legendre rules.
     @pytest.mark.parametrize("triple, min1x, recon, gibbs", [
-        ((1.3, 2.1, 0.7), 1.2158354277139722,
-         0.03788639641358607 - 1.3788034626585142j, -2.7834392830129455),
-        ((0.01, 50.0, -3.0), 8.011788243925052,
-         -2.404453899704792 - 5.114739847788681j, -11.27287556718097),
-        ((300.0, 0.2, 2.5), 0.022800679338544124,
-         0.009315973713754052 - 0.021819379915951804j, -24.897247288013357),
-        ((5.0, 5.0, 0.0), 1.0499999999634992,
-         0.2653493662818145 - 0.7766936407538761j, -10.244285642478388),
-        ((2.0, 8.0, 1.0), 1.8888509669322096,
-         0.3429374995684893 - 1.8739719386076308j, -7.383411900772579),
+        ((1.3, 2.1, 0.7), 1.2158354277139622,
+         0.037886396435891034 - 1.3788034625041283j, -2.7834392830129455),
+        ((0.01, 50.0, -3.0), 8.011788243925269,
+         -2.404453899705495 - 5.114739847789887j, -11.27287556718097),
+        ((300.0, 0.2, 2.5), 0.022800679338543982,
+         0.009315906975218915 - 0.02181922254407735j, -24.897247288013357),
+        ((5.0, 5.0, 0.0), 1.05,
+         0.2653493658755156 - 0.7766936389588301j, -10.244285642478388),
+        ((2.0, 8.0, 1.0), 1.8888509669321953,
+         0.34293749956120106 - 1.8739719381085755j, -7.383411900772579),
     ])
     def test_reference_values(self, triple, min1x, recon, gibbs):
         t = levy_triplet(NaturalParams(*triple))
+        z = 0.3 - 0.7j
         assert min1x_integral(t) == pytest.approx(min1x, rel=1e-12)
-        assert reconstruct_cumulant(t, 0.3 - 0.7j) == pytest.approx(
-            recon, rel=1e-12)
+        assert (reconstruct_cumulant(t, z) - t.drift * z
+                - t.semicircular * z * z) == pytest.approx(recon, rel=1e-12)
         assert gibbs_bound(*triple) == pytest.approx(gibbs, rel=1e-12)
 
 

@@ -241,6 +241,18 @@ class TestStieltjesDensity:
         val = stieltjes_density(lambda z: cauchy(m, z), center)
         assert val == pytest.approx(free_poisson_density(fp, center), abs=1e-4)
 
+    def test_reads_four_rungs(self):
+        offsets = []
+
+        def far_atom(z):
+            z = np.asarray(z, dtype=complex)
+            offsets.append(float(z.imag[0]))
+            return 1.0 / (z - 10.0)
+
+        assert stieltjes_density(far_atom, 0.0) <= 1e-6
+        assert len(offsets) == len(set(offsets)) == 4
+        assert min(offsets) == 1e-2 * 0.5 ** 7
+
     def test_non_settling_ladder_raises(self):
         from fgig import NumericError
 

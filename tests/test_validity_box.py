@@ -4,7 +4,8 @@ The support solve over the validity box: alpha and beta log-uniform in
 [1e-6, 1e6], lam in [-50, 50], checked against a 40-digit support that
 does not use the package's solver.  The R-transform at its removable
 points, its pole, its branch point and off the axis over the same box,
-against a 40-digit closed form on that support.  The cdf knots of the
+against a 40-digit closed form on that support, and the Levy--Khintchine
+closed forms against it and a 40-digit quadrature.  The cdf knots of the
 built laws over the same box, against a 40-digit quadrature.  The
 classical side over it: ``log K`` against 40-digit mpmath and the Gibbs
 gap.  The free Poisson identity over the convolve box: alpha and beta
@@ -20,6 +21,7 @@ from fgig import (NaturalParams, NumericError, PoleError, reparameterize,
                   solve_support, spectral_roots)
 from fgig.convolution import free_convolve
 from fgig.entropy import gibbs_bound, gig_entropy, log_bessel_k
+from fgig.levy import levy_triplet, min1x_integral, reconstruct_cumulant
 from fgig.measures import (FreePoissonParams, build_fgig, build_free_poisson,
                            kolmogorov_distance)
 from fgig.params import solve_spread
@@ -49,37 +51,28 @@ def test_support_solve(support40, log_alpha, log_beta, lam):
     assert back.B == pytest.approx(sf.B, rel=1e-12)
 
 
-@hypothesis.settings(derandomize=True, database=None, deadline=None,
-                     max_examples=200)
-@hypothesis.given(log_alpha=st.floats(-6.0, 6.0),
-                  log_beta=st.floats(-6.0, 6.0), lam=st.floats(-50.0, 50.0))
-def test_r_transform(support40, log_alpha, log_beta, lam):
-    # r = (-alpha + (lam+1) z + 2 (z - delta) sqrt(beta (eta - z)))
-    #     / (2 z (alpha - z)) with delta and eta from the 40-digit support,
-    # and at the removable points 0 and alpha its limits through the
-    # numerator's derivative.  Right, or NumericError; a PoleError only
-    # at the pole itself.
+def _r40(roots40, p):
+    """``r`` of ``p`` at a float ``z``, an mpmath number to 40 digits on the
+    40-digit support:
+
+        r = (-alpha + (lam+1) z + 2 (z - delta) sqrt(beta (eta - z)))
+            / (2 z (alpha - z)),
+
+    and at the removable points 0 and alpha its limits through the
+    numerator's derivative.  Returns it with ``eta`` as a float.
+    """
     mp = pytest.importorskip("mpmath")
-    p = NaturalParams(10.0 ** log_alpha, 10.0 ** log_beta, lam)
-    alpha, beta = p.alpha, p.beta
-    a, b = support40(p)
-    with mp.workdps(40):
-        # spectral_roots' delta = -2 (1 + lam t)/(B (1 - t)) and
-        # eta = 2/(A (1 - lam t)), t = A/B, with 1 + lam t = alpha A/2
-        # and 1 - lam t = 8 beta A/(B - A)**2 from the spread form of
-        # (alpha, beta), and B - A = 4 sqrt(ab): nothing cancels
-        g = mp.sqrt(a * b)
-        A = (mp.sqrt(b) - mp.sqrt(a)) ** 2
-        delta = -alpha * A / (4 * g)
-        eta = (2 * g / A) ** 2 / beta
+    alpha, beta, delta, eta = roots40(p)
+    lam = mp.mpf(p.lam)  # lam + 1 in floats would round
 
-        def root(w):
-            return mp.sqrt(beta * (eta - w))
+    def root(w):
+        return mp.sqrt(beta * (eta - w))
 
-        def slope(w):  # derivative of the numerator
-            return lam + 1 + 2 * root(w) - beta * (w - delta) / root(w)
+    def slope(w):  # derivative of the numerator
+        return lam + 1 + 2 * root(w) - beta * (w - delta) / root(w)
 
-        def reference(z):
+    def reference(z):
+        with mp.workdps(40):
             if z == 0:
                 return slope(0) / (2 * alpha)
             if z == alpha:
@@ -88,26 +81,122 @@ def test_r_transform(support40, log_alpha, log_beta, lam):
             return ((-alpha + (lam + 1) * z + 2 * (z - delta) * root(z))
                     / (2 * z * (alpha - z)))
 
-        eta_f = float(eta)
-        scale = max(alpha, eta_f)
-        zs = [0.0, alpha, alpha * (1 - 1e-6), alpha * (1 + 1e-6),
-              eta_f * (1 - 1e-9), eta_f * (1 + 1e-9), -3.0 * alpha,
-              -10.0 * scale, scale * (0.5 - 1e-3j), scale * (2.0 - 0.5j),
-              scale * (-1.0 - 1.0j), alpha * (1.0 - 1e-6j)]
-        for z in map(complex, zs):
-            if z == alpha and lam >= 0:
+    return reference, float(eta)
+
+
+def _probe_points(alpha, eta):
+    """The removable points, the pole, both sides of the branch point, the
+    negative axis and the lower half-plane."""
+    scale = max(alpha, eta)
+    return [complex(z) for z in (
+        0.0, alpha, alpha * (1 - 1e-6), alpha * (1 + 1e-6), eta * (1 - 1e-9),
+        eta * (1 + 1e-9), -3.0 * alpha, -10.0 * scale, scale * (0.5 - 1e-3j),
+        scale * (2.0 - 0.5j), scale * (-1.0 - 1.0j), alpha * (1.0 - 1e-6j))]
+
+
+@hypothesis.settings(derandomize=True, database=None, deadline=None,
+                     max_examples=200)
+@hypothesis.given(log_alpha=st.floats(-6.0, 6.0),
+                  log_beta=st.floats(-6.0, 6.0), lam=st.floats(-50.0, 50.0))
+def test_r_transform(roots40, log_alpha, log_beta, lam):
+    # r against the 40-digit closed form: right, or NumericError; a
+    # PoleError only at the pole itself
+    p = NaturalParams(10.0 ** log_alpha, 10.0 ** log_beta, lam)
+    alpha = p.alpha
+    reference, eta_f = _r40(roots40, p)
+    for z in _probe_points(alpha, eta_f):
+        if z == alpha and lam >= 0:
+            with pytest.raises(PoleError):
+                r_fgig(p, z)
+            continue
+        try:
+            got = r_fgig(p, z)
+        except NumericError:
+            continue
+        if z == eta_f:  # the rounding of eta decides the value
+            continue
+        want = complex(reference(z))
+        tol = 1e-10 + 8 * np.finfo(float).eps * eta_f / abs(eta_f - z)
+        assert abs(got - want) <= tol * abs(want), (z, got, want)
+
+
+@hypothesis.settings(derandomize=True, database=None, deadline=None,
+                     max_examples=300)
+@hypothesis.given(log_alpha=st.floats(-6.0, 6.0),
+                  log_beta=st.floats(-6.0, 6.0), lam=st.floats(-50.0, 50.0))
+def test_levy_reconstruction(roots40, log_alpha, log_beta, lam):
+    # the integral term of reconstruct_cumulant, the Cauchy transform of
+    # x tau(dx) at 1/z, is z r(z) less the atom term lam z/(alpha - z) at
+    # 40 digits, to 1e-12 beside the rounding of eta as in
+    # test_r_transform; the drift and semicircular limits are 1e-7 small.
+    # Right, or NumericError; a PoleError only at alpha when lam = 0
+    mp = pytest.importorskip("mpmath")
+    p = NaturalParams(10.0 ** log_alpha, 10.0 ** log_beta, lam)
+    alpha = p.alpha
+    try:
+        t = levy_triplet(p)
+    except NumericError:
+        return
+    assert abs(t.drift) <= 1e-7 and abs(t.semicircular) <= 1e-7
+    assert reconstruct_cumulant(t, 0.0) == 0.0
+    reference, eta_f = _r40(roots40, p)
+    for z in _probe_points(alpha, eta_f)[1:]:
+        if z == alpha and lam >= 0:
+            if lam == 0:
                 with pytest.raises(PoleError):
-                    r_fgig(p, z)
-                continue
-            try:
-                got = r_fgig(p, z)
-            except NumericError:
-                continue
-            if z == eta_f:  # the rounding of eta decides the value
-                continue
-            want = complex(reference(z))
-            tol = 1e-10 + 8 * np.finfo(float).eps * eta_f / abs(eta_f - z)
-            assert abs(got - want) <= tol * abs(want), (z, got, want)
+                    t.sigma.cauchy(1.0 / z)
+            continue
+        if z == eta_f:
+            continue
+        with mp.workdps(40):
+            zz = mp.mpc(z.real, z.imag)
+            atom = lam * zz / (mp.mpf(alpha) - zz) if lam > 0 else 0
+            want = complex(zz * reference(z) - atom)
+        tol = 1e-12 + 8 * np.finfo(float).eps * eta_f / abs(eta_f - z)
+        got = t.sigma.cauchy(1.0 / z)
+        assert abs(got - want) <= tol * abs(want), (z, got, want)
+
+
+@hypothesis.settings(derandomize=True, database=None, deadline=None,
+                     max_examples=40)
+@hypothesis.given(log_alpha=st.floats(-6.0, 6.0),
+                  log_beta=st.floats(-6.0, 6.0), lam=st.floats(-50.0, 50.0))
+# the longest supports, L = 1e6 and 7.5e4, where the reflected pole term
+# is read at a small angle
+@hypothesis.example(log_alpha=-6.0, log_beta=-6.0, lam=0.0)
+@hypothesis.example(log_alpha=-5.0, log_beta=-6.0, lam=0.5)
+def test_levy_min1x(roots40, log_alpha, log_beta, lam):
+    # integral min(1, x) tau(dx) against a 40-digit quadrature of tau, on
+    # the 40-digit support, with breakpoints crowding L = 1/eta down to a
+    # hundredth of the pole's distance kappa L beyond it; and r(0) less the
+    # atom's lam/alpha when L <= 1.  Right, or NumericError
+    mp = pytest.importorskip("mpmath")
+    p = NaturalParams(10.0 ** log_alpha, 10.0 ** log_beta, lam)
+    try:
+        got = min1x_integral(levy_triplet(p))
+    except NumericError:
+        return
+    alpha, beta, delta, eta = roots40(p)
+    with mp.workdps(40):
+        L, kappa = 1 / eta, 1 - alpha / eta
+
+        def tau(x, s):  # s = L - x
+            return ((1 - delta * x) * mp.sqrt(beta * eta * s)
+                    / (mp.pi * x ** mp.mpf(1.5) * (kappa + alpha * s)))
+
+        split = 1 if L > 1 else L / 2
+        pts, s = [], L - split
+        while s > max(kappa * L / 100, L * mp.mpf(10) ** -35):
+            s /= 10
+            pts.append(s)
+        upper = (tau if L > 1 else lambda x, s: x * tau(x, s))
+        want = float(mp.quad(lambda x: x * tau(x, L - x), [0, split])
+                     + mp.quad(lambda s: upper(L - s, s),
+                               [0] + pts[::-1] + [L - split]))
+    assert abs(got - want) <= 1e-12 * want
+    if L <= 1:
+        mean = r_fgig(p, 0.0).real
+        assert abs(got - (mean - max(lam, 0.0) / p.alpha)) <= 1e-12 * mean
 
 
 @hypothesis.settings(derandomize=True, database=None, deadline=None,
