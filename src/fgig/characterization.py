@@ -3,21 +3,27 @@
 For free ``X > 0`` and ``Y`` Marchenko--Pastur with jump ``1/alpha`` and
 rate ``lam`` (both parameters positive), the fixed-point equation holds
 exactly when ``X ~ mu(alpha, alpha, -lam)``.  Subordination turns the
-fixed point into a functional equation for ``M(z) = G_X(1/z)``:
+fixed point into a functional equation for ``M(z) = G_X(1/z)``, which in
 
-    -M(z) + z = z**2 * M(N(z)),
-    N(z) = (-z + alpha z^2 + M(z)) / (-(1+lam) z^2 + alpha z^3 + z M(z)),
+    K(z) = (z - M(z))/z**2 = -integral x/(1 - z x) dmu(x)
 
-which pins down every Taylor coefficient of ``M`` at the distinguished
-point ``c`` in ``(-1, 0)`` where ``N(c) = c``; ``c`` is the unique root
-there of the quartic
+reads
+
+    K(z) = N - N**2 K(N),    N(z) = g/(z g - lam),    g = alpha - K(z).
+
+It pins down every Taylor coefficient of ``K`` at the distinguished point
+``c`` in ``(-1, 0)`` where ``N(c) = c``; ``c`` is the unique root there of
+the quartic
 
     alpha c^4 - (1 + lam) c^3 + (1 - lam) c - alpha = 0.
 
-This module solves the coefficient recursion order by order through
-truncated-series algebra, checks it against direct quadrature of the
-derivative kernels ``k! x^(k-1) / (1 - c x)^(k+1)``, and verifies the
-fixed point itself by running the convolution/reciprocal pipeline.
+At ``c`` the factors ``g = alpha - K(c)`` and ``c g - lam`` are each a sum
+of terms of one sign, so the series algebra does not cancel.  This module
+solves the coefficient recursion order by order, returns ``M``'s
+coefficients ``a_n = -(c^2 k_n + 2 c k_(n-1) + k_(n-2))``, checks them
+against direct quadrature of the derivative kernels
+``k! x^(k-1) / (1 - c x)^(k+1)``, and verifies the fixed point itself by
+running the convolution/reciprocal pipeline.
 """
 
 import math
@@ -33,7 +39,11 @@ from .params import NaturalParams
 from .series import Series
 from .transforms import cauchy
 
-_COLLINEARITY_TOL = 1e-9
+# Each order's rounding is divided by its slope s_n.  As c nears -1 the
+# equation loses hold of the odd orders and the slopes' lower bound falls
+# with 1 - c^4; below this floor order 8 drifts past 1e-10 of the
+# quadrature oracle.
+_SLOPE_FLOOR = 1e-2
 
 
 @dataclass(frozen=True)
@@ -68,65 +78,55 @@ def quartic_residual(alpha, lam, c):
 def solve_c(alpha, lam):
     """Unique root in ``(-1, 0)`` of the center quartic.
 
-    Bisection brackets the sign change, a Newton polish brings the
-    residual to machine precision.
+    The quartic is ``2 lam > 0`` at ``-1`` and ``-alpha < 0`` at ``0``; the
+    bracket is bisected to adjacent floats and the one with the smaller
+    residual kept.
     """
     if not (alpha > 0 and lam > 0):
         raise DomainError("both parameters must be positive")
     lo, hi = -1.0, 0.0
-    f_lo = quartic_residual(alpha, lam, lo)
-    f_hi = quartic_residual(alpha, lam, hi)
-    if not f_lo * f_hi < 0:
-        # f(-1) = 2lam > 0 > f(0) = -alpha always; guard anyway
+    if not quartic_residual(alpha, lam, lo) > 0 > quartic_residual(
+            alpha, lam, hi):
         raise NumericError("quartic does not change sign on (-1, 0)")
-    for _ in range(100):
-        mid = 0.5 * (lo + hi)
-        if quartic_residual(alpha, lam, mid) * f_lo > 0:
+    while lo < (mid := 0.5 * (lo + hi)) < hi:
+        if quartic_residual(alpha, lam, mid) > 0:
             lo = mid
         else:
             hi = mid
-    c = 0.5 * (lo + hi)
-    for _ in range(8):
-        f = quartic_residual(alpha, lam, c)
-        df = (4.0 * alpha * c ** 3 - 3.0 * (1.0 + lam) * c ** 2
-              + (1.0 - lam))
-        if df == 0.0:
-            break
-        c -= f / df
-    return float(c)
+    return min(lo, hi, key=lambda c: abs(quartic_residual(alpha, lam, c)))
+
+
+def _initial_k(alpha, c):
+    """``(k0, k1)``, the value and slope of ``K`` at ``c``.
+
+    ``k0 = c/(1 + c^2)``.  The order-1 relation is quadratic in ``k1``;
+    with ``lam`` taken out through the quartic and ``s = -c``,
+    ``P = alpha (1 + s^2)``, it reads
+
+        s^3 (1 + s^2) k1^2 + (P (1 + s^2) + 2 s^3) k1
+            + s^2 (P + s)/(1 + s^2) = 0,
+
+    with discriminant ``P (P (1 + s^2)**2 + 4 s^3)``.  Every coefficient
+    and the discriminant are sums of positive terms, so the root of
+    smaller magnitude is formed without cancellation.
+    """
+    s, u = -c, 1.0 + c * c
+    p = alpha * u
+    b = p * u + 2.0 * s ** 3
+    root = math.sqrt(p) * math.sqrt(p * u * u + 4.0 * s ** 3)
+    return c / u, -2.0 * s * s * (p + s) / (u * (b + root))
 
 
 def initial_coefficients(alpha, lam, c=None):
     """Zeroth and first coefficients ``(a0, a1)`` of ``M`` at ``c``.
 
-    ``a0 = c/(1 + c^2)``; ``a1`` is the smaller root of the quadratic
-    obtained from the first derivative of the functional equation, and
-    lands in ``(0, 1/(1+c^2))``.
+    ``a0 = k0 = c/(1 + c^2)`` and ``a1 = (1 - c^2)/(1 + c^2) - c^2 k1``,
+    a sum of positive terms, lands in ``(0, 1/(1 + c^2))``.
     """
     if c is None:
         c = solve_c(alpha, lam)
-    a0 = c / (1.0 + c * c)
-    u = 1.0 + c * c
-    qa = c * u * u
-    qb = (alpha * u * u - 2.0 * c) * u
-    qc = -(alpha - c + alpha * c * c)
-    disc = qb * qb - 4.0 * qa * qc
-    if disc < 0:
-        raise NumericError("first-coefficient quadratic has no real root",
-                           residual=disc)
-    sq = math.sqrt(disc)
-    r1 = (-qb + sq) / (2.0 * qa)
-    r2 = (-qb - sq) / (2.0 * qa)
-    a1 = r1 if r1 < r2 else r2
-    if not 0.0 < a1 < 1.0 / u:
-        raise NumericError("first coefficient escaped its bracket",
-                           residual=a1)
-    return a0, a1
-
-
-def slope_p(alpha, lam, c):
-    """Linear coefficient of ``beta_n`` in ``alpha_n``: the map slope."""
-    return (1.0 - c ** 4) / (c * (alpha - c + alpha * c * c))
+    k0, k1 = _initial_k(alpha, c)
+    return k0, (1.0 - c * c) / (1.0 + c * c) - c * c * k1
 
 
 def beta1_from_alpha1(c, a1):
@@ -143,69 +143,60 @@ def beta1_direct(alpha, lam, c, a0, a1):
     return num / den
 
 
-def _fe_residual(alpha, lam, c, coeffs, order):
-    """Coefficient of order ``order`` of ``-M + z - z^2 M(N(z))``."""
-    m = Series(coeffs, order=order)
+def _k_residual(alpha, lam, c, k):
+    """Last coefficient of ``K - N + N^2 K(N)`` at ``c`` for the ``K``
+    truncated to the coefficients ``k``."""
+    order = k.size - 1
+    k_series = Series(k)
     z = Series.variable(order, constant=c)
-    z2 = z * z
-    num = -z + alpha * z2 + m
-    den = -(1.0 + lam) * z2 + alpha * (z2 * z) + z * m
-    n_series = num / den
-    inner = Series(n_series.c.copy())
-    if abs(inner.c[0] - c) > 1e-8 * max(1.0, abs(c)):
+    g = alpha - k_series
+    n_series = g / (z * g - lam)
+    if abs(n_series.c[0] - c) > 1e-8 * max(1.0, abs(c)):
         raise NumericError("composition center drifted",
-                           residual=float(abs(inner.c[0] - c)))
+                           residual=float(abs(n_series.c[0] - c)))
+    inner = Series(n_series.c)
     inner.c[0] = 0.0
-    phi = (z - m) - z2 * m.compose(inner)
-    return phi.c[order], n_series
+    phi = k_series - n_series + n_series * n_series * k_series.compose(inner)
+    return phi.c[order]
 
 
-def series_coefficients(alpha, lam, order, detail=False):
-    """Coefficients of ``M`` at ``c`` from the functional equation.
+def series_coefficients(alpha, lam, order):
+    """Coefficients of ``M`` at ``c`` from the functional equation in ``K``.
 
-    Each order's residual is affine in the unknown coefficient, so two
-    evaluations solve it; a third evaluation asserts the affinity (which
-    would break if the series algebra were wrong).  The returned detail
-    carries the per-order slopes and the derived ``N`` coefficients.
+    Order ``n >= 2`` of the residual ``K - N + N^2 K(N)`` is affine in
+    ``k_n`` with slope ``s_n = 1 + c^2 beta1^n - q a1``, where
+    ``q = (1 - c^2)^2/lam`` is ``dN/dK`` at ``c`` and
+    ``beta1 = N'(c) = q k1 - c^2``.  So one residual evaluation with
+    ``k_n = 0`` solves each order: ``k_n = -R_n(0)/s_n``.
+
+    Raises
+    ------
+    NumericError
+        If the lower bound ``alpha (1 - c^4)/(alpha (1 + c^2) - c)`` of
+        the slopes falls below ``_SLOPE_FLOOR`` = 1e-2 (``c`` near -1).
     """
     order = int(order)
     if not 0 <= order <= 32:
         raise DomainError("series order must lie in [0, 32]")
     c = solve_c(alpha, lam)
+    floor = alpha * (1.0 - c ** 4) / (alpha * (1.0 + c * c) - c)
+    if order >= 2 and not floor >= _SLOPE_FLOOR:
+        raise NumericError("series recursion is ill-conditioned: slope "
+                           "bound below the floor", residual=floor)
+    k0, k1 = _initial_k(alpha, c)
     a0, a1 = initial_coefficients(alpha, lam, c)
-    coeffs = np.zeros(order + 1)
-    coeffs[0] = a0
-    if order >= 1:
-        coeffs[1] = a1
-    slopes = []
+    q = (1.0 - c * c) ** 2 / lam
+    beta1 = q * k1 - c * c
+    k = np.zeros(order + 1)
+    k[: 2] = (k0, k1)[: order + 1]
     for n in range(2, order + 1):
-        work = coeffs[: n + 1]
-        work[n] = 0.0
-        r0, _ = _fe_residual(alpha, lam, c, work, n)
-        work[n] = 1.0
-        r1, _ = _fe_residual(alpha, lam, c, work, n)
-        work[n] = 2.0
-        r2, _ = _fe_residual(alpha, lam, c, work, n)
-        scale = max(1.0, abs(r0), abs(r1))
-        if abs(r2 - 2.0 * r1 + r0) > _COLLINEARITY_TOL * scale:
-            raise NumericError(
-                f"order-{n} residual is not affine in the coefficient",
-                residual=float(abs(r2 - 2.0 * r1 + r0)))
-        slope = r1 - r0
-        if slope == 0.0:
-            raise NumericError(f"vanishing linear coefficient at order {n}")
-        work[n] = r0 / (r0 - r1)
-        slopes.append(slope)
-    series = CoefficientSeries(c, coeffs)
-    if not detail:
-        return series
-    _, n_series = _fe_residual(alpha, lam, c, coeffs, order)
-    return series, {
-        "slopes": np.asarray(slopes),
-        "n_coeffs": n_series.c.copy(),
-        "p": slope_p(alpha, lam, c),
-        "a1": a1,
-    }
+        k[n] = -_k_residual(alpha, lam, c, k[: n + 1]) / (
+            1.0 + c * c * beta1 ** n - q * a1)
+    # M = z - z^2 K; a0 and a1 in closed form, where c - c^2 k0 and
+    # 1 - 2 c k0 would cancel
+    coeffs = -np.convolve([c * c, 2.0 * c, 1.0], k)[: order + 1]
+    coeffs[: 2] = (a0, a1)[: order + 1]
+    return CoefficientSeries(c, coeffs)
 
 
 def oracle_coefficients(alpha, lam, order, c=None, n_nodes=2048):

@@ -222,7 +222,7 @@ def _run_levy(args):
     out = _report_header(args, tolerance=tol)
     out["drift"] = t.drift
     out["semicircular"] = t.semicircular
-    out["atom"] = {"location": t.atom[0], "weight": t.atom[1]}
+    out["atom"] = {"location": 1.0 / t.atom[0], "weight": t.atom[1]}
     out["density_support"] = {"lo": t.support[0], "hi": t.support[1]}
     out["min_1_x_integral"] = levy.min1x_integral(t)
     out["reconstruction_residual"] = resid
@@ -273,11 +273,11 @@ def _run_convolve(args):
 def _run_fixpoint(args):
     rep = characterization.verify_fixed_point(args.alpha, args.lam,
                                               order=args.order)
+    tol = {"series_vs_oracle": 1e-6, "fixed_point_distance": 1e-3,
+           "key_equation": 1e-9}
     out = {"schema": SCHEMA, "subcommand": "fixpoint",
            "params": {"alpha": args.alpha, "lambda": args.lam},
-           "tolerances": {"series_vs_oracle": 1e-6,
-                          "fixed_point_distance": 1e-3,
-                          "key_equation": 1e-9}}
+           "tolerances": tol}
     out["c"] = rep.c
     out["series"] = [float(v) for v in rep.series.coeffs]
     out["oracle"] = [float(v) for v in rep.oracle.coeffs]
@@ -285,9 +285,10 @@ def _run_fixpoint(args):
     out["fixed_point_distance"] = rep.fixed_point_distance
     out["intermediate_stage_distance"] = rep.stage_distance
     out["key_eq_residual"] = rep.key_eq_residual
-    out["passed"] = bool(rep.max_rel_dev <= 1e-6
-                         and rep.fixed_point_distance <= 1e-3
-                         and rep.key_eq_residual <= 1e-9)
+    out["passed"] = bool(
+        rep.max_rel_dev <= tol["series_vs_oracle"]
+        and rep.fixed_point_distance <= tol["fixed_point_distance"]
+        and rep.key_eq_residual <= tol["key_equation"])
     _emit(args.output, dumps_stable(out) + "\n")
 
 

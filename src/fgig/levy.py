@@ -71,7 +71,7 @@ class LevyTriplet:
 
     drift: float
     semicircular: float
-    atom: tuple  # (location 1/alpha, weight max(lam, 0))
+    atom: tuple  # (alpha, weight max(lam, 0)): the atom sits at 1/alpha
     levy_density: Callable
     support: tuple  # (0, 1/eta)
     sigma: XWeightedLevy
@@ -137,7 +137,7 @@ def levy_triplet(p):
     sigma = XWeightedLevy(math.sqrt(p.beta * roots.eta), v * plus * minus, v,
                           v * (p.lam * t) ** 2, min(plus, minus),
                           p.alpha - roots.delta)
-    return LevyTriplet(drift, semicirc, (v, max(p.lam, 0.0)), density,
+    return LevyTriplet(drift, semicirc, (p.alpha, max(p.lam, 0.0)), density,
                        (0.0, 1.0 / roots.eta), sigma)
 
 
@@ -171,12 +171,16 @@ def min1x_integral(t):
 def reconstruct_cumulant(t, z):
     """Rebuild ``z r(z)`` from the triplet at a point of the lower half-plane,
     the integral as the Cauchy transform of ``sigma`` at ``1/z``.  Raises
-    :class:`PoleError` at ``z = alpha`` when ``lam = 0``."""
+    :class:`PoleError` at ``z = alpha``, as ``r_fgig`` does: the atom's pole
+    when ``lam > 0``, the square-root divergence when ``lam = 0``."""
     z = complex(z)
-    atom_loc, atom_w = t.atom
+    alpha, atom_w = t.atom
     total = t.drift * z + t.semicircular * z * z
     if atom_w:
-        total += atom_w * (1.0 / (1.0 - z * atom_loc) - 1.0)
+        if z == alpha:
+            raise PoleError("pole of the atom term at z = alpha",
+                            residue=-atom_w * alpha)
+        total += atom_w * z / (alpha - z)
     if z:
         total += complex(t.sigma.cauchy(1.0 / z))
     return total

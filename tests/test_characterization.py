@@ -1,8 +1,11 @@
 import numpy as np
 import pytest
 
-from fgig import DomainError, NaturalParams
+import fgig.characterization as characterization
+from fgig import DomainError, NaturalParams, NumericError
 from fgig.characterization import (
+    _initial_k,
+    _k_residual,
     beta1_direct,
     beta1_from_alpha1,
     compare_series,
@@ -11,12 +14,19 @@ from fgig.characterization import (
     quartic_residual,
     reciprocal_cauchy_residual,
     series_coefficients,
-    slope_p,
     solve_c,
     verify_fixed_point,
     verify_iterated,
 )
 from fgig.measures import build_fgig, pushforward_reciprocal
+
+
+def _center50(mp, alpha, lam):
+    """The root in (-1, 0) of the center quartic at mpmath's precision,
+    bisected independently of the package's solver."""
+    a, m = mp.mpf(alpha), mp.mpf(lam)
+    return mp.findroot(lambda x: a * x ** 4 - (1 + m) * x ** 3
+                       + (1 - m) * x - a, (-1, 0), solver="bisect")
 
 
 class TestSolveC:
@@ -34,6 +44,18 @@ class TestSolveC:
             assert -1.0 < c < 0.0
             assert abs(quartic_residual(alpha, lam, c)) <= 1e-12 * max(
                 1.0, alpha)
+
+    def test_against_50_digits(self):
+        # bisected to adjacent floats: within two ulps of the 50-digit root
+        # over the wide box
+        mp = pytest.importorskip("mpmath")
+        rng = np.random.default_rng(5)
+        for _ in range(100):
+            alpha, lam = 10 ** rng.uniform(-3, 3), rng.uniform(1e-3, 50)
+            c = solve_c(alpha, lam)
+            with mp.workdps(50):
+                want = _center50(mp, alpha, lam)
+                assert abs(c - want) <= 2 * np.finfo(float).eps * abs(want)
 
     def test_requires_positive_parameters(self):
         with pytest.raises(DomainError):
@@ -85,40 +107,98 @@ class TestSeriesCoefficients:
             oracle = oracle_coefficients(alpha, lam, 8)
             assert compare_series(series, oracle) <= 1e-6
 
+    def test_regressions_where_the_m_form_cancelled(self):
+        # the M-form recursion was 2.3e-6 off at the first triple and
+        # raised "order-7 residual is not affine" at the second
+        for alpha, lam in ((0.349, 3.444), (0.1, 5.0)):
+            series = series_coefficients(alpha, lam, 8)
+            oracle = oracle_coefficients(alpha, lam, 8)
+            assert compare_series(series, oracle) <= 1e-12, (alpha, lam)
+
+    def test_one_residual_per_order(self, monkeypatch):
+        calls = []
+
+        def counted(*args):
+            calls.append(args[-1].size - 1)
+            return _k_residual(*args)
+
+        monkeypatch.setattr(characterization, "_k_residual", counted)
+        series_coefficients(1.0, 1.0, 8)
+        assert calls == list(range(2, 9))
+
     def test_low_order_residuals_vanish(self):
-        # with a0, a1 in place the order-0/1 residuals of the functional
-        # equation already vanish: orders beyond reproduce them unchanged
-        from fgig.characterization import _fe_residual
-        alpha, lam = 1.3, 0.8
-        c = solve_c(alpha, lam)
-        a0, a1 = initial_coefficients(alpha, lam, c)
-        r0, _ = _fe_residual(alpha, lam, c, np.array([a0]), 0)
-        r1, _ = _fe_residual(alpha, lam, c, np.array([a0, a1]), 1)
-        assert abs(r0) <= 1e-12
-        assert abs(r1) <= 1e-12
+        # with k0, k1 in place the order-0/1 residuals of the functional
+        # equation in K vanish to the rounding of k0 and k1
+        for alpha, lam in ((1.3, 0.8), (0.00173, 26.4), (8.0, 0.1),
+                           (1e-3, 50.0)):
+            c = solve_c(alpha, lam)
+            k0, k1 = _initial_k(alpha, c)
+            r0 = _k_residual(alpha, lam, c, np.array([k0]))
+            r1 = _k_residual(alpha, lam, c, np.array([k0, k1]))
+            assert abs(r0) <= 1e-15 * abs(k0)
+            assert abs(r1) <= 1e-15 * abs(k1)
+
+    def test_first_coefficient_against_50_digits(self):
+        # k1 is the smaller root of the order-1 relation written with lam,
+        # q c^2 k1^2 + (1 - q u - c^4) k1 + c^2 u = 0 with
+        # q = (1-c^2)^2/lam and u = (1-c^2)/(1+c^2), on a 50-digit c; in
+        # floats that form cancels as c -> 0 and as c -> -1
+        mp = pytest.importorskip("mpmath")
+        for alpha, lam in ((1.0, 1.0), (0.00173, 26.4), (8.0, 0.1),
+                           (1e3, 1e-3), (1e-3, 50.0)):
+            _, k1 = _initial_k(alpha, solve_c(alpha, lam))
+            with mp.workdps(50):
+                c = _center50(mp, alpha, lam)
+                q, u = (1 - c * c) ** 2 / lam, (1 - c * c) / (1 + c * c)
+                b = 1 - q * u - c ** 4
+                want = -2 * c * c * u / (b + mp.sqrt(b * b - 4 * q * c ** 4 * u))
+            assert k1 == pytest.approx(float(want), rel=1e-14), (alpha, lam)
 
     def test_slope_identity_and_bound(self):
-        alpha, lam = 1.0, 1.0
-        c = solve_c(alpha, lam)
-        series, detail = series_coefficients(alpha, lam, 8, detail=True)
-        a1 = detail["a1"]
-        p = detail["p"]
-        b1 = detail["n_coeffs"][1]
-        bound = alpha * (1 - c ** 4) / (alpha - c + alpha * c * c)
-        for n, slope in enumerate(detail["slopes"], start=2):
-            predicted = 1.0 + c * c * b1 ** n + c * c * p * a1
-            assert abs(slope) == pytest.approx(predicted, rel=1e-8)
-            assert predicted >= bound - 1e-9
+        # each order's residual is affine in k_n; the slope measured from two
+        # evaluations is s_n = 1 + c^2 beta1^n - q a1, above the bound
+        for alpha, lam in ((1.0, 1.0), (2.0, 0.7), (0.349, 3.444)):
+            c = solve_c(alpha, lam)
+            k0, k1 = _initial_k(alpha, c)
+            _, a1 = initial_coefficients(alpha, lam, c)
+            q = (1 - c * c) ** 2 / lam
+            b1 = q * k1 - c * c
+            bound = alpha * (1 - c ** 4) / (alpha - c + alpha * c * c)
+            k = [k0, k1]
+            for n in range(2, 9):
+                r0, r1, r2 = (_k_residual(alpha, lam, c, np.array(k + [t]))
+                              for t in (0.0, 1.0, 2.0))
+                assert abs(r2 - 2 * r1 + r0) <= 1e-13 * max(abs(r1), 1.0)
+                predicted = 1 + c * c * b1 ** n - q * a1
+                assert r1 - r0 == pytest.approx(predicted, rel=1e-13)
+                assert predicted >= bound
+                k.append(r0 / (r0 - r1))
+            # M = z - z^2 K from the two-evaluation solve
+            m = -np.convolve([c * c, 2 * c, 1.0], k)[2:9]
+            assert series_coefficients(alpha, lam, 8).coeffs[2:] == (
+                pytest.approx(m, rel=1e-13))
 
-    def test_slope_p_forms_agree(self):
+    def test_q_forms_agree(self):
+        # dN/dK at c: (1 - c^2)^2/lam, and lam/(c g - lam)^2 with
+        # g = alpha - k0 by the quotient rule; beta1 = q k1 - c^2 is N'(c)
         rng = np.random.default_rng(4)
         for _ in range(10):
             alpha = rng.uniform(0.5, 3.0)
             lam = rng.uniform(0.5, 3.0)
             c = solve_c(alpha, lam)
-            a0, _ = initial_coefficients(alpha, lam, c)
-            direct = -lam / (a0 - (1.0 + lam) * c + alpha * c * c) ** 2
-            assert slope_p(alpha, lam, c) == pytest.approx(direct, rel=1e-10)
+            k0, k1 = _initial_k(alpha, c)
+            q = (1 - c * c) ** 2 / lam
+            assert q == pytest.approx(lam / (c * (alpha - k0) - lam) ** 2,
+                                      rel=1e-13)
+            a0, a1 = initial_coefficients(alpha, lam, c)
+            assert q * k1 - c * c == pytest.approx(
+                beta1_direct(alpha, lam, c, a0, a1), rel=1e-12)
+
+    def test_raises_where_the_slopes_vanish(self):
+        # c = -1 + 5e-7: the odd orders' slopes are 4e-6
+        with pytest.raises(NumericError):
+            series_coefficients(1e3, 1e-3, 8)
+        assert series_coefficients(1e3, 1e-3, 1).coeffs.size == 2
 
     def test_order_cap(self):
         with pytest.raises(DomainError):

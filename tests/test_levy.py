@@ -64,8 +64,8 @@ class TestLevyTriplet:
         assert abs(t.semicircular) <= 1e-6
 
     def test_atom_rule(self):
-        t = levy_triplet(NaturalParams(1.0, 1.0, 5.0))
-        assert t.atom == pytest.approx((1.0, 5.0))
+        t = levy_triplet(NaturalParams(4.0, 1.0, 5.0))
+        assert t.atom == (4.0, 5.0)  # at 1/alpha, with weight lam
         t0 = levy_triplet(NaturalParams(1.0, 1.0, -5.0))
         assert t0.atom[1] == 0.0
 
@@ -112,6 +112,14 @@ class TestReconstruction:
         t = levy_triplet(NaturalParams(2.0, 8.0, 0.0))
         with pytest.raises(PoleError):
             reconstruct_cumulant(t, 2.0)
+
+    @pytest.mark.parametrize("alpha", [1.0, 3.0, 0.7, 49.0])
+    def test_pole_at_alpha_for_positive_lam(self, alpha):
+        # the atom term 1/(1 - z/alpha) - 1 divided by zero at 1, 3 and 0.7
+        # and read 9.0e15 at 49 when the atom was kept at 1/alpha
+        t = levy_triplet(NaturalParams(alpha, 1.0, 1.0))
+        with pytest.raises(PoleError):
+            reconstruct_cumulant(t, alpha)
 
     def test_worked_point(self):
         p = NaturalParams(2.0, 8.0, 0.0)

@@ -9,7 +9,9 @@ closed forms against it and a 40-digit quadrature.  The cdf knots of the
 built laws over the same box, against a 40-digit quadrature.  The
 classical side over it: ``log K`` against 40-digit mpmath and the Gibbs
 gap.  The free Poisson identity over the convolve box: alpha and beta
-log-uniform in [0.25, 8], lam in [0.1, 4].
+log-uniform in [0.25, 8], lam in [0.1, 4].  The fixed-point series against
+its quadrature oracle with alpha log-uniform in [1e-3, 1e3], lam in
+[1e-3, 50].
 """
 
 import math
@@ -19,6 +21,8 @@ import pytest
 
 from fgig import (NaturalParams, NumericError, PoleError, reparameterize,
                   solve_support, spectral_roots)
+from fgig.characterization import (compare_series, oracle_coefficients,
+                                   series_coefficients)
 from fgig.convolution import free_convolve
 from fgig.entropy import gibbs_bound, gig_entropy, log_bessel_k
 from fgig.levy import levy_triplet, min1x_integral, reconstruct_cumulant
@@ -129,7 +133,8 @@ def test_levy_reconstruction(roots40, log_alpha, log_beta, lam):
     # x tau(dx) at 1/z, is z r(z) less the atom term lam z/(alpha - z) at
     # 40 digits, to 1e-12 beside the rounding of eta as in
     # test_r_transform; the drift and semicircular limits are 1e-7 small.
-    # Right, or NumericError; a PoleError only at alpha when lam = 0
+    # Right, or NumericError; at alpha a PoleError when lam >= 0, as from
+    # r_fgig
     mp = pytest.importorskip("mpmath")
     p = NaturalParams(10.0 ** log_alpha, 10.0 ** log_beta, lam)
     alpha = p.alpha
@@ -142,9 +147,8 @@ def test_levy_reconstruction(roots40, log_alpha, log_beta, lam):
     reference, eta_f = _r40(roots40, p)
     for z in _probe_points(alpha, eta_f)[1:]:
         if z == alpha and lam >= 0:
-            if lam == 0:
-                with pytest.raises(PoleError):
-                    t.sigma.cauchy(1.0 / z)
+            with pytest.raises(PoleError):
+                reconstruct_cumulant(t, z)
             continue
         if z == eta_f:
             continue
@@ -271,3 +275,18 @@ def test_convolution_identity(log_alpha, log_beta, lam):
     zs = s.a + (s.b - s.a) * np.array([1e-3, 0.1, 0.5, 0.9, 0.999]) + 1e-12j
     want = built.cauchy_fn(zs)
     assert np.max(np.abs(cauchy(out, zs) / want - 1.0)) <= 1e-10
+
+
+@hypothesis.settings(derandomize=True, database=None, deadline=None,
+                     max_examples=200)
+@hypothesis.given(log_alpha=st.floats(-3.0, 3.0), lam=st.floats(1e-3, 50.0))
+def test_series_coefficients(log_alpha, lam):
+    # the order-8 coefficients of M at c from the functional equation in K
+    # against the quadrature oracle: right, or NumericError
+    alpha = 10.0 ** log_alpha
+    try:
+        dev = compare_series(series_coefficients(alpha, lam, 8),
+                             oracle_coefficients(alpha, lam, 8))
+    except NumericError:
+        return
+    assert dev <= 1e-10
