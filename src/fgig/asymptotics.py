@@ -30,6 +30,12 @@ REGIME_LAM_GE_1 = "lambda_ge_1"
 REGIME_ABS_LT_1 = "abs_lambda_lt_1"
 REGIME_LAM_LE_M1 = "lambda_le_minus_1"
 
+_LIMIT_NODES = 512  # nodes of the free Poisson part of a limit law
+_CURVE_NODES = 2048  # nodes of each fGIG law along a convergence curve
+_TAIL = 4  # smallest betas an exponent fit reads
+_FLAT_SLOPE = 0.02  # a fitted slope below this, with a relative variation
+_FLAT_SPREAD = 0.05  # below this, reports exponent zero
+
 
 @dataclass(frozen=True)
 class LimitDescription:
@@ -67,18 +73,19 @@ def limit_regime(lam):
     return REGIME_ABS_LT_1
 
 
-def limit_measure(alpha, lam, n=512):
+def limit_measure(alpha, lam):
     """Weak limit of ``mu(alpha, beta, lam)`` as ``beta`` drops to zero."""
     if not alpha > 0:
         raise DomainError("alpha must be positive")
     regime = limit_regime(lam)
     if regime == REGIME_LAM_GE_1:
-        limit = build_free_poisson(FreePoissonParams(1.0 / alpha, lam), n)
+        limit = build_free_poisson(FreePoissonParams(1.0 / alpha, lam),
+                                   _LIMIT_NODES)
     elif regime == REGIME_LAM_LE_M1:
         limit = atom_measure([(0.0, 1.0)])
     else:
         mp = build_free_poisson(
-            FreePoissonParams((1.0 + lam) / (2.0 * alpha), 1.0), n)
+            FreePoissonParams((1.0 + lam) / (2.0 * alpha), 1.0), _LIMIT_NODES)
         limit = _scaled_copy(mp, (1.0 + lam) / 2.0,
                              [(0.0, (1.0 - lam) / 2.0)])
     return LimitDescription(regime, limit)
@@ -97,7 +104,7 @@ def spread_path(alpha, lam, betas):
             for beta in betas]
 
 
-def convergence_curve(alpha, lam, betas, n=2048):
+def convergence_curve(alpha, lam, betas):
     """Levy distances to the limit along a decreasing ``beta`` list.
 
     The lower two regimes put an atom at the origin, which the family
@@ -106,39 +113,36 @@ def convergence_curve(alpha, lam, betas, n=2048):
     weak-convergence (Levy) metric is the honest yardstick here.
     """
     limit = limit_measure(alpha, lam).limit
-    return [levy_distance(build_fgig(NaturalParams(alpha, float(b), lam), n),
-                          limit)
+    return [levy_distance(
+        build_fgig(NaturalParams(alpha, float(b), lam), _CURVE_NODES), limit)
             for b in betas]
 
 
-def _fit_exponent(betas, values, slope_floor=0.02, variation_floor=0.05):
+def _fit_exponent(betas, values):
     logb = np.log(betas)
     logv = np.log(values)
     slope = float(np.polyfit(logb, logv, 1)[0])
     spread = float((values.max() - values.min()) / values.max())
-    if abs(slope) < slope_floor and spread < variation_floor:
+    if abs(slope) < _FLAT_SLOPE and spread < _FLAT_SPREAD:
         return 0.0
     return slope
 
 
-def scaling_exponents(alpha, lam, betas, tail=4):
+def scaling_exponents(alpha, lam, betas):
     """Power-law exponents ``(p_a, p_b)`` of the support endpoints.
 
     Least-squares slopes of ``log a`` and ``log b`` against ``log beta``
-    over the smallest supplied values; a quantity that levels off (slope
-    below 0.02 and relative variation below 5 percent) reports exponent
-    zero.
+    over the four smallest supplied values; a quantity that levels off
+    (slope below 0.02 and relative variation below 5 percent) reports
+    exponent zero.
     """
     betas = np.asarray(betas, dtype=float)
     if betas.size < 4 or np.any(np.diff(betas) >= 0):
         raise DomainError("need at least four strictly decreasing betas")
-    supports = [solve_support(NaturalParams(alpha, float(beta), lam))
-                for beta in betas]
-    take = min(max(tail, 4), betas.size)
-    bs = betas[-take:]
-    a_vals = np.array([s.a for s in supports[-take:]])
-    b_vals = np.array([s.b for s in supports[-take:]])
-    return (_fit_exponent(bs, a_vals), _fit_exponent(bs, b_vals))
+    bs = betas[-_TAIL:]
+    supports = [solve_support(NaturalParams(alpha, float(b), lam)) for b in bs]
+    return (_fit_exponent(bs, np.array([s.a for s in supports])),
+            _fit_exponent(bs, np.array([s.b for s in supports])))
 
 
 def root_limits(alpha, lam):

@@ -1,33 +1,29 @@
 """The reciprocal fixed point ``X = (X + Y)^(-1)`` in distribution.
 
 For free ``X > 0`` and ``Y`` Marchenko--Pastur with jump ``1/alpha`` and
-rate ``lam`` (both parameters positive), the fixed-point equation holds
-exactly when ``X ~ mu(alpha, alpha, -lam)``.  Subordination turns the
-fixed point into a functional equation for ``M(z) = G_X(1/z)``, which in
-
-    K(z) = (z - M(z))/z**2 = -integral x/(1 - z x) dmu(x)
-
-reads
+rate ``lam`` (both positive), it holds exactly when
+``X ~ mu(alpha, alpha, -lam)``.  Subordination turns it into an equation
+for ``M(z) = G_X(1/z)``; in ``K(z) = (z - M(z))/z**2``, it reads
 
     K(z) = N - N**2 K(N),    N(z) = g/(z g - lam),    g = alpha - K(z).
 
-It pins down every Taylor coefficient of ``K`` at the distinguished point
-``c`` in ``(-1, 0)`` where ``N(c) = c``; ``c`` is the unique root there of
-the quartic
+It pins down every Taylor coefficient of ``K`` at the root ``c`` in
+``(-1, 0)`` of ``alpha c^4 - (1 + lam) c^3 + (1 - lam) c - alpha``, where
+``N(c) = c``.  There ``g``, ``c g - lam`` and ``N'(c) = q k1 - c^2``
+(:func:`n_prime`) are sums of terms of one sign, so the series algebra does
+not cancel; the recursion raises where its rounding bound allows an order
+more than 1e-10 of error.  The oracle integrates ``M``'s derivative kernels
+``k! x^(k-1)/(1 - c x)^(k+1)`` against the law instead.
 
-    alpha c^4 - (1 + lam) c^3 + (1 - lam) c - alpha = 0.
-
-At ``c`` the factors ``g = alpha - K(c)`` and ``c g - lam`` are each a sum
-of terms of one sign, so the series algebra does not cancel.  This module
-solves the coefficient recursion order by order, returns ``M``'s
-coefficients ``a_n = -(c^2 k_n + 2 c k_(n-1) + k_(n-2))``, checks them
-against direct quadrature of the derivative kernels
-``k! x^(k-1) / (1 - c x)^(k+1)``, and verifies the fixed point itself by
-running the convolution/reciprocal pipeline.
+One chain, ``(Y1 + (Y2 + X)^(-1))^(-1)`` with ``X ~ mu(alpha, beta, -lam)``,
+checks the laws, each stage against its closed form in the family; a caller
+runs only the stages it reports: ``verify_iterated`` all four,
+``verify_fixed_point`` two at ``beta = alpha``, ``fgig convolve`` one.
 """
 
 import math
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 
@@ -39,11 +35,12 @@ from .params import NaturalParams
 from .series import Series
 from .transforms import cauchy
 
-# Each order's rounding is divided by its slope s_n.  As c nears -1 the
-# equation loses hold of the odd orders and the slopes' lower bound falls
-# with 1 - c^4; below this floor order 8 drifts past 1e-10 of the
-# quadrature oracle.
-_SLOPE_FLOOR = 1e-2
+_SERIES_TOL = 1e-10  # relative accuracy every returned order holds
+# The rounding bound covers each order's own solve, not what earlier orders
+# carry into it; near c = -1 that took the error to 1.9 times the bound.
+_CARRY = 4.0
+_ORACLE_NODES = 2048  # nodes of the law the oracle integrates against
+_CHAIN_NODES = 1024  # nodes of every law in the verification chain
 
 
 @dataclass(frozen=True)
@@ -61,8 +58,8 @@ class CharacterizationReport:
     oracle: CoefficientSeries
     max_rel_dev: float
     fixed_point_distance: float
-    stage_distance: float = math.nan
-    key_eq_residual: float = math.nan
+    stage_distance: float
+    key_eq_residual: float
 
 
 @dataclass(frozen=True)
@@ -129,35 +126,38 @@ def initial_coefficients(alpha, lam, c=None):
     return k0, (1.0 - c * c) / (1.0 + c * c) - c * c * k1
 
 
-def beta1_from_alpha1(c, a1):
-    """First derivative of ``N`` at ``c`` out of the order-1 relation."""
-    return (1.0 - c * c) / (a1 * c * c * (1.0 + c * c)) - 1.0 / (c * c)
+def n_prime(alpha, lam, c=None):
+    """``N'(c) = q k1 - c^2`` with ``q = (1 - c^2)^2/lam = dN/dK`` at ``c``:
+    as ``k1 < 0``, a sum of two negative terms, in ``[-1, -c^2]``."""
+    if c is None:
+        c = solve_c(alpha, lam)
+    _, k1 = _initial_k(alpha, c)
+    return (1.0 - c * c) ** 2 / lam * k1 - c * c
 
 
-def beta1_direct(alpha, lam, c, a0, a1):
-    """``N'(c)`` evaluated from the quotient rule (cross-check route)."""
-    num = (-lam * c ** 2 * a1
-           + c ** 2 * (-1.0 - lam + 2.0 * alpha * c - alpha ** 2 * c ** 2)
-           + 2.0 * c * (1.0 + lam - alpha * c) * a0 - a0 ** 2)
-    den = c ** 2 * (a0 - (1.0 + lam) * c + alpha * c ** 2) ** 2
-    return num / den
+def _n_series(alpha, lam, c, k):
+    """Coefficients of ``N = g/(z g - lam)``, ``g = alpha - K``, at ``c``
+    for the ``K`` with the coefficients ``k``."""
+    g = alpha - Series(k)
+    n = g / (Series.variable(k.size - 1, constant=c) * g - lam)
+    if abs(n.c[0] - c) > 1e-8 * max(1.0, abs(c)):
+        raise NumericError("composition center drifted",
+                           residual=float(abs(n.c[0] - c)))
+    return n.c
+
+
+def _composed(k, n):
+    """``N^2 K(N)`` from the coefficients of ``K`` and ``N`` at ``c``."""
+    inner = Series(n)
+    inner.c[0] = 0.0
+    return (Series(n) * Series(n) * Series(k).compose(inner)).c
 
 
 def _k_residual(alpha, lam, c, k):
     """Last coefficient of ``K - N + N^2 K(N)`` at ``c`` for the ``K``
     truncated to the coefficients ``k``."""
-    order = k.size - 1
-    k_series = Series(k)
-    z = Series.variable(order, constant=c)
-    g = alpha - k_series
-    n_series = g / (z * g - lam)
-    if abs(n_series.c[0] - c) > 1e-8 * max(1.0, abs(c)):
-        raise NumericError("composition center drifted",
-                           residual=float(abs(n_series.c[0] - c)))
-    inner = Series(n_series.c)
-    inner.c[0] = 0.0
-    phi = k_series - n_series + n_series * n_series * k_series.compose(inner)
-    return phi.c[order]
+    n = _n_series(alpha, lam, c, k)
+    return (k - n + _composed(k, n))[-1]
 
 
 def series_coefficients(alpha, lam, order):
@@ -165,41 +165,45 @@ def series_coefficients(alpha, lam, order):
 
     Order ``n >= 2`` of the residual ``K - N + N^2 K(N)`` is affine in
     ``k_n`` with slope ``s_n = 1 + c^2 beta1^n - q a1``, where
-    ``q = (1 - c^2)^2/lam`` is ``dN/dK`` at ``c`` and
-    ``beta1 = N'(c) = q k1 - c^2``.  So one residual evaluation with
-    ``k_n = 0`` solves each order: ``k_n = -R_n(0)/s_n``.
-
-    Raises
-    ------
-    NumericError
-        If the lower bound ``alpha (1 - c^4)/(alpha (1 + c^2) - c)`` of
-        the slopes falls below ``_SLOPE_FLOOR`` = 1e-2 (``c`` near -1).
+    ``q = (1 - c^2)^2/lam`` is ``dN/dK`` at ``c`` and ``beta1 = N'(c)``
+    (:func:`n_prime`).  So one residual evaluation with ``k_n = 0`` solves
+    each order: ``k_n = -R_n(0)/s_n``.  It rounds by at most ``eps`` times
+    its terms' magnitudes, which the same algebra on absolute values gives;
+    over ``s_n``, that bounds the rounding of ``k_n``.  Raises
+    ``NumericError`` where ``_CARRY`` times the bound, carried into
+    ``a_n``, exceeds ``_SERIES_TOL`` = 1e-10 relative at an order ``n >= 2``.
     """
     order = int(order)
     if not 0 <= order <= 32:
         raise DomainError("series order must lie in [0, 32]")
     c = solve_c(alpha, lam)
-    floor = alpha * (1.0 - c ** 4) / (alpha * (1.0 + c * c) - c)
-    if order >= 2 and not floor >= _SLOPE_FLOOR:
-        raise NumericError("series recursion is ill-conditioned: slope "
-                           "bound below the floor", residual=floor)
     k0, k1 = _initial_k(alpha, c)
     a0, a1 = initial_coefficients(alpha, lam, c)
     q = (1.0 - c * c) ** 2 / lam
-    beta1 = q * k1 - c * c
+    slopes = 1.0 + c * c * n_prime(alpha, lam, c) ** np.arange(order + 1) \
+        - q * a1
+    slopes[: 2] = 1.0
     k = np.zeros(order + 1)
     k[: 2] = (k0, k1)[: order + 1]
-    for n in range(2, order + 1):
-        k[n] = -_k_residual(alpha, lam, c, k[: n + 1]) / (
-            1.0 + c * c * beta1 ** n - q * a1)
-    # M = z - z^2 K; a0 and a1 in closed form, where c - c^2 k0 and
-    # 1 - 2 c k0 would cancel
-    coeffs = -np.convolve([c * c, 2.0 * c, 1.0], k)[: order + 1]
-    coeffs[: 2] = (a0, a1)[: order + 1]
+    with np.errstate(all="ignore"):  # a vanishing slope fails the bound
+        for n in range(2, order + 1):
+            k[n] = -_k_residual(alpha, lam, c, k[: n + 1]) / slopes[n]
+        # M = z - z^2 K; a0 and a1 in closed form, where c - c^2 k0 and
+        # 1 - 2 c k0 would cancel
+        coeffs = -np.convolve([c * c, 2.0 * c, 1.0], k)[: order + 1]
+        coeffs[: 2] = (a0, a1)[: order + 1]
+        n_abs, k_abs = np.abs(_n_series(alpha, lam, c, k)), np.abs(k)
+        k_err = (np.finfo(float).eps / np.abs(slopes)
+                 * (k_abs + n_abs + _composed(k_abs, n_abs)))
+        rel = _CARRY * np.convolve([c * c, 2.0 * abs(c), 1.0], k_err)[
+            2: order + 1] / np.abs(coeffs[2:])
+    if not np.all(rel <= _SERIES_TOL):
+        raise NumericError("series recursion may be off by more than 1e-10",
+                           residual=float(np.max(rel)))
     return CoefficientSeries(c, coeffs)
 
 
-def oracle_coefficients(alpha, lam, order, c=None, n_nodes=2048):
+def oracle_coefficients(alpha, lam, order, c=None):
     """Taylor coefficients of ``M`` at ``c`` by quadrature.
 
     ``M(z) = G_X(1/z) = integral z/(1 - z x) dmu(x)`` for
@@ -209,7 +213,7 @@ def oracle_coefficients(alpha, lam, order, c=None, n_nodes=2048):
     """
     if c is None:
         c = solve_c(alpha, lam)
-    x_law = build_fgig(NaturalParams(alpha, alpha, -lam), n_nodes)
+    x_law = build_fgig(NaturalParams(alpha, alpha, -lam), _ORACLE_NODES)
     coeffs = np.empty(int(order) + 1)
     coeffs[0] = integrate(x_law, lambda x: c / (1.0 - c * x))
     for k in range(1, int(order) + 1):
@@ -233,61 +237,56 @@ def reciprocal_cauchy_residual(m, m_recip, z):
     return abs(lhs - rhs)
 
 
-def verify_fixed_point(alpha, lam, order=8, n_nodes=1024):
-    """End-to-end check that ``mu(alpha, alpha, -lam)`` solves the fixed point.
+_STAGES = ("X + Y2", "(X + Y2)^-1", "Y1 + (X + Y2)^-1", "full chain")
 
-    Builds the law of ``(X + Y)^(-1)`` through the convolution and
-    reciprocal-pushforward pipeline and reports its Kolmogorov distance
-    to the law of ``X``, alongside the two coefficient routes and the
-    residual of the defining relation for ``c``.
+
+def _reciprocal_chain(alpha, beta, lam, n_nodes, stages):
+    """The law of ``X ~ mu(alpha, beta, -lam)`` and, for the first
+    ``stages`` stages of ``(Y1 + (Y2 + X)^(-1))^(-1)`` with
+    ``Y2 ~ nu(1/alpha, lam)``, ``Y1 ~ nu(1/beta, lam)``, ``(label, law,
+    Kolmogorov distance to its law in the family)``; ``n_nodes`` per law.
+
+    Adding ``nu(1/a, lam)`` takes ``mu(a, b, -lam)`` to ``mu(a, b, lam)``,
+    and the reciprocal takes that to ``mu(b, a, -lam)``.
     """
-    if not (alpha > 0 and lam > 0):
-        raise DomainError("both parameters must be positive")
+    fgig = lru_cache(maxsize=None)(
+        lambda a, b, shape: build_fgig(NaturalParams(a, b, shape), n_nodes))
+    x_law = law = fgig(alpha, beta, -lam)
+    a, b = alpha, beta
+    out = []
+    for label in _STAGES[:stages]:
+        if len(out) % 2 == 0:
+            law = free_convolve(law, build_free_poisson(
+                FreePoissonParams(1.0 / a, lam), n_nodes))
+            target = fgig(a, b, lam)
+        else:
+            law = pushforward_reciprocal(law)
+            a, b = b, a
+            target = fgig(a, b, -lam)
+        out.append((label, law, kolmogorov_distance(law, target)))
+    return x_law, out
+
+
+def verify_fixed_point(alpha, lam, order=8):
+    """End-to-end check that ``mu(alpha, alpha, -lam)`` solves the fixed
+    point: the chain's law of ``(X + Y)^(-1)`` against that of ``X``, the
+    two coefficient routes, and the defining relation for ``c``."""
     c = solve_c(alpha, lam)
     series = series_coefficients(alpha, lam, order)
     oracle = oracle_coefficients(alpha, lam, order, c=c)
-    max_rel_dev = compare_series(series, oracle)
-
-    x_law = build_fgig(NaturalParams(alpha, alpha, -lam), n_nodes)
-    y_law = build_free_poisson(FreePoissonParams(1.0 / alpha, lam), n_nodes)
-    s_law = free_convolve(x_law, y_law)
-    stage = kolmogorov_distance(
-        s_law, build_fgig(NaturalParams(alpha, alpha, lam), n_nodes))
-    t_law = pushforward_reciprocal(s_law)
-    distance = kolmogorov_distance(t_law, x_law)
-
-    x_recip = pushforward_reciprocal(x_law)
-    g_at_c = cauchy(x_recip, complex(c))
+    x_law, ((_, _, stage), (_, _, distance)) = _reciprocal_chain(
+        alpha, alpha, lam, _CHAIN_NODES, 2)
+    g_at_c = cauchy(pushforward_reciprocal(x_law), complex(c))
     key_eq = abs(1.0 / c - lam / (g_at_c.real - alpha) - c)
-    return CharacterizationReport(c, series, oracle, max_rel_dev, distance,
+    return CharacterizationReport(c, series, oracle,
+                                  compare_series(series, oracle), distance,
                                   stage, key_eq)
 
 
-def verify_iterated(alpha, beta, lam, n_nodes=1024):
-    """Chase the two-step reciprocal chain through its closed-form laws.
-
-    With ``X ~ mu(alpha, beta, -lam)``, ``Y2 ~ nu(1/alpha, lam)`` and
-    ``Y1 ~ nu(1/beta, lam)``, each stage of
-    ``(Y1 + (Y2 + X)^(-1))^(-1)`` has an explicit law in the family;
-    every stage is compared against it.
-    """
+def verify_iterated(alpha, beta, lam):
+    """All four stages of the reciprocal chain, each against its law."""
     if not (alpha > 0 and beta > 0 and lam > 0):
         raise DomainError("all three parameters must be positive")
-    x_law = build_fgig(NaturalParams(alpha, beta, -lam), n_nodes)
-    y2 = build_free_poisson(FreePoissonParams(1.0 / alpha, lam), n_nodes)
-    y1 = build_free_poisson(FreePoissonParams(1.0 / beta, lam), n_nodes)
-
-    s1 = free_convolve(x_law, y2)
-    d1 = kolmogorov_distance(
-        s1, build_fgig(NaturalParams(alpha, beta, lam), n_nodes))
-    s2 = pushforward_reciprocal(s1)
-    d2 = kolmogorov_distance(
-        s2, build_fgig(NaturalParams(beta, alpha, -lam), n_nodes))
-    s3 = free_convolve(s2, y1)
-    d3 = kolmogorov_distance(
-        s3, build_fgig(NaturalParams(beta, alpha, lam), n_nodes))
-    s4 = pushforward_reciprocal(s3)
-    d4 = kolmogorov_distance(s4, x_law)
-    stages = (("X + Y2", d1), ("(X + Y2)^-1", d2),
-              ("Y1 + (X + Y2)^-1", d3), ("full chain", d4))
-    return IteratedReport(stages, d4)
+    _, stages = _reciprocal_chain(alpha, beta, lam, _CHAIN_NODES, 4)
+    stages = tuple((label, dist) for label, _, dist in stages)
+    return IteratedReport(stages, stages[-1][1])

@@ -21,10 +21,8 @@ import sys
 import numpy as np
 
 from . import asymptotics, characterization, entropy, levy, transforms
-from .convolution import free_convolve
 from .errors import DomainError, NumericError
-from .measures import (FreePoissonParams, build_fgig, build_free_poisson,
-                       fgig_density, kolmogorov_distance, moment)
+from .measures import build_fgig, fgig_density, moment
 from .params import (NaturalParams, SupportForm, from_support, solve_support,
                      spectral_roots, validate)
 
@@ -249,12 +247,8 @@ def _run_convolve(args):
     if p.lam <= 0:
         raise DomainError("convolve checks the positive-shape identity; "
                           "pass lambda > 0")
-    x_law = build_fgig(NaturalParams(p.alpha, p.beta, -p.lam), args.nodes)
-    y_law = build_free_poisson(FreePoissonParams(1.0 / p.alpha, p.lam),
-                               args.nodes)
-    outm = free_convolve(x_law, y_law)
-    target = build_fgig(p, args.nodes)
-    dist = kolmogorov_distance(outm, target)
+    _, [(_, outm, dist)] = characterization._reciprocal_chain(
+        p.alpha, p.beta, p.lam, args.nodes, 1)
     tol = 1e-4
     out = _report_header(args, tolerance=tol)
     out["kolmogorov_distance"] = dist

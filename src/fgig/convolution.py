@@ -25,7 +25,7 @@ from .transforms import cauchy_nodes
 
 _N_GRID = 2001  # uniform grid over the sum of the supports, to find the edges
 _MARGIN = 0.05  # grid padding beyond that sum, relative to its width
-_TOL = 1e-12  # relative fixed-point tolerance of the real-axis solves
+_TOL = 1e-12  # relative fixed-point tolerance of every subordination solve
 _MAX_ITER = 2000  # subordination map evaluations per solve
 _FLOOR = 1e-9  # density below this fraction of the peak is outside the support
 _EDGE_STEP = 1e-7  # closest approach of an edge probe, relative to the width
@@ -50,7 +50,7 @@ def _h_transform(m, w):
     return 1.0 / cauchy_nodes(m, w) - w
 
 
-def _solve_omega(mu, nu, z, tol=1e-12, max_iter=500):
+def _solve_omega(mu, nu, z, max_iter):
     """Vectorized fixed-point solve; returns (omega1, residual, evaluations).
 
     Damped Picard with a vectorized Aitken update every cycle: near the
@@ -72,7 +72,7 @@ def _solve_omega(mu, nu, z, tol=1e-12, max_iter=500):
         t0 = T(wa, za)
         res_a = np.abs(t0 - wa)
         res[active] = res_a
-        done = res_a <= tol * np.maximum(1.0, np.abs(wa))
+        done = res_a <= _TOL * np.maximum(1.0, np.abs(wa))
         idx = np.flatnonzero(active)
         w[idx[done]] = t0[done]
         active[idx[done]] = False
@@ -94,15 +94,14 @@ def _solve_omega(mu, nu, z, tol=1e-12, max_iter=500):
     return w, res, evals
 
 
-def subordination_at(mu, nu, z, tol=1e-12, max_iter=500):
+def subordination_at(mu, nu, z, max_iter=500):
     """Subordination pair at one point ``z`` of the open upper half-plane."""
     z = complex(z)
     if not z.imag > 0:
         raise DomainError("subordination requires Im z > 0")
-    w1, res, iters = _solve_omega(mu, nu, np.array([z]), tol=tol,
-                                  max_iter=max_iter)
+    w1, res, iters = _solve_omega(mu, nu, np.array([z]), max_iter)
     residual = float(res[0])
-    if residual > tol * max(1.0, abs(complex(w1[0]))):
+    if residual > _TOL * max(1.0, abs(complex(w1[0]))):
         raise NumericError("subordination iteration exhausted",
                            residual=residual)
     omega1 = complex(w1[0])
@@ -133,8 +132,7 @@ def _real_density(mu, nu, xs):
     tends to 1 and the solve may stall.
     """
     xs = np.asarray(xs, dtype=float)
-    w, res, _ = _solve_omega(mu, nu, xs.astype(complex), tol=_TOL,
-                             max_iter=_MAX_ITER)
+    w, res, _ = _solve_omega(mu, nu, xs.astype(complex), _MAX_ITER)
     ok = res <= _TOL * np.maximum(1.0, np.abs(w))
     return -cauchy_nodes(mu, w).imag / math.pi, ok
 

@@ -28,6 +28,8 @@ from .errors import DomainError, NumericError
 from .measures import build_fgig, dilate, integrate
 from .params import NaturalParams, require_valid
 
+_SCAN_NODES = 512  # nodes of the base law and of each parameter competitor
+
 
 @dataclass(frozen=True)
 class Potential:
@@ -106,7 +108,7 @@ def free_entropy(m, V):
     return log_energy(m) - integrate(m, V)
 
 
-def maximality_scan(p, perturbations, n=512):
+def maximality_scan(p, perturbations):
     """Margins of the base law's free entropy over perturbed competitors.
 
     Perturbations are either parameter triples (:class:`NaturalParams`)
@@ -115,12 +117,12 @@ def maximality_scan(p, perturbations, n=512):
     """
     require_valid(p)
     V = Potential.of(p)
-    base = build_fgig(p, n)
+    base = build_fgig(p, _SCAN_NODES)
     base_value = free_entropy(base, V)
     entries = []
     for pert in perturbations:
         if isinstance(pert, NaturalParams):
-            competitor = build_fgig(pert, n)
+            competitor = build_fgig(pert, _SCAN_NODES)
             label = (f"params({pert.alpha:.6g},{pert.beta:.6g},"
                      f"{pert.lam:.6g})")
         else:

@@ -35,6 +35,9 @@ from .params import (SpreadForm, _solve_ratio, solve_spread, spectral_roots,
                      spread_to_natural)
 from .transforms import extrapolate_to_zero, r_fgig
 
+_FSD_GRID = 10_000  # samples of k(x) = x levy_density(x) over (0, 1/eta)
+_INCREMENT_TOL = 1e-9  # largest relative rise of k still counted as monotone
+
 
 @dataclass(frozen=True)
 class XWeightedLevy:
@@ -219,7 +222,7 @@ def fsd_discriminant_spread(sf):
             / (A ** 2 * B * (A - B) ** 2 * (B - lam * A)))
 
 
-def fsd_report(p, grid_points=10_000, increment_tol=1e-9):
+def fsd_report(p):
     """Free self-decomposability verdict with a direct monotonicity check.
 
     Accepts natural or spread coordinates.  Laws with ``lam > 0`` carry a
@@ -245,11 +248,11 @@ def fsd_report(p, grid_points=10_000, increment_tol=1e-9):
     is_fsd = (p.lam <= 0.0) and (disc <= 1e-12 * disc_scale)
 
     hi = 1.0 / roots.eta
-    xs = hi * np.arange(1, grid_points + 1) / (grid_points + 1)
+    xs = hi * np.arange(1, _FSD_GRID + 1) / (_FSD_GRID + 1)
     k = xs * density(xs)
     inc = np.diff(k)
     scale = np.maximum(1.0, np.maximum(np.abs(k[:-1]), np.abs(k[1:])))
-    k_monotone = bool(np.all(inc <= increment_tol * scale))
+    k_monotone = bool(np.all(inc <= _INCREMENT_TOL * scale))
     atom_weight = max(p.lam, 0.0)
     agrees = is_fsd == (k_monotone and atom_weight == 0.0)
     return FsdReport(p.lam, disc, threshold, is_fsd, k_monotone,

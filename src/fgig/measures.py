@@ -47,6 +47,7 @@ _TWO_PI = 2.0 * math.pi
 _DEFAULT_KNOTS = 4096  # angular intervals between the cdf knots
 _NARROW = 0.25  # rho below which _rational_upper_mass cancels by hand
 _CHOP_TOL = np.finfo(float).eps  # relative noise level of a Chebyshev series
+_SUP_POINTS = 2001  # grid of density_sup_distance over the union of supports
 
 
 @dataclass(frozen=True, slots=True)
@@ -864,7 +865,7 @@ def levy_distance(m1, m2):
                                - _graph_heights(g2, j2, s))))
 
 
-def density_sup_distance(m1, m2, n_pts=2001):
+def density_sup_distance(m1, m2):
     """Sup-distance of densities over the union of supports."""
     los, his = [], []
     for m in (m1, m2):
@@ -873,7 +874,7 @@ def density_sup_distance(m1, m2, n_pts=2001):
             his.append(m.support[1])
     if not los:
         return 0.0
-    xs = np.linspace(min(los), max(his), n_pts)
+    xs = np.linspace(min(los), max(his), _SUP_POINTS)
     d1 = m1.density(xs) if m1.density else np.zeros_like(xs)
     d2 = m2.density(xs) if m2.density else np.zeros_like(xs)
     return float(np.max(np.abs(d1 - d2)))

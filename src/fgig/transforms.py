@@ -32,6 +32,8 @@ from .params import require_valid, solve_spread, spectral_roots
 from .series import Series
 
 _DEFAULT_LADDER = tuple(1e-2 * 0.5 ** k for k in range(4, 8))
+_INVERT_TOL = 1e-12  # residual of r(w) + 1/w = z, relative to max(1, |z|)
+_FID_TOL = 1e-9  # largest Im r the divisibility certificate passes
 
 
 @dataclass(frozen=True)
@@ -191,7 +193,7 @@ def _newton_invert(r, z, w0, tol, max_iter=80):
     return w if abs(fw) <= tol else None
 
 
-def cauchy_from_r(r, z, seed=None, tol=1e-12):
+def cauchy_from_r(r, z):
     """Invert ``r(w) + 1/w = z`` for ``w = G(z)``.
 
     Newton from the seed ``1/z``; when that diverges, a homotopy lifts
@@ -199,21 +201,16 @@ def cauchy_from_r(r, z, seed=None, tol=1e-12):
     and walks back down, warm-starting each solve.
     """
     z = complex(z)
-    tol_eff = tol * max(1.0, abs(z))
-    w = _newton_invert(r, z, seed if seed is not None else 1.0 / z, tol_eff)
+    w = _newton_invert(r, z, 1.0 / z, _INVERT_TOL * max(1.0, abs(z)))
     if w is None or (z.imag > 0 and w.imag >= 0):
         scale = max(1.0, abs(z))
-        w = None
+        w = 1.0 / (z + 8j * scale)
+        # the last solve, at lift 0, holds z itself to the tolerance
         for lift in (8.0, 4.0, 2.0, 1.0, 0.5, 0.25, 0.1, 0.0):
             zk = z + 1j * lift * scale
-            w0 = w if w is not None else 1.0 / zk
-            w = _newton_invert(r, zk, w0, tol * max(1.0, abs(zk)))
+            w = _newton_invert(r, zk, w, _INVERT_TOL * max(1.0, abs(zk)))
             if w is None:
                 raise NumericError(f"Cauchy inversion diverged at lift {lift}")
-        if w is None or abs(r(w) + 1.0 / w - z) > tol_eff:
-            raise NumericError("Cauchy inversion did not converge",
-                               residual=None if w is None
-                               else abs(r(w) + 1.0 / w - z))
     return w
 
 
@@ -295,13 +292,13 @@ def free_poisson_cumulants(fp, n):
     return fp.rate * fp.jump ** k.astype(float)
 
 
-def fid_certificate(p, n_grid=200, tol=1e-9):
+def fid_certificate(p, n_grid=200):
     """Numeric certificate that ``Im r <= 0`` on the lower half-plane.
 
     Sweeps an ``n_grid x n_grid`` grid of the lower half-plane with
     geometric approach to the real axis, plus real-boundary samples and
     two small arcs around the singular point ``alpha``.  Passing means
-    the maximum imaginary part stays below ``tol``.
+    the maximum imaginary part stays below ``_FID_TOL`` = 1e-9.
     """
     require_valid(p)
     if n_grid < 2:
@@ -325,5 +322,5 @@ def fid_certificate(p, n_grid=200, tol=1e-9):
     vals = r_fgig(p, allz)
     imax = int(np.argmax(vals.imag))
     max_im = float(vals.imag[imax])
-    return CertificateReport(max_im, tol, max_im <= tol,
+    return CertificateReport(max_im, _FID_TOL, max_im <= _FID_TOL,
                              complex(allz[imax]), allz.size)

@@ -21,9 +21,9 @@ from fgig import (
 )
 from fgig.asymptotics import convergence_curve, root_limits, scaling_exponents
 from fgig.characterization import (
-    beta1_from_alpha1,
     compare_series,
     initial_coefficients,
+    n_prime,
     oracle_coefficients,
     series_coefficients,
     solve_c,
@@ -266,7 +266,7 @@ def test_c08_characterization():
         c = solve_c(alpha, lam)
         _, a1 = initial_coefficients(alpha, lam, c)
         u = 1.0 + c * c
-        b1 = beta1_from_alpha1(c, a1)
+        b1 = n_prime(alpha, lam, c)
         bounds_ok = bounds_ok and (1.0 / u ** 2 - 1e-12 <= a1 <= 1.0 / u
                                    + 1e-12)
         bounds_ok = bounds_ok and (-1.0 - 1e-12 <= b1 <= -c * c + 1e-12)

@@ -6,10 +6,9 @@ from fgig import DomainError, NaturalParams, NumericError
 from fgig.characterization import (
     _initial_k,
     _k_residual,
-    beta1_direct,
-    beta1_from_alpha1,
     compare_series,
     initial_coefficients,
+    n_prime,
     oracle_coefficients,
     quartic_residual,
     reciprocal_cauchy_residual,
@@ -19,6 +18,13 @@ from fgig.characterization import (
     verify_iterated,
 )
 from fgig.measures import build_fgig, pushforward_reciprocal
+
+
+def _quotient_rule(alpha, lam, c, k0, k1):
+    """``N'(c)`` for ``N = g/(z g - lam)``, ``g = alpha - K``, by the
+    quotient rule: ``(lam k1 - g^2)/(c g - lam)^2``."""
+    g = alpha - k0
+    return (lam * k1 - g * g) / (c * g - lam) ** 2
 
 
 def _center50(mp, alpha, lam):
@@ -80,16 +86,17 @@ class TestInitialCoefficients:
             assert 1.0 / u ** 2 <= a1 <= 1.0 / u
 
     def test_beta1_bounds_and_routes(self):
+        # N'(c) in [-1, -c^2], and the quotient rule agrees
         rng = np.random.default_rng(2)
         for _ in range(20):
             alpha = rng.uniform(0.5, 3.0)
             lam = rng.uniform(0.5, 3.0)
             c = solve_c(alpha, lam)
-            a0, a1 = initial_coefficients(alpha, lam, c)
-            b1 = beta1_from_alpha1(c, a1)
-            assert -1.0 - 1e-12 <= b1 <= -c * c + 1e-12
-            assert b1 == pytest.approx(beta1_direct(alpha, lam, c, a0, a1),
-                                       abs=1e-10)
+            b1 = n_prime(alpha, lam, c)
+            assert -1.0 <= b1 <= -c * c
+            assert b1 == pytest.approx(
+                _quotient_rule(alpha, lam, c, *_initial_k(alpha, c)),
+                rel=1e-12)
 
 
 class TestSeriesCoefficients:
@@ -162,7 +169,7 @@ class TestSeriesCoefficients:
             k0, k1 = _initial_k(alpha, c)
             _, a1 = initial_coefficients(alpha, lam, c)
             q = (1 - c * c) ** 2 / lam
-            b1 = q * k1 - c * c
+            b1 = n_prime(alpha, lam, c)
             bound = alpha * (1 - c ** 4) / (alpha - c + alpha * c * c)
             k = [k0, k1]
             for n in range(2, 9):
@@ -180,7 +187,7 @@ class TestSeriesCoefficients:
 
     def test_q_forms_agree(self):
         # dN/dK at c: (1 - c^2)^2/lam, and lam/(c g - lam)^2 with
-        # g = alpha - k0 by the quotient rule; beta1 = q k1 - c^2 is N'(c)
+        # g = alpha - k0 by the quotient rule; n_prime is q k1 - c^2
         rng = np.random.default_rng(4)
         for _ in range(10):
             alpha = rng.uniform(0.5, 3.0)
@@ -190,9 +197,27 @@ class TestSeriesCoefficients:
             q = (1 - c * c) ** 2 / lam
             assert q == pytest.approx(lam / (c * (alpha - k0) - lam) ** 2,
                                       rel=1e-13)
-            a0, a1 = initial_coefficients(alpha, lam, c)
-            assert q * k1 - c * c == pytest.approx(
-                beta1_direct(alpha, lam, c, a0, a1), rel=1e-12)
+            assert n_prime(alpha, lam, c) == q * k1 - c * c
+
+    def test_raises_where_order_8_drifted(self):
+        # c = -0.9945: the slope bound passed its old 1e-2 floor and order 8
+        # came out 1.2e-10 and 1.1e-10 off the oracle
+        for alpha, lam in ((460.27024397911424, 5.055493117328391),
+                           (254.43419569178354, 2.6288839352125115)):
+            with pytest.raises(NumericError):
+                series_coefficients(alpha, lam, 8)
+
+    def test_order_guard_against_the_oracle(self):
+        # orders above 8 hold 1e-10 or raise; (0.5, 3) holds up to 32
+        for alpha, lam in ((8.0, 0.1), (2.0, 1.0), (0.5, 3.0)):
+            oracle = oracle_coefficients(alpha, lam, 32)
+            for n in (12, 16, 20, 24, 32):
+                try:
+                    series = series_coefficients(alpha, lam, n)
+                except NumericError:
+                    assert (alpha, lam) != (0.5, 3.0)
+                    continue
+                assert compare_series(series, oracle) <= 1e-10, (alpha, n)
 
     def test_raises_where_the_slopes_vanish(self):
         # c = -1 + 5e-7: the odd orders' slopes are 4e-6
@@ -252,6 +277,22 @@ class TestFixedPoint:
         for _, dist in rep.stages:
             assert dist <= 2e-3
         assert rep.final_distance <= 2e-3
+
+    def test_fixed_point_is_the_chain_at_beta_alpha(self):
+        # the same chain: bit for bit the first two iterated stages
+        for alpha, lam in ((2.0, 1.0), (0.7, 2.5)):
+            rep = verify_fixed_point(alpha, lam)
+            (_, d1), (_, d2) = verify_iterated(alpha, alpha, lam).stages[:2]
+            assert (rep.stage_distance, rep.fixed_point_distance) == (d1, d2)
+
+    def test_runs_only_the_stages_it_reports(self, monkeypatch):
+        calls = []
+        monkeypatch.setattr(characterization, "free_convolve",
+                            lambda mu, nu: calls.append(1) or mu)
+        for stages in (1, 2, 4):
+            calls.clear()
+            characterization._reciprocal_chain(2.0, 8.0, 1.0, 64, stages)
+            assert len(calls) == (stages + 1) // 2
 
     def test_iterated_chain_stages_to_1e_7(self):
         # both convolutions read the density on the real axis; the second

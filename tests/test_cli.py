@@ -244,6 +244,16 @@ class TestHeavyCommands:
         assert doc["max_rel_dev"] <= 1e-6
         assert doc["fixed_point_distance"] <= 1e-3
 
+    def test_fixpoint_order_holds_or_fails(self, capsys):
+        # order 16 at (8, 0.1) was 1.6e-6 off; order 32 at (0.5, 3) holds
+        code, _ = run_capture(capsys, [
+            "fixpoint", "--alpha", "8", "--lambda", "0.1", "--order", "16"])
+        assert code == 3
+        code, out = run_capture(capsys, [
+            "fixpoint", "--alpha", "0.5", "--lambda", "3", "--order", "32"])
+        assert code == 0
+        assert json.loads(out)["max_rel_dev"] <= 1e-10
+
 
 class TestLogging:
     @staticmethod

@@ -11,7 +11,8 @@ classical side over it: ``log K`` against 40-digit mpmath and the Gibbs
 gap.  The free Poisson identity over the convolve box: alpha and beta
 log-uniform in [0.25, 8], lam in [0.1, 4].  The fixed-point series against
 its quadrature oracle with alpha log-uniform in [1e-3, 1e3], lam in
-[1e-3, 50].
+[1e-3, 50], at order 8 and at orders 2 to 32; ``N'(c)`` over the same box
+with lam in (0, 50] against a 50-digit quotient rule.
 """
 
 import math
@@ -21,8 +22,9 @@ import pytest
 
 from fgig import (NaturalParams, NumericError, PoleError, reparameterize,
                   solve_support, spectral_roots)
-from fgig.characterization import (compare_series, oracle_coefficients,
-                                   series_coefficients)
+from fgig.characterization import (_initial_k, compare_series, n_prime,
+                                   oracle_coefficients, series_coefficients,
+                                   solve_c)
 from fgig.convolution import free_convolve
 from fgig.entropy import gibbs_bound, gig_entropy, log_bessel_k
 from fgig.levy import levy_triplet, min1x_integral, reconstruct_cumulant
@@ -290,3 +292,55 @@ def test_series_coefficients(log_alpha, lam):
     except NumericError:
         return
     assert dev <= 1e-10
+
+
+@hypothesis.settings(derandomize=True, database=None, deadline=None,
+                     max_examples=120)
+@hypothesis.given(log_alpha=st.floats(-3.0, 3.0), lam=st.floats(1e-3, 50.0),
+                  order=st.integers(2, 32))
+def test_series_orders(log_alpha, lam, order):
+    # every order up to 32 against the quadrature oracle: right, or
+    # NumericError.  Near alpha = 1e-3 with lam < 1 the oracle's 2048-node
+    # law misses up to 1.2e-6 of its mass (build_fgig's node cap), and the
+    # oracle, not the series, is then the side that is off
+    alpha = 10.0 ** log_alpha
+    hypothesis.assume(abs(build_fgig(NaturalParams(alpha, alpha, -lam),
+                                     2048).mass() - 1.0) <= 1e-11)
+    try:
+        dev = compare_series(series_coefficients(alpha, lam, order),
+                             oracle_coefficients(alpha, lam, order))
+    except NumericError:
+        return
+    assert dev <= 1e-10
+
+
+@hypothesis.settings(derandomize=True, database=None, deadline=None,
+                     max_examples=300)
+@hypothesis.given(log_alpha=st.floats(-3.0, 3.0),
+                  lam=st.floats(0.0, 50.0, exclude_min=True))
+@hypothesis.example(log_alpha=math.log10(0.00173), lam=26.4)
+@hypothesis.example(log_alpha=-3.0, lam=50.0)
+def test_n_prime(log_alpha, lam):
+    # N'(c) = q k1 - c^2 against (lam k1 - g^2)/(c g - lam)^2, g = alpha - k0,
+    # with c and k1 (the smaller root of the order-1 relation written with
+    # lam) to 50 digits past those of lam; solve_c raises where lam is lost
+    # next to 1
+    mp = pytest.importorskip("mpmath")
+    alpha = 10.0 ** log_alpha
+    try:
+        c = solve_c(alpha, lam)
+    except NumericError:
+        return
+    b1 = n_prime(alpha, lam)
+    assert -1.0 <= b1 <= -c * c
+    with mp.workdps(50 + max(0, -math.floor(math.log10(lam)))):
+        a, m = mp.mpf(alpha), mp.mpf(lam)
+        c = mp.findroot(lambda x: a * x ** 4 - (1 + m) * x ** 3
+                        + (1 - m) * x - a, (-1, 0), solver="bisect",
+                        verify=False)
+        q, u = (1 - c * c) ** 2 / m, (1 - c * c) / (1 + c * c)
+        b = 1 - q * u - c ** 4
+        k1 = -2 * c * c * u / (b + mp.sqrt(b * b - 4 * q * c ** 4 * u))
+        g = a - c / (1 + c * c)
+        want = (m * k1 - g * g) / (c * g - m) ** 2
+    assert abs(b1 - want) <= 1e-14 * abs(want)
