@@ -13,7 +13,8 @@ It pins down every Taylor coefficient of ``K`` at the root ``c`` in
 (:func:`n_prime`) are sums of terms of one sign, so the series algebra does
 not cancel; the recursion raises where its rounding bound allows an order
 more than 1e-10 of error.  The oracle integrates ``M``'s derivative kernels
-``k! x^(k-1)/(1 - c x)^(k+1)`` against the law instead.
+``k! x^(k-1)/(1 - c x)^(k+1)`` against the law instead, and raises where
+the law's weights miss more than 1e-11 of its mass.
 
 One chain, ``(Y1 + (Y2 + X)^(-1))^(-1)`` with ``X ~ mu(alpha, beta, -lam)``,
 checks the laws, each stage against its closed form in the family; a caller
@@ -40,6 +41,7 @@ _SERIES_TOL = 1e-10  # relative accuracy every returned order holds
 # carry into it; near c = -1 that took the error to 1.9 times the bound.
 _CARRY = 4.0
 _ORACLE_NODES = 2048  # nodes of the law the oracle integrates against
+_ORACLE_MASS_TOL = 1e-11  # largest mass error of that law's weights
 _CHAIN_NODES = 1024  # nodes of every law in the verification chain
 
 
@@ -209,11 +211,15 @@ def oracle_coefficients(alpha, lam, order, c=None):
     ``M(z) = G_X(1/z) = integral z/(1 - z x) dmu(x)`` for
     ``X ~ mu(alpha, alpha, -lam)``; its derivatives have the closed
     kernels ``k! x^(k-1)/(1 - z x)^(k+1)``, so no numerical
-    differentiation enters.
+    differentiation enters.  Raises ``NumericError`` where the law's
+    weights miss more than ``_ORACLE_MASS_TOL`` of its mass.
     """
     if c is None:
         c = solve_c(alpha, lam)
     x_law = build_fgig(NaturalParams(alpha, alpha, -lam), _ORACLE_NODES)
+    err = abs(x_law.mass() - 1.0)
+    if err > _ORACLE_MASS_TOL:
+        raise NumericError("oracle law lost mass", residual=err)
     coeffs = np.empty(int(order) + 1)
     coeffs[0] = integrate(x_law, lambda x: c / (1.0 - c * x))
     for k in range(1, int(order) + 1):

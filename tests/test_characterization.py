@@ -253,6 +253,13 @@ class TestOracle:
         u = 1.0 + c * c
         assert 1.0 / u ** 2 <= oracle.coeffs[1] <= 1.0 / u
 
+    def test_raises_where_its_law_loses_mass(self):
+        # the 2048-node law misses 1.7e-7 of its mass here, and the oracle's
+        # a0 was 2.3e-7 off the closed form c/(1 + c^2)
+        with pytest.raises(NumericError) as info:
+            oracle_coefficients(1e-3, 0.5, 2)
+        assert info.value.residual > 1e-11
+
 
 class TestFixedPoint:
     def test_report(self):

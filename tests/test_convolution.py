@@ -5,7 +5,9 @@ import numpy as np
 import pytest
 
 from fgig import DomainError, NaturalParams, NumericError, solve_support
-from fgig.convolution import free_convolve, subordination_at
+from fgig import convolution
+from fgig.convolution import (_MAX_ITER, _solve_omega, free_convolve,
+                              subordination_at)
 from fgig.entropy import log_energy
 from fgig.measures import (
     FreePoissonParams,
@@ -18,7 +20,7 @@ from fgig.measures import (
     moment,
     shift,
 )
-from fgig.transforms import cauchy
+from fgig.transforms import cauchy, cauchy_nodes
 
 
 @pytest.fixture(scope="module")
@@ -118,6 +120,20 @@ class TestFreeConvolve:
         assert free_convolve(X, Y).nodes.size == 1024
         assert free_convolve(Y, X).nodes.size == 1024
 
+    @pytest.mark.parametrize("alpha, beta, lam", [
+        (0.9172362808717155, 0.0009336391710107685, 0.599583336869868),
+        (9449.553857537661, 1.3986736448708705e-06, 0.2729315648272255),
+        (0.00016213617966814406, 8.63700106879389, 0.1178673311923793)])
+    def test_lost_mass_raises(self, alpha, beta, lam):
+        # these outputs were 7.5e-5, 4.9e-6 and 8.4e-9 in Kolmogorov distance
+        # from mu(alpha, beta, lam), with the mass 6.1e-5, 3.0e-6 and 7.1e-9
+        # off
+        X = build_fgig(NaturalParams(alpha, beta, -lam), 1024)
+        Y = build_free_poisson(FreePoissonParams(1.0 / alpha, lam), 1024)
+        with pytest.raises(NumericError) as info:
+            free_convolve(X, Y)
+        assert info.value.residual > 1e-10
+
     @pytest.mark.parametrize("atoms", [[(-3.0, 0.4), (3.0, 0.6)],
                                        [(0.0, 0.3), (4.0, 0.7)]])
     def test_interior_gap_raises(self, atoms):
@@ -125,6 +141,48 @@ class TestFreeConvolve:
         # lives on two intervals
         with pytest.raises(NumericError):
             free_convolve(atom_measure(atoms), build_semicircle(0.0, 1.0, 256))
+
+
+class TestWarmStarts:
+    """Solves started from nearby solutions: the same omega, fewer calls."""
+
+    def test_start_does_not_move_omega(self, gig_poisson_pair):
+        X, Y = gig_poisson_pair
+        s = solve_support(NaturalParams(2.0, 8.0, 1.0))
+        xs = s.a + (s.b - s.a) * np.array([0.01, 0.1, 0.3, 0.5, 0.7, 0.9,
+                                           0.99])
+        z = xs.astype(complex)
+        cold, res, _ = _solve_omega(X, Y, z, _MAX_ITER)
+        assert np.all(res <= 1e-12 * np.abs(cold))
+        near, _, _ = _solve_omega(X, Y, z + 1e-3 * (s.b - s.a), _MAX_ITER)
+        for start in (z + 10j, near):
+            w, res, _ = _solve_omega(X, Y, z, _MAX_ITER, start)
+            assert np.all(res <= 1e-12 * np.abs(w))
+            assert np.max(np.abs(w / cold - 1.0)) <= 1e-12
+
+    def test_call_counts(self, gig_poisson_pair, monkeypatch):
+        # with every solve started cold this made 488 cauchy_nodes calls,
+        # and one solve per probe per edge
+        X, Y = gig_poisson_pair
+        calls, sizes = [0], []
+
+        def counted_cauchy(m, w):
+            calls[0] += 1
+            return cauchy_nodes(m, w)
+
+        def counted_solve(mu, nu, z, *args):
+            sizes.append(np.size(z))
+            return _solve_omega(mu, nu, z, *args)
+
+        monkeypatch.setattr(convolution, "cauchy_nodes", counted_cauchy)
+        monkeypatch.setattr(convolution, "_solve_omega", counted_solve)
+        free_convolve(X, Y)
+        assert calls[0] <= 300
+        grid, *rounds, node = sizes
+        assert grid == convolution._N_GRID and node == 1024
+        # one solve per probe round, both edges together until one is done
+        assert rounds[0] == 2 and rounds == sorted(rounds, reverse=True)
+        assert set(rounds) <= {1, 2}
 
 
 class TestRealAxisRecovery:

@@ -9,10 +9,11 @@ closed forms against it and a 40-digit quadrature.  The cdf knots of the
 built laws over the same box, against a 40-digit quadrature.  The
 classical side over it: ``log K`` against 40-digit mpmath and the Gibbs
 gap.  The free Poisson identity over the convolve box: alpha and beta
-log-uniform in [0.25, 8], lam in [0.1, 4].  The fixed-point series against
-its quadrature oracle with alpha log-uniform in [1e-3, 1e3], lam in
-[1e-3, 50], at order 8 and at orders 2 to 32; ``N'(c)`` over the same box
-with lam in (0, 50] against a 50-digit quotient rule.
+log-uniform in [0.25, 8], lam in [0.1, 4]; and over the validity box with
+lam in [0.01, 50], right to 1e-9 or NumericError.  The fixed-point series
+against its quadrature oracle with alpha log-uniform in [1e-3, 1e3], lam
+in [1e-3, 50], at order 8 and at orders 2 to 32; ``N'(c)`` over the same
+box with lam in (0, 50] against a 50-digit quotient rule.
 """
 
 import math
@@ -277,6 +278,32 @@ def test_convolution_identity(log_alpha, log_beta, lam):
     zs = s.a + (s.b - s.a) * np.array([1e-3, 0.1, 0.5, 0.9, 0.999]) + 1e-12j
     want = built.cauchy_fn(zs)
     assert np.max(np.abs(cauchy(out, zs) / want - 1.0)) <= 1e-10
+
+
+@hypothesis.settings(derandomize=True, database=None, deadline=None,
+                     max_examples=40)
+@hypothesis.given(alpha=st.floats(-6.0, 6.0).map(lambda t: 10.0 ** t),
+                  beta=st.floats(-6.0, 6.0).map(lambda t: 10.0 ** t),
+                  lam=st.floats(0.01, 50.0))
+# outputs that were returned 7.5e-5, 4.9e-6 and 8.4e-9 off, with their mass
+# as far off
+@hypothesis.example(alpha=0.9172362808717155, beta=0.0009336391710107685,
+                    lam=0.599583336869868)
+@hypothesis.example(alpha=9449.553857537661, beta=1.3986736448708705e-06,
+                    lam=0.2729315648272255)
+@hypothesis.example(alpha=0.00016213617966814406, beta=8.63700106879389,
+                    lam=0.1178673311923793)
+def test_convolution_identity_wide(alpha, beta, lam):
+    # the free Poisson identity over the validity box: right to 1e-9, or
+    # NumericError
+    try:
+        out = free_convolve(
+            build_fgig(NaturalParams(alpha, beta, -lam), 1024),
+            build_free_poisson(FreePoissonParams(1.0 / alpha, lam), 1024))
+        built = build_fgig(NaturalParams(alpha, beta, lam), 1024)
+    except NumericError:
+        return
+    assert kolmogorov_distance(out, built) <= 1e-9
 
 
 @hypothesis.settings(derandomize=True, database=None, deadline=None,
