@@ -42,7 +42,6 @@ _SERIES_TOL = 1e-10  # relative accuracy every returned order holds
 _CARRY = 4.0
 _ORACLE_NODES = 2048  # nodes of the law the oracle integrates against
 _ORACLE_MASS_TOL = 1e-11  # largest mass error of that law's weights
-_CHAIN_NODES = 1024  # nodes of every law in the verification chain
 
 
 @dataclass(frozen=True)
@@ -246,24 +245,26 @@ def reciprocal_cauchy_residual(m, m_recip, z):
 _STAGES = ("X + Y2", "(X + Y2)^-1", "Y1 + (X + Y2)^-1", "full chain")
 
 
-def _reciprocal_chain(alpha, beta, lam, n_nodes, stages):
+def _reciprocal_chain(alpha, beta, lam, stages):
     """The law of ``X ~ mu(alpha, beta, -lam)`` and, for the first
     ``stages`` stages of ``(Y1 + (Y2 + X)^(-1))^(-1)`` with
     ``Y2 ~ nu(1/alpha, lam)``, ``Y1 ~ nu(1/beta, lam)``, ``(label, law,
-    Kolmogorov distance to its law in the family)``; ``n_nodes`` per law.
+    Kolmogorov distance to its law in the family)``.  Every law is built
+    at its builder's default node count; a convolution output sets its
+    own.
 
     Adding ``nu(1/a, lam)`` takes ``mu(a, b, -lam)`` to ``mu(a, b, lam)``,
     and the reciprocal takes that to ``mu(b, a, -lam)``.
     """
     fgig = lru_cache(maxsize=None)(
-        lambda a, b, shape: build_fgig(NaturalParams(a, b, shape), n_nodes))
+        lambda a, b, shape: build_fgig(NaturalParams(a, b, shape)))
     x_law = law = fgig(alpha, beta, -lam)
     a, b = alpha, beta
     out = []
     for label in _STAGES[:stages]:
         if len(out) % 2 == 0:
             law = free_convolve(law, build_free_poisson(
-                FreePoissonParams(1.0 / a, lam), n_nodes))
+                FreePoissonParams(1.0 / a, lam)))
             target = fgig(a, b, lam)
         else:
             law = pushforward_reciprocal(law)
@@ -281,7 +282,7 @@ def verify_fixed_point(alpha, lam, order=8):
     series = series_coefficients(alpha, lam, order)
     oracle = oracle_coefficients(alpha, lam, order, c=c)
     x_law, ((_, _, stage), (_, _, distance)) = _reciprocal_chain(
-        alpha, alpha, lam, _CHAIN_NODES, 2)
+        alpha, alpha, lam, 2)
     g_at_c = cauchy(pushforward_reciprocal(x_law), complex(c))
     key_eq = abs(1.0 / c - lam / (g_at_c.real - alpha) - c)
     return CharacterizationReport(c, series, oracle,
@@ -293,6 +294,6 @@ def verify_iterated(alpha, beta, lam):
     """All four stages of the reciprocal chain, each against its law."""
     if not (alpha > 0 and beta > 0 and lam > 0):
         raise DomainError("all three parameters must be positive")
-    _, stages = _reciprocal_chain(alpha, beta, lam, _CHAIN_NODES, 4)
+    _, stages = _reciprocal_chain(alpha, beta, lam, 4)
     stages = tuple((label, dist) for label, _, dist in stages)
     return IteratedReport(stages, stages[-1][1])

@@ -86,7 +86,10 @@ def _parse_grid(text):
     parts = text.split(":")
     if len(parts) != 3:
         raise DomainError("grid spec must be lo:hi:count")
-    lo, hi, count = float(parts[0]), float(parts[1]), int(parts[2])
+    try:
+        lo, hi, count = float(parts[0]), float(parts[1]), int(parts[2])
+    except ValueError:
+        raise DomainError(f"grid spec {text!r} is not lo:hi:count") from None
     if count < 2 or not hi > lo:
         raise DomainError("grid spec needs hi > lo and count >= 2")
     return np.linspace(lo, hi, count)
@@ -248,7 +251,7 @@ def _run_convolve(args):
         raise DomainError("convolve checks the positive-shape identity; "
                           "pass lambda > 0")
     _, [(_, outm, dist)] = characterization._reciprocal_chain(
-        p.alpha, p.beta, p.lam, args.nodes, 1)
+        p.alpha, p.beta, p.lam, 1)
     tol = 1e-4
     out = _report_header(args, tolerance=tol)
     out["kolmogorov_distance"] = dist
@@ -287,8 +290,12 @@ def _run_fixpoint(args):
 
 
 def _run_limits(args):
-    betas = ([float(b) for b in args.betas.split(",")] if args.betas
-             else [1e-1, 1e-2, 1e-3, 1e-4])
+    try:
+        betas = ([float(b) for b in args.betas.split(",")] if args.betas
+                 else [1e-1, 1e-2, 1e-3, 1e-4])
+    except ValueError:
+        raise DomainError(f"--betas {args.betas!r} is not a comma-separated "
+                          "list of numbers") from None
     desc = asymptotics.limit_measure(args.alpha, args.lam)
     curve = asymptotics.convergence_curve(args.alpha, args.lam, betas)
     rows = []
@@ -393,7 +400,6 @@ def build_parser():
 
     sp = sub.add_parser("convolve", help="free Poisson convolution identity")
     _add_triple(sp)
-    sp.add_argument("--nodes", type=int, default=1024)
     sp.add_argument("--format", choices=("json", "csv"), default="json")
     sp.add_argument("--output")
     sp.set_defaults(func=_run_convolve)

@@ -20,8 +20,9 @@ extrapolation towards the axis.
 :func:`free_convolve` solves three times on the real axis, each solve
 started from what the earlier ones found: a uniform grid from ``x + 1j``,
 then both support edges in lockstep, each probe from ``omega_1`` at its
-edge's nearest sample inside the support, then the Chebyshev nodes of the
-support from the grid's ``omega_1`` interpolated there.
+edge's nearest sample inside the support, then ``_OUT_NODES`` Chebyshev
+nodes of the support from the grid's ``omega_1`` interpolated there.  The
+output's resolution is its own: nothing reads the inputs' quadrature.
 """
 
 import math
@@ -42,6 +43,7 @@ _EDGE_STEP = 1e-7  # closest approach of an edge probe, relative to the width
 _EDGE_PROBES = 40  # probes allowed per edge
 _DAMPING = 0.5  # Picard step of the subordination solve
 _MASS_TOL = 1e-10  # largest mass error of a returned law
+_OUT_NODES = 1024  # Chebyshev nodes of every convolution output
 
 
 @dataclass(frozen=True)
@@ -222,9 +224,9 @@ def free_convolve(mu, nu):
        one solve per probe round, each probe started from ``omega_1`` at
        its edge's nearest sample inside, first a grid sample and then the
        last probe found inside;
-    3. at the Chebyshev nodes of the support found, as many as the larger
-       input has, started from the grid's ``omega_1`` linearly
-       interpolated (real and imaginary parts) at the nodes.
+    3. at ``_OUT_NODES`` Chebyshev nodes of the support found, started
+       from the grid's ``omega_1`` linearly interpolated (real and
+       imaginary parts) at the nodes.
 
     The result is the chopped Chebyshev vector of its smooth factor
     ``rho/sqrt((x-lo)(hi-x))`` at those nodes, whose sums give its
@@ -245,8 +247,7 @@ def free_convolve(mu, nu):
         return shift(mu, nu.atoms[0][0])
     if _is_unit_atom(mu):
         return shift(nu, mu.atoms[0][0])
-    n = max(mu.nodes.size, nu.nodes.size)
-    if n == 0:
+    if mu.support is None and nu.support is None:
         raise DomainError("one law needs an absolutely continuous part")
 
     lo1, hi1 = _bounds(mu)
@@ -270,7 +271,8 @@ def free_convolve(mu, nu):
                  (xs[i1 + 1], xs[i1:i1 - 3:-1], rho[i1:i1 - 3:-1], w[i1])],
         floor, width)
 
-    nodes = 0.5 * (a + b) + 0.5 * (b - a) * _edge_matched_rule(n, 0.5, 0.5)[0]
+    t = _edge_matched_rule(_OUT_NODES, 0.5, 0.5)[0]
+    nodes = 0.5 * (a + b) + 0.5 * (b - a) * t
     inside = slice(i0, i1 + 1)
     start = (np.interp(nodes, xs[inside], w[inside].real)
              + 1j * np.interp(nodes, xs[inside], w[inside].imag))

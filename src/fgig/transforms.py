@@ -17,9 +17,7 @@ whichever factor is larger, so one expression serves every ``z``
 
 Cauchy transforms are evaluated from the one a measure carries (closed
 form, Chebyshev series or atom sum; see :mod:`fgig.measures`), or by
-numerically inverting ``r(w) + 1/w = z``.  Densities come back
-through the boundary values ``-Im G(x + i eps)/pi`` with Neville
-extrapolation in ``eps``.
+numerically inverting ``r(w) + 1/w = z``.
 """
 
 import math
@@ -31,7 +29,6 @@ from .errors import DomainError, NumericError, PoleError
 from .params import require_valid, solve_spread, spectral_roots
 from .series import Series
 
-_DEFAULT_LADDER = tuple(1e-2 * 0.5 ** k for k in range(4, 8))
 _INVERT_TOL = 1e-12  # residual of r(w) + 1/w = z, relative to max(1, |z|)
 _FID_TOL = 1e-9  # largest Im r the divisibility certificate passes
 
@@ -223,30 +220,6 @@ def extrapolate_to_zero(h, y):
         for i in range(len(t) - m):
             t[i] = (h[i] * t[i + 1] - h[i + m] * t[i]) / (h[i] - h[i + m])
     return float(t[0]) if t.ndim == 1 else t[0]
-
-
-def stieltjes_density(G, x):
-    """Recover a density from a vectorized Cauchy transform evaluator.
-
-    Evaluates ``-Im G(x + i eps)/pi`` on four rungs of a halving ladder
-    and removes the ``O(eps)`` and ``O(eps**2)`` smoothing bias by
-    quadratic extrapolation to ``eps = 0`` through the last three rungs.
-    The extrapolant through the first three must agree with it,
-    otherwise a :class:`NumericError` is raised.
-    """
-    scalar = np.isscalar(x)
-    x = np.atleast_1d(np.asarray(x, dtype=float))
-    h = np.array([-np.asarray(G(x + 1j * eps), dtype=complex).imag / math.pi
-                  for eps in _DEFAULT_LADDER])
-    val = extrapolate_to_zero(_DEFAULT_LADDER[1:], h[1:])
-    wobble = np.abs(val - extrapolate_to_zero(_DEFAULT_LADDER[:-1], h[:-1]))
-    bad = wobble > np.maximum(1e-5, 1e-3 * np.abs(val))
-    if np.any(bad):
-        i = int(np.argmax(wobble))
-        raise NumericError(f"Stieltjes ladder did not settle at x = {x[i]}",
-                           residual=float(wobble[i]))
-    val = np.clip(val, 0.0, None)
-    return float(val[0]) if scalar else val
 
 
 # ---------------------------------------------------------------------------

@@ -298,7 +298,7 @@ class TestFixedPoint:
                             lambda mu, nu: calls.append(1) or mu)
         for stages in (1, 2, 4):
             calls.clear()
-            characterization._reciprocal_chain(2.0, 8.0, 1.0, 64, stages)
+            characterization._reciprocal_chain(2.0, 8.0, 1.0, stages)
             assert len(calls) == (stages + 1) // 2
 
     def test_iterated_chain_stages_to_1e_7(self):

@@ -88,6 +88,12 @@ class TestDensityCommand:
         assert abs(xs[i] - 2.0) < 5e-3
         assert ys[i] == pytest.approx(math.sqrt(2.0) / math.pi, abs=2e-3)
 
+    def test_malformed_grid_is_a_validation_error(self, capsys):
+        code = run(["density", "--alpha", "2", "--beta", "8", "--lambda", "0",
+                    "--grid", "1:4:x"])
+        assert code == 2
+        assert capsys.readouterr().err.startswith("fgig: validation error: ")
+
 
 class TestMeasurePayload:
     def test_density_measure_object(self, capsys):
@@ -194,6 +200,12 @@ class TestLimitsCommand:
         assert doc["regime"] == "lambda_le_minus_1"
         assert doc["root_limits"]["eta"] == "inf"
 
+    def test_malformed_betas_is_a_validation_error(self, capsys):
+        code = run(["limits", "--alpha", "1", "--lambda", "2",
+                    "--betas", "0.1,abc"])
+        assert code == 2
+        assert capsys.readouterr().err.startswith("fgig: validation error: ")
+
 
 class TestEntropyCommand:
     def test_report(self, capsys):
@@ -218,8 +230,7 @@ class TestEntropyCommand:
 class TestHeavyCommands:
     def test_convolve_report(self, capsys):
         code, out = run_capture(capsys, [
-            "convolve", "--alpha", "2", "--beta", "8", "--lambda", "1",
-            "--nodes", "512"])
+            "convolve", "--alpha", "2", "--beta", "8", "--lambda", "1"])
         assert code == 0
         doc = json.loads(out)
         assert doc["passed"] is True
@@ -315,6 +326,12 @@ class TestImports:
                               capture_output=True, text=True, check=True,
                               timeout=120)
         return done.stdout
+
+    def test_all_names_resolve_once(self):
+        # a stale entry would make ``from fgig import *`` raise
+        assert len(set(fgig.__all__)) == len(fgig.__all__)
+        for name in fgig.__all__:
+            getattr(fgig, name)
 
     def test_light_commands_load_no_scipy(self):
         code = (

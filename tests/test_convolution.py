@@ -114,11 +114,38 @@ class TestFreeConvolve:
         assert moment(out, 1) == pytest.approx(moment(X, 1) + moment(Y, 1),
                                                abs=1e-6)
 
-    def test_node_count_is_the_larger_inputs(self):
-        X = build_fgig(NaturalParams(2.0, 8.0, -1.0), 512)
-        Y = build_free_poisson(FreePoissonParams(0.5, 1.0), 1024)
-        assert free_convolve(X, Y).nodes.size == 1024
-        assert free_convolve(Y, X).nodes.size == 1024
+    @pytest.mark.parametrize("lam, counts", [(1.0, (64, 256, 1024)),
+                                              (1.02, (1024, 4096))],
+                             ids=["rate_1", "bumped"])
+    def test_output_resolution_is_its_own(self, lam, counts):
+        # the inputs' quadrature is never read; at rate 1.02 the free
+        # Poisson law's nodes are bumped past 1024, to 2827 at 1024
+        xs = np.linspace(0.0, 8.0, 801)
+        outs = []
+        for n in counts:
+            Y = build_free_poisson(FreePoissonParams(0.5, lam), n)
+            assert Y.nodes.size == (2827 if lam == 1.02 and n == 1024 else n)
+            outs.append(free_convolve(
+                build_fgig(NaturalParams(2.0, 8.0, -lam), n), Y))
+        first = outs[0]
+        assert first.nodes.size == convolution._OUT_NODES
+        for out in outs[1:]:
+            for name in ("nodes", "cdf_x", "cdf_y"):
+                np.testing.assert_array_equal(getattr(out, name),
+                                              getattr(first, name))
+            np.testing.assert_array_equal(out.density(xs), first.density(xs))
+
+    @pytest.mark.parametrize("alpha, beta, lam", [
+        (0.2536256999333209, 1.0059424650888968, 0.25146110115217557),
+        (0.2553491537223743, 1.0169285461346727, 0.3133665529339661)])
+    def test_full_coefficient_budget_stays_right(self, alpha, beta, lam):
+        # the chop finds no plateau at these draws and keeps every
+        # coefficient; the outputs were 7.3e-14 and 4.7e-14 in Kolmogorov
+        # distance from mu(alpha, beta, lam)
+        X = build_fgig(NaturalParams(alpha, beta, -lam), 1024)
+        Y = build_free_poisson(FreePoissonParams(1.0 / alpha, lam), 1024)
+        target = build_fgig(NaturalParams(alpha, beta, lam), 1024)
+        assert kolmogorov_distance(free_convolve(X, Y), target) <= 1e-11
 
     @pytest.mark.parametrize("alpha, beta, lam", [
         (0.9172362808717155, 0.0009336391710107685, 0.599583336869868),
@@ -133,6 +160,11 @@ class TestFreeConvolve:
         with pytest.raises(NumericError) as info:
             free_convolve(X, Y)
         assert info.value.residual > 1e-10
+
+    def test_atoms_only_raises(self):
+        with pytest.raises(DomainError):
+            free_convolve(atom_measure([(0.0, 0.5), (1.0, 0.5)]),
+                          atom_measure([(0.0, 0.3), (2.0, 0.7)]))
 
     @pytest.mark.parametrize("atoms", [[(-3.0, 0.4), (3.0, 0.6)],
                                        [(0.0, 0.3), (4.0, 0.7)]])

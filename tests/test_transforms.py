@@ -6,8 +6,7 @@ import pytest
 from fgig import (DomainError, NaturalParams, NumericError, PoleError,
                   spectral_roots)
 from fgig.measures import (FreePoissonParams, atom_measure, build_fgig,
-                           build_free_poisson, fgig_density,
-                           free_poisson_density, moment)
+                           build_free_poisson, fgig_density, moment)
 from fgig.transforms import (
     BranchedSqrtEvaluator,
     cauchy,
@@ -17,7 +16,6 @@ from fgig.transforms import (
     free_poisson_cumulants,
     r_fgig,
     r_free_poisson,
-    stieltjes_density,
 )
 
 
@@ -220,48 +218,6 @@ class TestCauchyFromR:
         z = 0.8 + 0.4j
         w = cauchy_from_r(lambda u: r_fgig(p, u), z)
         assert abs(r_fgig(p, w) + 1.0 / w - z) <= 1e-11
-
-
-class TestStieltjesDensity:
-    def test_recovers_fgig_density(self):
-        p = NaturalParams(2.0, 8.0, 0.0)
-        m = build_fgig(p, 256)
-        val = stieltjes_density(lambda z: cauchy(m, z), 2.0)
-        assert val == pytest.approx(fgig_density(p, 2.0), abs=1e-4)
-
-    def test_outside_support_is_tiny(self):
-        m = build_fgig(NaturalParams(2.0, 8.0, 0.0), 256)
-        assert stieltjes_density(lambda z: cauchy(m, z), 0.5) <= 1e-6
-        assert stieltjes_density(lambda z: cauchy(m, z), 4.5) <= 1e-6
-
-    def test_recovers_free_poisson_center(self):
-        fp = FreePoissonParams(1.0, 2.0)
-        m = build_free_poisson(fp, 256)
-        center = fp.jump * (1.0 + fp.rate)
-        val = stieltjes_density(lambda z: cauchy(m, z), center)
-        assert val == pytest.approx(free_poisson_density(fp, center), abs=1e-4)
-
-    def test_reads_four_rungs(self):
-        offsets = []
-
-        def far_atom(z):
-            z = np.asarray(z, dtype=complex)
-            offsets.append(float(z.imag[0]))
-            return 1.0 / (z - 10.0)
-
-        assert stieltjes_density(far_atom, 0.0) <= 1e-6
-        assert len(offsets) == len(set(offsets)) == 4
-        assert min(offsets) == 1e-2 * 0.5 ** 7
-
-    def test_non_settling_ladder_raises(self):
-        from fgig import NumericError
-
-        def wobbly(z):
-            z = np.asarray(z, dtype=complex)
-            return -1j * np.sin(1.0 / z.imag) * np.ones_like(z)
-
-        with pytest.raises(NumericError):
-            stieltjes_density(wobbly, 0.0)
 
 
 class TestFreeCumulants:
