@@ -8,14 +8,17 @@ For probability measures ``mu`` and ``nu`` there are analytic self-maps
 
 Writing ``h(w) = 1/G(w) - w`` for each factor, ``omega_1(z)`` is the
 fixed point of ``w -> z + h_nu(z + h_mu(w))``, located here by damped
-Picard iteration.  ``omega_1(z)`` is the Denjoy--Wolff point of that map,
-which the iteration reaches from any start in the upper half-plane
-(Belinschi & Bercovici, J. Anal. Math. 2007), so a start taken from a
-nearby solution changes how many map evaluations a solve takes, not where
-it ends.  The subordination functions extend continuously to the real
-line (Belinschi, PTRF 2008), so the convolved density
-``-Im G_mu(omega_1(x))/pi`` is read at real ``x`` directly, with no
-extrapolation towards the axis.
+Picard iteration with Aitken extrapolation.  ``omega_1(z)`` is the
+Denjoy--Wolff point of that map, which the iteration reaches from any
+start in the upper half-plane (Belinschi & Bercovici, J. Anal. Math.
+2007), so a start taken from a nearby solution changes how many map
+evaluations a solve takes, not where it ends.  The map sends the closed
+half-plane ``Im w >= Im z`` into itself, so an extrapolation that leaves
+it is projected back onto its boundary.  The subordination functions
+extend continuously to the real line (Belinschi, PTRF 2008), so the
+convolved density ``-Im G_mu(omega_1(x))/pi`` is read at real ``x``
+directly, with no extrapolation towards the axis; outside the support
+``omega_1(x)`` is real.
 
 :func:`free_convolve` solves three times on the real axis, each solve
 started from what the earlier ones found: a uniform grid from ``x + 1j``,
@@ -68,10 +71,17 @@ def _solve_omega(mu, nu, z, max_iter, start=None):
 
     Damped Picard with a vectorized Aitken update every cycle: near the
     support edges the contraction factor approaches 1 and plain iteration
-    stalls, while the extrapolated sequence stays fast.  ``max_iter``
-    counts evaluations of the subordination map.  The iteration reaches
-    the same fixed point from any ``start`` in the upper half-plane
-    (``z + 1j`` by default); a start near it only saves evaluations.
+    stalls, while the extrapolated sequence stays fast.  The map
+    ``T(w) = z + h_nu(z + h_mu(w))`` sends the closed half-plane
+    ``Im w >= Im z`` into itself (``Im h >= 0``), and ``omega_1(z)`` lies
+    in it, so an extrapolation that overshoots below ``Im w = Im z`` is
+    projected onto that line rather than discarded.  Outside the support,
+    where ``omega_1`` is real, every extrapolation lands a hair below the
+    axis, and the damped step alone would only halve ``Im w`` per
+    evaluation.  ``max_iter`` counts evaluations of the subordination map.
+    The iteration reaches the same fixed point from any ``start`` in the
+    upper half-plane (``z + 1j`` by default); a start near it only saves
+    evaluations.
     """
     z = np.asarray(z, dtype=complex)
     w = z + 1j if start is None else np.array(start, dtype=complex)
@@ -102,8 +112,8 @@ def _solve_omega(mu, nu, z, max_iter, start=None):
         denom = d1 - d0
         safe = np.abs(denom) > 1e-300
         acc = u2 - d1 * np.where(safe, d1 / np.where(safe, denom, 1.0), 0.0)
-        good = safe & (acc.imag >= za.imag) & np.isfinite(acc)
-        wa = np.where(good, acc, u2)
+        acc = acc.real + 1j * np.maximum(acc.imag, za.imag)
+        wa = np.where(safe & np.isfinite(acc), acc, u2)
     w[idx] = wa
     return w, res, evals
 
@@ -142,9 +152,9 @@ def _real_density(mu, nu, xs, start=None):
     """Density of ``mu (+) nu`` at real ``xs``, where its solve converged,
     and ``omega1`` there.
 
-    Inside the support a solve converges within a few dozen map
-    evaluations; at an edge and just outside it the contraction factor
-    tends to 1 and the solve may stall.
+    Inside the support and outside it a solve converges within a few
+    dozen map evaluations; at an edge the contraction factor tends to 1
+    and the solve may stall.
     """
     xs = np.asarray(xs, dtype=float)
     w, res, _ = _solve_omega(mu, nu, xs.astype(complex), _MAX_ITER, start)

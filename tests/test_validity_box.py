@@ -293,6 +293,14 @@ def test_convolution_identity(log_alpha, log_beta, lam):
                     lam=0.2729315648272255)
 @hypothesis.example(alpha=0.00016213617966814406, beta=8.63700106879389,
                     lam=0.1178673311923793)
+# draws that raised "density vanishes inside its support" while the grid
+# solve stalled outside the support; now within 1.4e-15
+@hypothesis.example(alpha=0.028345344044002258, beta=1.3352911159351498e-05,
+                    lam=5.322871058112715)
+@hypothesis.example(alpha=7.357748116078803e-05, beta=0.013335595877694052,
+                    lam=44.17987705838271)
+@hypothesis.example(alpha=6.2347749411398575e-06, beta=0.0012841857612744087,
+                    lam=6.205507184970864)
 def test_convolution_identity_wide(alpha, beta, lam):
     # the free Poisson identity over the validity box: right to 1e-9, or
     # NumericError
