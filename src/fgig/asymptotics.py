@@ -24,7 +24,7 @@ from .errors import DomainError
 from .measures import (FreePoissonParams, SpectralMeasure, _atoms_cauchy,
                        atom_measure, build_fgig, build_free_poisson,
                        levy_distance)
-from .params import NaturalParams, solve_spread, solve_support
+from .params import NaturalParams, solve_support
 
 REGIME_LAM_GE_1 = "lambda_ge_1"
 REGIME_ABS_LT_1 = "abs_lambda_lt_1"
@@ -89,19 +89,6 @@ def limit_measure(alpha, lam):
         limit = _scaled_copy(mp, (1.0 + lam) / 2.0,
                              [(0.0, (1.0 - lam) / 2.0)])
     return LimitDescription(regime, limit)
-
-
-def spread_path(alpha, lam, betas):
-    """Spread coordinates of ``mu(alpha, beta, lam)`` for each ``beta``.
-
-    Each point is one bracketed solve, so the order of ``betas`` does not
-    matter and no point depends on another.
-    """
-    betas = np.asarray(betas, dtype=float)
-    if np.any(betas <= 0):
-        raise DomainError("beta values must be positive")
-    return [solve_spread(NaturalParams(alpha, float(beta), lam))
-            for beta in betas]
 
 
 def convergence_curve(alpha, lam, betas):

@@ -1,9 +1,10 @@
 """Batch command-line front end.
 
-Every subcommand validates its parameter triple, runs the matching
-module, and emits a JSON report (or CSV rows for grid data) that is
-byte-identical across repeated invocations: floats are serialized with
-17 significant digits and keys keep a fixed order.
+Every subcommand builds its parameter triple (a triple outside the
+validity box raises as it is built), runs the matching module, and emits
+a JSON report (or CSV rows for grid data) that is byte-identical across
+repeated invocations: floats are serialized with 17 significant digits
+and keys keep a fixed order.
 
 Exit codes: 0 on success, 2 on a validation error, 3 on a numeric
 failure.  ``FGIG_LOG`` in {quiet, info, debug} controls diagnostics on
@@ -23,8 +24,8 @@ import numpy as np
 from . import asymptotics, characterization, entropy, levy, transforms
 from .errors import DomainError, NumericError
 from .measures import build_fgig, fgig_density, moment
-from .params import (NaturalParams, SupportForm, from_support, solve_support,
-                     spectral_roots, validate)
+from .params import (NaturalParams, SupportForm, from_support, reparameterize,
+                     solve_support, spectral_roots)
 
 SCHEMA = "fgig-report/1"
 log = logging.getLogger("fgig")
@@ -145,7 +146,7 @@ def _run_params(args):
         p = NaturalParams(args.alpha, args.beta, args.lam)
         s = solve_support(p)
     roots = spectral_roots(p)
-    rep = validate(p)
+    sf = reparameterize(s)
     out = {
         "schema": SCHEMA,
         "subcommand": "params",
@@ -153,11 +154,10 @@ def _run_params(args):
         "beta": p.beta,
         "lambda": p.lam,
         "support": {"a": s.a, "b": s.b},
-        "spread": {"A": (math.sqrt(s.b) - math.sqrt(s.a)) ** 2,
-                   "B": (math.sqrt(s.a) + math.sqrt(s.b)) ** 2},
+        "spread": {"A": sf.A, "B": sf.B},
         "roots": {"gamma": roots.gamma, "delta": roots.delta,
                   "eta": roots.eta},
-        "valid": rep.valid,
+        "valid": True,  # an invalid triple raises before the report
     }
     _emit(args.output, dumps_stable(out) + "\n")
 

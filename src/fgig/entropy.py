@@ -26,7 +26,7 @@ import numpy as np
 
 from .errors import DomainError, NumericError
 from .measures import build_fgig, dilate, integrate
-from .params import NaturalParams, require_valid
+from .params import NaturalParams
 
 _SCAN_NODES = 512  # nodes of the base law and of each parameter competitor
 
@@ -54,9 +54,6 @@ class Potential:
 class MaximalityReport:
     base_value: float
     entries: tuple  # (label, value, margin)
-
-    def margins(self):
-        return tuple(margin for _, _, margin in self.entries)
 
 
 # ---------------------------------------------------------------------------
@@ -115,7 +112,6 @@ def maximality_scan(p, perturbations):
     or positive scale factors applied as dilations of the base measure;
     every competitor is scored under the base potential.
     """
-    require_valid(p)
     V = Potential.of(p)
     base = build_fgig(p, _SCAN_NODES)
     base_value = free_entropy(base, V)
@@ -239,11 +235,6 @@ def gig_log_normalizer(alpha, beta, lam):
     ``lam/2 log(alpha/beta) - log 2 - log K_lam(w)``, ``w = 2 sqrt(alpha beta)``."""
     w, c = _gig_scales(alpha, beta)
     return -lam * c - math.log(2.0) - log_bessel_k(lam, w)
-
-
-def gig_normalizer(alpha, beta, lam):
-    """Constant ``C`` with density ``C x^(lam-1) exp(-alpha x - beta/x)``."""
-    return math.exp(gig_log_normalizer(alpha, beta, lam))
 
 
 def classical_gig_density(alpha, beta, lam, x):

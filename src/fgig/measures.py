@@ -41,7 +41,7 @@ from typing import Callable, Optional
 import numpy as np
 
 from .errors import DomainError
-from .params import require_valid, solve_support
+from .params import solve_support
 
 _TWO_PI = 2.0 * math.pi
 _DEFAULT_KNOTS = 4096  # angular intervals between the cdf knots
@@ -489,7 +489,6 @@ def fgig_density(p, x):
 
     inside.  Vectorized in ``x``.
     """
-    require_valid(p)
     g, s = _fgig_smooth_factor(p)
     x = np.asarray(x, dtype=float)
     inside = (x > s.a) & (x < s.b)
@@ -516,7 +515,6 @@ def build_fgig(p, n=256):
     the origin, so the node count is bumped automatically when the support
     degenerates towards zero.
     """
-    require_valid(p)
     if n < 16:
         raise DomainError("node count must be at least 16")
     g, s = _fgig_smooth_factor(p)
@@ -623,7 +621,6 @@ def mode(p):
     The derivative's numerator reduces to a quadratic (the cubic terms
     cancel); its unique root in ``(a, b)`` is the mode.
     """
-    require_valid(p)
     s = solve_support(p)
     c2, c1, c0 = mode_quadratic(p)
     disc = c1 * c1 - 4.0 * c2 * c0

@@ -17,6 +17,9 @@ The support endpoints are the unique admissible solution of
 and conversely an admissible ``(a, b, lam)`` determines ``(alpha, beta)``
 in closed form.  Admissibility means ``|lam| * (A/B) < 1`` in spread
 coordinates, and the full validity box is ``0 < max(1, |lam|) * A < B``.
+Each form checks its inequalities when it is built and raises
+:class:`DomainError` naming the first that fails, so every form in hand,
+given or computed, is valid.
 
 The square root in the R-transform of ``mu(alpha, beta, lam)`` sits over a
 quartic that factors as ``4*beta*(z - delta)**2*(eta - z)`` times a sign
@@ -32,6 +35,23 @@ import numpy as np
 
 from .errors import DomainError, NumericError
 
+
+def _require(form, inequality, holds):
+    """Raise :class:`DomainError` unless ``holds``; NaN comparisons fail."""
+    if not holds:
+        raise DomainError(f"invalid {form} parameters: {inequality} violated")
+
+
+def _admissible(a, b, lam):
+    """``|lam| (sqrt b - sqrt a)**2 < (sqrt a + sqrt b)**2`` as
+    ``(|lam| - 1)(a + b)/2 < (|lam| + 1) sqrt(ab)``: no difference of the
+    endpoints, so any ``0 < a < b`` passes at ``|lam| <= 1``.  An infinite
+    ``b`` gives ``inf/inf`` and fails, as does a NaN."""
+    a, b, m = float(a), float(b), abs(float(lam))
+    return ((m - 1.0) * (0.5 * a + 0.5 * b) / (math.sqrt(a) * math.sqrt(b))
+            < m + 1.0)
+
+
 @dataclass(frozen=True, slots=True)
 class NaturalParams:
     """Natural coordinates ``(alpha, beta, lam)`` with ``alpha, beta > 0``."""
@@ -39,6 +59,11 @@ class NaturalParams:
     alpha: float
     beta: float
     lam: float
+
+    def __post_init__(self):
+        _require("natural", "alpha > 0", self.alpha > 0)
+        _require("natural", "beta > 0", self.beta > 0)
+        _require("natural", "lam finite", math.isfinite(self.lam))
 
 
 @dataclass(frozen=True, slots=True)
@@ -49,6 +74,13 @@ class SupportForm:
     b: float
     lam: float
 
+    def __post_init__(self):
+        _require("support", "a > 0", self.a > 0)
+        _require("support", "a < b", self.a < self.b)
+        _require("support",
+                 "|lam|*((sqrt(a)-sqrt(b))/(sqrt(a)+sqrt(b)))**2 < 1",
+                 _admissible(self.a, self.b, self.lam))
+
 
 @dataclass(frozen=True, slots=True)
 class SpreadForm:
@@ -57,6 +89,11 @@ class SpreadForm:
     A: float
     B: float
     lam: float
+
+    def __post_init__(self):
+        _require("spread", "A > 0", self.A > 0)
+        _require("spread", "max(1,|lam|)*A < B",  # max(nan, 1) is nan: fails
+                 max(abs(self.lam), 1.0) * self.A < self.B)
 
 
 @dataclass(frozen=True, slots=True)
@@ -74,75 +111,27 @@ class SpectralRoots:
     eta: float
 
 
-@dataclass(frozen=True, slots=True)
-class ValidationEntry:
-    name: str
-    passed: bool
-    margin: float
-
-
-@dataclass(frozen=True, slots=True)
-class ValidationReport:
-    form: str
-    entries: tuple
-    valid: bool
-
-
-# ---------------------------------------------------------------------------
-# validation
-# ---------------------------------------------------------------------------
-
-def validate(x):
-    """Check every invariant of a parameter form, with margins.
-
-    Returns a :class:`ValidationReport`; never raises.  The margin of each
-    entry is positive when the inequality holds strictly and measures the
-    distance to its boundary.
-    """
-    if isinstance(x, NaturalParams):
-        entries = (
-            ValidationEntry("alpha > 0", x.alpha > 0, x.alpha),
-            ValidationEntry("beta > 0", x.beta > 0, x.beta),
-            ValidationEntry("lam finite", math.isfinite(x.lam),
-                            math.inf if math.isfinite(x.lam) else -math.inf),
-        )
-        form = "natural"
-    elif isinstance(x, SupportForm):
-        ratio = math.nan
-        if x.a > 0 and x.b > 0:
-            ratio = abs(x.lam) * ((math.sqrt(x.a) - math.sqrt(x.b))
-                                  / (math.sqrt(x.a) + math.sqrt(x.b))) ** 2
-        entries = (
-            ValidationEntry("a > 0", x.a > 0, x.a),
-            ValidationEntry("a < b", x.a < x.b, x.b - x.a),
-            ValidationEntry("|lam|*((sqrt(a)-sqrt(b))/(sqrt(a)+sqrt(b)))**2 < 1",
-                            bool(ratio == ratio and ratio < 1.0), 1.0 - ratio),
-        )
-        form = "support"
-    elif isinstance(x, SpreadForm):
-        m = max(1.0, abs(x.lam))
-        entries = (
-            ValidationEntry("A > 0", x.A > 0, x.A),
-            ValidationEntry("max(1,|lam|)*A < B", m * x.A < x.B, x.B - m * x.A),
-        )
-        form = "spread"
-    else:
-        raise TypeError(f"unsupported parameter form: {type(x).__name__}")
-    return ValidationReport(form, entries, all(e.passed for e in entries))
-
-
-def require_valid(x):
-    """Raise :class:`DomainError` naming the first violated inequality."""
-    report = validate(x)
-    if not report.valid:
-        bad = next(e for e in report.entries if not e.passed)
-        raise DomainError(f"invalid {report.form} parameters: {bad.name} violated")
-    return x
-
-
 # ---------------------------------------------------------------------------
 # closed-form conversions
 # ---------------------------------------------------------------------------
+
+# Coordinates computed from a triple within rounding of the box's edge (as
+# m t = 1 - O(eps) at small alpha*beta) can miss it; these two move them
+# the few ulps into it, or raise NumericError if a and b coincide.
+
+def _computed_support(a, b, lam):
+    if not 0.0 < a < b:
+        raise NumericError("support endpoints are not representable")
+    step = math.ulp(a)
+    while a < b and not _admissible(a, b, lam):
+        a, step = a + step, 2.0 * step
+    return SupportForm(a, b, lam)
+
+
+def _computed_spread(A, B, lam):
+    m = max(1.0, abs(lam))
+    return SpreadForm(A, max(B, math.nextafter(m * A, math.inf)), lam)
+
 
 def reparameterize(x):
     """Convert between :class:`SupportForm` and :class:`SpreadForm`.
@@ -151,13 +140,13 @@ def reparameterize(x):
     ``B = (sqrt(a)+sqrt(b))**2`` and back via
     ``a = ((sqrt(B)-sqrt(A))/2)**2``, ``b = ((sqrt(A)+sqrt(B))/2)**2``.
     """
-    require_valid(x)
     if isinstance(x, SupportForm):
         sa, sb = math.sqrt(x.a), math.sqrt(x.b)
-        return SpreadForm((sb - sa) ** 2, (sa + sb) ** 2, x.lam)
+        return _computed_spread((sb - sa) ** 2, (sa + sb) ** 2, x.lam)
     if isinstance(x, SpreadForm):
         sA, sB = math.sqrt(x.A), math.sqrt(x.B)
-        return SupportForm(((sB - sA) / 2) ** 2, ((sA + sB) / 2) ** 2, x.lam)
+        return _computed_support(((sB - sA) / 2) ** 2, ((sA + sB) / 2) ** 2,
+                                 x.lam)
     raise TypeError("reparameterize expects SupportForm or SpreadForm")
 
 
@@ -171,7 +160,6 @@ def from_support(s):
 
     with ``A/B = ((sqrt(a)-sqrt(b))/(sqrt(a)+sqrt(b)))**2``.
     """
-    require_valid(s)
     sa, sb = math.sqrt(s.a), math.sqrt(s.b)
     gap2 = (sa - sb) ** 2
     ratio = gap2 / (sa + sb) ** 2
@@ -182,7 +170,6 @@ def from_support(s):
 
 def spread_to_natural(sf):
     """Natural parameters for spread coordinates, in closed form."""
-    require_valid(sf)
     A, B, lam = sf.A, sf.B, sf.lam
     alpha = 2.0 / A * (1.0 + lam * A / B)
     beta = (B - A) ** 2 / (8.0 * A) * (1.0 - lam * A / B)
@@ -195,7 +182,6 @@ def invert_params(p):
     The reciprocal is again in the family with parameters
     ``(beta, alpha, -lam)``; its support is the reciprocal interval.
     """
-    require_valid(p)
     return NaturalParams(p.beta, p.alpha, -p.lam)
 
 
@@ -261,9 +247,8 @@ def _solve_ratio(alpha, beta, lam):
 
 def solve_spread(p):
     """Spread coordinates ``(A, B)`` for natural parameters ``p``."""
-    require_valid(p)
     _, A, B, _, _, _ = _solve_ratio(p.alpha, p.beta, p.lam)
-    return SpreadForm(A, B, p.lam)
+    return _computed_spread(A, B, p.lam)
 
 
 def solve_support(p):
@@ -276,14 +261,14 @@ def solve_support(p):
     Raises
     ------
     NumericError
-        If the result misses either defining equation by more than
-        ``1e-9`` relative to the largest term it cancels (carries that
-        relative residual).
+        If ``a`` and ``b`` are not distinct positive floats, or if the
+        result misses either defining equation by more than ``1e-9``
+        relative to the largest term it cancels (carries that relative
+        residual).
     """
-    require_valid(p)
     t, _, B, u, _, _ = _solve_ratio(p.alpha, p.beta, p.lam)
     rt = 1.0 + math.sqrt(t)
-    s = SupportForm(B * (u / rt) ** 2 / 4.0, B * rt ** 2 / 4.0, p.lam)
+    s = _computed_support(B * (u / rt) ** 2 / 4.0, B * rt ** 2 / 4.0, p.lam)
     r1, r2 = support_residuals(p, s)
     # each residual relative to the largest term it cancels (at least 1)
     sab = math.sqrt(s.a) * math.sqrt(s.b)
@@ -325,7 +310,6 @@ def spectral_roots(p):
     Every factor is formed without cancellation, so the identity
     ``4*beta*eta*delta**2 == alpha**2`` holds to rounding.
     """
-    require_valid(p)
     _, A, B, u, plus, minus = _solve_ratio(p.alpha, p.beta, p.lam)
     gamma = -2.0 * (u * plus + minus) / (B * u * u)
     delta = -2.0 * plus / (B * u)

@@ -26,7 +26,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DomainError, NumericError, PoleError
-from .params import require_valid, solve_spread, spectral_roots
+from .params import solve_spread, spectral_roots
 from .series import Series
 
 _INVERT_TOL = 1e-12  # residual of r(w) + 1/w = z, relative to max(1, |z|)
@@ -87,7 +87,6 @@ def r_fgig(p, z):
         If a value is out of floating-point range, as at ``z == alpha``
         when ``lam < 0`` is so small that ``r(alpha)`` overflows.
     """
-    require_valid(p)
     alpha, beta, lam = p.alpha, p.beta, p.lam
     roots = spectral_roots(p)
     sf = solve_spread(p)
@@ -232,7 +231,6 @@ def free_cumulants(p, n):
     Built by truncated-series algebra on the closed form; the square
     root contributes a binomial series around the origin.
     """
-    require_valid(p)
     n = int(n)
     if not 1 <= n <= 64:
         raise DomainError("cumulant order must be between 1 and 64")
@@ -273,7 +271,6 @@ def fid_certificate(p, n_grid=200):
     two small arcs around the singular point ``alpha``.  Passing means
     the maximum imaginary part stays below ``_FID_TOL`` = 1e-9.
     """
-    require_valid(p)
     if n_grid < 2:
         raise DomainError("certificate grid needs at least 2 points per axis")
     roots = spectral_roots(p)

@@ -13,10 +13,9 @@ from fgig.asymptotics import (
     limit_regime,
     root_limits,
     scaling_exponents,
-    spread_path,
 )
 from fgig.measures import moment
-from fgig.params import quartic_under_root, reparameterize
+from fgig.params import quartic_under_root, reparameterize, solve_spread
 
 
 class TestLimitMeasure:
@@ -65,7 +64,7 @@ class TestConvergenceCurve:
         assert all(d2 < d1 for d1, d2 in zip(curve, curve[1:]))
 
     def test_lower_regime_support_shrinks(self):
-        sf = spread_path(1.0, -3.0, [1e-4])[0]
+        sf = solve_spread(NaturalParams(1.0, 1e-4, -3.0))
         s = reparameterize(sf)
         assert s.b <= 0.05
 
@@ -120,7 +119,7 @@ class TestReducedSystems:
         # for lam < -1 both endpoints scale like beta and the rescaled
         # pair solves 1 - lam - (a'+b')/(2a'b') = 0, 1 + lam + 1/sqrt(a'b') = 0
         alpha, lam, beta = 1.0, -3.0, 1e-8
-        s = reparameterize(spread_path(alpha, lam, [beta])[0])
+        s = reparameterize(solve_spread(NaturalParams(alpha, beta, lam)))
         ap, bp = s.a / beta, s.b / beta
         assert 1 - lam - (ap + bp) / (2 * ap * bp) == pytest.approx(
             0.0, abs=1e-3)
@@ -130,7 +129,7 @@ class TestReducedSystems:
     def test_middle_band_limits(self):
         # for |lam| < 1: a/beta -> 1/(2(1-lam)) and b -> 2(1+lam)/alpha
         alpha, lam, beta = 1.0, 0.3, 1e-8
-        s = reparameterize(spread_path(alpha, lam, [beta])[0])
+        s = reparameterize(solve_spread(NaturalParams(alpha, beta, lam)))
         assert s.a / beta == pytest.approx(1.0 / (2 * (1 - lam)), rel=1e-3)
         assert s.b == pytest.approx(2 * (1 + lam) / alpha, rel=1e-3)
 
@@ -138,7 +137,7 @@ class TestReducedSystems:
         # for lam > 1 the endpoints have positive limits solving
         # 1 - lam + alpha sqrt(ab) = 0, 1 + lam - alpha (a+b)/2 = 0
         alpha, lam, beta = 1.0, 2.0, 1e-8
-        s = reparameterize(spread_path(alpha, lam, [beta])[0])
+        s = reparameterize(solve_spread(NaturalParams(alpha, beta, lam)))
         assert 1 - lam + alpha * math.sqrt(s.a * s.b) == pytest.approx(
             0.0, abs=1e-3)
         assert 1 + lam - alpha * (s.a + s.b) / 2 == pytest.approx(

@@ -61,9 +61,12 @@ class TestParamsCommand:
         assert doc["support"]["b"] == pytest.approx(4.0)
 
     def test_validation_exit_code(self, capsys):
-        code, _ = run_capture(capsys, ["params", "--a", "4", "--b", "1",
-                                       "--lambda", "0"])
+        code = run(["params", "--a", "4", "--b", "1", "--lambda", "0"])
+        captured = capsys.readouterr()
         assert code == 2
+        assert captured.out == ""
+        assert captured.err == ("fgig: validation error: invalid support "
+                                "parameters: a < b violated\n")
 
     def test_idempotent_output(self, capsys):
         _, first = run_capture(capsys, ["params", "--alpha", "1.7", "--beta",

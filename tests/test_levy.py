@@ -219,10 +219,9 @@ class TestFsd:
             A = 10 ** rng.uniform(-1, 1)
             B = A * rng.uniform(1.05, 5.0)
             lam = rng.uniform(-4.0, 0.0)
-            sf = SpreadForm(A, B, lam)
             if max(1.0, abs(lam)) * A >= B:
                 continue
-            rep = fsd_report(sf)
+            rep = fsd_report(SpreadForm(A, B, lam))
             assert rep.agrees
             count += 1
         assert count >= 10
@@ -233,9 +232,9 @@ class TestFsd:
             A = 10 ** rng.uniform(-0.5, 0.5)
             B = A * rng.uniform(1.5, 4.0)
             lam_star = fsd_threshold(A, B)
-            sf = SpreadForm(A, B, lam_star)
             if max(1.0, abs(lam_star)) * A >= B:
                 continue
+            sf = SpreadForm(A, B, lam_star)
             assert abs(fsd_discriminant_spread(sf)) <= 1e-9
 
     def test_threshold_localized_by_bisection(self):

@@ -14,9 +14,8 @@ from fgig import (
     reparameterize,
     solve_support,
     spectral_roots,
-    validate,
 )
-from fgig.params import quartic_under_root, support_residuals
+from fgig.params import quartic_under_root, solve_spread, support_residuals
 
 
 def random_valid_support(rng):
@@ -24,9 +23,9 @@ def random_valid_support(rng):
         a = rng.uniform(0.05, 3.0)
         b = a + rng.uniform(0.05, 6.0)
         lam = rng.uniform(-6.0, 6.0)
-        s = SupportForm(a, b, lam)
-        if validate(s).valid:
-            return s
+        if abs(lam) * ((math.sqrt(a) - math.sqrt(b))
+                       / (math.sqrt(a) + math.sqrt(b))) ** 2 < 1.0:
+            return SupportForm(a, b, lam)
 
 
 class TestFromSupport:
@@ -87,11 +86,24 @@ class TestSolveSupport:
             assert max(abs(r1), abs(r2)) <= 1e-12 * scale
 
     @pytest.mark.parametrize("alpha, beta", [(1e-200, 1e-200),
-                                             (1e200, 1e200)])
+                                             (1e200, 1e200), (1e45, 1e45)])
     def test_rate_product_out_of_range_raises(self, alpha, beta):
-        # alpha*beta underflows to 0 or overflows to inf
+        # alpha*beta underflows to 0 or overflows to inf; at 1e45 it does
+        # not, but b/a - 1 ~ 4 sqrt(A/B) ~ 1e-22 and a, b round together
         with pytest.raises(NumericError):
             solve_support(NaturalParams(alpha, beta, 0.5))
+
+    def test_spread_where_ratio_rounds_to_one(self):
+        # A/B = 1 - 2.3e-20 rounds to 1: B is the next float above A, and
+        # the spread form no longer resolves a
+        p = NaturalParams(1e-20, 1e-20, 0.5)
+        sf = solve_spread(p)
+        assert sf.B == math.nextafter(sf.A, math.inf)
+        s = solve_support(p)
+        assert s.a == pytest.approx(1e-20, rel=1e-12)
+        assert s.b == pytest.approx(3e20, rel=1e-12)
+        with pytest.raises(NumericError):
+            reparameterize(sf)
 
     def test_extreme_rates_with_a_normal_product(self, support40):
         # a*b underflows here; the residuals never form it.  c*X has the
@@ -236,20 +248,64 @@ class TestInvertParams:
         assert s.a * s.b == pytest.approx(1.0, rel=1e-12)
 
 
+ADMISSIBLE = "|lam|*((sqrt(a)-sqrt(b))/(sqrt(a)+sqrt(b)))**2 < 1"
+
+
 class TestValidate:
+    """Each form checks its inequalities when it is built and names the
+    first one that fails."""
+
     def test_valid_spread(self):
-        assert validate(SpreadForm(1.0, 9.0, 0.0)).valid
+        sf = SpreadForm(1.0, 9.0, 0.0)
+        assert (sf.A, sf.B, sf.lam) == (1.0, 9.0, 0.0)
 
     def test_spread_order_violation(self):
-        rep = validate(SpreadForm(3.0, 2.0, 0.0))
-        assert not rep.valid
-        assert any("A < B" in e.name and not e.passed for e in rep.entries)
+        with pytest.raises(DomainError) as exc:
+            SpreadForm(3.0, 2.0, 0.0)
+        assert str(exc.value) == ("invalid spread parameters: "
+                                  "max(1,|lam|)*A < B violated")
+        with pytest.raises(DomainError) as exc:
+            SpreadForm(-1.0, 2.0, 0.0)
+        assert str(exc.value) == "invalid spread parameters: A > 0 violated"
 
     def test_spread_lambda_violation(self):
-        rep = validate(SpreadForm(1.0, 2.0, 3.0))
-        assert not rep.valid
+        for lam in (3.0, math.nan):
+            with pytest.raises(DomainError) as exc:
+                SpreadForm(1.0, 2.0, lam)
+            assert str(exc.value) == ("invalid spread parameters: "
+                                      "max(1,|lam|)*A < B violated")
 
-    def test_margins_reported(self):
-        rep = validate(SpreadForm(1.0, 9.0, 2.0))
-        entry = {e.name: e for e in rep.entries}["max(1,|lam|)*A < B"]
-        assert entry.margin == pytest.approx(7.0)
+    @pytest.mark.parametrize("lam", [1.0, -1.0, 0.5])
+    def test_lopsided_support_admissible(self, lam):
+        # (sqrt(a)-sqrt(b))/(sqrt(a)+sqrt(b)) rounds to -1 here; the check
+        # forms no difference of the endpoints, so the pair still passes
+        assert SupportForm(1e-40, 1.0, lam).a == 1e-40
+
+    @pytest.mark.parametrize("args, inequality", [
+        ((0.0, 1.0, 0.0), "alpha > 0"),
+        ((-1.0, -1.0, 0.0), "alpha > 0"),
+        ((math.nan, 1.0, 0.0), "alpha > 0"),
+        ((1.0, -1.0, 0.0), "beta > 0"),
+        ((1.0, 1.0, math.nan), "lam finite"),
+        ((1.0, 1.0, -math.inf), "lam finite"),
+    ])
+    def test_natural_violations(self, args, inequality):
+        with pytest.raises(DomainError) as exc:
+            NaturalParams(*args)
+        assert str(exc.value) == (f"invalid natural parameters: {inequality} "
+                                  "violated")
+
+    @pytest.mark.parametrize("args, inequality", [
+        ((0.0, 4.0, 0.0), "a > 0"),
+        ((math.nan, 4.0, 0.0), "a > 0"),
+        ((4.0, 1.0, 0.0), "a < b"),
+        ((1.0, 1.0, 0.0), "a < b"),
+        ((1.0, 4.0, 10.0), ADMISSIBLE),
+        ((1.0, 4.0, math.nan), ADMISSIBLE),
+        ((1.0, math.inf, 0.0), ADMISSIBLE),
+    ])
+    def test_support_violations(self, args, inequality):
+        with pytest.raises(DomainError) as exc:
+            SupportForm(*args)
+        assert str(exc.value) == (f"invalid support parameters: {inequality} "
+                                  "violated")

@@ -2,7 +2,8 @@
 
 The support solve over the validity box: alpha and beta log-uniform in
 [1e-6, 1e6], lam in [-50, 50], checked against a 40-digit support that
-does not use the package's solver.  The R-transform at its removable
+does not use the package's solver, and every form computed from it builds,
+also within rounding of the box's edge.  The R-transform at its removable
 points, its pole, its branch point and off the axis over the same box,
 against a 40-digit closed form on that support, and the Levy--Khintchine
 closed forms against it and a 40-digit quadrature.  The cdf knots of the
@@ -21,8 +22,9 @@ import math
 import numpy as np
 import pytest
 
-from fgig import (NaturalParams, NumericError, PoleError, reparameterize,
-                  solve_support, spectral_roots)
+from fgig import (NaturalParams, NumericError, PoleError, from_support,
+                  invert_params, reparameterize, solve_support,
+                  spectral_roots)
 from fgig.characterization import (_initial_k, compare_series, n_prime,
                                    oracle_coefficients, series_coefficients,
                                    solve_c)
@@ -42,6 +44,12 @@ st = hypothesis.strategies
                      max_examples=300)
 @hypothesis.given(log_alpha=st.floats(-6.0, 6.0),
                   log_beta=st.floats(-6.0, 6.0), lam=st.floats(-50.0, 50.0))
+# at these two, m t = 1 - O(1e-15): the endpoints as computed miss
+# admissibility by rounding, by 1 and 7 ulps of a
+@hypothesis.example(log_alpha=-5.8392213760324605,
+                    log_beta=-5.906062392801341, lam=-48.95313996226879)
+@hypothesis.example(log_alpha=-5.923331092734714,
+                    log_beta=-5.946296781391015, lam=-47.41801489468241)
 def test_support_solve(support40, log_alpha, log_beta, lam):
     p = NaturalParams(10.0 ** log_alpha, 10.0 ** log_beta, lam)
     s = solve_support(p)
@@ -56,6 +64,11 @@ def test_support_solve(support40, log_alpha, log_beta, lam):
     sf, back = solve_spread(p), reparameterize(s)
     assert back.A == pytest.approx(sf.A, rel=1e-12)
     assert back.B == pytest.approx(sf.B, rel=1e-12)
+
+    # every computed form meets its own inequalities, so it builds
+    assert from_support(s).lam == p.lam
+    assert reparameterize(sf).lam == p.lam
+    assert invert_params(p).alpha == p.beta
 
 
 def _r40(roots40, p):
