@@ -26,7 +26,6 @@ from .characterization import (
 from .convolution import SubordinationPair, free_convolve, subordination_at
 from .entropy import (
     Potential,
-    bessel_k,
     classical_entropy,
     classical_gig_density,
     free_entropy,
@@ -72,7 +71,6 @@ from .transforms import (
     BranchedSqrtEvaluator,
     CertificateReport,
     cauchy,
-    cauchy_from_r,
     fid_certificate,
     free_cumulants,
     r_fgig,
@@ -98,12 +96,10 @@ __all__ = [
     "SpreadForm",
     "SubordinationPair",
     "SupportForm",
-    "bessel_k",
     "build_fgig",
     "build_free_poisson",
     "build_semicircle",
     "cauchy",
-    "cauchy_from_r",
     "classical_entropy",
     "classical_gig_density",
     "convergence_curve",

@@ -235,13 +235,6 @@ def compare_series(series, oracle):
     return float(np.max(np.abs(a[:n] - b[:n]) / scale))
 
 
-def reciprocal_cauchy_residual(m, m_recip, z):
-    """Residual of ``G_{1/X}(z) = (1 - G_X(1/z)/z) / z`` at one point."""
-    lhs = cauchy(m_recip, z)
-    rhs = (1.0 - cauchy(m, 1.0 / z) / z) / z
-    return abs(lhs - rhs)
-
-
 _STAGES = ("X + Y2", "(X + Y2)^-1", "Y1 + (X + Y2)^-1", "full chain")
 
 

@@ -66,7 +66,7 @@ def _h_transform(m, w):
     return 1.0 / cauchy_nodes(m, w) - w
 
 
-def _solve_omega(mu, nu, z, max_iter, start=None):
+def _solve_omega(mu, nu, z, max_iter, start=None, scale=1.0):
     """Vectorized fixed-point solve; returns (omega1, residual, evaluations).
 
     Damped Picard with a vectorized Aitken update every cycle: near the
@@ -81,7 +81,8 @@ def _solve_omega(mu, nu, z, max_iter, start=None):
     evaluation.  ``max_iter`` counts evaluations of the subordination map.
     The iteration reaches the same fixed point from any ``start`` in the
     upper half-plane (``z + 1j`` by default); a start near it only saves
-    evaluations.
+    evaluations.  A solve stops once a step is within ``_TOL`` of
+    ``max(scale, |w|)``.
     """
     z = np.asarray(z, dtype=complex)
     w = z + 1j if start is None else np.array(start, dtype=complex)
@@ -96,7 +97,7 @@ def _solve_omega(mu, nu, z, max_iter, start=None):
     while idx.size and evals < max_iter:
         t0 = T(wa, za)
         res[idx] = res_a = np.abs(t0 - wa)
-        done = res_a <= _TOL * np.maximum(1.0, np.abs(wa))
+        done = res_a <= _TOL * np.maximum(scale, np.abs(wa))
         w[idx[done]] = t0[done]
         evals += 1
         keep = ~done
@@ -148,7 +149,7 @@ def _is_unit_atom(m):
             and abs(m.atoms[0][1] - 1.0) <= 1e-12)
 
 
-def _real_density(mu, nu, xs, start=None):
+def _real_density(mu, nu, xs, start, scale):
     """Density of ``mu (+) nu`` at real ``xs``, where its solve converged,
     and ``omega1`` there.
 
@@ -157,12 +158,13 @@ def _real_density(mu, nu, xs, start=None):
     and the solve may stall.
     """
     xs = np.asarray(xs, dtype=float)
-    w, res, _ = _solve_omega(mu, nu, xs.astype(complex), _MAX_ITER, start)
-    ok = res <= _TOL * np.maximum(1.0, np.abs(w))
+    w, res, _ = _solve_omega(mu, nu, xs.astype(complex), _MAX_ITER, start,
+                             scale)
+    ok = res <= _TOL * np.maximum(scale, np.abs(w))
     return -cauchy_nodes(mu, w).imag / math.pi, ok, w
 
 
-def _locate_edges(mu, nu, edges, floor, width):
+def _locate_edges(mu, nu, edges, floor, width, scale):
     """Both square-root support edges, moved in lockstep.
 
     Each of ``edges`` is ``(x_out, xs, rho, w)``: ``xs``/``rho`` are
@@ -207,8 +209,8 @@ def _locate_edges(mu, nu, edges, floor, width):
             at.append(e + sgn * max(0.05 * gap, step))
         if not open_:
             return found
-        r, ok, w = _real_density(mu, nu, at,
-                                 start=[state[k][3] for k in open_])
+        r, ok, w = _real_density(mu, nu, at, [state[k][3] for k in open_],
+                                 scale)
         for k, x, r_k, ok_k, w_k in zip(open_, at, r, ok, w):
             s = state[k]
             if ok_k and r_k > floor:
@@ -264,8 +266,11 @@ def free_convolve(mu, nu):
     lo2, hi2 = _bounds(nu)
     lo, hi = lo1 + lo2, hi1 + hi2
     pad = _MARGIN * (hi - lo)
+    # solves stop at _TOL times max(scale, |w|): scaled with the output, so
+    # a dilated problem stops at the same point, and never looser than 1
+    scale = min(1.0, hi - lo)
     xs = np.linspace(lo - pad, hi + pad, _N_GRID)
-    rho, ok, w = _real_density(mu, nu, xs)
+    rho, ok, w = _real_density(mu, nu, xs, None, scale)
     floor = _FLOOR * float(np.max(rho, where=ok, initial=0.0))
     idx = np.flatnonzero(ok & (rho > floor))
     if idx.size < 3 or idx[0] == 0 or idx[-1] == xs.size - 1:
@@ -279,14 +284,14 @@ def free_convolve(mu, nu):
     a, b = _locate_edges(
         mu, nu, [(xs[i0 - 1], xs[i0:i0 + 3], rho[i0:i0 + 3], w[i0]),
                  (xs[i1 + 1], xs[i1:i1 - 3:-1], rho[i1:i1 - 3:-1], w[i1])],
-        floor, width)
+        floor, width, scale)
 
     t = _edge_matched_rule(_OUT_NODES, 0.5, 0.5)[0]
     nodes = 0.5 * (a + b) + 0.5 * (b - a) * t
     inside = slice(i0, i1 + 1)
     start = (np.interp(nodes, xs[inside], w[inside].real)
              + 1j * np.interp(nodes, xs[inside], w[inside].imag))
-    rho, ok, _ = _real_density(mu, nu, nodes, start)
+    rho, ok, _ = _real_density(mu, nu, nodes, start, scale)
     if not np.all(ok & (rho > floor)):
         raise NumericError("subordination failed inside the support")
     out = _chebyshev_measure(a, b, rho / np.sqrt((nodes - a) * (b - nodes)))

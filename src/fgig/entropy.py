@@ -206,21 +206,6 @@ def log_bessel_k(order, w):
     return -w + _log_bessel_sum(order, w)
 
 
-def bessel_k(order, w):
-    """``K_order(w)``; underflows to 0 past ``w ~ 745`` (use ``log_bessel_k``)."""
-    return math.exp(log_bessel_k(order, w))
-
-
-def bessel_k_half_integer(order, w):
-    """Closed forms at orders 1/2 and 3/2 (the oracle pair)."""
-    base = math.sqrt(math.pi / (2.0 * w)) * math.exp(-w)
-    if order == 0.5:
-        return base
-    if order == 1.5:
-        return base * (1.0 + 1.0 / w)
-    raise DomainError("closed form available only at orders 1/2 and 3/2")
-
-
 def _gig_scales(alpha, beta):
     """``w = 2 sqrt(alpha beta)`` and ``log sqrt(beta/alpha)``, formed
     without the product or quotient of the rates."""

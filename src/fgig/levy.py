@@ -215,13 +215,6 @@ def fsd_discriminant(p):
                                                + alpha * delta)
 
 
-def fsd_discriminant_spread(sf):
-    A, B, lam = sf.A, sf.B, sf.lam
-    return (4.0 * (B + lam * A) * (8.0 * lam ** 2 * A ** 3
-                                   - 9.0 * lam ** 2 * A ** 2 * B + B ** 3)
-            / (A ** 2 * B * (A - B) ** 2 * (B - lam * A)))
-
-
 def fsd_report(p):
     """Free self-decomposability verdict with a direct monotonicity check.
 

@@ -47,7 +47,6 @@ _TWO_PI = 2.0 * math.pi
 _DEFAULT_KNOTS = 4096  # angular intervals between the cdf knots
 _NARROW = 0.25  # rho below which _rational_upper_mass cancels by hand
 _CHOP_TOL = np.finfo(float).eps  # relative noise level of a Chebyshev series
-_SUP_POINTS = 2001  # grid of density_sup_distance over the union of supports
 
 
 @dataclass(frozen=True, slots=True)
@@ -580,20 +579,6 @@ def build_semicircle(center=0.0, radius=2.0, n=256):
                            upper=upper)
 
 
-def free_poisson_density(fp, x):
-    """Closed-form Marchenko--Pastur density (a.c. part only)."""
-    gam, rate = fp.jump, fp.rate
-    sq = math.sqrt(rate)
-    lo, hi = gam * (1.0 - sq) ** 2, gam * (1.0 + sq) ** 2
-    x = np.asarray(x, dtype=float)
-    inside = (x > lo) & (x < hi)
-    xi = np.where(inside, x, gam * (1.0 + rate))
-    vals = np.sqrt(np.clip(4.0 * rate * gam ** 2 - (xi - gam * (1.0 + rate)) ** 2,
-                           0.0, None)) / (_TWO_PI * gam * xi)
-    out = np.where(inside, vals, 0.0)
-    return out if out.ndim else float(out)
-
-
 # ---------------------------------------------------------------------------
 # functionals and maps
 # ---------------------------------------------------------------------------
@@ -860,21 +845,6 @@ def levy_distance(m1, m2):
     j2 = np.concatenate((upto2, upto2[:-1])) - 1
     return float(np.max(np.abs(_graph_heights(g1, j1, s)
                                - _graph_heights(g2, j2, s))))
-
-
-def density_sup_distance(m1, m2):
-    """Sup-distance of densities over the union of supports."""
-    los, his = [], []
-    for m in (m1, m2):
-        if m.support is not None:
-            los.append(m.support[0])
-            his.append(m.support[1])
-    if not los:
-        return 0.0
-    xs = np.linspace(min(los), max(his), _SUP_POINTS)
-    d1 = m1.density(xs) if m1.density else np.zeros_like(xs)
-    d2 = m2.density(xs) if m2.density else np.zeros_like(xs)
-    return float(np.max(np.abs(d1 - d2)))
 
 
 def integrate(m, f):

@@ -31,8 +31,6 @@ import math
 from dataclasses import dataclass
 from functools import lru_cache
 
-import numpy as np
-
 from .errors import DomainError, NumericError
 
 
@@ -159,12 +157,23 @@ def from_support(s):
         beta  = 2ab/(sqrt(a)-sqrt(b))**2 * (1 - lam*(A/B))
 
     with ``A/B = ((sqrt(a)-sqrt(b))/(sqrt(a)+sqrt(b)))**2``.
+
+    Raises
+    ------
+    NumericError
+        If ``1 + lam*(A/B)`` or ``1 - lam*(A/B)`` as computed is not
+        positive: the support is valid but within rounding of the box's
+        edge ``|lam|*(A/B) = 1``.
     """
     sa, sb = math.sqrt(s.a), math.sqrt(s.b)
     gap2 = (sa - sb) ** 2
     ratio = gap2 / (sa + sb) ** 2
-    alpha = 2.0 / gap2 * (1.0 + s.lam * ratio)
-    beta = 2.0 * s.a * s.b / gap2 * (1.0 - s.lam * ratio)
+    plus, minus = 1.0 + s.lam * ratio, 1.0 - s.lam * ratio
+    if not (plus > 0.0 and minus > 0.0):
+        raise NumericError("support is within rounding of the edge "
+                           "|lam|*(A/B) = 1")
+    alpha = 2.0 / gap2 * plus
+    beta = 2.0 * s.a * s.b / gap2 * minus
     return NaturalParams(alpha, beta, s.lam)
 
 
@@ -315,15 +324,3 @@ def spectral_roots(p):
     delta = -2.0 * plus / (B * u)
     eta = 2.0 / (A * minus)
     return SpectralRoots(gamma, delta, eta)
-
-
-def quartic_under_root(p, z):
-    """The quartic ``(alpha + (lam-1)z)**2 - 4*beta*z*(z-alpha)*(z-gamma)``.
-
-    Vectorized in ``z``; equals ``4*beta*(z-delta)**2*(eta-z)`` and takes
-    the values ``alpha**2`` at 0 and ``(lam*alpha)**2`` at ``alpha``.
-    """
-    roots = spectral_roots(p)
-    z = np.asarray(z)
-    return ((p.alpha + (p.lam - 1.0) * z) ** 2
-            - 4.0 * p.beta * z * (z - p.alpha) * (z - roots.gamma))

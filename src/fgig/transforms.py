@@ -16,8 +16,7 @@ whichever factor is larger, so one expression serves every ``z``
 (see :func:`r_fgig`).
 
 Cauchy transforms are evaluated from the one a measure carries (closed
-form, Chebyshev series or atom sum; see :mod:`fgig.measures`), or by
-numerically inverting ``r(w) + 1/w = z``.
+form, Chebyshev series or atom sum; see :mod:`fgig.measures`).
 """
 
 import math
@@ -29,7 +28,6 @@ from .errors import DomainError, NumericError, PoleError
 from .params import solve_spread, spectral_roots
 from .series import Series
 
-_INVERT_TOL = 1e-12  # residual of r(w) + 1/w = z, relative to max(1, |z|)
 _FID_TOL = 1e-9  # largest Im r the divisibility certificate passes
 
 
@@ -161,55 +159,6 @@ def cauchy_nodes(m, z):
     return m.cauchy_fn(np.asarray(z, dtype=complex))
 
 
-def _newton_invert(r, z, w0, tol, max_iter=80):
-    w = w0
-
-    def f(w):
-        return r(w) + 1.0 / w - z
-
-    fw = f(w)
-    for _ in range(max_iter):
-        if abs(fw) <= tol:
-            return w
-        h = 1e-7 * (1.0 + abs(w))
-        df = (f(w + h) - f(w - h)) / (2.0 * h)
-        if df == 0 or not np.isfinite(df):
-            return None
-        step = -fw / df
-        for _ in range(12):
-            wn = w + step
-            if wn != 0:
-                fn = f(wn)
-                if np.isfinite(fn) and abs(fn) < abs(fw):
-                    w, fw = wn, fn
-                    break
-            step *= 0.5
-        else:
-            return None
-    return w if abs(fw) <= tol else None
-
-
-def cauchy_from_r(r, z):
-    """Invert ``r(w) + 1/w = z`` for ``w = G(z)``.
-
-    Newton from the seed ``1/z``; when that diverges, a homotopy lifts
-    the query point high into the upper half-plane (where ``G ~ 1/z``)
-    and walks back down, warm-starting each solve.
-    """
-    z = complex(z)
-    w = _newton_invert(r, z, 1.0 / z, _INVERT_TOL * max(1.0, abs(z)))
-    if w is None or (z.imag > 0 and w.imag >= 0):
-        scale = max(1.0, abs(z))
-        w = 1.0 / (z + 8j * scale)
-        # the last solve, at lift 0, holds z itself to the tolerance
-        for lift in (8.0, 4.0, 2.0, 1.0, 0.5, 0.25, 0.1, 0.0):
-            zk = z + 1j * lift * scale
-            w = _newton_invert(r, zk, w, _INVERT_TOL * max(1.0, abs(zk)))
-            if w is None:
-                raise NumericError(f"Cauchy inversion diverged at lift {lift}")
-    return w
-
-
 def extrapolate_to_zero(h, y):
     """Neville polynomial extrapolation of ``y(h)`` to ``h = 0``, along
     the first axis of ``y``."""
@@ -255,12 +204,6 @@ def free_cumulants(p, n):
     geom = Series((0.5 / alpha) * (1.0 / alpha) ** np.arange(n + 1))
     r_series = numer.shift_down() * geom
     return r_series.c[:n].copy()
-
-
-def free_poisson_cumulants(fp, n):
-    """Cumulants of the Marchenko--Pastur law: ``rate * jump**k``."""
-    k = np.arange(1, int(n) + 1)
-    return fp.rate * fp.jump ** k.astype(float)
 
 
 def fid_certificate(p, n_grid=200):

@@ -1,4 +1,107 @@
+import math
+
+import numpy as np
 import pytest
+
+from fgig.errors import DomainError, NumericError
+from fgig.params import spectral_roots
+
+# Oracles: routes and closed forms that the package itself does not use.
+
+_INVERT_TOL = 1e-12  # residual of r(w) + 1/w = z, relative to max(1, |z|)
+
+
+def _newton_invert(r, z, w0, tol, max_iter=80):
+    w = w0
+
+    def f(w):
+        return r(w) + 1.0 / w - z
+
+    fw = f(w)
+    for _ in range(max_iter):
+        if abs(fw) <= tol:
+            return w
+        h = 1e-7 * (1.0 + abs(w))
+        df = (f(w + h) - f(w - h)) / (2.0 * h)
+        if df == 0 or not np.isfinite(df):
+            return None
+        step = -fw / df
+        for _ in range(12):
+            wn = w + step
+            if wn != 0:
+                fn = f(wn)
+                if np.isfinite(fn) and abs(fn) < abs(fw):
+                    w, fw = wn, fn
+                    break
+            step *= 0.5
+        else:
+            return None
+    return w if abs(fw) <= tol else None
+
+
+def cauchy_from_r(r, z):
+    """Invert ``r(w) + 1/w = z`` for ``w = G(z)``.
+
+    Newton from the seed ``1/z``; when that diverges, a homotopy lifts
+    the query point high into the upper half-plane (where ``G ~ 1/z``)
+    and walks back down, warm-starting each solve.
+    """
+    z = complex(z)
+    w = _newton_invert(r, z, 1.0 / z, _INVERT_TOL * max(1.0, abs(z)))
+    if w is None or (z.imag > 0 and w.imag >= 0):
+        scale = max(1.0, abs(z))
+        w = 1.0 / (z + 8j * scale)
+        # the last solve, at lift 0, holds z itself to the tolerance
+        for lift in (8.0, 4.0, 2.0, 1.0, 0.5, 0.25, 0.1, 0.0):
+            zk = z + 1j * lift * scale
+            w = _newton_invert(r, zk, w, _INVERT_TOL * max(1.0, abs(zk)))
+            if w is None:
+                raise NumericError(f"Cauchy inversion diverged at lift {lift}")
+    return w
+
+
+def quartic_under_root(p, z):
+    """The quartic ``(alpha + (lam-1)z)**2 - 4*beta*z*(z-alpha)*(z-gamma)``.
+
+    Vectorized in ``z``; equals ``4*beta*(z-delta)**2*(eta-z)`` and takes
+    the values ``alpha**2`` at 0 and ``(lam*alpha)**2`` at ``alpha``.
+    """
+    roots = spectral_roots(p)
+    z = np.asarray(z)
+    return ((p.alpha + (p.lam - 1.0) * z) ** 2
+            - 4.0 * p.beta * z * (z - p.alpha) * (z - roots.gamma))
+
+
+def bessel_k_half_integer(order, w):
+    """Closed forms at orders 1/2 and 3/2 (the oracle pair)."""
+    base = math.sqrt(math.pi / (2.0 * w)) * math.exp(-w)
+    if order == 0.5:
+        return base
+    if order == 1.5:
+        return base * (1.0 + 1.0 / w)
+    raise DomainError("closed form available only at orders 1/2 and 3/2")
+
+
+def free_poisson_density(fp, x):
+    """Closed-form Marchenko--Pastur density (a.c. part only)."""
+    gam, rate = fp.jump, fp.rate
+    sq = math.sqrt(rate)
+    lo, hi = gam * (1.0 - sq) ** 2, gam * (1.0 + sq) ** 2
+    x = np.asarray(x, dtype=float)
+    inside = (x > lo) & (x < hi)
+    xi = np.where(inside, x, gam * (1.0 + rate))
+    vals = np.sqrt(np.clip(4.0 * rate * gam ** 2 - (xi - gam * (1.0 + rate)) ** 2,
+                           0.0, None)) / (2.0 * math.pi * gam * xi)
+    out = np.where(inside, vals, 0.0)
+    return out if out.ndim else float(out)
+
+
+def fsd_discriminant_spread(sf):
+    """The spread-coordinate form of ``fgig.levy.fsd_discriminant``."""
+    A, B, lam = sf.A, sf.B, sf.lam
+    return (4.0 * (B + lam * A) * (8.0 * lam ** 2 * A ** 3
+                                   - 9.0 * lam ** 2 * A ** 2 * B + B ** 3)
+            / (A ** 2 * B * (A - B) ** 2 * (B - lam * A)))
 
 
 @pytest.fixture(scope="session")

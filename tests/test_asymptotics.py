@@ -15,7 +15,9 @@ from fgig.asymptotics import (
     scaling_exponents,
 )
 from fgig.measures import moment
-from fgig.params import quartic_under_root, reparameterize, solve_spread
+from fgig.params import reparameterize, solve_spread
+
+from conftest import quartic_under_root
 
 
 class TestLimitMeasure:

@@ -11,13 +11,12 @@ from fgig.characterization import (
     n_prime,
     oracle_coefficients,
     quartic_residual,
-    reciprocal_cauchy_residual,
     series_coefficients,
     solve_c,
     verify_fixed_point,
     verify_iterated,
 )
-from fgig.measures import build_fgig, pushforward_reciprocal
+from fgig.measures import build_fgig
 
 
 def _quotient_rule(alpha, lam, c, k0, k1):
@@ -269,12 +268,6 @@ class TestFixedPoint:
         assert rep.fixed_point_distance <= 1e-3
         assert rep.stage_distance <= 1e-3
         assert rep.key_eq_residual <= 1e-9
-
-    def test_reciprocal_cauchy_relation(self):
-        m = build_fgig(NaturalParams(2.0, 2.0, -1.0), 1024)
-        mi = pushforward_reciprocal(m)
-        for z in (1.5 + 0.5j, -0.7 + 0.2j, 3.0 + 1.0j):
-            assert reciprocal_cauchy_residual(m, mi, z) <= 1e-9
 
     def test_iterated_chain(self):
         rep = verify_iterated(2.0, 8.0, 1.0)

@@ -1,3 +1,4 @@
+import ast
 import csv
 import io
 import json
@@ -5,6 +6,7 @@ import math
 import os
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
@@ -67,6 +69,17 @@ class TestParamsCommand:
         assert captured.out == ""
         assert captured.err == ("fgig: validation error: invalid support "
                                 "parameters: a < b violated\n")
+
+    def test_edge_of_box_exit_code(self, capsys):
+        # a valid support within rounding of |lam|*(A/B) = 1 is a numeric
+        # failure, not a validation error
+        code = run(["params", "--a", "1.907708314082801e-08",
+                    "--b", "3.599517040787345e-08",
+                    "--lambda", "-40.36129524304455"])
+        captured = capsys.readouterr()
+        assert code == 3
+        assert captured.out == ""
+        assert captured.err.startswith("fgig: numeric failure: ")
 
     def test_idempotent_output(self, capsys):
         _, first = run_capture(capsys, ["params", "--alpha", "1.7", "--beta",
@@ -335,6 +348,38 @@ class TestImports:
         assert len(set(fgig.__all__)) == len(fgig.__all__)
         for name in fgig.__all__:
             getattr(fgig, name)
+
+    # public definitions that nothing in the package calls, and why each
+    # stays; a test oracle belongs in tests/conftest.py instead
+    UNCALLED = (
+        ("subordination_at", "the benchmark harness calls it"),
+        ("build_semicircle", "the semicircle law, a closed-form input"),
+        ("classical_gig_density", "the classical GIG density of C10"),
+        ("invert_params", "the law of 1/X: mu(beta, alpha, -lam)"),
+        ("levy_density", "the density of the free Levy measure of C04"),
+        ("mode", "the mode that C06 reads"),
+        ("r_free_poisson", "the Marchenko--Pastur R-transform C07 reads"),
+        ("scaling_exponents", "the small-beta exponents C09 reads"),
+        ("verify_iterated", "all four stages of C08's reciprocal chain"),
+    )
+
+    def test_every_definition_has_a_caller(self):
+        trees = [ast.parse(path.read_text())
+                 for path in Path(fgig.__file__).parent.glob("*.py")
+                 if path.name != "__init__.py"]
+        used = set()
+        for node in (node for tree in trees for node in ast.walk(tree)):
+            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+                used.add(node.id)
+            elif isinstance(node, ast.Attribute):
+                used.add(node.attr)
+            elif isinstance(node, ast.ImportFrom):
+                used.update(alias.name for alias in node.names)
+        uncalled = {node.name for tree in trees for node in tree.body
+                    if isinstance(node, (ast.FunctionDef, ast.ClassDef))
+                    and not node.name.startswith("_")
+                    and node.name not in used}
+        assert uncalled == {name for name, _ in self.UNCALLED}
 
     def test_light_commands_load_no_scipy(self):
         code = (

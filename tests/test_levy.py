@@ -7,7 +7,6 @@ from fgig import NaturalParams, PoleError, SpreadForm, spectral_roots
 from fgig.levy import (
     extrapolate_to_zero,
     fsd_discriminant,
-    fsd_discriminant_spread,
     fsd_report,
     fsd_threshold,
     levy_density,
@@ -18,6 +17,8 @@ from fgig.levy import (
 from fgig.entropy import gibbs_bound
 from fgig.params import solve_spread
 from fgig.transforms import r_fgig
+
+from conftest import fsd_discriminant_spread
 
 
 def random_params(rng, lam_range=(-4.0, 4.0)):

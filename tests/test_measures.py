@@ -15,10 +15,8 @@ from fgig.measures import (
     build_fgig,
     build_free_poisson,
     build_semicircle,
-    density_sup_distance,
     dilate,
     fgig_density,
-    free_poisson_density,
     kolmogorov_distance,
     levy_distance,
     mode,
@@ -29,6 +27,8 @@ from fgig.measures import (
 )
 from fgig.params import solve_support
 from fgig.transforms import cauchy, r_fgig
+
+from conftest import free_poisson_density
 
 
 def random_params(rng, lam_range=(-4.0, 4.0)):
@@ -292,7 +292,9 @@ class TestReciprocalPushforward:
     def test_matches_inverted_parameters(self):
         m = build_fgig(NaturalParams(2.0, 8.0, 0.0), 256)
         mi = pushforward_reciprocal(build_fgig(NaturalParams(8.0, 2.0, 0.0), 256))
-        assert density_sup_distance(m, mi) <= 1e-8
+        lo, hi = m.support
+        xs = np.linspace(min(lo, mi.support[0]), max(hi, mi.support[1]), 2001)
+        assert np.max(np.abs(m.density(xs) - mi.density(xs))) <= 1e-8
         assert kolmogorov_distance(m, mi) <= 1e-8
 
     def test_atom_maps(self):

@@ -15,7 +15,9 @@ from fgig import (
     solve_support,
     spectral_roots,
 )
-from fgig.params import quartic_under_root, solve_spread, support_residuals
+from fgig.params import solve_spread, support_residuals
+
+from conftest import quartic_under_root
 
 
 def random_valid_support(rng):
@@ -52,6 +54,14 @@ class TestFromSupport:
     def test_invalid_rejected(self):
         with pytest.raises(DomainError):
             from_support(SupportForm(4.0, 1.0, 0.0))
+
+    def test_edge_of_box_is_numeric(self):
+        # a valid support whose 1 + lam*(A/B) rounds to 0 or below: the
+        # input is not to blame
+        s = SupportForm(1.907708314082801e-08, 3.599517040787345e-08,
+                        -40.36129524304455)
+        with pytest.raises(NumericError):
+            from_support(s)
 
 
 class TestSolveSupport:

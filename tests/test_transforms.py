@@ -10,13 +10,13 @@ from fgig.measures import (FreePoissonParams, atom_measure, build_fgig,
 from fgig.transforms import (
     BranchedSqrtEvaluator,
     cauchy,
-    cauchy_from_r,
     fid_certificate,
     free_cumulants,
-    free_poisson_cumulants,
     r_fgig,
     r_free_poisson,
 )
+
+from conftest import cauchy_from_r
 
 
 def random_params(rng, lam_range=(-4.0, 4.0)):
@@ -226,11 +226,6 @@ class TestFreeCumulants:
         m = build_fgig(p, 256)
         assert free_cumulants(p, 1)[0] == pytest.approx(moment(m, 1), rel=1e-10)
 
-    def test_free_poisson_cumulants_geometric(self):
-        fp = FreePoissonParams(0.5, 2.0)
-        k = free_poisson_cumulants(fp, 6)
-        assert np.allclose(k, 2.0 * 0.5 ** np.arange(1, 7))
-
     def test_additivity_under_poisson_convolution(self):
         rng = np.random.default_rng(3)
         for _ in range(5):
@@ -239,7 +234,8 @@ class TestFreeCumulants:
             lam = rng.uniform(0.2, 3.0)
             k_minus = free_cumulants(NaturalParams(al, be, -lam), 12)
             k_plus = free_cumulants(NaturalParams(al, be, lam), 12)
-            k_nu = free_poisson_cumulants(FreePoissonParams(1.0 / al, lam), 12)
+            # nu(1/al, lam) has the cumulants lam * (1/al)**k
+            k_nu = lam * (1.0 / al) ** np.arange(1, 13)
             scale = np.maximum(np.abs(k_plus), 1.0)
             assert np.max(np.abs(k_minus + k_nu - k_plus) / scale) <= 1e-12
 

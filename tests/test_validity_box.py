@@ -11,7 +11,9 @@ built laws over the same box, against a 40-digit quadrature.  The
 classical side over it: ``log K`` against 40-digit mpmath and the Gibbs
 gap.  The free Poisson identity over the convolve box: alpha and beta
 log-uniform in [0.25, 8], lam in [0.1, 4]; and over the validity box with
-lam in [0.01, 50], right to 1e-9 or NumericError.  The fixed-point series
+lam in [0.01, 50], right to 1e-10 or NumericError.  Over the convolve box
+with a factor c log-uniform in [1e-6, 1e6], the convolution dilated by c
+against the convolution of the dilated inputs.  The fixed-point series
 against its quadrature oracle with alpha log-uniform in [1e-3, 1e3], lam
 in [1e-3, 50], at order 8 and at orders 2 to 32; ``N'(c)`` over the same
 box with lam in (0, 50] against a 50-digit quotient rule.
@@ -32,7 +34,7 @@ from fgig.convolution import free_convolve
 from fgig.entropy import gibbs_bound, gig_entropy, log_bessel_k
 from fgig.levy import levy_triplet, min1x_integral, reconstruct_cumulant
 from fgig.measures import (FreePoissonParams, build_fgig, build_free_poisson,
-                           kolmogorov_distance)
+                           dilate, kolmogorov_distance)
 from fgig.params import solve_spread
 from fgig.transforms import cauchy, r_fgig
 
@@ -315,7 +317,7 @@ def test_convolution_identity(log_alpha, log_beta, lam):
 @hypothesis.example(alpha=6.2347749411398575e-06, beta=0.0012841857612744087,
                     lam=6.205507184970864)
 def test_convolution_identity_wide(alpha, beta, lam):
-    # the free Poisson identity over the validity box: right to 1e-9, or
+    # the free Poisson identity over the validity box: right to 1e-10, or
     # NumericError
     try:
         out = free_convolve(
@@ -324,7 +326,36 @@ def test_convolution_identity_wide(alpha, beta, lam):
         built = build_fgig(NaturalParams(alpha, beta, lam), 1024)
     except NumericError:
         return
-    assert kolmogorov_distance(out, built) <= 1e-9
+    assert kolmogorov_distance(out, built) <= 1e-10
+
+
+def _dilation_draws(n):
+    """``(alpha, beta, lam, c)``: alpha, beta log-uniform in [0.25, 8], lam
+    uniform in [0.1, 4], c log-uniform in [1e-6, 1e6]."""
+    rng = np.random.default_rng(20261018)
+    return [(math.exp(rng.uniform(math.log(0.25), math.log(8.0))),
+             math.exp(rng.uniform(math.log(0.25), math.log(8.0))),
+             rng.uniform(0.1, 4.0), 10.0 ** rng.uniform(-6.0, 6.0))
+            for _ in range(n)]
+
+
+@pytest.mark.parametrize("alpha, beta, lam, c", _dilation_draws(40))
+def test_convolution_dilation(alpha, beta, lam, c):
+    # free_convolve commutes with x -> c x: dilating the output or both
+    # inputs gives the same law to 1e-11, or both raise NumericError
+    X = build_fgig(NaturalParams(alpha, beta, -lam), 1024)
+    Y = build_free_poisson(FreePoissonParams(1.0 / alpha, lam), 1024)
+    outs = []
+    for conv in (lambda: dilate(free_convolve(X, Y), c),
+                 lambda: free_convolve(dilate(X, c), dilate(Y, c))):
+        try:
+            outs.append(conv())
+        except NumericError:
+            outs.append(None)
+    if outs == [None, None]:
+        return
+    assert None not in outs
+    assert kolmogorov_distance(*outs) <= 1e-11
 
 
 @hypothesis.settings(derandomize=True, database=None, deadline=None,
