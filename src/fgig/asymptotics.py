@@ -22,8 +22,8 @@ import numpy as np
 
 from .errors import DomainError
 from .measures import (FreePoissonParams, SpectralMeasure, _atoms_cauchy,
-                       atom_measure, build_fgig, build_free_poisson,
-                       levy_distance)
+                       _completed_graph, _graph_gap, atom_measure, build_fgig,
+                       build_free_poisson)
 from .params import NaturalParams, solve_support
 
 REGIME_LAM_GE_1 = "lambda_ge_1"
@@ -97,11 +97,12 @@ def convergence_curve(alpha, lam, betas):
     The lower two regimes put an atom at the origin, which the family
     approximates by an ever steeper ramp: the sup-distance of the
     distribution functions then stays pinned near the atom mass, so the
-    weak-convergence (Levy) metric is the honest yardstick here.
+    weak-convergence (Levy) metric is the honest yardstick here.  The
+    limit's completed graph is built once for the whole curve.
     """
-    limit = limit_measure(alpha, lam).limit
-    return [levy_distance(
-        build_fgig(NaturalParams(alpha, float(b), lam), _CURVE_NODES), limit)
+    graph = _completed_graph(limit_measure(alpha, lam).limit)
+    return [_graph_gap(_completed_graph(
+        build_fgig(NaturalParams(alpha, float(b), lam), _CURVE_NODES)), graph)
             for b in betas]
 
 

@@ -296,7 +296,6 @@ def _run_limits(args):
     except ValueError:
         raise DomainError(f"--betas {args.betas!r} is not a comma-separated "
                           "list of numbers") from None
-    desc = asymptotics.limit_measure(args.alpha, args.lam)
     curve = asymptotics.convergence_curve(args.alpha, args.lam, betas)
     rows = []
     for beta, dist in zip(betas, curve):
@@ -311,7 +310,7 @@ def _run_limits(args):
     d_lim, e_lim = asymptotics.root_limits(args.alpha, args.lam)
     out = {"schema": SCHEMA, "subcommand": "limits",
            "params": {"alpha": args.alpha, "lambda": args.lam},
-           "regime": desc.regime,
+           "regime": asymptotics.limit_regime(args.lam),
            "root_limits": {"delta": d_lim, "eta": e_lim},
            "rows": [{"beta": b, "a": a, "b_end": bb, "delta": d,
                      "eta": e, "distance": dist}

@@ -208,8 +208,10 @@ def _rational_upper_mass(lo, hi, c1, c2, theta, sh, ch):
     return (c1 * F + c2 * G) / _TWO_PI
 
 
+@lru_cache(maxsize=16)  # at most 2 MB at 8192 nodes
 def _edge_matched_rule(n, p_exp, q_exp):
-    """Gauss nodes/weights on [-1, 1] for weight (1-t)**q (1+t)**p.
+    """Gauss nodes/weights on [-1, 1] for weight (1-t)**q (1+t)**p;
+    shared, so read-only.
 
     Closed forms of the Chebyshev family; only the two exponent pairs
     used by this package are supported.
@@ -217,12 +219,16 @@ def _edge_matched_rule(n, p_exp, q_exp):
     k = np.arange(1, n + 1)
     if p_exp == 0.5 and q_exp == 0.5:
         ang = k * math.pi / (n + 1)
-        return np.cos(ang), math.pi / (n + 1) * np.sin(ang) ** 2
-    if p_exp == -0.5 and q_exp == 0.5:
+        out = (np.cos(ang), math.pi / (n + 1) * np.sin(ang) ** 2)
+    elif p_exp == -0.5 and q_exp == 0.5:
         ang = 2.0 * k * math.pi / (2 * n + 1)
         w = 4.0 * math.pi / (2 * n + 1) * np.sin(0.5 * ang) ** 2
-        return np.cos(ang), w
-    raise DomainError(f"unsupported edge exponents ({p_exp}, {q_exp})")
+        out = (np.cos(ang), w)
+    else:
+        raise DomainError(f"unsupported edge exponents ({p_exp}, {q_exp})")
+    for a in out:
+        a.flags.writeable = False
+    return out
 
 
 def _jacobi_measure(lo, hi, g, p_exp=0.5, q_exp=0.5, n=256, atoms=(), *,
@@ -825,12 +831,18 @@ def levy_distance(m1, m2):
     with each height ``y(s)`` the cubic Hermite of
     :func:`_completed_graph`'s knots and slopes.  The sup is read once on
     the merged knots and their midpoints, with no tolerance to set.
+    """
+    return _graph_gap(_completed_graph(m1), _completed_graph(m2))
+
+
+def _graph_gap(g1, g2):
+    """Largest vertical gap between two :func:`_completed_graph` results,
+    the Levy distance of their laws.
 
     Both knot lists are sorted, so one stable merge gives the merged knots
     and, by counting, each graph's last knot at or below each of them; a
     midpoint lies in the same interval as the knot to its left.
     """
-    g1, g2 = _completed_graph(m1), _completed_graph(m2)
     s = np.concatenate((g1[0], g2[0]))
     if s.size == 0:
         return 0.0

@@ -45,8 +45,9 @@ class BranchedSqrtEvaluator:
     def __call__(self, z):
         z = np.asarray(z, dtype=complex)
         w = self.beta * (self.eta - z)
-        # real z produces imag -0.0; the branch from below needs +0.0
-        w = np.where(w.imag == 0.0, w.real + 0j, w)
+        # on the real axis the branch from below needs imag +0.0, not
+        # -0.0; adding 0.0 turns -0.0 into +0.0 and changes nothing else
+        w += 0.0
         out = np.sqrt(w)
         return out if out.ndim else complex(out)
 
@@ -100,18 +101,23 @@ def r_fgig(p, z):
                             residue=0.0)
 
     upper = z.imag > 0
-    zz = np.where(upper, np.conj(z), z)
+    flip = bool(upper.any())  # reflect only when some point needs it
+    zz = np.where(upper, np.conj(z), z) if flip else z
     u = lam * zz + (zz - alpha)
     v = 2.0 * (zz - roots.delta) * BranchedSqrtEvaluator(beta, roots.eta)(zz)
     # |u - v| >= |u + v| exactly where Re(u conj v) <= 0; both factors
     # are chosen before dividing, so no zero denominator is formed
     conj = u.real * v.real + u.imag * v.imag <= 0.0
     with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
-        out = (np.where(conj, -2.0 * (beta * zz + alpha * mean), u + v)
-               / np.where(conj, u - v, 2.0 * zz * (alpha - zz)))
+        num = u + v
+        den = 2.0 * zz * (alpha - zz)
+        num[conj] = -2.0 * (beta * zz[conj] + alpha * mean)
+        den[conj] = u[conj] - v[conj]
+        out = num / den
     if not np.all(np.isfinite(out)):
         raise NumericError("R-transform is out of floating-point range")
-    out = np.where(upper, np.conj(out), out)
+    if flip:
+        np.conjugate(out, out=out, where=upper)
     return complex(out[0]) if scalar else out
 
 

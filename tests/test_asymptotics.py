@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from fgig import NaturalParams, spectral_roots
+from fgig import asymptotics
 from fgig.asymptotics import (
     REGIME_ABS_LT_1,
     REGIME_LAM_GE_1,
@@ -14,7 +15,7 @@ from fgig.asymptotics import (
     root_limits,
     scaling_exponents,
 )
-from fgig.measures import moment
+from fgig.measures import build_fgig, levy_distance, moment
 from fgig.params import reparameterize, solve_spread
 
 from conftest import quartic_under_root
@@ -64,6 +65,25 @@ class TestConvergenceCurve:
         curve = convergence_curve(1.0, lam, self.BETAS)
         assert curve[-1] <= 0.05
         assert all(d2 < d1 for d1, d2 in zip(curve, curve[1:]))
+
+    @pytest.mark.parametrize("lam", [2.0, 0.3, -3.0])
+    def test_one_limit_graph_per_curve(self, monkeypatch, lam):
+        # k betas take k fGIG graphs and one limit graph, and give the
+        # Levy distances to the limit bit for bit
+        calls = []
+        graph = asymptotics._completed_graph
+
+        def counted(m):
+            calls.append(m)
+            return graph(m)
+
+        monkeypatch.setattr(asymptotics, "_completed_graph", counted)
+        curve = convergence_curve(0.7, lam, self.BETAS)
+        assert len(calls) == len(self.BETAS) + 1
+        limit = limit_measure(0.7, lam).limit
+        assert curve == [levy_distance(
+            build_fgig(NaturalParams(0.7, b, lam), 2048), limit)
+            for b in self.BETAS]
 
     def test_lower_regime_support_shrinks(self):
         sf = solve_spread(NaturalParams(1.0, 1e-4, -3.0))

@@ -356,6 +356,8 @@ class TestImports:
         ("build_semicircle", "the semicircle law, a closed-form input"),
         ("classical_gig_density", "the classical GIG density of C10"),
         ("invert_params", "the law of 1/X: mu(beta, alpha, -lam)"),
+        ("levy_distance", "the Levy metric between two laws; "
+                          "convergence_curve reuses the limit's graph"),
         ("levy_density", "the density of the free Levy measure of C04"),
         ("mode", "the mode that C06 reads"),
         ("r_free_poisson", "the Marchenko--Pastur R-transform C07 reads"),

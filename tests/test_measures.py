@@ -9,6 +9,7 @@ from fgig.measures import (
     FreePoissonParams,
     SpectralMeasure,
     _completed_graph,
+    _edge_matched_rule,
     _knot_angles,
     _standard_chop,
     atom_measure,
@@ -186,6 +187,16 @@ class TestCdfKnots:
         assert m.cdf_y[-1] == pytest.approx(1.0, abs=1e-12)
         curve = convergence_curve(alpha, lam, [1e-2, 1e-3, 1e-4])
         assert curve[-1] == pytest.approx(0.027568604098018, abs=1e-10)
+
+    @pytest.mark.parametrize("exps", [(0.5, 0.5), (-0.5, 0.5)])
+    def test_quadrature_rule_is_shared_and_read_only(self, exps):
+        """The cached nodes and weights are shared by every measure
+        built at one node count, so they reject writes."""
+        rule = _edge_matched_rule(64, *exps)
+        assert _edge_matched_rule(64, *exps) is rule
+        for a in rule:
+            with pytest.raises(ValueError):
+                a[0] = 0.0
 
     def test_reciprocal_knots_reach_the_knot_total(self):
         # the weights lose 1.2e-6 of mass here; the knots do not

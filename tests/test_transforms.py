@@ -19,6 +19,11 @@ from fgig.transforms import (
 from conftest import cauchy_from_r
 
 
+def _bits(values):
+    """The raw bits of complex values, so signed zeros count."""
+    return np.asarray(values, dtype=complex).view(np.uint64).tolist()
+
+
 def random_params(rng, lam_range=(-4.0, 4.0)):
     return NaturalParams(10 ** rng.uniform(-1, 1), 10 ** rng.uniform(-1, 1),
                          rng.uniform(*lam_range))
@@ -58,6 +63,19 @@ class TestBranchedSqrt:
         x = 2.5
         from_below = sq(complex(x, -1e-12))
         assert abs(sq(x) - from_below) < 1e-6
+
+    def test_branch_from_below_on_an_array(self):
+        # x - 0j right of eta: the limit from below, +i sqrt(beta (x - eta))
+        sq = BranchedSqrtEvaluator(8.0, 2.0)
+        xs = np.array([2.0 + 1e-12, 2.5, 3.0, 40.0])
+        z = xs.astype(complex)
+        z.imag = -0.0
+        vals = sq(z)
+        assert np.all(vals.real == 0.0)
+        assert np.all(vals.imag > 0.0)
+        assert np.allclose(vals.imag, np.sqrt(8.0 * (xs - 2.0)),
+                           rtol=1e-15, atol=0.0)
+        assert _bits(vals) == _bits([sq(complex(w)) for w in z])
 
 
 class TestRTransform:
@@ -118,10 +136,39 @@ class TestRTransform:
             r_fgig(NaturalParams(1.0, 1.0, -5e-324), 1.0)
 
     def test_schwarz_reflection(self):
-        p = NaturalParams(1.5, 2.5, -1.0)
-        zs = np.array([0.7 + 0.3j, -1.0 + 2.0j, 3.0 + 0.05j])
-        assert np.allclose(r_fgig(p, np.conj(zs)), np.conj(r_fgig(p, zs)),
-                           rtol=1e-13)
+        # r(conj z) = conj r(z) to the bit, alone or in one array with z
+        rng = np.random.default_rng(5)
+        params = [NaturalParams(1.5, 2.5, -1.0)]
+        params += [random_params(rng) for _ in range(4)]
+        for p in params:
+            zs = (rng.uniform(-5, 5, 100)
+                  - 1j * 10.0 ** rng.uniform(-9, 1, 100))
+            lower = r_fgig(p, zs)
+            assert _bits(r_fgig(p, np.conj(zs))) == _bits(np.conj(lower))
+            both = r_fgig(p, np.concatenate((zs, np.conj(zs))))
+            assert _bits(both) == _bits(np.concatenate((lower,
+                                                        np.conj(lower))))
+
+    @pytest.mark.parametrize("triple", [(2.0, 8.0, 1.0), (1.5, 2.5, -1.0),
+                                        (2.0, 8.0, 0.5), (0.01, 300.0, -3.0)])
+    def test_real_axis_array_matches_scalars(self, triple):
+        # points on the real axis with +0.0 and -0.0 imaginary parts, on
+        # both sides of eta, alone and next to upper half-plane points
+        # that make the array reflect: the same bits as one by one
+        p = NaturalParams(*triple)
+        eta = spectral_roots(p).eta
+        xs = np.array([-3.0, 0.0, 0.4 * p.alpha, 0.5 * (p.alpha + eta), eta,
+                       1.01 * eta, 3.0 * eta])
+        plus = xs.astype(complex)
+        minus = xs.astype(complex)
+        minus.imag = -0.0
+        axis = np.concatenate((plus, minus))
+        one_by_one = _bits([r_fgig(p, complex(z)) for z in axis])
+        assert _bits(r_fgig(p, axis)) == one_by_one
+        mixed = r_fgig(p, np.concatenate((axis, [0.3 + 1.0j, 2.0 + 1e-9j])))
+        assert _bits(mixed[:axis.size]) == one_by_one
+        # the axis is the limit from below whatever the sign of zero
+        assert _bits(r_fgig(p, plus)) == _bits(r_fgig(p, minus))
 
     def test_removable_point_for_negative_lam(self):
         p = NaturalParams(1.0, 1.0, -2.0)
