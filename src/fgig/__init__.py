@@ -7,7 +7,6 @@ free/classical entropy functionals.
 """
 
 from .asymptotics import (
-    LimitDescription,
     convergence_curve,
     limit_measure,
     root_limits,
@@ -65,7 +64,6 @@ from .params import (
     reparameterize,
     solve_support,
     spectral_roots,
-    spread_to_natural,
 )
 from .transforms import (
     BranchedSqrtEvaluator,
@@ -86,7 +84,6 @@ __all__ = [
     "FreePoissonParams",
     "FsdReport",
     "LevyTriplet",
-    "LimitDescription",
     "NaturalParams",
     "NumericError",
     "PoleError",
@@ -134,7 +131,6 @@ __all__ = [
     "solve_c",
     "solve_support",
     "spectral_roots",
-    "spread_to_natural",
     "subordination_at",
     "verify_fixed_point",
     "verify_iterated",

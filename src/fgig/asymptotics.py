@@ -16,12 +16,12 @@ both unbounded on the boundaries.
 """
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import replace
 
 import numpy as np
 
 from .errors import DomainError
-from .measures import (FreePoissonParams, SpectralMeasure, _atoms_cauchy,
+from .measures import (FreePoissonParams, _atoms_cauchy,
                        _completed_graph, _graph_gap, atom_measure, build_fgig,
                        build_free_poisson)
 from .params import NaturalParams, solve_support
@@ -35,12 +35,6 @@ _CURVE_NODES = 2048  # nodes of each fGIG law along a convergence curve
 _TAIL = 4  # smallest betas an exponent fit reads
 _FLAT_SLOPE = 0.02  # a fitted slope below this, with a relative variation
 _FLAT_SPREAD = 0.05  # below this, reports exponent zero
-
-
-@dataclass(frozen=True)
-class LimitDescription:
-    regime: str
-    limit: SpectralMeasure
 
 
 def _scaled_copy(m, weight, extra_atoms):
@@ -74,21 +68,19 @@ def limit_regime(lam):
 
 
 def limit_measure(alpha, lam):
-    """Weak limit of ``mu(alpha, beta, lam)`` as ``beta`` drops to zero."""
+    """Weak limit of ``mu(alpha, beta, lam)`` as ``beta`` drops to zero,
+    in the regime :func:`limit_regime` names."""
     if not alpha > 0:
         raise DomainError("alpha must be positive")
     regime = limit_regime(lam)
     if regime == REGIME_LAM_GE_1:
-        limit = build_free_poisson(FreePoissonParams(1.0 / alpha, lam),
-                                   _LIMIT_NODES)
-    elif regime == REGIME_LAM_LE_M1:
-        limit = atom_measure([(0.0, 1.0)])
-    else:
-        mp = build_free_poisson(
-            FreePoissonParams((1.0 + lam) / (2.0 * alpha), 1.0), _LIMIT_NODES)
-        limit = _scaled_copy(mp, (1.0 + lam) / 2.0,
-                             [(0.0, (1.0 - lam) / 2.0)])
-    return LimitDescription(regime, limit)
+        return build_free_poisson(FreePoissonParams(1.0 / alpha, lam),
+                                  _LIMIT_NODES)
+    if regime == REGIME_LAM_LE_M1:
+        return atom_measure([(0.0, 1.0)])
+    mp = build_free_poisson(
+        FreePoissonParams((1.0 + lam) / (2.0 * alpha), 1.0), _LIMIT_NODES)
+    return _scaled_copy(mp, (1.0 + lam) / 2.0, [(0.0, (1.0 - lam) / 2.0)])
 
 
 def convergence_curve(alpha, lam, betas):
@@ -100,7 +92,7 @@ def convergence_curve(alpha, lam, betas):
     weak-convergence (Levy) metric is the honest yardstick here.  The
     limit's completed graph is built once for the whole curve.
     """
-    graph = _completed_graph(limit_measure(alpha, lam).limit)
+    graph = _completed_graph(limit_measure(alpha, lam))
     return [_graph_gap(_completed_graph(
         build_fgig(NaturalParams(alpha, float(b), lam), _CURVE_NODES)), graph)
             for b in betas]

@@ -115,23 +115,21 @@ def _initial_k(alpha, c):
     return c / u, -2.0 * s * s * (p + s) / (u * (b + root))
 
 
-def initial_coefficients(alpha, lam, c=None):
+def initial_coefficients(alpha, lam):
     """Zeroth and first coefficients ``(a0, a1)`` of ``M`` at ``c``.
 
     ``a0 = k0 = c/(1 + c^2)`` and ``a1 = (1 - c^2)/(1 + c^2) - c^2 k1``,
     a sum of positive terms, lands in ``(0, 1/(1 + c^2))``.
     """
-    if c is None:
-        c = solve_c(alpha, lam)
+    c = solve_c(alpha, lam)
     k0, k1 = _initial_k(alpha, c)
     return k0, (1.0 - c * c) / (1.0 + c * c) - c * c * k1
 
 
-def n_prime(alpha, lam, c=None):
+def n_prime(alpha, lam):
     """``N'(c) = q k1 - c^2`` with ``q = (1 - c^2)^2/lam = dN/dK`` at ``c``:
     as ``k1 < 0``, a sum of two negative terms, in ``[-1, -c^2]``."""
-    if c is None:
-        c = solve_c(alpha, lam)
+    c = solve_c(alpha, lam)
     _, k1 = _initial_k(alpha, c)
     return (1.0 - c * c) ** 2 / lam * k1 - c * c
 
@@ -179,9 +177,9 @@ def series_coefficients(alpha, lam, order):
         raise DomainError("series order must lie in [0, 32]")
     c = solve_c(alpha, lam)
     k0, k1 = _initial_k(alpha, c)
-    a0, a1 = initial_coefficients(alpha, lam, c)
+    a0, a1 = initial_coefficients(alpha, lam)
     q = (1.0 - c * c) ** 2 / lam
-    slopes = 1.0 + c * c * n_prime(alpha, lam, c) ** np.arange(order + 1) \
+    slopes = 1.0 + c * c * n_prime(alpha, lam) ** np.arange(order + 1) \
         - q * a1
     slopes[: 2] = 1.0
     k = np.zeros(order + 1)
@@ -204,7 +202,7 @@ def series_coefficients(alpha, lam, order):
     return CoefficientSeries(c, coeffs)
 
 
-def oracle_coefficients(alpha, lam, order, c=None):
+def oracle_coefficients(alpha, lam, order):
     """Taylor coefficients of ``M`` at ``c`` by quadrature.
 
     ``M(z) = G_X(1/z) = integral z/(1 - z x) dmu(x)`` for
@@ -213,8 +211,7 @@ def oracle_coefficients(alpha, lam, order, c=None):
     differentiation enters.  Raises ``NumericError`` where the law's
     weights miss more than ``_ORACLE_MASS_TOL`` of its mass.
     """
-    if c is None:
-        c = solve_c(alpha, lam)
+    c = solve_c(alpha, lam)
     x_law = build_fgig(NaturalParams(alpha, alpha, -lam), _ORACLE_NODES)
     err = abs(x_law.mass() - 1.0)
     if err > _ORACLE_MASS_TOL:
@@ -273,7 +270,7 @@ def verify_fixed_point(alpha, lam, order=8):
     two coefficient routes, and the defining relation for ``c``."""
     c = solve_c(alpha, lam)
     series = series_coefficients(alpha, lam, order)
-    oracle = oracle_coefficients(alpha, lam, order, c=c)
+    oracle = oracle_coefficients(alpha, lam, order)
     x_law, ((_, _, stage), (_, _, distance)) = _reciprocal_chain(
         alpha, alpha, lam, 2)
     g_at_c = cauchy(pushforward_reciprocal(x_law), complex(c))

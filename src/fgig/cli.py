@@ -23,7 +23,7 @@ import numpy as np
 
 from . import asymptotics, characterization, entropy, levy, transforms
 from .errors import DomainError, NumericError
-from .measures import build_fgig, fgig_density, moment
+from .measures import fgig_density, moment
 from .params import (NaturalParams, SupportForm, from_support, reparameterize,
                      solve_support, spectral_roots)
 
@@ -66,21 +66,6 @@ def dumps_stable(obj, indent=0):
     if isinstance(obj, (np.floating,)):
         obj = float(obj)
     return _fmt(obj)
-
-
-def measure_payload(m):
-    """JSON shape of a spectral measure: atoms, support, nodes, densities."""
-    nodes = [float(x) for x in m.nodes]
-    density_values = ([float(v) for v in m.density(m.nodes)]
-                      if m.density is not None else [])
-    return {
-        "atoms": [{"location": float(loc), "weight": float(w)}
-                  for loc, w in m.atoms],
-        "support": (None if m.support is None
-                    else {"lo": m.support[0], "hi": m.support[1]}),
-        "nodes": nodes,
-        "density_values": density_values,
-    }
 
 
 def _parse_grid(text):
@@ -173,10 +158,6 @@ def _run_density(args):
     if args.format == "csv":
         _write_csv(args.output, ["x", "density"],
                    [(float(x), float(y)) for x, y in zip(xs, ys)])
-    elif args.measure:
-        out = _report_header(args)
-        out["measure"] = measure_payload(build_fgig(p, args.nodes))
-        _emit(args.output, dumps_stable(out) + "\n")
     else:
         out = _report_header(args)
         out["rows"] = [{"x": float(x), "density": float(y)}
@@ -367,11 +348,8 @@ def build_parser():
 
     sp = sub.add_parser("density", help="tabulate the density")
     _add_triple(sp)
-    sp.add_argument("--grid", help="lo:hi:count")
+    sp.add_argument("--grid", help="written --grid=lo:hi:count")
     sp.add_argument("--format", choices=("json", "csv"), default="json")
-    sp.add_argument("--measure", action="store_true",
-                    help="emit the quadrature measure object instead of rows")
-    sp.add_argument("--nodes", type=int, default=256)
     sp.add_argument("--output")
     sp.set_defaults(func=_run_density)
 
@@ -379,7 +357,7 @@ def build_parser():
                                           "divisibility certificate")
     _add_triple(sp)
     sp.add_argument("--order", type=int, default=8)
-    sp.add_argument("--grid", help="lo:hi:count for the real part")
+    sp.add_argument("--grid", help="real parts; written --grid=lo:hi:count")
     sp.add_argument("--imag", type=float, default=0.5)
     sp.add_argument("--certificate-grid", type=int, default=100)
     sp.add_argument("--output")

@@ -31,8 +31,7 @@ import numpy as np
 
 from .errors import NumericError, PoleError
 from .measures import _rational_upper_mass, _support_root
-from .params import (SpreadForm, _solve_ratio, solve_spread, spectral_roots,
-                     spread_to_natural)
+from .params import _solve_ratio, solve_spread, spectral_roots
 from .transforms import extrapolate_to_zero, r_fgig
 
 _FSD_GRID = 10_000  # samples of k(x) = x levy_density(x) over (0, 1/eta)
@@ -218,17 +217,13 @@ def fsd_discriminant(p):
 def fsd_report(p):
     """Free self-decomposability verdict with a direct monotonicity check.
 
-    Accepts natural or spread coordinates.  Laws with ``lam > 0`` carry a
-    Levy atom and are never FSD; for ``lam <= 0`` the verdict is the sign
-    of the discriminant.  Independently, ``k(x) = x * levy_density(x)``
-    is sampled on a grid over ``(0, 1/eta)`` and checked for monotone
-    decrease; ``agrees`` records whether the two routes coincide.
+    Laws with ``lam > 0`` carry a Levy atom and are never FSD; for
+    ``lam <= 0`` the verdict is the sign of the discriminant.
+    Independently, ``k(x) = x * levy_density(x)`` is sampled on a grid
+    over ``(0, 1/eta)`` and checked for monotone decrease; ``agrees``
+    records whether the two routes coincide.
     """
-    if isinstance(p, SpreadForm):
-        sf, p = p, spread_to_natural(p)
-    else:
-        sf = solve_spread(p)
-
+    sf = solve_spread(p)
     disc = fsd_discriminant(p)
     threshold = fsd_threshold(sf.A, sf.B)
     density, roots = _density_factory(p)

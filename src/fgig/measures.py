@@ -90,14 +90,8 @@ class SpectralMeasure:
 
     # -- basic functionals -------------------------------------------------
 
-    def atom_mass(self):
-        return sum(w for _, w in self.atoms)
-
-    def ac_mass(self):
-        return float(np.sum(self.weights)) if self.weights.size else 0.0
-
     def mass(self):
-        return self.atom_mass() + self.ac_mass()
+        return sum(w for _, w in self.atoms) + float(np.sum(self.weights))
 
     def cdf(self, x):
         """Right-continuous distribution function, vectorized."""
@@ -714,7 +708,7 @@ def _affine(m, scale, offset):
     return replace(m, atoms=atoms,
                    support=(scale * lo + offset, scale * hi + offset),
                    density=density, nodes=scale * m.nodes + offset,
-                   cdf_x=None if m.cdf_x is None else scale * m.cdf_x + offset,
+                   cdf_x=scale * m.cdf_x + offset,
                    cauchy_fn=cauchy_fn, ac_cdf=ac_cdf)
 
 

@@ -161,28 +161,26 @@ def from_support(s):
     Raises
     ------
     NumericError
-        If ``1 + lam*(A/B)`` or ``1 - lam*(A/B)`` as computed is not
-        positive: the support is valid but within rounding of the box's
-        edge ``|lam|*(A/B) = 1``.
+        Where rounding may move ``lam*(A/B)`` by more than 1e-10 of the
+        smaller factor ``1 -+ lam*(A/B)``, as next to the box's edge
+        ``|lam|*(A/B) = 1``.
     """
     sa, sb = math.sqrt(s.a), math.sqrt(s.b)
     gap2 = (sa - sb) ** 2
     ratio = gap2 / (sa + sb) ** 2
     plus, minus = 1.0 + s.lam * ratio, 1.0 - s.lam * ratio
-    if not (plus > 0.0 and minus > 0.0):
-        raise NumericError("support is within rounding of the edge "
-                           "|lam|*(A/B) = 1")
+    # The rounded roots leave sqrt b - sqrt a, and so A/B, off by about
+    # eps (sqrt a + sqrt b)/(sqrt b - sqrt a) relative; the smaller factor
+    # 1 -+ lam*(A/B) takes that times |lam|*(A/B) over itself into alpha or
+    # beta.  That with 8 eps must stay below 1e-10; a factor <= 0, or
+    # sqrt a = sqrt b, fails the strict test too.
+    err = 8.0 * math.ulp(1.0) * abs(s.lam) * ratio * (sa + sb)
+    if not err < 1e-10 * (sb - sa) * min(plus, minus):
+        raise NumericError("rounding in sqrt(b) - sqrt(a) may move alpha or "
+                           "beta by more than 1e-10")
     alpha = 2.0 / gap2 * plus
     beta = 2.0 * s.a * s.b / gap2 * minus
     return NaturalParams(alpha, beta, s.lam)
-
-
-def spread_to_natural(sf):
-    """Natural parameters for spread coordinates, in closed form."""
-    A, B, lam = sf.A, sf.B, sf.lam
-    alpha = 2.0 / A * (1.0 + lam * A / B)
-    beta = (B - A) ** 2 / (8.0 * A) * (1.0 - lam * A / B)
-    return NaturalParams(alpha, beta, lam)
 
 
 def invert_params(p):

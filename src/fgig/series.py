@@ -15,14 +15,8 @@ class Series:
 
     __slots__ = ("c",)
 
-    def __init__(self, coeffs, order=None):
-        c = np.atleast_1d(np.asarray(coeffs, dtype=float)).copy()
-        if order is not None:
-            if c.size > order + 1:
-                c = c[: order + 1]
-            elif c.size < order + 1:
-                c = np.concatenate([c, np.zeros(order + 1 - c.size)])
-        self.c = c
+    def __init__(self, coeffs):
+        self.c = np.atleast_1d(np.asarray(coeffs, dtype=float)).copy()
 
     @property
     def order(self):
@@ -76,9 +70,7 @@ class Series:
         return Series(r)
 
     def __truediv__(self, other):
-        if isinstance(other, Series):
-            return self * other.reciprocal()
-        return Series(self.c / other)
+        return self * other.reciprocal()
 
     def compose(self, inner):
         """Evaluate ``self(inner(z))``; ``inner`` must have zero constant term."""
@@ -95,9 +87,3 @@ class Series:
     def shift_down(self):
         """Divide by ``z``, i.e. drop the constant term (which must vanish)."""
         return Series(np.concatenate([self.c[1:], [0.0]]))
-
-    def __call__(self, z):
-        return np.polyval(self.c[::-1], z)
-
-    def __repr__(self):
-        return f"Series({self.c!r})"

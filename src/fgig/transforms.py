@@ -45,8 +45,10 @@ class BranchedSqrtEvaluator:
     def __call__(self, z):
         z = np.asarray(z, dtype=complex)
         w = self.beta * (self.eta - z)
-        # on the real axis the branch from below needs imag +0.0, not
-        # -0.0; adding 0.0 turns -0.0 into +0.0 and changes nothing else
+        # insurance only: the branch from below on the real axis needs imag
+        # +0.0, which beta*(eta - z) has for every real z, as numpy promotes
+        # beta to complex with imag +0.0; a numpy that negated imag in
+        # eta - z without promoting would need this -0.0 -> +0.0
         w += 0.0
         out = np.sqrt(w)
         return out if out.ndim else complex(out)

@@ -15,6 +15,7 @@ from fgig import (
     SpreadForm,
     SupportForm,
     from_support,
+    reparameterize,
     solve_support,
     spectral_roots,
 )
@@ -189,7 +190,8 @@ def test_c05_fsd():
         lam = rng.uniform(-4.0, 1.5)
         if not max(1.0, abs(lam)) * A < B:
             continue
-        agree = agree and fsd_report(SpreadForm(A, B, lam)).agrees
+        agree = agree and fsd_report(
+            from_support(reparameterize(SpreadForm(A, B, lam)))).agrees
         count += 1
     ok = fixture_err <= 1e-12 and worst_loc <= 1e-9 and agree
     report(5, ok, f"threshold fixture {fixture_err:.2e} (<=1e-12), bisection "
@@ -263,9 +265,9 @@ def test_c08_characterization():
         alpha = rng.uniform(0.5, 3.0)
         lam = rng.uniform(0.5, 3.0)
         c = solve_c(alpha, lam)
-        _, a1 = initial_coefficients(alpha, lam, c)
+        _, a1 = initial_coefficients(alpha, lam)
         u = 1.0 + c * c
-        b1 = n_prime(alpha, lam, c)
+        b1 = n_prime(alpha, lam)
         bounds_ok = bounds_ok and (1.0 / u ** 2 - 1e-12 <= a1 <= 1.0 / u
                                    + 1e-12)
         bounds_ok = bounds_ok and (-1.0 - 1e-12 <= b1 <= -c * c + 1e-12)

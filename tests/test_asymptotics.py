@@ -23,34 +23,50 @@ from conftest import quartic_under_root
 
 class TestLimitMeasure:
     def test_upper_regime(self):
-        desc = limit_measure(1.0, 2.0)
-        assert desc.regime == REGIME_LAM_GE_1
-        assert desc.limit.atoms == ()
+        limit = limit_measure(1.0, 2.0)
+        assert limit_regime(2.0) == REGIME_LAM_GE_1
+        assert limit.atoms == ()
         # Marchenko-Pastur with jump 1 and rate 2: mean = 2
-        assert moment(desc.limit, 1) == pytest.approx(2.0, rel=1e-9)
+        assert moment(limit, 1) == pytest.approx(2.0, rel=1e-9)
 
     def test_middle_regime(self):
-        desc = limit_measure(1.0, 0.0)
-        assert desc.regime == REGIME_ABS_LT_1
-        assert desc.limit.atoms == ((0.0, 0.5),)
-        assert desc.limit.mass() == pytest.approx(1.0, abs=1e-10)
+        limit = limit_measure(1.0, 0.0)
+        assert limit_regime(0.0) == REGIME_ABS_LT_1
+        assert limit.atoms == ((0.0, 0.5),)
+        assert limit.mass() == pytest.approx(1.0, abs=1e-10)
         # a.c. part: (1/2) nu(1/2, 1) supported on (0, 2)
-        assert desc.limit.support[1] == pytest.approx(2.0, rel=1e-12)
+        assert limit.support[1] == pytest.approx(2.0, rel=1e-12)
 
     def test_middle_regime_carries_its_cauchy_transform(self):
         # half a Marchenko-Pastur law plus an atom: half its transform
         # plus the atom's term, equal to the node sum off the axis
-        m = limit_measure(1.0, 0.3).limit
+        m = limit_measure(1.0, 0.3)
         zs = np.linspace(-0.5, 2.0, 50) + 0.1j
         (loc, w), = m.atoms
         oracle = w / (zs - loc) + np.sum(m.weights / (zs[:, None] - m.nodes),
                                          axis=1)
         assert np.max(np.abs(m.cauchy_fn(zs) / oracle - 1.0)) <= 1e-13
 
+    @pytest.mark.parametrize("alpha, lam", [(1.0, 0.3), (0.7, 0.0),
+                                            (2.5, -0.6), (0.2, 0.9),
+                                            (5.0, -0.95)])
+    def test_middle_regime_cdf(self, alpha, lam):
+        # the atom (1-lam)/2 at 0 plus (1+lam)/2 times nu(gamma, 1),
+        # gamma = (1+lam)/(2 alpha), whose cdf at x = gamma u is the closed
+        # form F(u) = (sqrt(u (4-u)) + 4 asin(sqrt(u)/2))/(2 pi) on [0, 4]
+        m = limit_measure(alpha, lam)
+        gamma = (1.0 + lam) / (2.0 * alpha)
+        x = 4.0 * gamma * np.linspace(0.0, 1.0, 401)[1:]
+        u = x / gamma
+        f = (np.sqrt(u * (4.0 - u)) + 4.0 * np.arcsin(np.sqrt(u) / 2.0)) / (
+            2.0 * math.pi)
+        want = (1.0 - lam) / 2.0 + (1.0 + lam) / 2.0 * f
+        assert np.max(np.abs(m.cdf(x) - want)) <= 1e-14
+        assert np.all(m.cdf(np.array([-1.0, -1e-300])) == 0.0)
+
     def test_lower_regime(self):
-        desc = limit_measure(1.0, -3.0)
-        assert desc.regime == REGIME_LAM_LE_M1
-        assert desc.limit.atoms == ((0.0, 1.0),)
+        assert limit_regime(-3.0) == REGIME_LAM_LE_M1
+        assert limit_measure(1.0, -3.0).atoms == ((0.0, 1.0),)
 
     def test_boundaries_assigned_exactly(self):
         assert limit_regime(1.0) == REGIME_LAM_GE_1
@@ -80,7 +96,7 @@ class TestConvergenceCurve:
         monkeypatch.setattr(asymptotics, "_completed_graph", counted)
         curve = convergence_curve(0.7, lam, self.BETAS)
         assert len(calls) == len(self.BETAS) + 1
-        limit = limit_measure(0.7, lam).limit
+        limit = limit_measure(0.7, lam)
         assert curve == [levy_distance(
             build_fgig(NaturalParams(0.7, b, lam), 2048), limit)
             for b in self.BETAS]

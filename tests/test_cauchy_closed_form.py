@@ -35,7 +35,7 @@ CARRIERS = {
     "convolution_output": CONVOLVED,
     "convolution_reciprocal": pushforward_reciprocal(CONVOLVED),
     "two_atoms": atom_measure([(-1.0, 0.3), (2.0, 0.7)]),
-    "limit_middle_regime": limit_measure(1.0, 0.3).limit,
+    "limit_middle_regime": limit_measure(1.0, 0.3),
 }
 
 

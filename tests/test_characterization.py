@@ -70,7 +70,7 @@ class TestSolveC:
 class TestInitialCoefficients:
     def test_zeroth_value(self):
         c = solve_c(1.0, 1.0)
-        a0, _ = initial_coefficients(1.0, 1.0, c)
+        a0, _ = initial_coefficients(1.0, 1.0)
         assert a0 == pytest.approx(c / (1 + c * c), rel=1e-14)
         assert a0 == pytest.approx(-0.4734, abs=2e-4)
 
@@ -80,7 +80,7 @@ class TestInitialCoefficients:
             alpha = rng.uniform(0.5, 3.0)
             lam = rng.uniform(0.5, 3.0)
             c = solve_c(alpha, lam)
-            _, a1 = initial_coefficients(alpha, lam, c)
+            _, a1 = initial_coefficients(alpha, lam)
             u = 1.0 + c * c
             assert 1.0 / u ** 2 <= a1 <= 1.0 / u
 
@@ -91,7 +91,7 @@ class TestInitialCoefficients:
             alpha = rng.uniform(0.5, 3.0)
             lam = rng.uniform(0.5, 3.0)
             c = solve_c(alpha, lam)
-            b1 = n_prime(alpha, lam, c)
+            b1 = n_prime(alpha, lam)
             assert -1.0 <= b1 <= -c * c
             assert b1 == pytest.approx(
                 _quotient_rule(alpha, lam, c, *_initial_k(alpha, c)),
@@ -166,9 +166,9 @@ class TestSeriesCoefficients:
         for alpha, lam in ((1.0, 1.0), (2.0, 0.7), (0.349, 3.444)):
             c = solve_c(alpha, lam)
             k0, k1 = _initial_k(alpha, c)
-            _, a1 = initial_coefficients(alpha, lam, c)
+            _, a1 = initial_coefficients(alpha, lam)
             q = (1 - c * c) ** 2 / lam
-            b1 = n_prime(alpha, lam, c)
+            b1 = n_prime(alpha, lam)
             bound = alpha * (1 - c ** 4) / (alpha - c + alpha * c * c)
             k = [k0, k1]
             for n in range(2, 9):
@@ -196,7 +196,7 @@ class TestSeriesCoefficients:
             q = (1 - c * c) ** 2 / lam
             assert q == pytest.approx(lam / (c * (alpha - k0) - lam) ** 2,
                                       rel=1e-13)
-            assert n_prime(alpha, lam, c) == q * k1 - c * c
+            assert n_prime(alpha, lam) == q * k1 - c * c
 
     def test_raises_where_order_8_drifted(self):
         # c = -0.9945: the slope bound passed its old 1e-2 floor and order 8
@@ -235,20 +235,20 @@ class TestOracle:
         alpha, lam = 1.0, 1.0
         c = solve_c(alpha, lam)
         m = build_fgig(NaturalParams(alpha, alpha, -lam), 1024)
-        oracle = oracle_coefficients(alpha, lam, 1, c=c)
+        oracle = oracle_coefficients(alpha, lam, 1)
         assert oracle.coeffs[0] == pytest.approx(
             complex(cauchy(m, 1.0 / c + 0j)).real, abs=1e-10)
 
     def test_zeroth_matches_center_relation(self):
         alpha, lam = 2.0, 0.7
         c = solve_c(alpha, lam)
-        oracle = oracle_coefficients(alpha, lam, 0, c=c)
+        oracle = oracle_coefficients(alpha, lam, 0)
         assert oracle.coeffs[0] == pytest.approx(c / (1 + c * c), abs=1e-9)
 
     def test_first_in_schwarz_bracket(self):
         alpha, lam = 0.8, 1.6
         c = solve_c(alpha, lam)
-        oracle = oracle_coefficients(alpha, lam, 1, c=c)
+        oracle = oracle_coefficients(alpha, lam, 1)
         u = 1.0 + c * c
         assert 1.0 / u ** 2 <= oracle.coeffs[1] <= 1.0 / u
 

@@ -104,27 +104,21 @@ class TestDensityCommand:
         assert abs(xs[i] - 2.0) < 5e-3
         assert ys[i] == pytest.approx(math.sqrt(2.0) / math.pi, abs=2e-3)
 
+    def test_default_json_rows(self, capsys):
+        argv = ["density", "--alpha", "2", "--beta", "8", "--lambda", "0"]
+        code, out = run_capture(capsys, argv)
+        assert code == 0
+        rows = json.loads(out)["rows"]
+        assert len(rows) == 401  # the support, endpoints included
+        assert rows[0]["x"] == pytest.approx(1.0, rel=1e-12)
+        assert rows[-1]["x"] == pytest.approx(4.0, rel=1e-12)
+        assert run_capture(capsys, argv) == (0, out)
+
     def test_malformed_grid_is_a_validation_error(self, capsys):
         code = run(["density", "--alpha", "2", "--beta", "8", "--lambda", "0",
                     "--grid", "1:4:x"])
         assert code == 2
         assert capsys.readouterr().err.startswith("fgig: validation error: ")
-
-
-class TestMeasurePayload:
-    def test_density_measure_object(self, capsys):
-        code, out = run_capture(capsys, [
-            "density", "--alpha", "2", "--beta", "8", "--lambda", "0",
-            "--measure", "--nodes", "64"])
-        assert code == 0
-        doc = json.loads(out)
-        measure = doc["measure"]
-        assert set(measure) == {"atoms", "support", "nodes", "density_values"}
-        assert measure["atoms"] == []
-        assert measure["support"]["lo"] == pytest.approx(1.0, rel=1e-10)
-        assert len(measure["nodes"]) == 64
-        assert len(measure["density_values"]) == 64
-        assert all(v >= 0 for v in measure["density_values"])
 
 
 class TestFsdCommand:
@@ -138,8 +132,9 @@ class TestFsdCommand:
 
     def test_fsd_positive_case(self, capsys):
         # B = 4A/3 at the critical shape is FSD
-        from fgig.params import SpreadForm, spread_to_natural
-        p = spread_to_natural(SpreadForm(3.0, 4.0, -4.0 * math.sqrt(3) / 9))
+        from fgig.params import SpreadForm, from_support, reparameterize
+        p = from_support(reparameterize(
+            SpreadForm(3.0, 4.0, -4.0 * math.sqrt(3) / 9)))
         code, out = run_capture(capsys, [
             "fsd", "--alpha", str(p.alpha), "--beta", str(p.beta),
             "--lambda", str(p.lam)])
@@ -149,6 +144,19 @@ class TestFsdCommand:
 
 
 class TestTransformCommand:
+    def test_r_on_grid(self, capsys):
+        # a grid with a negative lo goes after "=": after a space it would
+        # read as an option
+        argv = ["transform", "--alpha", "2", "--beta", "8", "--lambda", "0",
+                "--grid=-2:3:11"]
+        code, out = run_capture(capsys, argv)
+        assert code == 0
+        grid = json.loads(out)["r_on_grid"]
+        assert grid["imag_offset"] == -0.5
+        assert [row["x"] for row in grid["rows"]] == [
+            -2.0 + 0.5 * k for k in range(11)]
+        assert run_capture(capsys, argv) == (0, out)
+
     def test_certificate_and_cumulants(self, capsys):
         code, out = run_capture(capsys, [
             "transform", "--alpha", "2", "--beta", "8", "--lambda", "0",
@@ -252,6 +260,18 @@ class TestHeavyCommands:
         assert doc["passed"] is True
         assert doc["kolmogorov_distance"] <= 1e-4
         assert doc["mass"] == pytest.approx(1.0, abs=1e-6)
+
+    def test_convolve_csv_rows(self, capsys):
+        argv = ["convolve", "--alpha", "2", "--beta", "8", "--lambda", "1",
+                "--format", "csv"]
+        code, out = run_capture(capsys, argv)
+        assert code == 0
+        rows = list(csv.reader(io.StringIO(out)))
+        assert rows[0] == ["x", "density"]
+        # the output's cdf knots, at the angles k pi/1025 of its 1024 nodes
+        assert len(rows) == 1 + 1026
+        assert all(float(d) >= 0.0 for _, d in rows[1:])
+        assert run_capture(capsys, argv) == (0, out)
 
     def test_convolve_near_axis_passes(self, capsys):
         code, out = run_capture(capsys, [

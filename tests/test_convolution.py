@@ -174,6 +174,30 @@ class TestFreeConvolve:
             free_convolve(X, Y)
         assert info.value.residual > 1e-10
 
+    @pytest.mark.parametrize("alpha, beta, lam", [
+        (0.0193, 2e-05, 26.5), (1.22e-06, 1.04e-03, 22.5),
+        (0.00159, 0.0169, 47.3)])
+    def test_failed_solves_inside_the_support(self, alpha, beta, lam):
+        """Right to 1e-11 or ``NumericError``.  The first two reach the grid
+        check, "subordination failed inside the support" where a grid solve
+        between the outermost resolved samples did not converge; the third
+        reaches the same message from the check at the output's nodes."""
+        X = build_fgig(NaturalParams(alpha, beta, -lam), 1024)
+        Y = build_free_poisson(FreePoissonParams(1.0 / alpha, lam), 1024)
+        try:
+            out = free_convolve(X, Y)
+        except NumericError:
+            return
+        target = build_fgig(NaturalParams(alpha, beta, lam), 1024)
+        assert kolmogorov_distance(out, target) <= 1e-11
+
+    def test_unlocated_edge_raises(self, gig_poisson_pair, monkeypatch):
+        # the first probe round only estimates the edges, so one round
+        # closes neither
+        monkeypatch.setattr(convolution, "_EDGE_PROBES", 1)
+        with pytest.raises(NumericError, match="support edge not located"):
+            free_convolve(*gig_poisson_pair)
+
     def test_atoms_only_raises(self):
         with pytest.raises(DomainError):
             free_convolve(atom_measure([(0.0, 0.5), (1.0, 0.5)]),

@@ -3,7 +3,8 @@ import math
 import numpy as np
 import pytest
 
-from fgig import NaturalParams, PoleError, SpreadForm, spectral_roots
+from fgig import (NaturalParams, PoleError, SpreadForm, from_support,
+                  reparameterize, spectral_roots)
 from fgig.levy import (
     extrapolate_to_zero,
     fsd_discriminant,
@@ -19,6 +20,10 @@ from fgig.params import solve_spread
 from fgig.transforms import r_fgig
 
 from conftest import fsd_discriminant_spread
+
+
+def _natural(A, B, lam):
+    return from_support(reparameterize(SpreadForm(A, B, lam)))
 
 
 def random_params(rng, lam_range=(-4.0, 4.0)):
@@ -208,8 +213,8 @@ class TestFsd:
 
     def test_lam_minus_one_boundary(self):
         ratio = (-1.0 + math.sqrt(33.0)) / 2.0
-        fsd = fsd_report(SpreadForm(1.0, 0.95 * ratio, -1.0))
-        not_fsd = fsd_report(SpreadForm(1.0, 1.05 * ratio, -1.0))
+        fsd = fsd_report(_natural(1.0, 0.95 * ratio, -1.0))
+        not_fsd = fsd_report(_natural(1.0, 1.05 * ratio, -1.0))
         assert fsd.is_fsd and fsd.k_monotone and fsd.agrees
         assert not not_fsd.is_fsd and not not_fsd.k_monotone and not_fsd.agrees
 
@@ -222,7 +227,7 @@ class TestFsd:
             lam = rng.uniform(-4.0, 0.0)
             if max(1.0, abs(lam)) * A >= B:
                 continue
-            rep = fsd_report(SpreadForm(A, B, lam))
+            rep = fsd_report(_natural(A, B, lam))
             assert rep.agrees
             count += 1
         assert count >= 10

@@ -25,14 +25,14 @@ def test_reciprocal_is_inverse():
 
 def test_reciprocal_matches_geometric():
     # 1/(1-z) = sum z^k
-    s = Series([1.0, -1.0], order=6)
+    s = Series([1.0, -1.0, 0.0, 0.0, 0.0, 0.0, 0.0])
     assert np.allclose(s.reciprocal().c, np.ones(7))
 
 
 def test_compose_against_polynomial_oracle():
     # outer(inner(z)) for small polynomials, checked by numpy polynomial algebra
-    outer = Series([1.0, -2.0, 0.5, 1.0], order=5)
-    inner = Series([0.0, 1.0, 2.0, -1.0], order=5)
+    outer = Series([1.0, -2.0, 0.5, 1.0, 0.0, 0.0])
+    inner = Series([0.0, 1.0, 2.0, -1.0, 0.0, 0.0])
     comp = outer.compose(inner)
     po = np.polynomial.Polynomial(outer.c)
     pi = np.polynomial.Polynomial(inner.c)
@@ -51,7 +51,3 @@ def test_shift_down():
     s = Series([0.0, 1.0, 2.0])
     assert np.allclose(s.shift_down().c, [1.0, 2.0, 0.0])
 
-
-def test_evaluate():
-    s = Series([1.0, 0.0, -1.0])
-    assert s(0.5) == pytest.approx(0.75)

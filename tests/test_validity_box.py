@@ -67,8 +67,17 @@ def test_support_solve(support40, log_alpha, log_beta, lam):
     assert back.A == pytest.approx(sf.A, rel=1e-12)
     assert back.B == pytest.approx(sf.B, rel=1e-12)
 
-    # every computed form meets its own inequalities, so it builds
-    assert from_support(s).lam == p.lam
+    # every computed form meets its own inequalities, so it builds; the
+    # natural parameters back from the support are right or raise (at the
+    # second example above, alpha once came back 2.65 times too large)
+    try:
+        q = from_support(s)
+    except NumericError:
+        pass
+    else:
+        assert q.lam == p.lam
+        assert abs(q.alpha / p.alpha - 1) <= 1e-9
+        assert abs(q.beta / p.beta - 1) <= 1e-9
     assert reparameterize(sf).lam == p.lam
     assert invert_params(p).alpha == p.beta
 
