@@ -202,14 +202,14 @@ def _run_levy(args):
                 for z in zs)
     tol = 1e-6
     out = _report_header(args, tolerance=tol)
-    out["drift"] = t.drift
-    out["semicircular"] = t.semicircular
+    out["drift_bound"] = t.drift
+    out["semicircular_bound"] = t.semicircular
     out["atom"] = {"location": 1.0 / t.atom[0], "weight": t.atom[1]}
     out["density_support"] = {"lo": t.support[0], "hi": t.support[1]}
     out["min_1_x_integral"] = levy.min1x_integral(t)
     out["reconstruction_residual"] = resid
-    out["passed"] = bool(resid <= tol and abs(t.drift) <= tol
-                         and abs(t.semicircular) <= tol)
+    out["passed"] = bool(resid <= tol and out["drift_bound"] <= tol
+                         and out["semicircular_bound"] <= tol)
     _emit(args.output, dumps_stable(out) + "\n")
 
 

@@ -166,16 +166,15 @@ def from_support(s):
         ``|lam|*(A/B) = 1``.
     """
     sa, sb = math.sqrt(s.a), math.sqrt(s.b)
-    gap2 = (sa - sb) ** 2
+    gap2 = ((s.b - s.a) / (sa + sb)) ** 2  # sqrt b - sqrt a, not cancelled
     ratio = gap2 / (sa + sb) ** 2
     plus, minus = 1.0 + s.lam * ratio, 1.0 - s.lam * ratio
-    # The rounded roots leave sqrt b - sqrt a, and so A/B, off by about
-    # eps (sqrt a + sqrt b)/(sqrt b - sqrt a) relative; the smaller factor
+    # sqrt b - sqrt a, and so A/B, is a few ulps off; the smaller factor
     # 1 -+ lam*(A/B) takes that times |lam|*(A/B) over itself into alpha or
-    # beta.  That with 8 eps must stay below 1e-10; a factor <= 0, or
-    # sqrt a = sqrt b, fails the strict test too.
-    err = 8.0 * math.ulp(1.0) * abs(s.lam) * ratio * (sa + sb)
-    if not err < 1e-10 * (sb - sa) * min(plus, minus):
+    # beta.  That with 8 eps must stay below 1e-10; a factor <= 0 fails the
+    # strict test too.
+    err = 8.0 * math.ulp(1.0) * abs(s.lam) * ratio
+    if not err < 1e-10 * min(plus, minus):
         raise NumericError("rounding in sqrt(b) - sqrt(a) may move alpha or "
                            "beta by more than 1e-10")
     alpha = 2.0 / gap2 * plus

@@ -167,17 +167,6 @@ def cauchy_nodes(m, z):
     return m.cauchy_fn(np.asarray(z, dtype=complex))
 
 
-def extrapolate_to_zero(h, y):
-    """Neville polynomial extrapolation of ``y(h)`` to ``h = 0``, along
-    the first axis of ``y``."""
-    h = np.asarray(h, dtype=float)
-    t = np.array(y, dtype=float)
-    for m in range(1, len(t)):
-        for i in range(len(t) - m):
-            t[i] = (h[i] * t[i + 1] - h[i + m] * t[i]) / (h[i] - h[i + m])
-    return float(t[0]) if t.ndim == 1 else t[0]
-
-
 # ---------------------------------------------------------------------------
 # free cumulants and the divisibility certificate
 # ---------------------------------------------------------------------------

@@ -182,7 +182,8 @@ class TestLevyCommand:
         assert code == 0
         doc = json.loads(out)
         assert doc["passed"] is True
-        assert abs(doc["drift"]) <= 1e-6
+        assert 0.0 <= doc["drift_bound"] <= 1e-12
+        assert 0.0 <= doc["semicircular_bound"] <= 1e-12
 
     def test_no_samples_exit_code(self, capsys):
         code, _ = run_capture(capsys, [

@@ -6,7 +6,6 @@ import pytest
 from fgig import (NaturalParams, PoleError, SpreadForm, from_support,
                   reparameterize, spectral_roots)
 from fgig.levy import (
-    extrapolate_to_zero,
     fsd_discriminant,
     fsd_report,
     fsd_threshold,
@@ -63,11 +62,16 @@ class TestLevyDensity:
         assert np.all(vals > 0)
 
 
+def _bounds_hold(p, t):
+    # both certified bounds at 1e-12 of the first free cumulant r(0)
+    tol = 1e-12 * max(1.0, abs(r_fgig(p, 0.0)))
+    return t.drift <= tol and t.semicircular <= tol
+
+
 class TestLevyTriplet:
     def test_zero_drift_and_semicircular(self):
-        t = levy_triplet(NaturalParams(2.0, 8.0, 0.0))
-        assert abs(t.drift) <= 1e-6
-        assert abs(t.semicircular) <= 1e-6
+        p = NaturalParams(2.0, 8.0, 0.0)
+        assert _bounds_hold(p, levy_triplet(p))
 
     def test_atom_rule(self):
         t = levy_triplet(NaturalParams(4.0, 1.0, 5.0))
@@ -76,10 +80,19 @@ class TestLevyTriplet:
         assert t0.atom[1] == 0.0
 
     def test_limits_where_the_fixed_ladder_was_not_asymptotic(self):
-        # u = -10**k was not yet in the tail here: drift was -5.9e-5
-        t = levy_triplet(NaturalParams(697.24, 437.65, 0.1535))
-        assert abs(t.drift) <= 1e-7
-        assert abs(t.semicircular) <= 1e-7
+        # u = -10**k was not yet in the tail here: an extrapolated drift
+        # read -5.9e-5
+        p = NaturalParams(697.24, 437.65, 0.1535)
+        assert _bounds_hold(p, levy_triplet(p))
+
+    def test_bound_sees_a_drift(self, monkeypatch):
+        # r + 1e-9 is the R-transform of a law shifted by 1e-9: its residual
+        # 1e-9 u is a drift, which a certificate reading 0 would miss
+        monkeypatch.setattr("fgig.levy.r_fgig",
+                            lambda p, z: r_fgig(p, z) + 1e-9)
+        t = levy_triplet(NaturalParams(2.0, 8.0, 0.0))
+        assert t.drift >= 5e-10
+        assert t.semicircular <= 1e-11
 
     def test_support_upper_end(self):
         p = NaturalParams(2.0, 8.0, 0.0)
@@ -157,9 +170,8 @@ class TestReconstruction:
 
 class TestReferenceValues:
     # min1x from a 40-digit mpmath quadrature of tau, recon = z r(z) at
-    # 0.3 - 0.7i on the 40-digit support; the extrapolated drift and
-    # semicircular terms are taken off the reconstruction, since they
-    # have their own gate.  gibbs from scipy's roots_legendre rules.
+    # 0.3 - 0.7i on the 40-digit support.  gibbs from scipy's
+    # roots_legendre rules.
     @pytest.mark.parametrize("triple, min1x, recon, gibbs", [
         ((1.3, 2.1, 0.7), 1.2158354277139622,
          0.037886396435891034 - 1.3788034625041283j, -2.7834392830129455),
@@ -176,16 +188,8 @@ class TestReferenceValues:
         t = levy_triplet(NaturalParams(*triple))
         z = 0.3 - 0.7j
         assert min1x_integral(t) == pytest.approx(min1x, rel=1e-12)
-        assert (reconstruct_cumulant(t, z) - t.drift * z
-                - t.semicircular * z * z) == pytest.approx(recon, rel=1e-12)
+        assert reconstruct_cumulant(t, z) == pytest.approx(recon, rel=1e-12)
         assert gibbs_bound(*triple) == pytest.approx(gibbs, rel=1e-12)
-
-
-class TestExtrapolation:
-    def test_polynomial_exact(self):
-        h = np.array([0.4, 0.2, 0.1, 0.05])
-        y = 3.0 + 2.0 * h - h ** 2 + 0.5 * h ** 3
-        assert extrapolate_to_zero(h, y) == pytest.approx(3.0, abs=1e-12)
 
 
 class TestFsd:

@@ -38,9 +38,10 @@ class TestFromSupport:
         assert p.beta == pytest.approx(8.0, abs=1e-14)
 
     def test_degenerate_gap_blows_up(self):
-        eps = 1e-10
-        p = from_support(SupportForm(1.0, 1.0 + eps, 0.0))
-        assert p.alpha > 1e9
+        # 2/(sqrt(b) - sqrt(a))**2 at 50 digits, b the float 1 + 1e-10;
+        # the cancelling difference of roots read 5.0e-11 off
+        p = from_support(SupportForm(1.0, 1.0 + 1e-10, 0.0))
+        assert p.alpha == pytest.approx(7.9999986765542282847e20, rel=1e-14)
 
     def test_round_trip_through_solver(self):
         rng = np.random.default_rng(7)

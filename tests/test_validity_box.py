@@ -159,17 +159,15 @@ def test_levy_reconstruction(roots40, log_alpha, log_beta, lam):
     # the integral term of reconstruct_cumulant, the Cauchy transform of
     # x tau(dx) at 1/z, is z r(z) less the atom term lam z/(alpha - z) at
     # 40 digits, to 1e-12 beside the rounding of eta as in
-    # test_r_transform; the drift and semicircular limits are 1e-7 small.
-    # Right, or NumericError; at alpha a PoleError when lam >= 0, as from
-    # r_fgig
+    # test_r_transform; the certified drift and semicircular bounds are
+    # 1e-12 of max(1, r(0)) (box worst 1.0e-16).  At alpha a PoleError
+    # when lam >= 0, as from r_fgig
     mp = pytest.importorskip("mpmath")
     p = NaturalParams(10.0 ** log_alpha, 10.0 ** log_beta, lam)
     alpha = p.alpha
-    try:
-        t = levy_triplet(p)
-    except NumericError:
-        return
-    assert abs(t.drift) <= 1e-7 and abs(t.semicircular) <= 1e-7
+    t = levy_triplet(p)
+    tol = 1e-12 * max(1.0, abs(r_fgig(p, 0.0)))
+    assert t.drift <= tol and t.semicircular <= tol
     assert reconstruct_cumulant(t, 0.0) == 0.0
     reference, eta_f = _r40(roots40, p)
     for z in _probe_points(alpha, eta_f)[1:]:
