@@ -30,7 +30,6 @@ REGIME_LAM_GE_1 = "lambda_ge_1"
 REGIME_ABS_LT_1 = "abs_lambda_lt_1"
 REGIME_LAM_LE_M1 = "lambda_le_minus_1"
 
-_LIMIT_NODES = 512  # nodes of the free Poisson part of a limit law
 _CURVE_NODES = 2048  # nodes of each fGIG law along a convergence curve
 _TAIL = 4  # smallest betas an exponent fit reads
 _FLAT_SLOPE = 0.02  # a fitted slope below this, with a relative variation
@@ -74,12 +73,11 @@ def limit_measure(alpha, lam):
         raise DomainError("alpha must be positive")
     regime = limit_regime(lam)
     if regime == REGIME_LAM_GE_1:
-        return build_free_poisson(FreePoissonParams(1.0 / alpha, lam),
-                                  _LIMIT_NODES)
+        return build_free_poisson(FreePoissonParams(1.0 / alpha, lam))
     if regime == REGIME_LAM_LE_M1:
         return atom_measure([(0.0, 1.0)])
-    mp = build_free_poisson(
-        FreePoissonParams((1.0 + lam) / (2.0 * alpha), 1.0), _LIMIT_NODES)
+    mp = build_free_poisson(FreePoissonParams((1.0 + lam) / (2.0 * alpha),
+                                              1.0))
     return _scaled_copy(mp, (1.0 + lam) / 2.0, [(0.0, (1.0 - lam) / 2.0)])
 
 

@@ -3,18 +3,19 @@
 Every subcommand builds its parameter triple (a triple outside the
 validity box raises as it is built), runs the matching module, and emits
 a JSON report (or CSV rows for grid data) that is byte-identical across
-repeated invocations: floats are serialized with 17 significant digits
-and keys keep a fixed order.
+repeated invocations: floats are written as their shortest round-trip
+repr, non-finite ones as the strings "inf", "-inf" and "nan", and keys
+keep a fixed order.
 
 Exit codes: 0 on success, 2 on a validation error, 3 on a numeric
-failure.  ``FGIG_LOG`` in {quiet, info, debug} controls diagnostics on
+failure.  ``FGIG_LOG=info`` names each file written with ``--output`` on
 stderr.
 """
 
 import argparse
 import csv
 import io
-import logging
+import json
 import math
 import os
 import sys
@@ -28,44 +29,23 @@ from .params import (NaturalParams, SupportForm, from_support, reparameterize,
                      solve_support, spectral_roots)
 
 SCHEMA = "fgig-report/1"
-log = logging.getLogger("fgig")
 
 
-def _fmt(x):
-    if isinstance(x, float):
-        if math.isnan(x):
-            return '"nan"'
-        if math.isinf(x):
-            return '"inf"' if x > 0 else '"-inf"'
-        return format(x, ".17g")
-    if isinstance(x, bool):
-        return "true" if x else "false"
-    if isinstance(x, (int, np.integer)):
-        return str(int(x))
-    raise TypeError(f"unsupported scalar {type(x)!r}")
-
-
-def dumps_stable(obj, indent=0):
-    """Deterministic JSON: insertion-ordered keys, 17-digit floats."""
-    pad = "  " * indent
+def _finite(obj):
+    """``obj`` with each non-finite float as the string "inf", "-inf" or
+    "nan", which JSON has no number for."""
     if isinstance(obj, dict):
-        if not obj:
-            return "{}"
-        rows = [f'{pad}  "{k}": {dumps_stable(v, indent + 1)}'
-                for k, v in obj.items()]
-        return "{\n" + ",\n".join(rows) + f"\n{pad}}}"
+        return {k: _finite(v) for k, v in obj.items()}
     if isinstance(obj, (list, tuple)):
-        if not obj:
-            return "[]"
-        rows = [f"{pad}  {dumps_stable(v, indent + 1)}" for v in obj]
-        return "[\n" + ",\n".join(rows) + f"\n{pad}]"
-    if isinstance(obj, str):
-        return f'"{obj}"'
-    if obj is None:
-        return "null"
-    if isinstance(obj, (np.floating,)):
-        obj = float(obj)
-    return _fmt(obj)
+        return [_finite(v) for v in obj]
+    if isinstance(obj, float) and not math.isfinite(obj):
+        return str(obj)
+    return obj
+
+
+def _dumps(report):
+    """The JSON text of a report, keys in insertion order."""
+    return json.dumps(_finite(report), indent=2) + "\n"
 
 
 def _parse_grid(text):
@@ -89,9 +69,7 @@ def _write_csv(path, header, rows):
     buf = io.StringIO()
     writer = csv.writer(buf, lineterminator="\n")
     writer.writerow(header)
-    for row in rows:
-        writer.writerow([format(v, ".17g") if isinstance(v, float) else v
-                         for v in row])
+    writer.writerows(rows)
     _emit(path, buf.getvalue())
 
 
@@ -99,11 +77,10 @@ def _emit(path, text):
     if path:
         with open(path, "w", encoding="utf-8") as fh:
             fh.write(text)
-        log.info("wrote %s", path)
+        if os.environ.get("FGIG_LOG") == "info":
+            print(f"fgig: wrote {path}", file=sys.stderr)
     else:
         sys.stdout.write(text)
-        if not text.endswith("\n"):
-            sys.stdout.write("\n")
 
 
 def _report_header(args, **extra):
@@ -144,7 +121,7 @@ def _run_params(args):
                   "eta": roots.eta},
         "valid": True,  # an invalid triple raises before the report
     }
-    _emit(args.output, dumps_stable(out) + "\n")
+    _emit(args.output, _dumps(out))
 
 
 def _run_density(args):
@@ -162,13 +139,13 @@ def _run_density(args):
         out = _report_header(args)
         out["rows"] = [{"x": float(x), "density": float(y)}
                        for x, y in zip(xs, ys)]
-        _emit(args.output, dumps_stable(out) + "\n")
+        _emit(args.output, _dumps(out))
 
 
 def _run_transform(args):
     p = _triple(args)
     kappa = transforms.free_cumulants(p, args.order)
-    cert = transforms.fid_certificate(p, n_grid=args.certificate_grid)
+    cert = transforms.fid_certificate(p)
     out = _report_header(args)
     out["free_cumulants"] = [float(k) for k in kappa]
     out["fid_certificate"] = {
@@ -186,7 +163,7 @@ def _run_transform(args):
             "rows": [{"x": float(x), "re": float(v.real), "im": float(v.imag)}
                      for x, v in zip(xs, vals)],
         }
-    _emit(args.output, dumps_stable(out) + "\n")
+    _emit(args.output, _dumps(out))
 
 
 def _run_levy(args):
@@ -210,7 +187,7 @@ def _run_levy(args):
     out["reconstruction_residual"] = resid
     out["passed"] = bool(resid <= tol and out["drift_bound"] <= tol
                          and out["semicircular_bound"] <= tol)
-    _emit(args.output, dumps_stable(out) + "\n")
+    _emit(args.output, _dumps(out))
 
 
 def _run_fsd(args):
@@ -223,7 +200,7 @@ def _run_fsd(args):
     out["k_monotone"] = rep.k_monotone
     out["atom_weight"] = rep.atom_weight
     out["routes_agree"] = rep.agrees
-    _emit(args.output, dumps_stable(out) + "\n")
+    _emit(args.output, _dumps(out))
 
 
 def _run_convolve(args):
@@ -245,7 +222,7 @@ def _run_convolve(args):
                    [(float(x), float(d)) for x, d in
                     zip(xs, outm.density(xs))])
     else:
-        _emit(args.output, dumps_stable(out) + "\n")
+        _emit(args.output, _dumps(out))
 
 
 def _run_fixpoint(args):
@@ -267,7 +244,7 @@ def _run_fixpoint(args):
         rep.max_rel_dev <= tol["series_vs_oracle"]
         and rep.fixed_point_distance <= tol["fixed_point_distance"]
         and rep.key_eq_residual <= tol["key_equation"])
-    _emit(args.output, dumps_stable(out) + "\n")
+    _emit(args.output, _dumps(out))
 
 
 def _run_limits(args):
@@ -296,7 +273,7 @@ def _run_limits(args):
            "rows": [{"beta": b, "a": a, "b_end": bb, "delta": d,
                      "eta": e, "distance": dist}
                     for b, a, bb, d, e, dist in rows]}
-    _emit(args.output, dumps_stable(out) + "\n")
+    _emit(args.output, _dumps(out))
 
 
 def _run_entropy(args):
@@ -317,7 +294,7 @@ def _run_entropy(args):
     out["gibbs_gap"] = abs(h_gig - bound)
     out["passed"] = bool(abs(h_gig - bound) <= 1e-6
                          and all(mg > 0 for _, _, mg in scan.entries))
-    _emit(args.output, dumps_stable(out) + "\n")
+    _emit(args.output, _dumps(out))
 
 
 # ---------------------------------------------------------------------------
@@ -359,7 +336,6 @@ def build_parser():
     sp.add_argument("--order", type=int, default=8)
     sp.add_argument("--grid", help="real parts; written --grid=lo:hi:count")
     sp.add_argument("--imag", type=float, default=0.5)
-    sp.add_argument("--certificate-grid", type=int, default=100)
     sp.add_argument("--output")
     sp.set_defaults(func=_run_transform)
 
@@ -404,11 +380,6 @@ def build_parser():
 
 
 def run(argv=None):
-    level = {"quiet": logging.WARNING, "info": logging.INFO,
-             "debug": logging.DEBUG}.get(os.environ.get("FGIG_LOG", "quiet"),
-                                         logging.WARNING)
-    logging.basicConfig(stream=sys.stderr, level=level,
-                        format="fgig: %(message)s")
     parser = build_parser()
     args = parser.parse_args(argv)
     try:

@@ -28,6 +28,7 @@ formulas and are exposed here as :class:`SpectralRoots`.
 """
 
 import math
+import sys
 from dataclasses import dataclass
 from functools import lru_cache
 
@@ -137,14 +138,17 @@ def reparameterize(x):
     The map is a bijection: ``A = (sqrt(b)-sqrt(a))**2``,
     ``B = (sqrt(a)+sqrt(b))**2`` and back via
     ``a = ((sqrt(B)-sqrt(A))/2)**2``, ``b = ((sqrt(A)+sqrt(B))/2)**2``.
+    Each difference of square roots is formed as ``(b - a)/(sqrt(a) +
+    sqrt(b))``, which does not cancel on a narrow support.
     """
     if isinstance(x, SupportForm):
         sa, sb = math.sqrt(x.a), math.sqrt(x.b)
-        return _computed_spread((sb - sa) ** 2, (sa + sb) ** 2, x.lam)
+        return _computed_spread(((x.b - x.a) / (sa + sb)) ** 2,
+                                (sa + sb) ** 2, x.lam)
     if isinstance(x, SpreadForm):
         sA, sB = math.sqrt(x.A), math.sqrt(x.B)
-        return _computed_support(((sB - sA) / 2) ** 2, ((sA + sB) / 2) ** 2,
-                                 x.lam)
+        return _computed_support(((x.B - x.A) / (sA + sB) / 2) ** 2,
+                                 ((sA + sB) / 2) ** 2, x.lam)
     raise TypeError("reparameterize expects SupportForm or SpreadForm")
 
 
@@ -156,18 +160,23 @@ def from_support(s):
         alpha = 2/(sqrt(a)-sqrt(b))**2 * (1 + lam*(A/B))
         beta  = 2ab/(sqrt(a)-sqrt(b))**2 * (1 - lam*(A/B))
 
-    with ``A/B = ((sqrt(a)-sqrt(b))/(sqrt(a)+sqrt(b)))**2``.
+    with ``A/B = ((sqrt(a)-sqrt(b))/(sqrt(a)+sqrt(b)))**2``; ``ab`` is not
+    formed, as it under- or overflows where beta does not.
 
     Raises
     ------
     NumericError
         Where rounding may move ``lam*(A/B)`` by more than 1e-10 of the
         smaller factor ``1 -+ lam*(A/B)``, as next to the box's edge
-        ``|lam|*(A/B) = 1``.
+        ``|lam|*(A/B) = 1``; where ``(sqrt(b)-sqrt(a))**2`` underflows;
+        and where alpha or beta is not a positive normal float.
     """
     sa, sb = math.sqrt(s.a), math.sqrt(s.b)
-    gap2 = ((s.b - s.a) / (sa + sb)) ** 2  # sqrt b - sqrt a, not cancelled
-    ratio = gap2 / (sa + sb) ** 2
+    gap = (s.b - s.a) / (sa + sb)  # sqrt b - sqrt a, not cancelled
+    gap2 = gap ** 2
+    if not gap2 >= sys.float_info.min:
+        raise NumericError("(sqrt(b) - sqrt(a))**2 underflows")
+    ratio = (gap / (sa + sb)) ** 2
     plus, minus = 1.0 + s.lam * ratio, 1.0 - s.lam * ratio
     # sqrt b - sqrt a, and so A/B, is a few ulps off; the smaller factor
     # 1 -+ lam*(A/B) takes that times |lam|*(A/B) over itself into alpha or
@@ -178,7 +187,10 @@ def from_support(s):
         raise NumericError("rounding in sqrt(b) - sqrt(a) may move alpha or "
                            "beta by more than 1e-10")
     alpha = 2.0 / gap2 * plus
-    beta = 2.0 * s.a * s.b / gap2 * minus
+    beta = 2.0 * s.a * (s.b / gap2) * minus  # b/gap2 is in [1, 16/eps**2]
+    if not (sys.float_info.min <= alpha < math.inf
+            and sys.float_info.min <= beta < math.inf):
+        raise NumericError("alpha or beta is not a positive normal float")
     return NaturalParams(alpha, beta, s.lam)
 
 

@@ -29,6 +29,7 @@ from .params import solve_spread, spectral_roots
 from .series import Series
 
 _FID_TOL = 1e-9  # largest Im r the divisibility certificate passes
+_FID_GRID = 200  # points per axis of the certificate's lower half-plane grid
 
 
 @dataclass(frozen=True)
@@ -203,24 +204,23 @@ def free_cumulants(p, n):
     return r_series.c[:n].copy()
 
 
-def fid_certificate(p, n_grid=200):
+def fid_certificate(p):
     """Numeric certificate that ``Im r <= 0`` on the lower half-plane.
 
-    Sweeps an ``n_grid x n_grid`` grid of the lower half-plane with
-    geometric approach to the real axis, plus real-boundary samples and
-    two small arcs around the singular point ``alpha``.  Passing means
+    Sweeps a ``_FID_GRID x _FID_GRID`` (200 x 200) grid of the lower
+    half-plane with geometric approach to the real axis, plus
+    real-boundary samples and two small arcs around the singular point
+    ``alpha``.  Passing means
     the maximum imaginary part stays below ``_FID_TOL`` = 1e-9.
     """
-    if n_grid < 2:
-        raise DomainError("certificate grid needs at least 2 points per axis")
     roots = spectral_roots(p)
     scale = max(1.0, p.alpha, roots.eta, -roots.delta)
-    xs = np.linspace(-3.0 * scale, 3.0 * scale, n_grid)
-    ys = -np.geomspace(1e-6 * scale, 3.0 * scale, n_grid)
+    xs = np.linspace(-3.0 * scale, 3.0 * scale, _FID_GRID)
+    ys = -np.geomspace(1e-6 * scale, 3.0 * scale, _FID_GRID)
     zs = (xs[:, None] + 1j * ys[None, :]).ravel()
 
     # real boundary, avoiding the singular point itself
-    bx = np.linspace(-3.0 * scale, 3.0 * scale, 4 * n_grid)
+    bx = np.linspace(-3.0 * scale, 3.0 * scale, 4 * _FID_GRID)
     bx = bx[np.abs(bx - p.alpha) > 1e-6 * scale]
     pieces = [zs, bx.astype(complex)]
 

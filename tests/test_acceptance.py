@@ -135,7 +135,7 @@ def test_c03_fid_certificate():
     worst = -math.inf
     for _ in range(20):
         p = random_natural(rng, -5.0, 5.0)
-        cert = fid_certificate(p, n_grid=200)
+        cert = fid_certificate(p)
         worst = max(worst, cert.max_imag)
     ok = worst <= 1e-9
     report(3, ok, f"max Im r over grids {worst:.2e} (<=1e-9), 20 triples")

@@ -12,7 +12,7 @@ import pytest
 
 import fgig
 from fgig import NaturalParams, solve_support
-from fgig.cli import dumps_stable, run
+from fgig.cli import _dumps, run
 
 
 def fresh_env(**overrides):
@@ -34,14 +34,25 @@ def run_capture(capsys, argv):
 
 
 class TestSerialization:
+    REPORT = {"x": 1.0 / 3.0, "y": [1.5, 2], "z": "s",
+              "edges": [-math.inf, math.inf, math.nan]}
+
     def test_deterministic_floats(self):
-        text = dumps_stable({"x": 1.0 / 3.0, "y": [1.5, 2], "z": "s"})
-        assert "0.33333333333333331" in text
-        assert json.loads(text) == {"x": 1.0 / 3.0, "y": [1.5, 2], "z": "s"}
+        text = _dumps(self.REPORT)
+        assert _dumps(dict(self.REPORT)) == text
+        assert json.loads(text) == {"x": 1.0 / 3.0, "y": [1.5, 2], "z": "s",
+                                    "edges": ["-inf", "inf", "nan"]}
 
     def test_key_order_is_insertion_order(self):
-        text = dumps_stable({"b": 1, "a": 2})
+        text = _dumps({"b": 1, "a": 2})
         assert text.index('"b"') < text.index('"a"')
+
+    def test_integral_float_reads_back_as_float(self):
+        value = json.loads(_dumps({"alpha": 2.0}))["alpha"]
+        assert type(value) is float and value == 2.0
+
+    def test_quote_is_escaped(self):
+        assert json.loads(_dumps({"label": 'a"b'})) == {"label": 'a"b'}
 
 
 class TestParamsCommand:
@@ -58,6 +69,7 @@ class TestParamsCommand:
         code, out = run_capture(capsys, ["params", "--alpha", "2", "--beta",
                                          "8", "--lambda", "0"])
         assert code == 0
+        assert '"alpha": 2.0,' in out
         doc = json.loads(out)
         assert doc["support"]["a"] == pytest.approx(1.0)
         assert doc["support"]["b"] == pytest.approx(4.0)
@@ -160,18 +172,12 @@ class TestTransformCommand:
     def test_certificate_and_cumulants(self, capsys):
         code, out = run_capture(capsys, [
             "transform", "--alpha", "2", "--beta", "8", "--lambda", "0",
-            "--order", "4", "--certificate-grid", "60"])
+            "--order", "4"])
         assert code == 0
         doc = json.loads(out)
         assert doc["free_cumulants"][0] == pytest.approx(2.125)
         assert doc["fid_certificate"]["passed"] is True
-
-    @pytest.mark.parametrize("n", ["0", "1"])
-    def test_certificate_grid_too_small_exit_code(self, capsys, n):
-        code, _ = run_capture(capsys, [
-            "transform", "--alpha", "2", "--beta", "8", "--lambda", "0",
-            "--certificate-grid", n])
-        assert code == 2
+        assert doc["fid_certificate"]["points"] > 200 * 200
 
 
 class TestLevyCommand:
@@ -304,41 +310,57 @@ class TestHeavyCommands:
 
 
 class TestLogging:
-    @staticmethod
-    def run_fresh(args, level):
-        """``fgig ARGS`` in a fresh interpreter with ``FGIG_LOG=level``
-        (unset for None): in-process, pytest's log handlers make
-        ``logging.basicConfig`` a no-op."""
-        env = fresh_env() if level is None else fresh_env(FGIG_LOG=level)
-        return subprocess.run([sys.executable, "-m", "fgig.cli", *args],
-                              env=env, capture_output=True, text=True,
-                              timeout=60)
+    """``FGIG_LOG`` in-process: the CLI prints its one diagnostic itself,
+    and ``logging.basicConfig``, a no-op under pytest's log handlers, was
+    the only reason these tests ran a fresh interpreter."""
 
-    def stderr_of_params(self, tmp_path, level):
+    @staticmethod
+    def run_with(monkeypatch, capsys, argv, level):
+        """Exit code and captured output of ``fgig ARGV`` with
+        ``FGIG_LOG=level`` (unset for None)."""
+        if level is None:
+            monkeypatch.delenv("FGIG_LOG", raising=False)
+        else:
+            monkeypatch.setenv("FGIG_LOG", level)
+        code = run(argv)
+        return code, capsys.readouterr()
+
+    def stderr_of_params(self, monkeypatch, capsys, tmp_path, level):
         """stderr of ``fgig params ... --output``."""
         target = tmp_path / "report.json"
-        done = self.run_fresh(["params", "--alpha", "2", "--beta", "8",
-                               "--lambda", "0", "--output", str(target)],
-                              level)
-        assert done.returncode == 0
-        assert done.stdout == "" and target.exists()
-        return done.stderr, target
+        code, captured = self.run_with(
+            monkeypatch, capsys, ["params", "--alpha", "2", "--beta", "8",
+                                  "--lambda", "0", "--output", str(target)],
+            level)
+        assert code == 0
+        assert captured.out == "" and target.exists()
+        return captured.err, target
 
-    def test_info_reports_the_written_file(self, tmp_path):
-        stderr, target = self.stderr_of_params(tmp_path, "info")
+    def test_info_reports_the_written_file(self, monkeypatch, capsys,
+                                           tmp_path):
+        stderr, target = self.stderr_of_params(monkeypatch, capsys, tmp_path,
+                                               "info")
         assert stderr == f"fgig: wrote {target}\n"
 
-    def test_default_is_quiet(self, tmp_path):
-        stderr, _ = self.stderr_of_params(tmp_path, None)
+    def test_default_is_quiet(self, monkeypatch, capsys, tmp_path):
+        stderr, _ = self.stderr_of_params(monkeypatch, capsys, tmp_path, None)
+        assert stderr == ""
+
+    @pytest.mark.parametrize("level", ["quiet", "debug"])
+    def test_other_values_are_quiet(self, monkeypatch, capsys, tmp_path,
+                                    level):
+        stderr, _ = self.stderr_of_params(monkeypatch, capsys, tmp_path,
+                                          level)
         assert stderr == ""
 
     @pytest.mark.parametrize("level", [None, "info"])
-    def test_error_is_reported_once(self, level):
-        done = self.run_fresh(["params", "--alpha", "1", "--beta", "-1",
-                               "--lambda", "0"], level)
-        assert done.returncode == 2
-        assert done.stdout == ""
-        assert done.stderr.splitlines() == [
+    def test_error_is_reported_once(self, monkeypatch, capsys, level):
+        code, captured = self.run_with(
+            monkeypatch, capsys, ["params", "--alpha", "1", "--beta", "-1",
+                                  "--lambda", "0"], level)
+        assert code == 2
+        assert captured.out == ""
+        assert captured.err.splitlines() == [
             "fgig: validation error: invalid natural parameters: "
             "beta > 0 violated"]
 

@@ -64,6 +64,33 @@ class TestFromSupport:
         with pytest.raises(NumericError):
             from_support(s)
 
+    def test_gap_underflow_is_numeric(self):
+        # (sqrt(b) - sqrt(a))**2 ~ 2.5e-331 underflows: alpha ~ 8e330
+        with pytest.raises(NumericError):
+            from_support(SupportForm(1e-300, 1e-300 * (1 + 1e-15), 0.0))
+
+    def test_rates_out_of_range_are_numeric(self):
+        # beta ~ 2ab/(sqrt(b) - sqrt(a))**2 overflows
+        with pytest.raises(NumericError):
+            from_support(SupportForm(1.7e308, 1.79e308, 0.0))
+
+    @pytest.mark.parametrize("a, b, lam, alpha, beta", [
+        # ab underflows to 0 (beta read 0, a DomainError), then to a
+        # subnormal (beta read 1.1e-5 off)
+        (1e-170, 1e-170 * (1 + 1e-12), 0.0,
+         7.999567710035774836e+194, 7.9995677100437743534e-146),
+        (1e-160, 1e-160 * (1 + 1e-12), 0.0,
+         7.9991365431055208399e+184, 7.9991365431135202263e-136),
+        # ab overflows (beta read inf)
+        (1e10, 1e300, 0.3, 2.5999999999999998413e-300,
+         14000000000.000000222),
+    ])
+    def test_rates_where_ab_under_or_overflows(self, a, b, lam, alpha, beta):
+        # references at 50 digits
+        p = from_support(SupportForm(a, b, lam))
+        assert p.alpha == pytest.approx(alpha, rel=1e-15, abs=0.0)
+        assert p.beta == pytest.approx(beta, rel=1e-15, abs=0.0)
+
 
 class TestSolveSupport:
     def test_worked_fixture(self):
@@ -106,15 +133,18 @@ class TestSolveSupport:
 
     def test_spread_where_ratio_rounds_to_one(self):
         # A/B = 1 - 2.3e-20 rounds to 1: B is the next float above A, and
-        # the spread form no longer resolves a
+        # the spread form no longer resolves a.  Its exact image (50
+        # digits) has a = 8.9e-13, not 1e-20; reparameterize returns that
+        # image, as sqrt(B) - sqrt(A) is not formed as a difference.
         p = NaturalParams(1e-20, 1e-20, 0.5)
         sf = solve_spread(p)
         assert sf.B == math.nextafter(sf.A, math.inf)
         s = solve_support(p)
         assert s.a == pytest.approx(1e-20, rel=1e-12)
         assert s.b == pytest.approx(3e20, rel=1e-12)
-        with pytest.raises(NumericError):
-            reparameterize(sf)
+        back = reparameterize(sf)
+        assert back.a == pytest.approx(8.947848533333332356e-13, rel=1e-15,
+                                       abs=0.0)
 
     def test_extreme_rates_with_a_normal_product(self, support40):
         # a*b underflows here; the residuals never form it.  c*X has the
@@ -151,6 +181,16 @@ class TestReparameterize:
     def test_zero_gap_rejected(self):
         with pytest.raises(DomainError):
             reparameterize(SpreadForm(0.0, 4.0, 0.0))
+
+    def test_narrow_forms_do_not_cancel(self):
+        # references at 50 digits; a difference of square roots read A
+        # 3.1e-9 and a 2.0e-10 relative off
+        sf = reparameterize(SupportForm(2.0, 2.0 + 3e-8, 0.0))
+        assert sf.A == pytest.approx(1.1249999778881905899e-16, rel=1e-15,
+                                     abs=0.0)
+        s = reparameterize(SpreadForm(1.0, 1.0 + 3e-8, 0.5))
+        assert s.a == pytest.approx(5.6249999305201796808e-17, rel=1e-15,
+                                    abs=0.0)
 
 
 class TestSpectralRoots:
