@@ -33,7 +33,6 @@ from .errors import DomainError, NumericError
 from .measures import (FreePoissonParams, build_fgig, build_free_poisson,
                        integrate, kolmogorov_distance, pushforward_reciprocal)
 from .params import NaturalParams
-from .series import Series
 from .transforms import cauchy
 
 _SERIES_TOL = 1e-10  # relative accuracy every returned order holds
@@ -134,22 +133,50 @@ def n_prime(alpha, lam):
     return (1.0 - c * c) ** 2 / lam * k1 - c * c
 
 
+def _mul(a, b):
+    """Coefficients of ``a b``, truncated to the length of ``a``."""
+    return np.convolve(a, b)[: a.size]
+
+
+def _reciprocal(b):
+    """Coefficients of ``1/b``, for ``b[0]`` nonzero."""
+    r = np.zeros(b.size)
+    r[0] = 1.0 / b[0]
+    for k in range(1, b.size):
+        r[k] = -np.dot(b[1 : k + 1], r[k - 1 :: -1]) / b[0]
+    return r
+
+
+def _compose(outer, inner):
+    """Coefficients of ``outer(inner - inner[0])`` by Horner's rule."""
+    shifted = inner.copy()
+    shifted[0] = 0.0
+    out = np.zeros(outer.size)
+    for coef in outer[::-1]:
+        out = _mul(out, shifted)
+        out[0] += coef
+    return out
+
+
 def _n_series(alpha, lam, c, k):
     """Coefficients of ``N = g/(z g - lam)``, ``g = alpha - K``, at ``c``
     for the ``K`` with the coefficients ``k``."""
-    g = alpha - Series(k)
-    n = g / (Series.variable(k.size - 1, constant=c) * g - lam)
-    if abs(n.c[0] - c) > 1e-8 * max(1.0, abs(c)):
+    g = -k
+    g[0] += alpha
+    z = np.zeros(k.size)  # the variable c + (z - c)
+    z[0], z[1:2] = c, 1.0
+    den = _mul(z, g)
+    den[0] -= lam
+    n = _mul(g, _reciprocal(den))
+    if abs(n[0] - c) > 1e-8 * max(1.0, abs(c)):
         raise NumericError("composition center drifted",
-                           residual=float(abs(n.c[0] - c)))
-    return n.c
+                           residual=float(abs(n[0] - c)))
+    return n
 
 
 def _composed(k, n):
     """``N^2 K(N)`` from the coefficients of ``K`` and ``N`` at ``c``."""
-    inner = Series(n)
-    inner.c[0] = 0.0
-    return (Series(n) * Series(n) * Series(k).compose(inner)).c
+    return _mul(_mul(n, n), _compose(k, n))
 
 
 def _k_residual(alpha, lam, c, k):
@@ -157,6 +184,13 @@ def _k_residual(alpha, lam, c, k):
     truncated to the coefficients ``k``."""
     n = _n_series(alpha, lam, c, k)
     return (k - n + _composed(k, n))[-1]
+
+
+def _checked_order(order):
+    order = int(order)
+    if not 0 <= order <= 32:
+        raise DomainError("series order must lie in [0, 32]")
+    return order
 
 
 def series_coefficients(alpha, lam, order):
@@ -172,9 +206,7 @@ def series_coefficients(alpha, lam, order):
     ``NumericError`` where ``_CARRY`` times the bound, carried into
     ``a_n``, exceeds ``_SERIES_TOL`` = 1e-10 relative at an order ``n >= 2``.
     """
-    order = int(order)
-    if not 0 <= order <= 32:
-        raise DomainError("series order must lie in [0, 32]")
+    order = _checked_order(order)
     c = solve_c(alpha, lam)
     k0, k1 = _initial_k(alpha, c)
     a0, a1 = initial_coefficients(alpha, lam)
@@ -211,14 +243,15 @@ def oracle_coefficients(alpha, lam, order):
     differentiation enters.  Raises ``NumericError`` where the law's
     weights miss more than ``_ORACLE_MASS_TOL`` of its mass.
     """
+    order = _checked_order(order)
     c = solve_c(alpha, lam)
     x_law = build_fgig(NaturalParams(alpha, alpha, -lam), _ORACLE_NODES)
     err = abs(x_law.mass() - 1.0)
     if err > _ORACLE_MASS_TOL:
         raise NumericError("oracle law lost mass", residual=err)
-    coeffs = np.empty(int(order) + 1)
+    coeffs = np.empty(order + 1)
     coeffs[0] = integrate(x_law, lambda x: c / (1.0 - c * x))
-    for k in range(1, int(order) + 1):
+    for k in range(1, order + 1):
         coeffs[k] = integrate(
             x_law, lambda x, k=k: x ** (k - 1) / (1.0 - c * x) ** (k + 1))
     return CoefficientSeries(c, coeffs)

@@ -93,6 +93,7 @@ class SpreadForm:
         _require("spread", "A > 0", self.A > 0)
         _require("spread", "max(1,|lam|)*A < B",  # max(nan, 1) is nan: fails
                  max(abs(self.lam), 1.0) * self.A < self.B)
+        _require("spread", "B < inf", self.B < math.inf)
 
 
 @dataclass(frozen=True, slots=True)
@@ -140,11 +141,20 @@ def reparameterize(x):
     ``a = ((sqrt(B)-sqrt(A))/2)**2``, ``b = ((sqrt(A)+sqrt(B))/2)**2``.
     Each difference of square roots is formed as ``(b - a)/(sqrt(a) +
     sqrt(b))``, which does not cancel on a narrow support.
+
+    Raises
+    ------
+    NumericError
+        Where ``B`` overflows, or where the endpoints ``a < b`` are not
+        representable.
     """
     if isinstance(x, SupportForm):
         sa, sb = math.sqrt(x.a), math.sqrt(x.b)
-        return _computed_spread(((x.b - x.a) / (sa + sb)) ** 2,
-                                (sa + sb) ** 2, x.lam)
+        try:
+            B = (sa + sb) ** 2
+        except OverflowError:
+            raise NumericError("(sqrt(a) + sqrt(b))**2 overflows") from None
+        return _computed_spread(((x.b - x.a) / (sa + sb)) ** 2, B, x.lam)
     if isinstance(x, SpreadForm):
         sA, sB = math.sqrt(x.A), math.sqrt(x.B)
         return _computed_support(((x.B - x.A) / (sA + sB) / 2) ** 2,

@@ -20,16 +20,23 @@ form, Chebyshev series or atom sum; see :mod:`fgig.measures`).
 """
 
 import math
+import sys
 from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import DomainError, NumericError, PoleError
 from .params import solve_spread, spectral_roots
-from .series import Series
 
 _FID_TOL = 1e-9  # largest Im r the divisibility certificate passes
 _FID_GRID = 200  # points per axis of the certificate's lower half-plane grid
+# Cauchy-integral circle of free_cumulants, at _CIRCLE times the radius of
+# convergence.  Against 40-digit Levy-measure moments at order 64 (12 draws,
+# alpha, beta in [1e-2, 1e2]) the worst error read 7.5e-12 at 0.9, 2.0e-13
+# at 0.95 and 4.0e-14 at 0.98 with 4096 nodes; at 0.98, 1024 nodes read
+# 1.0e-9 and 2048 read 4.4e-14, so 4096 leaves aliasing at 0.98**4096.
+_CIRCLE = 0.98
+_NODES = 4096
 
 
 @dataclass(frozen=True)
@@ -175,33 +182,41 @@ def cauchy_nodes(m, z):
 def free_cumulants(p, n):
     """First ``n`` free cumulants: Taylor coefficients of the R-transform.
 
-    Built by truncated-series algebra on the closed form; the square
-    root contributes a binomial series around the origin.
+    Read as the discrete Cauchy integral of :func:`r_fgig` on the circle
+    ``|z| = rho = _CIRCLE*R``, ``R`` the radius of convergence: ``alpha``
+    for ``lam >= 0`` (a pole or a square-root point) and ``eta`` for
+    ``lam < 0`` (where ``alpha`` is removable).  The cumulants are the
+    moments ``lam+ alpha**-k + integral x**k tau(dx)`` of the free Levy
+    measure, all positive, so ``|r| <= r(rho) <= kappa_1/(1 - _CIRCLE)``
+    on the circle, and ``kappa_k rho**(k-1)`` falls from ``kappa_1`` about
+    no faster than ``_CIRCLE**k k**(-3/2)``: rounding moves no cumulant up
+    to order 64 by much more than 1e-14 of itself, and aliasing by about
+    ``_CIRCLE**_NODES``.
+
+    Raises
+    ------
+    NumericError
+        Where a cumulant is not a positive normal float, as when
+        ``alpha**-n`` overflows.
     """
     n = int(n)
     if not 1 <= n <= 64:
         raise DomainError("cumulant order must be between 1 and 64")
-    alpha, beta, lam = p.alpha, p.beta, p.lam
-    roots = spectral_roots(p)
-    delta, eta = roots.delta, roots.eta
-
-    # sqrt(beta*(eta - z)) = sqrt(beta*eta) * (1 - z/eta)**(1/2)
-    coef = np.empty(n + 1)
-    coef[0] = 1.0
-    b = 1.0
-    for k in range(1, n + 1):
-        b *= (0.5 - (k - 1)) / k
-        coef[k] = b * (-1.0 / eta) ** k
-    s = Series(math.sqrt(beta * eta) * coef)
-    zs = Series.variable(n)
-    numer = (lam + 1.0) * zs + 2.0 * ((zs - delta) * s) - alpha
-    if abs(numer.c[0]) > 1e-9 * max(1.0, alpha):
-        raise NumericError("numerator series lost the root identity",
-                           residual=float(abs(numer.c[0])))
-    numer.c[0] = 0.0  # exact removable zero at the origin
-    geom = Series((0.5 / alpha) * (1.0 / alpha) ** np.arange(n + 1))
-    r_series = numer.shift_down() * geom
-    return r_series.c[:n].copy()
+    rho = _CIRCLE * (spectral_roots(p).eta if p.lam < 0 else p.alpha)
+    # the lower half of the circle; r(conj z) = conj r(z) gives the rest
+    half = _NODES // 2
+    z = rho * np.exp(-1j * math.pi * np.arange(half + 1) / half)
+    scaled = np.fft.irfft(r_fgig(p, z), _NODES)[:n]  # kappa_(k+1) rho**k
+    # rho**-k as mant**-k 2**(-e k): no intermediate over- or underflow
+    mant, e = math.frexp(rho)
+    k = np.arange(n)
+    with np.errstate(over="ignore"):
+        out = np.ldexp(scaled / mant ** k, -e * k)
+    bad = np.flatnonzero(~((out >= sys.float_info.min) & (out < math.inf)))
+    if bad.size:
+        raise NumericError(f"free cumulant of order {bad[0] + 1} is not a "
+                           "positive normal float")
+    return out
 
 
 def fid_certificate(p):

@@ -196,3 +196,36 @@ def mass_below40():
             return float(mp.quad(rho, [a] + pts[::-1]))
 
     return mass_below
+
+
+@pytest.fixture(scope="session")
+def levy_moments40(roots40):
+    """Free cumulants ``kappa_1..kappa_n`` of ``mu(alpha, beta, lam)`` as
+    moments of its free Levy measure, to 40 digits:
+    ``kappa_k = max(lam, 0) alpha**-k + integral_0^L x**k tau(x) dx`` with
+
+        tau(x) = (1 - delta x) sqrt(beta (1 - eta x))
+                 / (pi x**(3/2) (1 - alpha x)),    L = 1/eta,
+
+    written on ``roots40``' delta and eta.  With ``x = L s`` and
+    ``1 - alpha x = 1 - z s``, ``z = alpha/eta``, the integral is
+    ``sqrt(beta) L**(k - 1/2)/pi (I(k - 1) - delta L I(k))`` with Euler's
+    integral ``I(m) = integral_0^1 s**(m - 1/2) (1 - s)**(1/2)/(1 - z s) ds
+    = B(m + 1/2, 3/2) 2F1(1, m + 1/2; m + 2; z)``.  Returns mpmath numbers;
+    skips the test when mpmath is missing.
+    """
+    mp = pytest.importorskip("mpmath")
+
+    def moments(p, n):
+        alpha, beta, delta, eta = roots40(p)
+        with mp.workdps(40):
+            # z = 1 at lam = 0, where rounding may leave it just above
+            L, z, half = 1 / eta, min(alpha / eta, 1), mp.mpf(1) / 2
+            euler = [mp.beta(m + half, 3 * half)
+                     * mp.hyp2f1(1, m + half, m + 2, z) for m in range(n + 1)]
+            return [max(p.lam, 0) * alpha ** -k
+                    + mp.sqrt(beta) * L ** (k - half) / mp.pi
+                    * (euler[k - 1] - delta * L * euler[k])
+                    for k in range(1, n + 1)]
+
+    return moments

@@ -4,8 +4,11 @@ import pytest
 import fgig.characterization as characterization
 from fgig import DomainError, NaturalParams, NumericError
 from fgig.characterization import (
+    _compose,
     _initial_k,
     _k_residual,
+    _mul,
+    _reciprocal,
     compare_series,
     initial_coefficients,
     n_prime,
@@ -32,6 +35,32 @@ def _center50(mp, alpha, lam):
     a, m = mp.mpf(alpha), mp.mpf(lam)
     return mp.findroot(lambda x: a * x ** 4 - (1 + m) * x ** 3
                        + (1 - m) * x - a, (-1, 0), solver="bisect")
+
+
+class TestCoefficientHelpers:
+    def test_reciprocal_is_inverse(self):
+        rng = np.random.default_rng(0)
+        c = rng.normal(size=9)
+        c[0] = 2.0
+        expect = np.zeros(9)
+        expect[0] = 1.0
+        assert np.allclose(_mul(c, _reciprocal(c)), expect, atol=1e-12)
+
+    def test_reciprocal_matches_geometric(self):
+        # 1/(1-z) = sum z^k
+        b = np.array([1.0, -1.0, 0.0, 0.0, 0.0, 0.0, 0.0])
+        assert np.allclose(_reciprocal(b), np.ones(7))
+
+    def test_compose_against_polynomial_oracle(self):
+        # outer(inner(z)) for small polynomials, checked by numpy
+        # polynomial algebra; a constant term of inner is dropped
+        outer = np.array([1.0, -2.0, 0.5, 1.0, 0.0, 0.0])
+        inner = np.array([0.0, 1.0, 2.0, -1.0, 0.0, 0.0])
+        expect = np.polynomial.Polynomial(outer)(
+            np.polynomial.Polynomial(inner)).coef[:6]
+        assert np.allclose(_compose(outer, inner), expect, atol=1e-12)
+        inner[0] = 0.7
+        assert np.allclose(_compose(outer, inner), expect, atol=1e-12)
 
 
 class TestSolveC:
@@ -251,6 +280,12 @@ class TestOracle:
         oracle = oracle_coefficients(alpha, lam, 1)
         u = 1.0 + c * c
         assert 1.0 / u ** 2 <= oracle.coeffs[1] <= 1.0 / u
+
+    @pytest.mark.parametrize("order", [-1, -2, 33])
+    def test_order_checked(self, order):
+        # -1 raised IndexError, -2 ValueError, 33 ran
+        with pytest.raises(DomainError):
+            oracle_coefficients(1.0, 1.0, order)
 
     def test_raises_where_its_law_loses_mass(self):
         # the 2048-node law misses 1.7e-7 of its mass here, and the oracle's

@@ -180,6 +180,18 @@ class TestTransformCommand:
         assert doc["fid_certificate"]["points"] > 200 * 200
 
 
+    def test_out_of_range_cumulant_exit_code(self, capsys):
+        # kappa_52 overflows: a traceback and exit 1 at order 64, as the
+        # series raised OverflowError
+        code = run(["transform", "--alpha", "1e-6", "--beta", "1",
+                    "--lambda", "0", "--order", "64"])
+        captured = capsys.readouterr()
+        assert code == 3
+        assert captured.out == ""
+        assert captured.err.startswith("fgig: numeric failure: ")
+        assert captured.err.count("\n") == 1
+
+
 class TestLevyCommand:
     def test_report_passes(self, capsys):
         code, out = run_capture(capsys, [

@@ -182,6 +182,12 @@ class TestReparameterize:
         with pytest.raises(DomainError):
             reparameterize(SpreadForm(0.0, 4.0, 0.0))
 
+    def test_overflowing_spread_is_numeric(self):
+        # B = (sqrt(a) + sqrt(b))**2 ~ 4.9e308 overflows; it raised
+        # OverflowError
+        with pytest.raises(NumericError):
+            reparameterize(SupportForm(1e308, 1.5e308, 0.0))
+
     def test_narrow_forms_do_not_cancel(self):
         # references at 50 digits; a difference of square roots read A
         # 3.1e-9 and a 2.0e-10 relative off
@@ -318,6 +324,12 @@ class TestValidate:
         with pytest.raises(DomainError) as exc:
             SpreadForm(-1.0, 2.0, 0.0)
         assert str(exc.value) == "invalid spread parameters: A > 0 violated"
+
+    def test_spread_infinite_b(self):
+        # it passed validation, as max(1,|lam|)*A < inf
+        with pytest.raises(DomainError) as exc:
+            SpreadForm(1.0, math.inf, 0.0)
+        assert str(exc.value) == "invalid spread parameters: B < inf violated"
 
     def test_spread_lambda_violation(self):
         for lam in (3.0, math.nan):

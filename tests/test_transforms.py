@@ -298,6 +298,26 @@ class TestFreeCumulants:
         with pytest.raises(DomainError):
             free_cumulants(NaturalParams(1.0, 1.0, 0.0), 65)
 
+    def test_where_the_closed_form_cancelled(self, levy_moments40):
+        # the series of the closed form read kappa_3 = -2.80e-7 here, where
+        # the Levy-measure moment is +6.25e-11
+        p = NaturalParams(1e-3, 1e-3, -3.0)
+        want = [float(m) for m in levy_moments40(p, 8)]
+        assert free_cumulants(p, 8) == pytest.approx(want, rel=1e-12, abs=0)
+
+    def test_right_or_raise_at_every_order(self, levy_moments40):
+        # kappa_52 ~ 4e304/alpha overflows; order 52 raised OverflowError
+        # from (-1/eta)**k, and order 51 warned from the geometric series
+        p = NaturalParams(1e-6, 1.0, 0.0)
+        want = [float(m) for m in levy_moments40(p, 51)]
+        for n in range(1, 65):
+            if n <= 51:
+                assert free_cumulants(p, n) == pytest.approx(
+                    want[:n], rel=1e-12, abs=0)
+            else:
+                with pytest.raises(NumericError):
+                    free_cumulants(p, n)
+
 
 class TestRAdditivity:
     def test_transform_identity_on_grid(self):

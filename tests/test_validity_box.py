@@ -6,7 +6,8 @@ does not use the package's solver, and every form computed from it builds,
 also within rounding of the box's edge.  The R-transform at its removable
 points, its pole, its branch point and off the axis over the same box,
 against a 40-digit closed form on that support, and the Levy--Khintchine
-closed forms against it and a 40-digit quadrature.  The cdf knots of the
+closed forms against it and a 40-digit quadrature; the free cumulants
+against the 40-digit moments of the Levy measure.  The cdf knots of the
 built laws over the same box, against a 40-digit quadrature.  The
 classical side over it: ``log K`` against 40-digit mpmath and the Gibbs
 gap.  The free Poisson identity over the convolve box: alpha and beta
@@ -36,7 +37,7 @@ from fgig.levy import levy_triplet, min1x_integral, reconstruct_cumulant
 from fgig.measures import (FreePoissonParams, build_fgig, build_free_poisson,
                            dilate, kolmogorov_distance)
 from fgig.params import solve_spread
-from fgig.transforms import cauchy, r_fgig
+from fgig.transforms import cauchy, free_cumulants, r_fgig
 
 hypothesis = pytest.importorskip("hypothesis")
 st = hypothesis.strategies
@@ -226,6 +227,21 @@ def test_levy_min1x(roots40, log_alpha, log_beta, lam):
     if L <= 1:
         mean = r_fgig(p, 0.0).real
         assert abs(got - (mean - max(lam, 0.0) / p.alpha)) <= 1e-12 * mean
+
+
+@hypothesis.settings(derandomize=True, database=None, deadline=None,
+                     max_examples=200)
+@hypothesis.given(log_alpha=st.floats(-6.0, 6.0),
+                  log_beta=st.floats(-6.0, 6.0), lam=st.floats(-50.0, 50.0))
+def test_free_cumulants(levy_moments40, log_alpha, log_beta, lam):
+    # orders 1 to 8 against the 40-digit moments of the Levy measure, and
+    # kappa_1 against r(0)
+    p = NaturalParams(10.0 ** log_alpha, 10.0 ** log_beta, lam)
+    got = free_cumulants(p, 8)
+    want = [float(m) for m in levy_moments40(p, 8)]
+    assert got == pytest.approx(want, rel=1e-12, abs=0.0)
+    mean = r_fgig(p, 0.0).real
+    assert abs(got[0] - mean) <= 1e-14 * mean
 
 
 @hypothesis.settings(derandomize=True, database=None, deadline=None,
