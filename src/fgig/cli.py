@@ -153,6 +153,8 @@ def _run_transform(args):
         "tolerance": cert.tol,
         "passed": cert.passed,
         "points": cert.n_points,
+        "cut_residual": cert.cut_residual,
+        "sign_pattern": cert.sign_pattern,
     }
     if args.grid:
         xs = _parse_grid(args.grid)

@@ -244,7 +244,8 @@ def _solve_ratio(alpha, beta, lam):
     ------
     NumericError
         If ``alpha*beta`` under- or overflows: ``t`` would then round to
-        0 or 1 and the support would not be representable.
+        0 or 1 and the support would not be representable.  If ``A`` or
+        ``B`` overflows, as for a subnormal ``alpha``.
     """
     c = 2.0 * math.sqrt(alpha * beta)
     if not 0.0 < c < math.inf:
@@ -270,7 +271,10 @@ def _solve_ratio(alpha, beta, lam):
     if lam < 0:
         plus, minus = minus, plus
     A = 2.0 * plus / alpha
-    return t, A, A / t, u, plus, minus
+    B = A / t
+    if not B < math.inf:  # B >= A > 0
+        raise NumericError("spread coordinates A, B overflow")
+    return t, A, B, u, plus, minus
 
 
 def solve_spread(p):
@@ -333,13 +337,16 @@ def spectral_roots(p):
 
         gamma = -2*((1 - t)*(1 + lam*t) + (1 - lam*t)) / (B*(1 - t)**2)
         delta = -2*(1 + lam*t) / (B*(1 - t))
-        eta   = 2 / (A*(1 - lam*t))
+        eta   = alpha / ((1 + lam*t)*(1 - lam*t))
 
     Every factor is formed without cancellation, so the identity
-    ``4*beta*eta*delta**2 == alpha**2`` holds to rounding.
+    ``4*beta*eta*delta**2 == alpha**2`` holds to rounding.  ``eta`` is
+    formed as ``alpha + alpha (lam t)**2/((1 + lam t)(1 - lam t))``, so
+    ``alpha <= eta`` holds in floating point too, with equality at
+    ``lam == 0``.
     """
-    _, A, B, u, plus, minus = _solve_ratio(p.alpha, p.beta, p.lam)
+    t, _, B, u, plus, minus = _solve_ratio(p.alpha, p.beta, p.lam)
     gamma = -2.0 * (u * plus + minus) / (B * u * u)
     delta = -2.0 * plus / (B * u)
-    eta = 2.0 / (A * minus)
+    eta = p.alpha + p.alpha * (p.lam * t) ** 2 / (plus * minus)
     return SpectralRoots(gamma, delta, eta)

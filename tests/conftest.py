@@ -144,9 +144,10 @@ def roots40(support40):
     numbers, ``delta`` and ``eta`` on the 40-digit support.
 
     ``spectral_roots``' ``delta = -2 (1 + lam t)/(B (1 - t))`` and
-    ``eta = 2/(A (1 - lam t))``, ``t = A/B``, with ``1 + lam t = alpha A/2``
-    and ``1 - lam t = 8 beta A/(B - A)**2`` from the spread form of
-    ``(alpha, beta)``, and ``B - A = 4 sqrt(ab)``: nothing cancels.
+    ``eta = alpha/((1 + lam t)(1 - lam t))``, ``t = A/B``, with
+    ``1 + lam t = alpha A/2`` and ``1 - lam t = 8 beta A/(B - A)**2`` from
+    the spread form of ``(alpha, beta)``, and ``B - A = 4 sqrt(ab)``:
+    nothing cancels.
     """
     mp = pytest.importorskip("mpmath")
 

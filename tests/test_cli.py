@@ -176,8 +176,11 @@ class TestTransformCommand:
         assert code == 0
         doc = json.loads(out)
         assert doc["free_cumulants"][0] == pytest.approx(2.125)
-        assert doc["fid_certificate"]["passed"] is True
-        assert doc["fid_certificate"]["points"] > 200 * 200
+        cert = doc["fid_certificate"]
+        assert cert["passed"] is True
+        assert cert["sign_pattern"] is True
+        assert cert["cut_residual"] <= 2e-9
+        assert cert["points"] == 800
 
 
     def test_out_of_range_cumulant_exit_code(self, capsys):
@@ -190,6 +193,17 @@ class TestTransformCommand:
         assert captured.out == ""
         assert captured.err.startswith("fgig: numeric failure: ")
         assert captured.err.count("\n") == 1
+
+    def test_subnormal_alpha_exit_code(self, capsys):
+        # A = 2/alpha overflows: exit 2 and "max(1,|lam|)*A < B violated"
+        # blamed the valid triple
+        code = run(["transform", "--alpha", "1e-310", "--beta", "1e10",
+                    "--lambda", "0"])
+        captured = capsys.readouterr()
+        assert code == 3
+        assert captured.out == ""
+        assert captured.err == ("fgig: numeric failure: spread coordinates "
+                                "A, B overflow\n")
 
 
 class TestLevyCommand:
@@ -413,7 +427,6 @@ class TestImports:
         ("invert_params", "the law of 1/X: mu(beta, alpha, -lam)"),
         ("levy_distance", "the Levy metric between two laws; "
                           "convergence_curve reuses the limit's graph"),
-        ("levy_density", "the density of the free Levy measure of C04"),
         ("mode", "the mode that C06 reads"),
         ("r_free_poisson", "the Marchenko--Pastur R-transform C07 reads"),
         ("scaling_exponents", "the small-beta exponents C09 reads"),

@@ -131,6 +131,14 @@ class TestSolveSupport:
         with pytest.raises(NumericError):
             solve_support(NaturalParams(alpha, beta, 0.5))
 
+    @pytest.mark.parametrize("solve", [solve_spread, solve_support,
+                                       spectral_roots])
+    def test_subnormal_alpha_raises(self, solve):
+        # A = 2/alpha overflows: solve_spread raised DomainError for this
+        # valid triple, and spectral_roots returned eta = 0.0 < alpha
+        with pytest.raises(NumericError, match="A, B overflow"):
+            solve(NaturalParams(1e-310, 1e10, 0.0))
+
     def test_spread_where_ratio_rounds_to_one(self):
         # A/B = 1 - 2.3e-20 rounds to 1: B is the next float above A, and
         # the spread form no longer resolves a.  Its exact image (50
@@ -209,7 +217,7 @@ class TestSpectralRoots:
     def test_lambda_zero_degeneracies(self):
         p = NaturalParams(0.7, 1.9, 0.0)
         r = spectral_roots(p)
-        assert r.eta == pytest.approx(p.alpha, rel=1e-12)
+        assert r.eta == p.alpha
         assert r.delta == pytest.approx(-math.sqrt(p.alpha / (4 * p.beta)), rel=1e-12)
 
     def test_invariants_random(self):

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from fgig import (DomainError, NaturalParams, NumericError, PoleError,
-                  spectral_roots)
+                  SpectralRoots, levy, spectral_roots, transforms)
 from fgig.measures import (FreePoissonParams, atom_measure, build_fgig,
                            build_free_poisson, fgig_density, moment)
 from fgig.transforms import (
@@ -331,18 +331,72 @@ class TestRAdditivity:
 
 
 class TestFidCertificate:
-    @pytest.mark.parametrize("triple", [(2.0, 8.0, 0.0), (1.0, 1.0, 5.0),
-                                        (0.5, 2.0, -3.0),
-                                        # the closed form cancels here
-                                        (697.24, 437.65, 0.1535),
-                                        (0.0180, 15.32, -0.0369),
-                                        (1e3, 1e3, 3.0)])
+    TRIPLES = [(2.0, 8.0, 0.0), (1.0, 1.0, 5.0), (0.5, 2.0, -3.0),
+               # the closed form cancels here
+               (697.24, 437.65, 0.1535), (0.0180, 15.32, -0.0369),
+               (1e3, 1e3, 3.0)]
+
+    @pytest.mark.parametrize("triple", TRIPLES)
     def test_passes(self, triple):
         report = fid_certificate(NaturalParams(*triple))
         assert report.passed
+        assert report.sign_pattern
         assert report.max_imag <= 1e-9
+        assert report.cut_residual <= 2e-9
 
     def test_report_fields(self):
         report = fid_certificate(NaturalParams(1.0, 1.0, 0.5))
-        assert report.n_points > 200 * 200
+        assert report.n_points == 800
         assert report.tol == 1e-9
+
+    @pytest.mark.parametrize("triple", TRIPLES)
+    def test_imaginary_offset_fails_off_the_cut(self, monkeypatch, triple):
+        # 1e-9 passes the stated max Im r <= 1e-9 and the cut gate; only
+        # the off-cut gate, |Im r| <= 1e-15 max |r|, catches it
+        monkeypatch.setattr(transforms, "r_fgig",
+                            lambda p, z: r_fgig(p, z) + 1e-9j)
+        report = fid_certificate(NaturalParams(*triple))
+        assert report.max_imag <= report.tol
+        assert report.cut_residual <= 2e-9
+        assert report.sign_pattern
+        assert not report.passed
+
+    @pytest.mark.parametrize("flip", [
+        lambda sqrt: lambda self, z: -sqrt(self, z),  # the other sheet
+        # the branch continuous from above: -i sqrt(beta (x - eta)) on the cut
+        lambda sqrt: lambda self, z: np.conj(sqrt(self, np.conj(z))),
+    ])
+    @pytest.mark.parametrize("triple", TRIPLES)
+    def test_flipped_branch_fails(self, monkeypatch, triple, flip):
+        monkeypatch.setattr(BranchedSqrtEvaluator, "__call__",
+                            flip(BranchedSqrtEvaluator.__call__))
+        report = fid_certificate(NaturalParams(*triple))
+        assert report.max_imag > report.tol
+        assert not report.passed
+
+    @staticmethod
+    def delta_above_zero(p):
+        r = spectral_roots(p)
+        return SpectralRoots(r.gamma, -r.delta, r.eta)
+
+    @pytest.mark.parametrize("triple", TRIPLES)
+    def test_levy_density_with_delta_above_zero_fails(self, monkeypatch,
+                                                      triple):
+        # tau with 1 + |delta| x for 1 - delta x: the boundary identity
+        # breaks, as nothing else the certificate reads moved
+        monkeypatch.setattr(levy, "spectral_roots", self.delta_above_zero)
+        report = fid_certificate(NaturalParams(*triple))
+        assert report.sign_pattern
+        assert report.cut_residual > 2e-9
+        assert not report.passed
+
+    @pytest.mark.parametrize("triple", TRIPLES)
+    def test_roots_with_delta_above_zero_fail(self, monkeypatch, triple):
+        # delta moved for r and tau alike: the theorem's route fails on
+        # the roots alone
+        monkeypatch.setattr(levy, "spectral_roots", self.delta_above_zero)
+        monkeypatch.setattr(transforms, "spectral_roots",
+                            self.delta_above_zero)
+        report = fid_certificate(NaturalParams(*triple))
+        assert not report.sign_pattern
+        assert not report.passed

@@ -5,10 +5,11 @@ The support solve over the validity box: alpha and beta log-uniform in
 does not use the package's solver, and every form computed from it builds,
 also within rounding of the box's edge.  The R-transform at its removable
 points, its pole, its branch point and off the axis over the same box,
-against a 40-digit closed form on that support, and the Levy--Khintchine
-closed forms against it and a 40-digit quadrature; the free cumulants
-against the 40-digit moments of the Levy measure.  The cdf knots of the
-built laws over the same box, against a 40-digit quadrature.  The
+against a 40-digit closed form on that support; the divisibility
+certificate over the same box, passed or NumericError; and the
+Levy--Khintchine closed forms against it and a 40-digit quadrature; the free
+cumulants against the 40-digit moments of the Levy measure.  The cdf knots
+of the built laws over the same box, against a 40-digit quadrature.  The
 classical side over it: ``log K`` against 40-digit mpmath and the Gibbs
 gap.  The free Poisson identity over the convolve box: alpha and beta
 log-uniform in [0.25, 8], lam in [0.1, 4]; and over the validity box with
@@ -37,7 +38,8 @@ from fgig.levy import levy_triplet, min1x_integral, reconstruct_cumulant
 from fgig.measures import (FreePoissonParams, build_fgig, build_free_poisson,
                            dilate, kolmogorov_distance)
 from fgig.params import solve_spread
-from fgig.transforms import cauchy, free_cumulants, r_fgig
+from fgig.transforms import (cauchy, fid_certificate, free_cumulants,
+                             r_fgig)
 
 hypothesis = pytest.importorskip("hypothesis")
 st = hypothesis.strategies
@@ -63,6 +65,7 @@ def test_support_solve(support40, log_alpha, log_beta, lam):
     r = spectral_roots(p)
     assert (abs(4.0 * p.beta * r.eta * r.delta ** 2 - p.alpha ** 2)
             <= 1e-12 * p.alpha ** 2)
+    assert r.delta < 0.0 < p.alpha <= r.eta  # the sign pattern, unrounded
 
     sf, back = solve_spread(p), reparameterize(s)
     assert back.A == pytest.approx(sf.A, rel=1e-12)
@@ -150,6 +153,21 @@ def test_r_transform(roots40, log_alpha, log_beta, lam):
         want = complex(reference(z))
         tol = 1e-10 + 8 * np.finfo(float).eps * eta_f / abs(eta_f - z)
         assert abs(got - want) <= tol * abs(want), (z, got, want)
+
+
+@hypothesis.settings(derandomize=True, database=None, deadline=None,
+                     max_examples=300)
+@hypothesis.given(log_alpha=st.floats(-6.0, 6.0),
+                  log_beta=st.floats(-6.0, 6.0), lam=st.floats(-50.0, 50.0))
+def test_fid_certificate(log_alpha, log_beta, lam):
+    # the sign pattern, Im r <= 1e-9 on the axis, the cut against the Levy
+    # density and Im r = 0 left of it: passed, or NumericError
+    try:
+        report = fid_certificate(
+            NaturalParams(10.0 ** log_alpha, 10.0 ** log_beta, lam))
+    except NumericError:
+        return
+    assert report.passed, report
 
 
 @hypothesis.settings(derandomize=True, database=None, deadline=None,
