@@ -21,9 +21,8 @@ from dataclasses import replace
 import numpy as np
 
 from .errors import DomainError
-from .measures import (FreePoissonParams, _atoms_cauchy,
-                       _completed_graph, _graph_gap, atom_measure, build_fgig,
-                       build_free_poisson)
+from .measures import (FreePoissonParams, _atoms_cauchy, atom_measure,
+                       build_fgig, build_free_poisson, levy_distance)
 from .params import NaturalParams, solve_support
 
 REGIME_LAM_GE_1 = "lambda_ge_1"
@@ -54,8 +53,8 @@ def _scaled_copy(m, weight, extra_atoms):
         return _w * _f(x)
 
     return replace(m, atoms=atoms, density=density,
-                   weights=weight * m.weights, cdf_y=weight * m.cdf_y,
-                   cauchy_fn=cauchy_fn, ac_cdf=ac_cdf)
+                   weights=weight * m.weights, cauchy_fn=cauchy_fn,
+                   ac_cdf=ac_cdf)
 
 
 def limit_regime(lam):
@@ -87,12 +86,12 @@ def convergence_curve(alpha, lam, betas):
     The lower two regimes put an atom at the origin, which the family
     approximates by an ever steeper ramp: the sup-distance of the
     distribution functions then stays pinned near the atom mass, so the
-    weak-convergence (Levy) metric is the honest yardstick here.  The
-    limit's completed graph is built once for the whole curve.
+    weak-convergence (Levy) metric is the honest yardstick here.  One
+    limit law serves the whole curve, so its completed graph is built once.
     """
-    graph = _completed_graph(limit_measure(alpha, lam))
-    return [_graph_gap(_completed_graph(
-        build_fgig(NaturalParams(alpha, float(b), lam), _CURVE_NODES)), graph)
+    limit = limit_measure(alpha, lam)
+    return [levy_distance(
+        build_fgig(NaturalParams(alpha, float(b), lam), _CURVE_NODES), limit)
             for b in betas]
 
 

@@ -14,12 +14,14 @@ Every measure carries its own a.c. cdf, as it carries its Cauchy
 transform.  In the substitution ``x = mid + rad*cos(theta)``, which absorbs
 the edge singularities, each law gives the mass above ``x`` in closed form
 in ``theta`` (a convolution output by a sine series), read at
-``theta(x)`` for ``cdf`` and :func:`kolmogorov_distance`, and kept as
-knots at the angles ``k pi/N`` for :func:`levy_distance`: the Levy metric
-is the largest vertical gap between the two completed cdf graphs along
-the lines ``x + y = s``, each graph a cubic Hermite in ``s`` through the
-cdf and atom knots with slopes ``rho/(1 + rho)`` (1 along an atom's
-jump), taken once on the merged knots and midpoints with no tolerance.
+``theta(x)`` by ``cdf`` for :func:`kolmogorov_distance` and
+:func:`levy_distance` alike.  The Levy metric is the largest vertical gap
+between the two completed cdf graphs along the lines ``x + y = s``, each
+graph a cubic Hermite in ``s`` through knots with slopes
+``rho/(1 + rho)`` (1 along an atom's jump), taken once on the merged
+knots and midpoints with no tolerance.  A law keeps only the knots'
+abscissas, at the angles ``k pi/N``; their heights come from its ``cdf``,
+once per law.
 Every absolutely continuous measure is built this way or is an affine or
 reciprocal image of one; a convolution output is nothing but its chopped
 Chebyshev coefficient vector, whose density, Cauchy transform and mass
@@ -35,7 +37,7 @@ through the change of variables.
 
 import math
 from dataclasses import dataclass, field, replace
-from functools import lru_cache, partial
+from functools import cached_property, lru_cache, partial
 from typing import Callable, Optional
 
 import numpy as np
@@ -69,8 +71,10 @@ class SpectralMeasure:
     approximates ``integral f d(mu_ac)``.  ``density`` is a vectorized
     evaluator vanishing outside ``support``.  ``ac_cdf`` gives the a.c.
     mass at or below ``x`` as an array, vectorized; its total need not
-    equal the weights' sum, and atoms are added by ``cdf``.  The knots
-    ``cdf_x``/``cdf_y`` hold exact values of it for the Levy distance.
+    equal the weights' sum, and atoms are added by ``cdf``.  ``cdf_x``
+    holds the abscissas of the knots of the Levy distance's completed
+    graph, whose heights come from ``cdf``; it is empty for an atomic
+    measure.
     ``chebyshev`` marks nodes of the Gauss--Chebyshev (second kind) rule,
     ``x_j = mid + rad*cos(j pi/(n+1))`` in order, whose uniform angles
     the log-energy quadrature needs.  ``cauchy_fn`` is the vectorized
@@ -82,8 +86,7 @@ class SpectralMeasure:
     density: Optional[Callable]
     nodes: np.ndarray
     weights: np.ndarray
-    cdf_x: Optional[np.ndarray] = None
-    cdf_y: Optional[np.ndarray] = None
+    cdf_x: np.ndarray
     chebyshev: bool = field(default=False, repr=False)
     cauchy_fn: Callable = field(repr=False)
     ac_cdf: Callable = field(repr=False)
@@ -108,10 +111,13 @@ class SpectralMeasure:
 
     def breakpoints(self):
         """Evaluation grid dense enough to locate sup-distances."""
-        pieces = [np.array([loc for loc, _ in self.atoms])]
-        if self.cdf_x is not None:
-            pieces.append(self.cdf_x)
-        return np.concatenate(pieces) if pieces else np.array([])
+        return np.concatenate(([loc for loc, _ in self.atoms], self.cdf_x))
+
+    @cached_property
+    def _graph(self):
+        """The :func:`_completed_graph` of this law, built on first use;
+        ``replace`` starts a new law without it."""
+        return _completed_graph(self)
 
 
 # ---------------------------------------------------------------------------
@@ -120,17 +126,15 @@ class SpectralMeasure:
 
 @lru_cache(maxsize=4)
 def _knot_angles(n_knots):
-    """Knot angles ``theta = k pi/N``, ``k = 0..N``, with ``sin(theta/2)``
-    and ``cos(theta/2)``; shared, so read-only.
+    """``sin(theta/2)`` and ``cos(theta/2)`` at the knot angles
+    ``theta = k pi/N``, ``k = 0..N``; shared, so read-only.
 
-    The angles are those of :func:`_edge_matched_rule`, to the bit, when
-    ``N = n + 1``.  The last can round off ``pi``, where ``sin(theta)``
-    changes sign, so it is set to ``pi``, and its ``cos(theta/2)`` to 0.
+    The last angle can round off ``pi``, so its pair is set to that of
+    ``pi``, ``(1, 0)``.
     """
     theta = np.arange(n_knots + 1) * math.pi / n_knots
-    theta[-1] = math.pi
-    out = (theta, np.sin(0.5 * theta), np.cos(0.5 * theta))
-    out[2][-1] = 0.0
+    out = (np.sin(0.5 * theta), np.cos(0.5 * theta))
+    out[0][-1], out[1][-1] = 1.0, 0.0
     for a in out:
         a.flags.writeable = False
     return out
@@ -225,15 +229,28 @@ def _edge_matched_rule(n, p_exp, q_exp):
     return out
 
 
+def _jacobi_density(lo, hi, g, p_exp, q_exp, x):
+    """``(x-lo)**p (hi-x)**q g(x)`` inside ``(lo, hi)``, zero outside;
+    vectorized in ``x``."""
+    x = np.asarray(x, dtype=float)
+    inside = (x > lo) & (x < hi)
+    out = np.zeros_like(x)
+    if np.any(inside):
+        xi = np.where(inside, x, 0.5 * (lo + hi))
+        vals = np.power(xi - lo, p_exp) * np.power(hi - xi, q_exp) * g(xi)
+        out = np.where(inside, vals, 0.0)
+    return out if out.ndim else float(out)
+
+
 def _jacobi_measure(lo, hi, g, p_exp=0.5, q_exp=0.5, n=256, atoms=(), *,
                     cauchy_fn, upper, n_knots=_DEFAULT_KNOTS):
     """Measure with density ``(x-lo)**p (hi-x)**q g(x)`` on ``(lo, hi)``.
 
     ``upper(theta, sin(theta/2), cos(theta/2))`` is the a.c. mass above
-    ``mid + rad*cos(theta)``, vectorized.  ``cdf`` reads it at the angle
-    of ``x``, the knots at the cached angles ``_knot_angles(n_knots)``,
-    whose abscissas ``hi cos(theta/2)**2 + lo sin(theta/2)**2`` keep their
-    relative accuracy at both edges.
+    ``mid + rad*cos(theta)``, vectorized; ``cdf`` reads it at the angle
+    of ``x``.  The knot abscissas ``hi cos(theta/2)**2 + lo sin(theta/2)**2``
+    at the cached angles ``_knot_angles(n_knots)`` keep their relative
+    accuracy at both edges.
     """
     if not hi > lo:
         raise DomainError("support must be a nondegenerate interval")
@@ -242,20 +259,8 @@ def _jacobi_measure(lo, hi, g, p_exp=0.5, q_exp=0.5, n=256, atoms=(), *,
     t, w = _edge_matched_rule(n, p_exp, q_exp)
     nodes = mid + rad * t
     weights = rad ** (p_exp + q_exp + 1.0) * w * g(nodes)
-
-    def density(x, _lo=lo, _hi=hi, _g=g, _p=p_exp, _q=q_exp):
-        x = np.asarray(x, dtype=float)
-        inside = (x > _lo) & (x < _hi)
-        out = np.zeros_like(x)
-        if np.any(inside):
-            xi = np.where(inside, x, mid)
-            vals = (np.power(xi - _lo, _p) * np.power(_hi - xi, _q) * _g(xi))
-            out = np.where(inside, vals, 0.0)
-        return out if out.ndim else float(out)
-
-    theta, sh, ch = _knot_angles(n_knots)
-    knots = upper(theta, sh, ch)
-    total = knots[-1]
+    sh, ch = _knot_angles(n_knots)
+    total = float(upper(math.pi, 1.0, 0.0))  # the a.c. mass
 
     def ac_cdf(x):
         # sin and cos of theta(x)/2, exactly 1 and 0 beyond the edges
@@ -265,9 +270,10 @@ def _jacobi_measure(lo, hi, g, p_exp=0.5, q_exp=0.5, n=256, atoms=(), *,
         return np.clip(total - upper(2.0 * np.arctan2(s, c), s, c), 0.0, total)
 
     return SpectralMeasure(atoms=tuple(atoms), support=(lo, hi),
-                           density=density, nodes=nodes, weights=weights,
+                           density=partial(_jacobi_density, lo, hi, g,
+                                           p_exp, q_exp),
+                           nodes=nodes, weights=weights,
                            cdf_x=(hi * ch * ch + lo * sh * sh)[::-1],
-                           cdf_y=np.clip(total - knots, 0.0, None)[::-1],
                            chebyshev=(p_exp == 0.5 and q_exp == 0.5),
                            cauchy_fn=cauchy_fn, ac_cdf=ac_cdf)
 
@@ -286,6 +292,7 @@ def atom_measure(atoms):
     atoms = tuple(atoms)
     return SpectralMeasure(atoms=atoms, support=None, density=None,
                            nodes=np.array([]), weights=np.array([]),
+                           cdf_x=np.array([]),
                            cauchy_fn=partial(_atoms_cauchy, atoms),
                            ac_cdf=np.zeros_like)
 
@@ -420,7 +427,7 @@ def _chebyshev_measure(lo, hi, values):
       ``e_m = (c_m - c_{m-2})/m``, the sine sum
       ``sin(theta) sum_m e_m U_{m-1}(cos(theta))`` by :func:`_clenshaw_u`.
 
-    The cdf knots sit at the node angles.
+    The knot abscissas sit at the node angles and the two edges.
     """
     c = _chebyshev_coefficients(values)
     mid, rad = 0.5 * (lo + hi), 0.5 * (hi - lo)
@@ -486,17 +493,10 @@ def fgig_density(p, x):
 
         (1/2pi) * sqrt((x-a)(b-x)) * (alpha/x + beta/(sqrt(ab) x^2))
 
-    inside.  Vectorized in ``x``.
+    inside, the density of :func:`build_fgig`.  Vectorized in ``x``.
     """
     g, s = _fgig_smooth_factor(p)
-    x = np.asarray(x, dtype=float)
-    inside = (x > s.a) & (x < s.b)
-    out = np.zeros_like(x)
-    if np.any(inside):
-        xi = np.where(inside, x, 0.5 * (s.a + s.b))
-        vals = np.sqrt(np.clip((xi - s.a) * (s.b - xi), 0.0, None)) * g(xi)
-        out = np.where(inside, vals, 0.0)
-    return out if out.ndim else float(out)
+    return _jacobi_density(s.a, s.b, g, 0.5, 0.5, x)
 
 
 def _auto_nodes(n, lo, hi, pole_dist):
@@ -594,10 +594,7 @@ def moment(m, k):
         if m.support is not None and m.support[0] <= 1e-12:
             raise DomainError("negative moment requires support bounded away "
                               "from zero")
-    total = sum(w * loc ** k for loc, w in m.atoms)
-    if m.nodes.size:
-        total += float(np.sum(m.weights * m.nodes ** float(k)))
-    return total
+    return float(integrate(m, lambda x: x ** float(k)))
 
 
 def mode(p):
@@ -663,9 +660,8 @@ def pushforward_reciprocal(m):
     nodes = 1.0 / m.nodes[::-1]
     weights = m.weights[::-1].copy()
     cdf_x = 1.0 / m.cdf_x[::-1]
-    cdf_y = np.clip(m.cdf_y[-1] - m.cdf_y[::-1], 0.0, None)
 
-    def ac_cdf(y, _f=m.ac_cdf, _total=m.cdf_y[-1]):
+    def ac_cdf(y, _f=m.ac_cdf, _total=float(m.ac_cdf(hi))):
         # mass at or above 1/y
         y = np.asarray(y, dtype=float)
         pos = y > 0
@@ -681,7 +677,7 @@ def pushforward_reciprocal(m):
     return SpectralMeasure(atoms=atoms,
                            support=(float(cdf_x[0]), float(cdf_x[-1])),
                            density=density, nodes=nodes, weights=weights,
-                           cdf_x=cdf_x, cdf_y=cdf_y, cauchy_fn=cauchy_fn,
+                           cdf_x=cdf_x, cauchy_fn=cauchy_fn,
                            ac_cdf=ac_cdf)
 
 
@@ -744,9 +740,9 @@ def _completed_graph(m):
 
     The completed graph is the graph of the cdf with every jump filled in
     by a vertical segment, so each line ``x + y = s`` meets it once, and
-    ``s`` increases along it.  Knots are the cdf knots plus, per atom, its
-    left and right limits at ``loc`` (an atom on a cdf knot replaces that
-    knot), each at height a.c. mass plus atom mass below.
+    ``s`` increases along it.  Knots are the abscissas ``cdf_x`` plus, per
+    atom, its left and right limits at ``loc`` (an atom on a knot replaces
+    that knot), at the heights ``cdf`` gives.
 
     Between knots the height is the cubic Hermite with slopes
     ``dy/ds = rho/(1 + rho)``, ``rho`` the density one ulp inside the
@@ -757,10 +753,10 @@ def _completed_graph(m):
     ``y + t (A + t (B + t C))`` in ``t = (s - s_j)/h``; the last (open)
     interval is flat.
     """
-    if m.atoms or m.cdf_x is None:
+    if m.atoms:
         x, y = _graph_knots(m)
     else:
-        x, y = m.cdf_x, m.cdf_y  # in order already
+        x, y = m.cdf_x, m.ac_cdf(m.cdf_x)  # in order already
 
     slope = np.zeros_like(x)
     if m.density is not None:
@@ -781,23 +777,13 @@ def _completed_graph(m):
 
 def _graph_knots(m):
     """Knots ``(x, y)`` of the completed graph of a measure with atoms,
-    sorted by ``x`` and then ``y``."""
-    atoms = sorted(m.atoms)
-    locs = np.array([loc for loc, _ in atoms], dtype=float)
-    below = np.concatenate(([0.0], np.cumsum([w for _, w in atoms])))
-    if m.cdf_x is None:
-        tx = ty = np.array([])
-        base = np.zeros_like(locs)
-    else:
-        keep = ~np.isin(m.cdf_x, locs)
-        tx = m.cdf_x[keep]
-        ty = m.cdf_y[keep] + below[np.searchsorted(locs, tx, side="right")]
-        # exact on a cdf knot and beyond the knots; no atom in this
-        # package sits strictly inside an absolutely continuous support
-        base = np.interp(locs, m.cdf_x, m.cdf_y)
-    x = np.concatenate((tx, np.repeat(locs, 2)))
-    y = np.concatenate((ty, np.repeat(base, 2)
-                        + np.column_stack((below[:-1], below[1:])).ravel()))
+    sorted by ``x`` and then ``y``: the abscissas ``cdf_x`` off the atoms
+    at their ``cdf``, and each atom at its ``cdf_left`` and ``cdf``."""
+    locs = np.unique([loc for loc, _ in m.atoms])
+    tx = m.cdf_x[~np.isin(m.cdf_x, locs)]
+    x = np.concatenate((tx, locs, locs))
+    y = np.concatenate((m.cdf(tx), [m.cdf_left(loc) for loc in locs],
+                        m.cdf(locs)))
     order = np.lexsort((y, x))
     return x[order], y[order]
 
@@ -824,9 +810,11 @@ def levy_distance(m1, m2):
 
     with each height ``y(s)`` the cubic Hermite of
     :func:`_completed_graph`'s knots and slopes.  The sup is read once on
-    the merged knots and their midpoints, with no tolerance to set.
+    the merged knots and their midpoints, with no tolerance to set.  Each
+    law builds its graph once, so a curve of distances to one limit
+    builds the limit's graph once.
     """
-    return _graph_gap(_completed_graph(m1), _completed_graph(m2))
+    return _graph_gap(m1._graph, m2._graph)
 
 
 def _graph_gap(g1, g2):

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from fgig import NaturalParams, spectral_roots
-from fgig import asymptotics
+from fgig import measures
 from fgig.asymptotics import (
     REGIME_ABS_LT_1,
     REGIME_LAM_GE_1,
@@ -87,13 +87,13 @@ class TestConvergenceCurve:
         # k betas take k fGIG graphs and one limit graph, and give the
         # Levy distances to the limit bit for bit
         calls = []
-        graph = asymptotics._completed_graph
+        graph = measures._completed_graph
 
         def counted(m):
             calls.append(m)
             return graph(m)
 
-        monkeypatch.setattr(asymptotics, "_completed_graph", counted)
+        monkeypatch.setattr(measures, "_completed_graph", counted)
         curve = convergence_curve(0.7, lam, self.BETAS)
         assert len(calls) == len(self.BETAS) + 1
         limit = limit_measure(0.7, lam)

@@ -425,8 +425,6 @@ class TestImports:
         ("build_semicircle", "the semicircle law, a closed-form input"),
         ("classical_gig_density", "the classical GIG density of C10"),
         ("invert_params", "the law of 1/X: mu(beta, alpha, -lam)"),
-        ("levy_distance", "the Levy metric between two laws; "
-                          "convergence_curve reuses the limit's graph"),
         ("mode", "the mode that C06 reads"),
         ("r_free_poisson", "the Marchenko--Pastur R-transform C07 reads"),
         ("scaling_exponents", "the small-beta exponents C09 reads"),
@@ -465,8 +463,8 @@ class TestImports:
         assert self.stdout_of(code) == "[]\n"
 
     def test_limits_and_entropy_load_no_scipy(self):
-        # the cdf knots are closed forms, and the Levy distance reads them
-        # without an interpolant
+        # the cdf is a closed form, and the Levy distance reads it at the
+        # knots without an interpolant
         code = (
             "import contextlib, io, sys\n"
             "import fgig.cli\n"

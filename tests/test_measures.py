@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from fgig import DomainError, NaturalParams
+from fgig import measures
 from fgig.asymptotics import convergence_curve, limit_measure
 from fgig.measures import (
     FreePoissonParams,
@@ -113,8 +114,8 @@ class TestFreePoisson:
 
 
 class TestCdfKnots:
-    """The knots ``(cdf_x, cdf_y)`` sit at the angles ``k pi/N`` of
-    ``x = mid + rad*cos(theta)`` and carry the exact mass below."""
+    """The knot abscissas ``cdf_x`` sit at the angles ``k pi/N`` of
+    ``x = mid + rad*cos(theta)``, where ``cdf`` gives the exact mass below."""
 
     @pytest.mark.parametrize("triple", [
         (2.0, 8.0, 1.0), (1.0, 1.0, -3.0), (1e3, 1e-3, 2.0), (0.01, 50.0, -3.0),
@@ -124,9 +125,10 @@ class TestCdfKnots:
         s = solve_support(p)
         m = build_fgig(p)
         n = m.cdf_x.size - 1
+        y = m.cdf(m.cdf_x)
         for k in (1, 2, n // 8, n // 2, 7 * n // 8, n - 2, n - 1):
             want = mass_below40(p, s.a, s.b, k * math.pi / n)
-            assert abs(m.cdf_y[n - k] - want) <= 1e-13
+            assert abs(y[n - k] - want) <= 1e-13
         # and between the knots
         for f in (1e-9, 1e-4, 0.3, 0.77, 1.0 - 1e-6):
             x = s.a + f * (s.b - s.a)
@@ -135,14 +137,14 @@ class TestCdfKnots:
     def test_knot_abscissas_carry_their_mass(self, mass_below40):
         # each float abscissa, hi cos(theta/2)**2 + lo sin(theta/2)**2,
         # keeps its relative accuracy next to lo << hi, so the pair
-        # (cdf_x, cdf_y) is exact as it stands
+        # (cdf_x, cdf(cdf_x)) is exact as it stands
         p = NaturalParams(1e-3, 1e-3, 0.0)
         s = solve_support(p)
         m = build_fgig(p)
         n = m.cdf_x.size - 1
         for j in (1, 2, 3, 10, n // 2, n - 1):
             x = m.cdf_x[j]
-            assert abs(m.cdf_y[j] - mass_below40(p, s.a, s.b, x=x)) <= 1e-13
+            assert abs(m.cdf(x) - mass_below40(p, s.a, s.b, x=x)) <= 1e-13
 
     @pytest.mark.parametrize("fp", [FreePoissonParams(0.5, 0.3),
                                     FreePoissonParams(2.0, 1.0),
@@ -152,6 +154,7 @@ class TestCdfKnots:
         mp = pytest.importorskip("mpmath")
         m = build_free_poisson(fp)
         n = m.cdf_x.size - 1
+        y = m.cdf(m.cdf_x)
         with mp.workdps(30):
             jump, rate = mp.mpf(fp.jump), mp.mpf(fp.rate)
             lo = jump * (1 - mp.sqrt(rate)) ** 2
@@ -164,7 +167,7 @@ class TestCdfKnots:
             for k in (1, n // 3, n - 1):
                 x = (lo + hi) / 2 + (hi - lo) / 2 * mp.cos(k * math.pi / n)
                 want = float(mp.quad(rho, [x, hi]))
-                assert abs(m.cdf_y[-1] - m.cdf_y[n - k] - want) <= 1e-14
+                assert abs(y[-1] - y[n - k] - want) <= 1e-14
 
     def test_semicircle_closed_form(self):
         m = build_semicircle(0.0, 2.0, 64)
@@ -172,19 +175,21 @@ class TestCdfKnots:
         x = 2.0 * np.cos(0.5 * theta) ** 2 - 2.0 * np.sin(0.5 * theta) ** 2
         want = 1.0 - (theta - np.sin(theta) * np.cos(theta)) / math.pi
         assert np.array_equal(m.cdf_x, x[::-1])
-        assert np.max(np.abs(m.cdf_y - want[::-1])) <= 1e-15
+        assert np.max(np.abs(m.cdf(m.cdf_x) - want[::-1])) <= 1e-15
 
     def test_last_angle_past_pi(self):
         # with N = 21180 knot intervals the last angle N pi/N rounds one
         # ulp above pi, where sin(theta) < 0 and tan(theta/2) jumps
         alpha, lam = 0.09753681234408854, -0.8178028099658832
         m = build_fgig(NaturalParams(alpha, 1e-4, lam), 2048)
-        n = m.cdf_y.size - 1
+        n = m.cdf_x.size - 1
         assert n == 21180 and n * math.pi / n > math.pi
-        assert _knot_angles(n)[0][-1] == math.pi
-        assert m.cdf_y[0] == 0.0
-        assert np.all(np.diff(m.cdf_y) >= 0.0)
-        assert m.cdf_y[-1] == pytest.approx(1.0, abs=1e-12)
+        sh, ch = _knot_angles(n)
+        assert sh[-1] == 1.0 and ch[-1] == 0.0
+        y = m.cdf(m.cdf_x)
+        assert y[0] == 0.0
+        assert np.all(np.diff(y) >= 0.0)
+        assert y[-1] == pytest.approx(1.0, abs=1e-12)
         curve = convergence_curve(alpha, lam, [1e-2, 1e-3, 1e-4])
         assert curve[-1] == pytest.approx(0.027568604098018, abs=1e-10)
 
@@ -203,9 +208,10 @@ class TestCdfKnots:
         m = build_fgig(NaturalParams(1e-3, 1e-3, 0.0))
         r = pushforward_reciprocal(m)
         assert abs(m.mass() - 1.0) > 1e-7
-        assert r.cdf_y[0] == 0.0
-        assert r.cdf_y[-1] == m.cdf_y[-1]
-        assert np.all(np.diff(r.cdf_y) >= 0.0)
+        y = r.cdf(r.cdf_x)
+        assert y[0] == 0.0
+        assert y[-1] == m.cdf(m.cdf_x)[-1]
+        assert np.all(np.diff(y) >= 0.0)
 
 
 class TestStandardChop:
@@ -399,6 +405,24 @@ class TestLevyDistance:
         d = levy_distance(atom_measure([(0.0, 0.5), (1.0, 0.5)]),
                           atom_measure([(0.0, 1.0)]))
         assert d == pytest.approx(0.5, abs=1e-15)
+
+    def test_one_graph_per_law(self, monkeypatch):
+        # two distances to one limit build three completed graphs, and a
+        # shifted copy of the limit builds its own
+        calls = []
+        graph = measures._completed_graph
+
+        def counted(m):
+            calls.append(m)
+            return graph(m)
+
+        monkeypatch.setattr(measures, "_completed_graph", counted)
+        limit = limit_measure(1.0, 0.0)
+        for beta in (1e-2, 1e-3):
+            levy_distance(build_fgig(NaturalParams(1.0, beta, 0.0)), limit)
+        assert len(calls) == 3
+        assert levy_distance(shift(limit, 0.5), limit) > 0.0
+        assert len(calls) == 4
 
     def test_identity_and_symmetry(self):
         m = build_fgig(NaturalParams(2.0, 8.0, 0.0), 128)

@@ -276,10 +276,11 @@ def test_cdf_knots(mass_below40, log_alpha, log_beta, lam, where):
     except NumericError:
         return
     n = m.cdf_x.size - 1
-    assert m.cdf_y[0] == 0.0 and np.all(np.diff(m.cdf_y) >= 0.0)
+    y = m.cdf(m.cdf_x)
+    assert y[0] == 0.0 and np.all(np.diff(y) >= 0.0)
     for k in (1, 1 + round(where * (n - 2)), n - 1):
         want = mass_below40(p, s.a, s.b, k * math.pi / n)
-        assert abs(m.cdf_y[n - k] - want) <= 1e-13
+        assert abs(y[n - k] - want) <= 1e-13
     x = s.a + where * (s.b - s.a)
     assert abs(m.cdf(x) - mass_below40(p, s.a, s.b, x=x)) <= 1e-13
 
