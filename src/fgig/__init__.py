@@ -14,7 +14,6 @@ from .asymptotics import (
 )
 from .characterization import (
     CharacterizationReport,
-    CoefficientSeries,
     initial_coefficients,
     oracle_coefficients,
     series_coefficients,
@@ -79,7 +78,6 @@ __all__ = [
     "BranchedSqrtEvaluator",
     "CertificateReport",
     "CharacterizationReport",
-    "CoefficientSeries",
     "DomainError",
     "FreePoissonParams",
     "FsdReport",

@@ -14,12 +14,15 @@ It pins down every Taylor coefficient of ``K`` at the root ``c`` in
 not cancel; the recursion raises where its rounding bound allows an order
 more than 1e-10 of error.  The oracle integrates ``M``'s derivative kernels
 ``k! x^(k-1)/(1 - c x)^(k+1)`` against the law instead, and raises where
-the law's weights miss more than 1e-11 of its mass.
+the law's weights miss more than 1e-11 of its mass.  Both routes return
+the array of ``M``'s coefficients at ``c`` of orders ``0..order``, which
+:func:`compare_series` reads.
 
 One chain, ``(Y1 + (Y2 + X)^(-1))^(-1)`` with ``X ~ mu(alpha, beta, -lam)``,
 checks the laws, each stage against its closed form in the family; a caller
-runs only the stages it reports: ``verify_iterated`` all four,
-``verify_fixed_point`` two at ``beta = alpha``, ``fgig convolve`` one.
+runs only the stages it reports: ``verify_iterated`` all four, as
+``(label, Kolmogorov distance)`` pairs, ``verify_fixed_point`` two at
+``beta = alpha``, ``fgig convolve`` one.
 """
 
 import math
@@ -44,28 +47,14 @@ _ORACLE_MASS_TOL = 1e-11  # largest mass error of that law's weights
 
 
 @dataclass(frozen=True)
-class CoefficientSeries:
-    """Taylor coefficients of an analytic function at a real center."""
-
-    center: float
-    coeffs: np.ndarray
-
-
-@dataclass(frozen=True)
 class CharacterizationReport:
     c: float
-    series: CoefficientSeries
-    oracle: CoefficientSeries
+    series: np.ndarray  # Taylor coefficients of M at c, by the recursion
+    oracle: np.ndarray  # and by quadrature
     max_rel_dev: float
     fixed_point_distance: float
     stage_distance: float
     key_eq_residual: float
-
-
-@dataclass(frozen=True)
-class IteratedReport:
-    stages: tuple  # (label, kolmogorov distance) per stage
-    final_distance: float
 
 
 def quartic_residual(alpha, lam, c):
@@ -231,7 +220,7 @@ def series_coefficients(alpha, lam, order):
     if not np.all(rel <= _SERIES_TOL):
         raise NumericError("series recursion may be off by more than 1e-10",
                            residual=float(np.max(rel)))
-    return CoefficientSeries(c, coeffs)
+    return coeffs
 
 
 def oracle_coefficients(alpha, lam, order):
@@ -254,12 +243,11 @@ def oracle_coefficients(alpha, lam, order):
     for k in range(1, order + 1):
         coeffs[k] = integrate(
             x_law, lambda x, k=k: x ** (k - 1) / (1.0 - c * x) ** (k + 1))
-    return CoefficientSeries(c, coeffs)
+    return coeffs
 
 
-def compare_series(series, oracle):
-    """Maximum relative deviation between two coefficient lists."""
-    a, b = series.coeffs, oracle.coeffs
+def compare_series(a, b):
+    """Maximum relative deviation of the coefficients ``a`` from ``b``."""
     n = min(a.size, b.size)
     scale = np.maximum(np.abs(b[:n]), 1e-30)
     return float(np.max(np.abs(a[:n] - b[:n]) / scale))
@@ -314,9 +302,9 @@ def verify_fixed_point(alpha, lam, order=8):
 
 
 def verify_iterated(alpha, beta, lam):
-    """All four stages of the reciprocal chain, each against its law."""
+    """``(label, Kolmogorov distance)`` for all four stages of the
+    reciprocal chain, each against its law."""
     if not (alpha > 0 and beta > 0 and lam > 0):
         raise DomainError("all three parameters must be positive")
     _, stages = _reciprocal_chain(alpha, beta, lam, 4)
-    stages = tuple((label, dist) for label, _, dist in stages)
-    return IteratedReport(stages, stages[-1][1])
+    return tuple((label, dist) for label, _, dist in stages)

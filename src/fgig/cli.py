@@ -84,12 +84,13 @@ def _emit(path, text):
 
 
 def _report_header(args, **extra):
-    head = {"schema": SCHEMA, "subcommand": args.subcommand}
-    if hasattr(args, "alpha") and args.alpha is not None:
-        head["params"] = {"alpha": args.alpha, "beta": args.beta,
-                          "lambda": args.lam}
-    head.update(extra)
-    return head
+    """Schema, subcommand, and ``params`` from whichever of alpha, beta
+    and lambda the subcommand takes, then ``extra``."""
+    params = {key: getattr(args, attr) for key, attr in
+              (("alpha", "alpha"), ("beta", "beta"), ("lambda", "lam"))
+              if hasattr(args, attr)}
+    return {"schema": SCHEMA, "subcommand": args.subcommand,
+            "params": params, **extra}
 
 
 # ---------------------------------------------------------------------------
@@ -232,12 +233,10 @@ def _run_fixpoint(args):
                                               order=args.order)
     tol = {"series_vs_oracle": 1e-6, "fixed_point_distance": 1e-3,
            "key_equation": 1e-9}
-    out = {"schema": SCHEMA, "subcommand": "fixpoint",
-           "params": {"alpha": args.alpha, "lambda": args.lam},
-           "tolerances": tol}
+    out = _report_header(args, tolerances=tol)
     out["c"] = rep.c
-    out["series"] = [float(v) for v in rep.series.coeffs]
-    out["oracle"] = [float(v) for v in rep.oracle.coeffs]
+    out["series"] = [float(v) for v in rep.series]
+    out["oracle"] = [float(v) for v in rep.oracle]
     out["max_rel_dev"] = rep.max_rel_dev
     out["fixed_point_distance"] = rep.fixed_point_distance
     out["intermediate_stage_distance"] = rep.stage_distance
@@ -268,13 +267,11 @@ def _run_limits(args):
                    rows)
         return
     d_lim, e_lim = asymptotics.root_limits(args.alpha, args.lam)
-    out = {"schema": SCHEMA, "subcommand": "limits",
-           "params": {"alpha": args.alpha, "lambda": args.lam},
-           "regime": asymptotics.limit_regime(args.lam),
-           "root_limits": {"delta": d_lim, "eta": e_lim},
-           "rows": [{"beta": b, "a": a, "b_end": bb, "delta": d,
-                     "eta": e, "distance": dist}
-                    for b, a, bb, d, e, dist in rows]}
+    out = _report_header(
+        args, regime=asymptotics.limit_regime(args.lam),
+        root_limits={"delta": d_lim, "eta": e_lim},
+        rows=[{"beta": b, "a": a, "b_end": bb, "delta": d, "eta": e,
+               "distance": dist} for b, a, bb, d, e, dist in rows])
     _emit(args.output, _dumps(out))
 
 
@@ -303,9 +300,9 @@ def _run_entropy(args):
 # argument plumbing
 # ---------------------------------------------------------------------------
 
-def _add_triple(sub, alpha_required=True):
-    sub.add_argument("--alpha", type=float, required=alpha_required)
-    sub.add_argument("--beta", type=float, required=alpha_required)
+def _add_triple(sub):
+    sub.add_argument("--alpha", type=float, required=True)
+    sub.add_argument("--beta", type=float, required=True)
     sub.add_argument("--lambda", dest="lam", type=float, required=True)
 
 

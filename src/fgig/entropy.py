@@ -215,13 +215,6 @@ def _gig_scales(alpha, beta):
             0.5 * (math.log(beta) - math.log(alpha)))
 
 
-def gig_log_normalizer(alpha, beta, lam):
-    """``log C`` for the density ``C x^(lam-1) exp(-alpha x - beta/x)``:
-    ``lam/2 log(alpha/beta) - log 2 - log K_lam(w)``, ``w = 2 sqrt(alpha beta)``."""
-    w, c = _gig_scales(alpha, beta)
-    return -lam * c - math.log(2.0) - log_bessel_k(lam, w)
-
-
 def classical_gig_density(alpha, beta, lam, x):
     """Classical GIG density, vectorized; zero for ``x <= 0``."""
     w, _ = _gig_scales(alpha, beta)
@@ -309,8 +302,10 @@ def gig_entropy(alpha, beta, lam):
 
 
 def gibbs_bound(alpha, beta, lam):
-    """Upper bound ``-log C`` for ``H`` under the matching potential.
+    """Upper bound ``-log C`` for ``H`` under the matching potential:
+    ``lam c + log 2 + log K_lam(w)`` with ``(w, c)`` from :func:`_gig_scales`.
 
     Attained exactly (Gibbs equality) by the classical GIG density.
     """
-    return -gig_log_normalizer(alpha, beta, lam)
+    w, c = _gig_scales(alpha, beta)
+    return lam * c + math.log(2.0) + log_bessel_k(lam, w)

@@ -27,7 +27,6 @@ is a Marchenko--Pastur-type term plus a pole term that the reflection
 
 import math
 from dataclasses import dataclass, replace
-from typing import Callable
 
 import numpy as np
 
@@ -77,14 +76,15 @@ class LevyTriplet:
     ``semicircular`` hold certified bounds on them, ``|gamma| <= drift`` and
     ``|a| <= semicircular``, read from the residual of the reconstruction
     (see :func:`levy_triplet`).  They keep these names, not ``*_bound``,
-    while perfbench's desk check still reads them under these.
+    while perfbench's desk check still reads them under these.  The a.c.
+    part's density is :func:`levy_density`; ``support`` ends at
+    ``sigma.hi``, the ``1/eta`` the reconstruction integrates up to.
     """
 
     drift: float
     semicircular: float
     atom: tuple  # (alpha, weight max(lam, 0)): the atom sits at 1/alpha
-    levy_density: Callable
-    support: tuple  # (0, 1/eta)
+    support: tuple  # (0, sigma.hi)
     sigma: XWeightedLevy
 
 
@@ -92,7 +92,6 @@ class LevyTriplet:
 class FsdReport:
     """Free self-decomposability diagnostics."""
 
-    lam: float
     discriminant: float
     threshold: float
     is_fsd: bool
@@ -101,28 +100,20 @@ class FsdReport:
     agrees: bool
 
 
-def _density_factory(p):
+def levy_density(p, x):
+    """Density of the a.c. part of the free Levy measure on ``(0, 1/eta)``."""
     # 1 - alpha x = (1 - eta x) + kappa eta x: nonnegative terms, and
     # 1 - eta x, cancelling against the square root, at lam = 0
     roots = spectral_roots(p)
-    t = _solve_ratio(p.alpha, p.beta, p.lam)[0]
-
-    def density(x, b=p.beta, d=roots.delta, e=roots.eta, k=(p.lam * t) ** 2):
-        x = np.asarray(x, dtype=float)
-        inside = (x > 0.0) & (e * x < 1.0)
-        xi = np.where(inside, x, 0.5 / e)
-        rest = 1.0 - e * xi
-        vals = ((1.0 - d * xi) * np.sqrt(b * rest)
-                / (math.pi * xi ** 1.5 * (rest + k * e * xi)))
-        out = np.where(inside, vals, 0.0)
-        return out if out.ndim else float(out)
-
-    return density, roots
-
-
-def levy_density(p, x):
-    """Density of the a.c. part of the free Levy measure on ``(0, 1/eta)``."""
-    return _density_factory(p)[0](x)
+    e, k = roots.eta, (p.lam * _solve_ratio(p.alpha, p.beta, p.lam)[0]) ** 2
+    x = np.asarray(x, dtype=float)
+    inside = (x > 0.0) & (e * x < 1.0)
+    xi = np.where(inside, x, 0.5 / e)
+    rest = 1.0 - e * xi
+    vals = ((1.0 - roots.delta * xi) * np.sqrt(p.beta * rest)
+            / (math.pi * xi ** 1.5 * (rest + k * e * xi)))
+    out = np.where(inside, vals, 0.0)
+    return out if out.ndim else float(out)
 
 
 def levy_triplet(p):
@@ -134,14 +125,14 @@ def levy_triplet(p):
     would dominate it; ``drift`` is ``max |rho|/|u|`` and ``semicircular``
     is ``max |rho|/u**2``.
     """
-    density, roots = _density_factory(p)
+    roots = spectral_roots(p)
     t, _, _, _, plus, minus = _solve_ratio(p.alpha, p.beta, p.lam)
     v = 1.0 / p.alpha
     sigma = XWeightedLevy(math.sqrt(p.beta * roots.eta), v * plus * minus, v,
                           v * (p.lam * t) ** 2, min(plus, minus),
                           p.alpha - roots.delta)
-    triplet = LevyTriplet(0.0, 0.0, (p.alpha, max(p.lam, 0.0)), density,
-                          (0.0, 1.0 / roots.eta), sigma)
+    triplet = LevyTriplet(0.0, 0.0, (p.alpha, max(p.lam, 0.0)),
+                          (0.0, sigma.hi), sigma)
     scale = max(1.0, p.alpha, roots.eta, -roots.delta)
     u = -scale * np.power(10.0, np.arange(2, 7))
     rho = np.abs(u * r_fgig(p, u.astype(complex))
@@ -233,7 +224,7 @@ def fsd_report(p):
     sf = solve_spread(p)
     disc = fsd_discriminant(p)
     threshold = fsd_threshold(sf.A, sf.B)
-    density, roots = _density_factory(p)
+    roots = spectral_roots(p)
     # the boundary case D == 0 is self-decomposable; tolerate roundoff at
     # the scale of the cancelled terms
     disc_scale = ((roots.delta - 3.0 * p.alpha) ** 2
@@ -244,11 +235,11 @@ def fsd_report(p):
 
     hi = 1.0 / roots.eta
     xs = hi * np.arange(1, _FSD_GRID + 1) / (_FSD_GRID + 1)
-    k = xs * density(xs)
+    k = xs * levy_density(p, xs)
     inc = np.diff(k)
     scale = np.maximum(1.0, np.maximum(np.abs(k[:-1]), np.abs(k[1:])))
     k_monotone = bool(np.all(inc <= _INCREMENT_TOL * scale))
     atom_weight = max(p.lam, 0.0)
     agrees = is_fsd == (k_monotone and atom_weight == 0.0)
-    return FsdReport(p.lam, disc, threshold, is_fsd, k_monotone,
-                     atom_weight, agrees)
+    return FsdReport(disc, threshold, is_fsd, k_monotone, atom_weight,
+                     agrees)

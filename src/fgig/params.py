@@ -53,7 +53,7 @@ def _admissible(a, b, lam):
 
 @dataclass(frozen=True, slots=True)
 class NaturalParams:
-    """Natural coordinates ``(alpha, beta, lam)`` with ``alpha, beta > 0``."""
+    """Natural coordinates ``(alpha, beta, lam)``, rates in ``(0, inf)``."""
 
     alpha: float
     beta: float
@@ -62,6 +62,8 @@ class NaturalParams:
     def __post_init__(self):
         _require("natural", "alpha > 0", self.alpha > 0)
         _require("natural", "beta > 0", self.beta > 0)
+        _require("natural", "alpha < inf", self.alpha < math.inf)
+        _require("natural", "beta < inf", self.beta < math.inf)
         _require("natural", "lam finite", math.isfinite(self.lam))
 
 

@@ -431,10 +431,15 @@ class TestImports:
         ("verify_iterated", "all four stages of C08's reciprocal chain"),
     )
 
+    @staticmethod
+    def package_trees():
+        """The parsed modules of the package, ``__init__`` aside."""
+        return [ast.parse(path.read_text())
+                for path in Path(fgig.__file__).parent.glob("*.py")
+                if path.name != "__init__.py"]
+
     def test_every_definition_has_a_caller(self):
-        trees = [ast.parse(path.read_text())
-                 for path in Path(fgig.__file__).parent.glob("*.py")
-                 if path.name != "__init__.py"]
+        trees = self.package_trees()
         used = set()
         for node in (node for tree in trees for node in ast.walk(tree)):
             if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
@@ -448,6 +453,27 @@ class TestImports:
                     and not node.name.startswith("_")
                     and node.name not in used}
         assert uncalled == {name for name, _ in self.UNCALLED}
+
+    # records with fields that nothing in the package reads, and why each
+    # keeps them
+    UNREAD = (
+        ("SubordinationPair", "the benchmark harness reads its iterations"),
+    )
+
+    def test_every_record_field_has_a_reader(self):
+        # a field is read where an attribute of its name is loaded; a record
+        # that only wraps values gives way to the values themselves
+        nodes = [node for tree in self.package_trees()
+                 for node in ast.walk(tree)]
+        read = {node.attr for node in nodes
+                if isinstance(node, ast.Attribute)
+                and isinstance(node.ctx, ast.Load)}
+        unread = {f"{node.name}.{field.target.id}" for node in nodes
+                  if isinstance(node, ast.ClassDef)
+                  and node.name not in dict(self.UNREAD)
+                  for field in node.body if isinstance(field, ast.AnnAssign)
+                  and field.target.id not in read}
+        assert unread == set()
 
     def test_light_commands_load_no_scipy(self):
         code = (

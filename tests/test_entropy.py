@@ -12,7 +12,6 @@ from fgig.entropy import (
     gibbs_bound,
     gig_entropy,
     gig_mode,
-    gig_log_normalizer,
     halfline_integral,
     log_bessel_k,
     log_energy,
@@ -26,7 +25,8 @@ from conftest import bessel_k_half_integer
 
 
 def log_energy_harmonic_oracle(p, n_theta=2 ** 15, n_modes=6000):
-    """Independent log-energy: dense trapezoid cosine coefficients."""
+    """Independent log-energy: dense trapezoid cosine coefficients, in
+    blocks of at most 250 modes so no block holds more than 250 rows."""
     from fgig.measures import fgig_density
     s = solve_support(p)
     mid, rad = 0.5 * (s.a + s.b), 0.5 * (s.b - s.a)
@@ -34,8 +34,10 @@ def log_energy_harmonic_oracle(p, n_theta=2 ** 15, n_modes=6000):
     x = mid + rad * np.cos(theta)
     f = fgig_density(p, x) * rad * np.sin(theta)
     ks = np.arange(1, n_modes)
-    a = 2.0 / math.pi * np.trapezoid(
-        f[None, :] * np.cos(ks[:, None] * theta[None, :]), theta, axis=1)
+    a = 2.0 / math.pi * np.concatenate([
+        np.trapezoid(f[None, :] * np.cos(rows[:, None] * theta[None, :]),
+                     theta, axis=1)
+        for rows in np.array_split(ks, -(-ks.size // 250))])
     mass = np.trapezoid(f, theta)
     return math.log(rad / 2.0) * mass ** 2 - 0.5 * math.pi ** 2 * np.sum(
         a * a / ks)
@@ -172,7 +174,7 @@ class TestClassicalGig:
         w = 2.0 * math.sqrt(al * be)
         expect = ((al / be) ** 0.25
                   / (2.0 * bessel_k_half_integer(0.5, w)))
-        assert math.exp(gig_log_normalizer(al, be, 0.5)) == pytest.approx(
+        assert math.exp(-gibbs_bound(al, be, 0.5)) == pytest.approx(
             expect, rel=1e-10)
 
     def test_proportional_to_exp_minus_potential(self):

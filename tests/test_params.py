@@ -359,6 +359,8 @@ class TestValidate:
         ((1.0, -1.0, 0.0), "beta > 0"),
         ((1.0, 1.0, math.nan), "lam finite"),
         ((1.0, 1.0, -math.inf), "lam finite"),
+        ((math.inf, 1.0, 0.0), "alpha < inf"),
+        ((1.0, math.inf, 0.0), "beta < inf"),
     ])
     def test_natural_violations(self, args, inequality):
         with pytest.raises(DomainError) as exc:
