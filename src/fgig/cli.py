@@ -10,6 +10,9 @@ keep a fixed order.
 Exit codes: 0 on success, 2 on a validation error, 3 on a numeric
 failure.  ``FGIG_LOG=info`` names each file written with ``--output`` on
 stderr.
+
+Each subcommand imports the modules it runs, and numpy only where it
+uses it, so ``fgig params`` runs on the standard library alone.
 """
 
 import argparse
@@ -20,11 +23,7 @@ import math
 import os
 import sys
 
-import numpy as np
-
-from . import asymptotics, characterization, entropy, levy, transforms
 from .errors import DomainError, NumericError
-from .measures import fgig_density, moment
 from .params import (NaturalParams, SupportForm, from_support, reparameterize,
                      solve_support, spectral_roots)
 
@@ -49,6 +48,8 @@ def _dumps(report):
 
 
 def _parse_grid(text):
+    import numpy as np
+
     parts = text.split(":")
     if len(parts) != 3:
         raise DomainError("grid spec must be lo:hi:count")
@@ -126,6 +127,10 @@ def _run_params(args):
 
 
 def _run_density(args):
+    import numpy as np
+
+    from .measures import fgig_density
+
     p = _triple(args)
     if args.grid is not None:
         xs = _parse_grid(args.grid)
@@ -144,6 +149,8 @@ def _run_density(args):
 
 
 def _run_transform(args):
+    from . import transforms
+
     p = _triple(args)
     kappa = transforms.free_cumulants(p, args.order)
     cert = transforms.fid_certificate(p)
@@ -170,6 +177,10 @@ def _run_transform(args):
 
 
 def _run_levy(args):
+    import numpy as np
+
+    from . import levy, transforms
+
     p = _triple(args)
     if args.samples < 1:
         raise DomainError("--samples must be at least 1")
@@ -194,6 +205,8 @@ def _run_levy(args):
 
 
 def _run_fsd(args):
+    from . import levy
+
     p = _triple(args)
     rep = levy.fsd_report(p)
     out = _report_header(args)
@@ -207,6 +220,9 @@ def _run_fsd(args):
 
 
 def _run_convolve(args):
+    from . import characterization
+    from .measures import moment
+
     p = _triple(args)
     if p.lam <= 0:
         raise DomainError("convolve checks the positive-shape identity; "
@@ -229,6 +245,8 @@ def _run_convolve(args):
 
 
 def _run_fixpoint(args):
+    from . import characterization
+
     rep = characterization.verify_fixed_point(args.alpha, args.lam,
                                               order=args.order)
     tol = {"series_vs_oracle": 1e-6, "fixed_point_distance": 1e-3,
@@ -249,6 +267,8 @@ def _run_fixpoint(args):
 
 
 def _run_limits(args):
+    from . import asymptotics
+
     try:
         betas = ([float(b) for b in args.betas.split(",")] if args.betas
                  else [1e-1, 1e-2, 1e-3, 1e-4])
@@ -276,6 +296,8 @@ def _run_limits(args):
 
 
 def _run_entropy(args):
+    from . import entropy
+
     p = _triple(args)
     perturbations = [1.1, 0.9,
                      NaturalParams(p.alpha, p.beta, p.lam + 0.2),

@@ -788,11 +788,11 @@ def _graph_knots(m):
     return x[order], y[order]
 
 
-def _graph_heights(graph, j, s):
-    """Heights of a :func:`_completed_graph` at ``s``, ``j`` being the
-    index of its last knot at or below each point (-1 for none): ``y[0]``
-    below its first knot, ``y[-1]`` above its last."""
-    gs, gy, h, a, b, c = np.take(graph, np.maximum(j, 0), axis=1)
+def _graph_heights(rows, s):
+    """Heights at ``s`` of a :func:`_completed_graph`'s ``rows`` taken at
+    the last knot at or below each point (its first knot where none is,
+    so ``y[0]`` below the first knot; ``y[-1]`` above the last)."""
+    gs, gy, h, a, b, c = rows
     t = np.maximum(s - gs, 0.0) / h
     return gy + t * (a + t * (b + t * c))
 
@@ -822,8 +822,9 @@ def _graph_gap(g1, g2):
     the Levy distance of their laws.
 
     Both knot lists are sorted, so one stable merge gives the merged knots
-    and, by counting, each graph's last knot at or below each of them; a
-    midpoint lies in the same interval as the knot to its left.
+    and, by counting, each graph's last knot at or below each of them.
+    Each graph's rows are taken once per merged knot and read at the knot
+    and at the midpoint after it, which lies in the same interval.
     """
     s = np.concatenate((g1[0], g2[0]))
     if s.size == 0:
@@ -834,11 +835,13 @@ def _graph_gap(g1, g2):
     knots = s[last]
     upto1 = np.cumsum(order < g1[0].size)[last]
     upto2 = np.flatnonzero(last) + 1 - upto1
-    s = np.concatenate((knots, 0.5 * (knots[:-1] + knots[1:])))
-    j1 = np.concatenate((upto1, upto1[:-1])) - 1
-    j2 = np.concatenate((upto2, upto2[:-1])) - 1
-    return float(np.max(np.abs(_graph_heights(g1, j1, s)
-                               - _graph_heights(g2, j2, s))))
+    # the last knot has no midpoint after it and reads itself twice
+    s = np.vstack((knots, np.append(0.5 * (knots[:-1] + knots[1:]),
+                                    knots[-1])))
+    rows1 = np.take(g1, upto1 - 1, axis=1, mode="clip")
+    rows2 = np.take(g2, upto2 - 1, axis=1, mode="clip")
+    return float(np.max(np.abs(_graph_heights(rows1, s)
+                               - _graph_heights(rows2, s))))
 
 
 def integrate(m, f):

@@ -418,6 +418,14 @@ class TestImports:
         for name in fgig.__all__:
             getattr(fgig, name)
 
+    def test_names_and_modules_load_on_first_use(self):
+        # in this process every module is loaded already; a fresh one
+        # reaches a submodule and a name only through ``fgig.__getattr__``
+        code = ("import fgig\n"
+                "print(fgig.measures.__name__, fgig.cauchy.__module__,\n"
+                "      'measures' in dir(fgig))\n")
+        assert self.stdout_of(code) == "fgig.measures fgig.transforms True\n"
+
     # public definitions that nothing in the package calls, and why each
     # stays; a test oracle belongs in tests/conftest.py instead
     UNCALLED = (
@@ -475,54 +483,89 @@ class TestImports:
                   and field.target.id not in read}
         assert unread == set()
 
-    def test_light_commands_load_no_scipy(self):
-        code = (
-            "import contextlib, io, sys\n"
-            "import fgig.cli\n"
-            "loaded = [m for m in sys.modules if m.startswith('scipy')]\n"
-            "for sub in ('params', 'density', 'transform', 'levy', 'fsd'):\n"
-            "    with contextlib.redirect_stdout(io.StringIO()):\n"
-            "        assert fgig.cli.run([sub, '--alpha', '1.3', '--beta',\n"
-            "                             '2.1', '--lambda', '0.7']) == 0\n"
-            "    loaded += [m for m in sys.modules if m.startswith('scipy')]\n"
-            "print(sorted(set(loaded)))\n")
-        assert self.stdout_of(code) == "[]\n"
+    # field names that two or more records share, each owner with a read of
+    # its own field: the guard above matches by name, so a shared name can
+    # hide an unread field, and a new owner must name its read here
+    SHARED = {
+        "alpha": {"NaturalParams": "params.invert_params: p.alpha",
+                  "Potential": "Potential.__call__: self.alpha"},
+        "beta": {"NaturalParams": "params.invert_params: p.beta",
+                 "Potential": "Potential.__call__: self.beta",
+                 "BranchedSqrtEvaluator": "its __call__: self.beta"},
+        "eta": {"SpectralRoots": "cli._run_params: roots.eta",
+                "BranchedSqrtEvaluator": "its __call__: self.eta"},
+        "lam": {"NaturalParams": "params.invert_params: p.lam",
+                "Potential": "Potential.__call__: self.lam",
+                "SupportForm": "params.from_support: s.lam",
+                "SpreadForm": "params.reparameterize: x.lam"},
+        "support": {"SpectralMeasure": "measures._completed_graph: m.support",
+                    "LevyTriplet": "cli._run_levy: t.support"},
+    }
 
-    def test_limits_and_entropy_load_no_scipy(self):
-        # the cdf is a closed form, and the Levy distance reads it at the
-        # knots without an interpolant
-        code = (
-            "import contextlib, io, sys\n"
-            "import fgig.cli\n"
-            "for sub in ('limits', 'entropy'):\n"
-            "    with contextlib.redirect_stdout(io.StringIO()):\n"
-            "        assert fgig.cli.run([sub, '--alpha', '2', '--beta',\n"
-            "                             '8', '--lambda', '0']) == 0\n"
-            "print(sorted(m for m in sys.modules if m.startswith('scipy')))\n")
-        assert self.stdout_of(code) == "[]\n"
+    def test_shared_field_names_are_listed(self):
+        owners = {}
+        for node in (node for tree in self.package_trees()
+                     for node in ast.walk(tree)):
+            if isinstance(node, ast.ClassDef):
+                for field in node.body:
+                    if isinstance(field, ast.AnnAssign):
+                        owners.setdefault(field.target.id, set()).add(
+                            node.name)
+        shared = {name: names for name, names in owners.items()
+                  if len(names) > 1}
+        assert shared == {name: set(reads)
+                          for name, reads in self.SHARED.items()}
 
-    def test_convolve_loads_no_scipy_integrate(self):
-        # the Kolmogorov distance reads the output's own cdf, so convolve
-        # loads no scipy module at all, scipy.integrate included
-        code = (
-            "import contextlib, io, sys\n"
-            "import fgig.cli\n"
-            "with contextlib.redirect_stdout(io.StringIO()):\n"
-            "    assert fgig.cli.run(['convolve', '--alpha', '2', '--beta',\n"
-            "                         '8', '--lambda', '1']) == 0\n"
-            "print(sorted(m for m in sys.modules if m.startswith('scipy')))\n")
-        assert self.stdout_of(code) == "[]\n"
+    # the package modules each README line loads, fgig and fgig.cli aside
+    LOADS = {
+        "params": {"errors", "params"},
+        "density": {"errors", "params", "measures"},
+        "transform": {"errors", "params", "measures", "levy", "transforms"},
+        "levy": {"errors", "params", "measures", "levy", "transforms"},
+        "fsd": {"errors", "params", "measures", "levy", "transforms"},
+        "convolve": {"errors", "params", "measures", "transforms",
+                     "convolution", "characterization"},
+        "fixpoint": {"errors", "params", "measures", "transforms",
+                     "convolution", "characterization"},
+        "limits": {"errors", "params", "measures", "asymptotics"},
+        "entropy": {"errors", "params", "measures", "entropy"},
+    }
+    # the same subcommand at a second triple, run after its README line
+    ALSO = {sub: f"{sub} --alpha 1.3 --beta 2.1 --lambda 0.7"
+            for sub in ("params", "density", "transform", "levy", "fsd")}
+    ALSO.update(limits="limits --alpha 2 --betas 8 --lambda 0",
+                entropy="entropy --alpha 2 --beta 8 --lambda 0")
 
-    def test_classical_entropy_loads_no_scipy(self):
-        code = (
-            "import sys\n"
-            "from fgig import entropy as E\n"
-            "E.gig_entropy(1.3, 2.1, 0.7)\n"
-            "E.gibbs_bound(1.3, 2.1, 0.7)\n"
-            "E.classical_entropy(lambda x: E.classical_gig_density(\n"
-            "    2.0, 8.0, 1.0, x), E.Potential(2.0, 8.0, 1.0), split=2.0)\n"
+    @pytest.mark.parametrize("line", [""] + README,
+                             ids=lambda line: line.split(" ")[0] or "import")
+    def test_loads_only_what_it_runs(self, line):
+        # a fresh interpreter runs ``import fgig`` alone or one README line;
+        # no line loads scipy, and only params runs without numpy
+        sub = line.split(" ")[0]
+        lines = [line] + ([self.ALSO[sub]] if sub in self.ALSO else [])
+        code = "import contextlib, io, sys\nimport fgig\n"
+        if line:
+            code += (
+                "import fgig.cli\n"
+                f"for line in {lines!r}:\n"
+                "    with contextlib.redirect_stdout(io.StringIO()):\n"
+                "        assert fgig.cli.run(line.split()) == 0, line\n")
+        if sub == "entropy":
+            code += (
+                "from fgig import entropy as E\n"
+                "E.gig_entropy(1.3, 2.1, 0.7)\n"
+                "E.gibbs_bound(1.3, 2.1, 0.7)\n"
+                "E.classical_entropy(lambda x: E.classical_gig_density(\n"
+                "    2.0, 8.0, 1.0, x), E.Potential(2.0, 8.0, 1.0), split=2.0)\n")
+        code += (
+            "print(sorted(m[5:] for m in sys.modules\n"
+            "             if m.startswith('fgig.') and m != 'fgig.cli'))\n"
+            "print('numpy' in sys.modules)\n"
             "print(sorted(m for m in sys.modules if m.startswith('scipy')))\n")
-        assert self.stdout_of(code) == "[]\n"
+        loaded, numpy, scipy = self.stdout_of(code).splitlines()
+        assert loaded == repr(sorted(self.LOADS.get(sub, ())))
+        assert numpy == repr(sub not in ("", "params"))
+        assert scipy == "[]"
 
     def test_runs_without_scipy(self):
         # every README subcommand and the classical entropy, in a fresh
