@@ -32,9 +32,8 @@ _EXPORTS = {
     "params": ("NaturalParams", "SpectralRoots", "SpreadForm", "SupportForm",
                "from_support", "invert_params", "reparameterize",
                "solve_support", "spectral_roots"),
-    "transforms": ("BranchedSqrtEvaluator", "CertificateReport", "cauchy",
-                   "fid_certificate", "free_cumulants", "r_fgig",
-                   "r_free_poisson"),
+    "transforms": ("CertificateReport", "cauchy", "fid_certificate",
+                   "free_cumulants", "r_fgig", "r_free_poisson"),
 }
 _MODULE_OF = {name: module for module, names in _EXPORTS.items()
               for name in names}

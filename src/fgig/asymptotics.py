@@ -13,15 +13,18 @@ boundaries ``lam = 1`` / ``lam = -1``.  The square-root data follow:
 ``delta -> alpha/(1-|lam|)`` and ``eta -> infinity`` for ``|lam| > 1``,
 ``delta -> -infinity`` and ``eta -> alpha/(1-lam**2)`` for ``|lam| < 1``,
 both unbounded on the boundaries.
+
+The first two limits are the family's laws at ``beta = 0``, with density
+``sqrt((x-lo)(hi-x)) alpha/(2 pi x)``: on ``nu``'s support, and on
+``(0, 2(1+lam)/alpha)`` beside the atom ``(1-lam)/2``.
 """
 
 import math
-from dataclasses import replace
 
 import numpy as np
 
 from .errors import DomainError
-from .measures import (FreePoissonParams, _atoms_cauchy, atom_measure,
+from .measures import (FreePoissonParams, _rational_law, atom_measure,
                        build_fgig, build_free_poisson, levy_distance)
 from .params import NaturalParams, solve_support
 
@@ -33,28 +36,6 @@ _CURVE_NODES = 2048  # nodes of each fGIG law along a convergence curve
 _TAIL = 4  # smallest betas an exponent fit reads
 _FLAT_SLOPE = 0.02  # a fitted slope below this, with a relative variation
 _FLAT_SPREAD = 0.05  # below this, reports exponent zero
-
-
-def _scaled_copy(m, weight, extra_atoms):
-    """Measure with the a.c. part of ``m`` scaled by ``weight`` plus atoms.
-
-    ``m`` has no atoms, so the Cauchy transform is ``weight * G_m`` plus
-    the atoms' terms, and the a.c. cdf is ``weight`` times that of ``m``.
-    """
-    atoms = tuple(extra_atoms)
-
-    def density(x, _w=weight, _f=m.density):
-        return _w * _f(x)
-
-    def cauchy_fn(z, _w=weight, _g=m.cauchy_fn):
-        return _w * _g(z) + _atoms_cauchy(atoms, z)
-
-    def ac_cdf(x, _w=weight, _f=m.ac_cdf):
-        return _w * _f(x)
-
-    return replace(m, atoms=atoms, density=density,
-                   weights=weight * m.weights, cauchy_fn=cauchy_fn,
-                   ac_cdf=ac_cdf)
 
 
 def limit_regime(lam):
@@ -75,9 +56,8 @@ def limit_measure(alpha, lam):
         return build_free_poisson(FreePoissonParams(1.0 / alpha, lam))
     if regime == REGIME_LAM_LE_M1:
         return atom_measure([(0.0, 1.0)])
-    mp = build_free_poisson(FreePoissonParams((1.0 + lam) / (2.0 * alpha),
-                                              1.0))
-    return _scaled_copy(mp, (1.0 + lam) / 2.0, [(0.0, (1.0 - lam) / 2.0)])
+    return _rational_law(0.0, 2.0 * (1.0 + lam) / alpha, alpha, 0.0, 256,
+                         (1.0 - lam) / 2.0)
 
 
 def convergence_curve(alpha, lam, betas):

@@ -57,7 +57,7 @@ class XWeightedLevy:
         """``integral sigma(dx)/(w - x)`` is
         ``scale (L/(w + R) + c/(w + R - gap/alpha))`` with ``R = r(w; 0, L)``
         and ``c = slope (gap/alpha)**2``, since the pole term's support root
-        at ``1/alpha - w`` is ``-R``.  Like ``D`` in ``_fgig_cauchy``, each
+        at ``1/alpha - w`` is ``-R``.  Like ``D`` in ``_rational_cauchy``, each
         denominator is the larger factor of a conjugate pair; the second
         vanishes only at ``w = 1/alpha = L``, where ``r`` diverges."""
         big = w + _support_root(w, 0.0, self.hi)
@@ -195,6 +195,14 @@ def fsd_threshold(A, B):
     return -B ** 1.5 / (A * math.sqrt(9.0 * B - 8.0 * A))
 
 
+def _fsd_terms(alpha, roots):
+    """``(q, s)`` with discriminant ``q - 4 s``: ``q = (delta - 3 alpha)**2``
+    and ``s = 2 alpha eta - 2 eta delta + alpha delta``."""
+    delta, eta = roots.delta, roots.eta
+    return ((delta - 3.0 * alpha) ** 2,
+            2.0 * alpha * eta - 2.0 * eta * delta + alpha * delta)
+
+
 def fsd_discriminant(p):
     """Discriminant of the monotonicity quadratic; FSD iff <= 0 (lam <= 0).
 
@@ -205,11 +213,8 @@ def fsd_discriminant(p):
 
     is algebraically identical and used as a cross-check in the tests.
     """
-    roots = spectral_roots(p)
-    alpha, delta, eta = p.alpha, roots.delta, roots.eta
-    return (delta - 3.0 * alpha) ** 2 - 4.0 * (2.0 * alpha * eta
-                                               - 2.0 * eta * delta
-                                               + alpha * delta)
+    q, s = _fsd_terms(p.alpha, spectral_roots(p))
+    return q - 4.0 * s
 
 
 def fsd_report(p):
@@ -222,16 +227,13 @@ def fsd_report(p):
     records whether the two routes coincide.
     """
     sf = solve_spread(p)
-    disc = fsd_discriminant(p)
-    threshold = fsd_threshold(sf.A, sf.B)
     roots = spectral_roots(p)
+    q, s = _fsd_terms(p.alpha, roots)
+    disc = q - 4.0 * s
+    threshold = fsd_threshold(sf.A, sf.B)
     # the boundary case D == 0 is self-decomposable; tolerate roundoff at
     # the scale of the cancelled terms
-    disc_scale = ((roots.delta - 3.0 * p.alpha) ** 2
-                  + 4.0 * abs(2.0 * p.alpha * roots.eta
-                              - 2.0 * roots.eta * roots.delta
-                              + p.alpha * roots.delta))
-    is_fsd = (p.lam <= 0.0) and (disc <= 1e-12 * disc_scale)
+    is_fsd = (p.lam <= 0.0) and (disc <= 1e-12 * (q + 4.0 * abs(s)))
 
     hi = 1.0 / roots.eta
     xs = hi * np.arange(1, _FSD_GRID + 1) / (_FSD_GRID + 1)

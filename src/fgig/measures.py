@@ -318,8 +318,9 @@ def _root_sum(u, r, prod):
     return np.where(alt, prod / np.where(alt, d, 1.0), s)
 
 
-def _fgig_cauchy(alpha, beta, a, b):
-    """Closed-form Cauchy transform of ``mu(alpha, beta, lam)`` on ``[a, b]``.
+def _rational_cauchy(alpha, beta, a, b, atom):
+    """Closed-form Cauchy transform of the law of :func:`_rational_law` on
+    ``[a, b]``, ``a >= 0``, with ``atom`` at the origin.
 
     With ``g = sqrt(ab)``, ``A = (sqrt(b) - sqrt(a))**2`` and
     ``B = (sqrt(a) + sqrt(b))**2``, the two partial fractions of the
@@ -327,12 +328,14 @@ def _fgig_cauchy(alpha, beta, a, b):
     ``beta/(g x**2)``, have the transforms
 
         alpha * A / (2 D),      beta * A * B / (4 a b D W),
-        D = z - g + r(z),       W = z + g - r(z).
+        D = z - g + r(z),       W = z + g - r(z),
 
-    Both factors are free of cancellation: ``D`` never vanishes and
-    dominates its conjugate (``(z - g)**2 - r**2 = A z``), and ``W`` is
-    formed by :func:`_root_sum` against ``(z + g)**2 - r**2 = B z``.  The
-    textbook form
+    and the atom ``atom/z``.  Both factors are free of cancellation: ``D``
+    never vanishes and dominates its conjugate (``(z - g)**2 - r**2 =
+    A z``), and ``W`` is formed by :func:`_root_sum` against
+    ``(z + g)**2 - r**2 = B z``.  At ``beta = 0`` the second fraction is
+    absent, and ``a`` may be 0.  The textbook form of ``mu(alpha, beta,
+    lam)``
 
         (alpha z**2 + (1-lam) z - beta - (alpha z + beta/g) r) / (2 z**2)
 
@@ -343,13 +346,17 @@ def _fgig_cauchy(alpha, beta, a, b):
     g = sa * sb
     A = ((b - a) / (sa + sb)) ** 2
     B = (sa + sb) ** 2
-    k = beta * B / (2.0 * a * b)
+    k = beta * B / (2.0 * a * b) if beta else 0.0
 
     def cauchy_fn(z):
         z = np.asarray(z, dtype=complex)
         r = _support_root(z, a, b)
-        w = _root_sum(z + g, -r, B * z)
-        return A / (2.0 * (z - g + r)) * (alpha + k / w)
+        out = A / (2.0 * (z - g + r))
+        if beta:
+            out = out * (alpha + k / _root_sum(z + g, -r, B * z))
+        else:
+            out = alpha * out
+        return out + atom / z if atom else out
 
     return cauchy_fn
 
@@ -452,21 +459,6 @@ def _chebyshev_measure(lo, hi, values):
                            upper=upper, n_knots=values.size + 1)
 
 
-def _free_poisson_cauchy(jump, lo, hi, offset):
-    """``G(z) = 2 / (z + offset + r(z))`` of the Marchenko--Pastur law,
-    ``offset = jump*(1 - rate)``; the pole at 0 is the atom when
-    ``rate < 1``.  The denominator comes from :func:`_root_sum` against
-    ``(z + offset)**2 - r**2 = 4 jump z``, which keeps the atom's pole
-    accurate."""
-
-    def cauchy_fn(z):
-        z = np.asarray(z, dtype=complex)
-        return 2.0 / _root_sum(z + offset, _support_root(z, lo, hi),
-                               4.0 * jump * z)
-
-    return cauchy_fn
-
-
 def _semicircle_cauchy(center, radius):
     """``G(z) = 2 / (w + sqrt(w - R) sqrt(w + R))`` with ``w = z - center``."""
     lo, hi = center - radius, center + radius
@@ -478,14 +470,10 @@ def _semicircle_cauchy(center, radius):
     return cauchy_fn
 
 
-def _fgig_smooth_factor(p):
-    s = solve_support(p)
-    sab = math.sqrt(s.a * s.b)
-
-    def g(x, alpha=p.alpha, beta=p.beta, sab=sab):
-        return (alpha / x + beta / (sab * x * x)) / _TWO_PI
-
-    return g, s
+def _rational_factor(alpha, beta, sab, x):
+    """Smooth factor ``(alpha/x + beta/(sab x**2))/(2 pi)`` of the
+    family's density, ``sab = sqrt(lo*hi)``."""
+    return (alpha / x + beta / (sab * x * x)) / _TWO_PI
 
 
 def fgig_density(p, x):
@@ -495,72 +483,74 @@ def fgig_density(p, x):
 
     inside, the density of :func:`build_fgig`.  Vectorized in ``x``.
     """
-    g, s = _fgig_smooth_factor(p)
+    s = solve_support(p)
+    g = partial(_rational_factor, p.alpha, p.beta, math.sqrt(s.a * s.b))
     return _jacobi_density(s.a, s.b, g, 0.5, 0.5, x)
 
 
-def _auto_nodes(n, lo, hi, pole_dist):
-    """Grow the node count when a pole of ``g`` crowds the support edge."""
-    ratio = pole_dist / (hi - lo)
-    if ratio >= 1e-2:
-        return n
-    return int(min(8192, max(n, 14.0 / math.sqrt(ratio))))
+def _rational_law(lo, hi, alpha, beta, n, atom=0.0):
+    """The family's law on ``(lo, hi)``, ``0 <= lo < hi``: the density
+
+        sqrt((x-lo)(hi-x)) (alpha/x + beta/(sqrt(lo hi) x**2)) / (2 pi)
+
+    with ``alpha > 0`` and ``beta >= 0``, plus ``atom`` at the origin.
+    ``mu(alpha, beta, lam)`` is this law on its support; the
+    Marchenko--Pastur law ``nu(jump, rate)`` has ``alpha = 1/jump``,
+    ``beta = 0`` and the atom ``max(0, 1 - rate)``; the small-beta limit
+    at ``|lam| < 1`` has ``(0, 2(1+lam)/alpha)``, ``beta = 0`` and the
+    atom ``(1-lam)/2``.
+
+    Spectral quadrature: the smooth factor has its only poles at the
+    origin, so the node count is bumped when the support crowds it.  At
+    ``lo == 0`` (then ``beta == 0``) the pole meets the edge: the density
+    is ``x**(-1/2) sqrt(hi - x) alpha/(2 pi)``, and the nodes switch to
+    the Gauss--Jacobi rule of that ``-1/2`` edge.
+    """
+    if n < 16:
+        raise DomainError("node count must be at least 16")
+    if lo == 0.0:
+        def g(x, c=alpha / _TWO_PI):
+            return np.full_like(np.asarray(x, dtype=float), c)
+
+        edge, c2 = -0.5, 0.0
+    else:
+        sab = math.sqrt(lo * hi)
+        g = partial(_rational_factor, alpha, beta, sab)
+        edge, c2 = 0.5, beta / sab
+        ratio = lo / (hi - lo)  # the pole's distance in support widths
+        if ratio < 1e-2:
+            n = int(min(8192, max(n, 14.0 / math.sqrt(ratio))))
+    return _jacobi_measure(
+        lo, hi, g, edge, 0.5, n, ((0.0, atom),) if atom else (),
+        cauchy_fn=_rational_cauchy(alpha, beta, lo, hi, atom),
+        upper=partial(_rational_upper_mass, lo, hi, alpha, c2),
+        n_knots=max(_DEFAULT_KNOTS, min(4 * n, 32768)))
 
 
 def build_fgig(p, n=256):
-    """Construct ``mu(alpha, beta, lam)`` as a :class:`SpectralMeasure`.
-
-    Spectral quadrature: the rational smooth factor has its only poles at
-    the origin, so the node count is bumped automatically when the support
-    degenerates towards zero.
-    """
-    if n < 16:
-        raise DomainError("node count must be at least 16")
-    g, s = _fgig_smooth_factor(p)
-    n_eff = _auto_nodes(n, s.a, s.b, s.a)
-    return _jacobi_measure(
-        s.a, s.b, g, 0.5, 0.5, n_eff,
-        cauchy_fn=_fgig_cauchy(p.alpha, p.beta, s.a, s.b),
-        upper=partial(_rational_upper_mass, s.a, s.b, p.alpha,
-                      p.beta / math.sqrt(s.a * s.b)),
-        n_knots=max(_DEFAULT_KNOTS, min(4 * n_eff, 32768)))
+    """Construct ``mu(alpha, beta, lam)`` as a :class:`SpectralMeasure`,
+    the :func:`_rational_law` on its support."""
+    s = solve_support(p)
+    return _rational_law(s.a, s.b, p.alpha, p.beta, n)
 
 
 def build_free_poisson(fp, n=256):
-    """Construct the Marchenko--Pastur law ``nu(jump, rate)``.
+    """Construct the Marchenko--Pastur law ``nu(jump, rate)``, the
+    :func:`_rational_law` with ``alpha = 1/jump`` and ``beta = 0``.
 
     An atom of weight ``max(0, 1 - rate)`` sits at the origin; the a.c.
-    part lives on ``(jump(1-sqrt(rate))**2, jump(1+sqrt(rate))**2)``.  At
-    ``rate == 1`` the left edge exponent drops to ``-1/2`` and the nodes
-    switch to the matching Gauss--Jacobi rule.
+    part lives on ``(jump(1-sqrt(rate))**2, jump(1+sqrt(rate))**2)``,
+    whose left edge is formed as ``jump((1-rate)/(1+sqrt(rate)))**2``,
+    free of cancellation near ``rate = 1``.  Within 1e-12 of ``rate == 1``
+    the left edge is 0 and there is no atom.
     """
-    if n < 16:
-        raise DomainError("node count must be at least 16")
     gam, rate = fp.jump, fp.rate
     sq = math.sqrt(rate)
-    lo = gam * (1.0 - sq) ** 2
-    hi = gam * (1.0 + sq) ** 2
-    atoms = ((0.0, 1.0 - rate),) if rate < 1.0 else ()
-
     if abs(rate - 1.0) <= 1e-12:
-        # density = sqrt(hi - x) * x**(-1/2) / (2 pi jump), the 1/x term
-        # of _rational_upper_mass at lo = 0
-        def g(x, c=1.0 / (_TWO_PI * gam)):
-            return np.full_like(np.asarray(x, dtype=float), c)
-
-        return _jacobi_measure(
-            0.0, hi, g, -0.5, 0.5, n,
-            cauchy_fn=_free_poisson_cauchy(gam, 0.0, hi, 0.0),
-            upper=partial(_rational_upper_mass, 0.0, hi, 1.0 / gam, 0.0))
-
-    def g(x, c=1.0 / (_TWO_PI * gam)):
-        return c / x
-
-    n_eff = _auto_nodes(n, lo, hi, lo)
-    return _jacobi_measure(
-        lo, hi, g, 0.5, 0.5, n_eff, atoms=atoms,
-        cauchy_fn=_free_poisson_cauchy(gam, lo, hi, gam * (1.0 - rate)),
-        upper=partial(_rational_upper_mass, lo, hi, 1.0 / gam, 0.0))
+        lo, atom = 0.0, 0.0
+    else:
+        lo, atom = gam * ((1.0 - rate) / (1.0 + sq)) ** 2, max(0.0, 1.0 - rate)
+    return _rational_law(lo, gam * (1.0 + sq) ** 2, 1.0 / gam, 0.0, n, atom)
 
 
 def build_semicircle(center=0.0, radius=2.0, n=256):

@@ -47,23 +47,6 @@ _NODES = 4096
 
 
 @dataclass(frozen=True)
-class BranchedSqrtEvaluator:
-    """``sqrt(beta*(eta - z))`` continuous on the closed lower half-plane.
-
-    Positive on ``(-inf, eta)``; for real arguments right of ``eta`` the
-    limit from below is ``+i sqrt(beta*(x - eta))``.
-    """
-
-    beta: float
-    eta: float
-
-    def __call__(self, z):
-        z = np.asarray(z, dtype=complex)
-        out = np.sqrt(self.beta * (self.eta - z))
-        return out if out.ndim else complex(out)
-
-
-@dataclass(frozen=True)
 class CertificateReport:
     max_imag: float
     tol: float
@@ -116,7 +99,9 @@ def r_fgig(p, z):
     flip = bool(upper.any())  # reflect only when some point needs it
     zz = np.where(upper, np.conj(z), z) if flip else z
     u = lam * zz + (zz - alpha)
-    v = 2.0 * (zz - roots.delta) * BranchedSqrtEvaluator(beta, roots.eta)(zz)
+    # the root is positive left of eta and, on the cut right of it,
+    # +i sqrt(beta (x - eta)), its limit from below
+    v = 2.0 * (zz - roots.delta) * np.sqrt(beta * (roots.eta - zz))
     # |u - v| >= |u + v| exactly where Re(u conj v) <= 0; both factors
     # are chosen before dividing, so no zero denominator is formed
     conj = u.real * v.real + u.imag * v.imag <= 0.0

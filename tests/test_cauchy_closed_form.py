@@ -140,7 +140,7 @@ class TestHighPrecisionOracle:
             want = textbook(z)
             assert abs(mp.mpc(g) - want) / abs(want) <= 1e-8, z
 
-    @pytest.mark.parametrize("rate", [0.5, 1.0, 3.0])
+    @pytest.mark.parametrize("rate", [0.5, 1.0, 3.0, 1 - 1e-6, 1 + 1e-6])
     def test_free_poisson(self, rate):
         mp = pytest.importorskip("mpmath")
         with mp.workdps(40):
@@ -163,6 +163,8 @@ class TestHighPrecisionOracle:
         zs = ([t * hi * u for t in (1e-9, 1e-12) for u in (1j, -1, 1 + 1j)]
               + [x + 1e-9j for x in (lo, 0.5 * (lo + hi), hi)]
               + [1e4 * hi * u for u in (1, -1, 1j)] + [-hi, hi * (1 + 1e-9)])
+        if rate < 1:  # real points between the atom and the support
+            zs += [0.5 * lo, lo * (1 - 1e-6)]
         got = m.cauchy_fn(np.array(zs, dtype=complex))
         for z, g in zip(zs, got):
             want = textbook(z)

@@ -432,6 +432,7 @@ class TestImports:
         ("subordination_at", "the benchmark harness calls it"),
         ("build_semicircle", "the semicircle law, a closed-form input"),
         ("classical_gig_density", "the classical GIG density of C10"),
+        ("fsd_discriminant", "the discriminant fsd_report forms, alone"),
         ("invert_params", "the law of 1/X: mu(beta, alpha, -lam)"),
         ("mode", "the mode that C06 reads"),
         ("r_free_poisson", "the Marchenko--Pastur R-transform C07 reads"),
@@ -490,10 +491,7 @@ class TestImports:
         "alpha": {"NaturalParams": "params.invert_params: p.alpha",
                   "Potential": "Potential.__call__: self.alpha"},
         "beta": {"NaturalParams": "params.invert_params: p.beta",
-                 "Potential": "Potential.__call__: self.beta",
-                 "BranchedSqrtEvaluator": "its __call__: self.beta"},
-        "eta": {"SpectralRoots": "cli._run_params: roots.eta",
-                "BranchedSqrtEvaluator": "its __call__: self.eta"},
+                 "Potential": "Potential.__call__: self.beta"},
         "lam": {"NaturalParams": "params.invert_params: p.lam",
                 "Potential": "Potential.__call__: self.lam",
                 "SupportForm": "params.from_support: s.lam",

@@ -8,7 +8,6 @@ from fgig import (DomainError, NaturalParams, NumericError, PoleError,
 from fgig.measures import (FreePoissonParams, atom_measure, build_fgig,
                            build_free_poisson, fgig_density, moment)
 from fgig.transforms import (
-    BranchedSqrtEvaluator,
     cauchy,
     fid_certificate,
     free_cumulants,
@@ -30,10 +29,26 @@ def random_params(rng, lam_range=(-4.0, 4.0)):
 
 
 class TestBranchedSqrt:
+    """The root ``sqrt(beta (eta - z))`` that ``r_fgig`` takes: positive
+    left of ``eta``, ``+i sqrt(beta (x - eta))`` on the cut right of it
+    (the limit from below), read against the quotient with that root."""
+
+    P = NaturalParams(2.0, 8.0, -0.5)  # alpha = 2 removable, eta > alpha
+
+    @staticmethod
+    def quotient(p, z, root):
+        r = spectral_roots(p)
+        return ((-p.alpha + (p.lam + 1.0) * z + 2.0 * (z - r.delta) * root)
+                / (2.0 * z * (p.alpha - z)))
+
     def test_positive_left_of_branch_point(self):
-        sq = BranchedSqrtEvaluator(8.0, 2.0)
-        assert sq(0.0) == pytest.approx(4.0)
-        assert sq(-2.0).imag == 0.0
+        p = self.P
+        eta = spectral_roots(p).eta
+        for x in (-2.0, 0.5, 0.5 * (p.alpha + eta), eta * (1.0 - 1e-3)):
+            want = self.quotient(p, x, math.sqrt(p.beta * (eta - x)))
+            got = r_fgig(p, complex(x))
+            assert got.imag == 0.0
+            assert got.real == pytest.approx(want, rel=1e-12)
 
     def test_value_at_origin_matches_rate(self):
         # 2*(0 - delta)*sqrt(beta*eta) must equal alpha
@@ -41,41 +56,47 @@ class TestBranchedSqrt:
         for _ in range(10):
             p = random_params(rng)
             r = spectral_roots(p)
-            sq = BranchedSqrtEvaluator(p.beta, r.eta)
-            assert 2.0 * (-r.delta) * sq(0.0).real == pytest.approx(
-                p.alpha, rel=1e-10)
+            assert 2.0 * (-r.delta) * math.sqrt(p.beta * r.eta) == (
+                pytest.approx(p.alpha, rel=1e-10))
 
     def test_branch_from_below_right_of_branch_point(self):
-        sq = BranchedSqrtEvaluator(8.0, 2.0)
-        val = sq(3.0)
-        assert val.real == pytest.approx(0.0, abs=1e-14)
-        assert val.imag == pytest.approx(math.sqrt(8.0), rel=1e-14)
+        p = self.P
+        eta = spectral_roots(p).eta
+        for x in (eta * (1.0 + 1e-3), 2.0 * eta, 40.0):
+            want = self.quotient(p, x, 1j * math.sqrt(p.beta * (x - eta)))
+            got = r_fgig(p, complex(x))
+            assert got.imag < 0.0
+            assert abs(got - want) <= 1e-12 * abs(want)
 
     def test_continuity_along_real_axis(self):
-        sq = BranchedSqrtEvaluator(2.0, 1.0)
-        xs = np.linspace(-2.0, 3.0, 2001)
-        vals = sq(xs.astype(complex))
+        # eta well right of alpha, so r is not steep between them
+        p = NaturalParams(0.5, 2.0, -3.0)
+        xs = np.linspace(-2.0, 3.0 * spectral_roots(p).eta, 2001)
+        vals = r_fgig(p, xs.astype(complex))
         steps = np.abs(np.diff(vals))
-        assert np.max(steps) < 0.2  # no branch jump (which would be O(1))
+        # no branch jump: the other sheet past 2 eta would step by 0.95
+        assert np.max(steps) < 0.1 * np.max(np.abs(vals))
 
     def test_matches_lower_half_plane_limit(self):
-        sq = BranchedSqrtEvaluator(2.0, 1.0)
-        x = 2.5
-        from_below = sq(complex(x, -1e-12))
-        assert abs(sq(x) - from_below) < 1e-6
+        p = self.P
+        x = 2.0 * spectral_roots(p).eta
+        from_below = r_fgig(p, complex(x, -1e-12))
+        assert abs(r_fgig(p, complex(x)) - from_below) < 1e-6
 
     def test_branch_from_below_on_an_array(self):
-        # x - 0j right of eta: the limit from below, +i sqrt(beta (x - eta))
-        sq = BranchedSqrtEvaluator(8.0, 2.0)
-        xs = np.array([2.0 + 1e-12, 2.5, 3.0, 40.0])
+        # x - 0j right of eta: the limit from below on the whole array,
+        # as at each point alone
+        p = self.P
+        eta = spectral_roots(p).eta
+        xs = np.array([eta * (1.0 + 1e-12), 1.5 * eta, 2.0 * eta, 40.0])
         z = xs.astype(complex)
         z.imag = -0.0
-        vals = sq(z)
-        assert np.all(vals.real == 0.0)
-        assert np.all(vals.imag > 0.0)
-        assert np.allclose(vals.imag, np.sqrt(8.0 * (xs - 2.0)),
-                           rtol=1e-15, atol=0.0)
-        assert _bits(vals) == _bits([sq(complex(w)) for w in z])
+        vals = r_fgig(p, z)
+        assert np.all(vals.imag < 0.0)
+        want = [self.quotient(p, x, 1j * math.sqrt(p.beta * (x - eta)))
+                for x in xs]
+        assert np.allclose(vals, want, rtol=1e-12, atol=0.0)
+        assert _bits(vals) == _bits([r_fgig(p, complex(w)) for w in z])
 
 
 class TestRTransform:
@@ -362,14 +383,15 @@ class TestFidCertificate:
         assert not report.passed
 
     @pytest.mark.parametrize("flip", [
-        lambda sqrt: lambda self, z: -sqrt(self, z),  # the other sheet
+        # the other sheet: -sqrt turns (u + v)/d into 2u/d - r
+        lambda r: lambda p, z: ((p.lam * z + (z - p.alpha))
+                                / (z * (p.alpha - z)) - r(p, z)),
         # the branch continuous from above: -i sqrt(beta (x - eta)) on the cut
-        lambda sqrt: lambda self, z: np.conj(sqrt(self, np.conj(z))),
+        lambda r: lambda p, z: np.conj(r(p, np.conj(z))),
     ])
     @pytest.mark.parametrize("triple", TRIPLES)
     def test_flipped_branch_fails(self, monkeypatch, triple, flip):
-        monkeypatch.setattr(BranchedSqrtEvaluator, "__call__",
-                            flip(BranchedSqrtEvaluator.__call__))
+        monkeypatch.setattr(transforms, "r_fgig", flip(r_fgig))
         report = fid_certificate(NaturalParams(*triple))
         assert report.max_imag > report.tol
         assert not report.passed
