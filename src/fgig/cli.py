@@ -214,6 +214,7 @@ def _run_fsd(args):
     out["threshold_lambda"] = rep.threshold
     out["is_fsd"] = rep.is_fsd
     out["k_monotone"] = rep.k_monotone
+    out["max_log_k_slope"] = rep.max_slope
     out["atom_weight"] = rep.atom_weight
     out["routes_agree"] = rep.agrees
     _emit(args.output, _dumps(out))

@@ -11,8 +11,7 @@ fixed point of ``w -> z + h_nu(z + h_mu(w))``, located here by damped
 Picard iteration with Aitken extrapolation.  ``omega_1(z)`` is the
 Denjoy--Wolff point of that map, which the iteration reaches from any
 start in the upper half-plane (Belinschi & Bercovici, J. Anal. Math.
-2007), so a start taken from a nearby solution changes how many map
-evaluations a solve takes, not where it ends.  The map sends the closed
+2007); every solve here starts from ``z + 1j``.  The map sends the closed
 half-plane ``Im w >= Im z`` into itself, so an extrapolation that leaves
 it is projected back onto its boundary.  The subordination functions
 extend continuously to the real line (Belinschi, PTRF 2008), so the
@@ -20,12 +19,11 @@ convolved density ``-Im G_mu(omega_1(x))/pi`` is read at real ``x``
 directly, with no extrapolation towards the axis; outside the support
 ``omega_1(x)`` is real.
 
-:func:`free_convolve` solves three times on the real axis, each solve
-started from what the earlier ones found: a uniform grid from ``x + 1j``,
-then both support edges in lockstep, each probe from ``omega_1`` at its
-edge's nearest sample inside the support, then ``_OUT_NODES`` Chebyshev
-nodes of the support from the grid's ``omega_1`` interpolated there.  The
-output's resolution is its own: nothing reads the inputs' quadrature.
+:func:`free_convolve` finds both support edges as the extrema of the
+real inverse of the output's Cauchy transform (as Olver & Nadakuditi,
+arXiv:1203.1958, invert Cauchy transforms), then solves at
+``_OUT_NODES`` Chebyshev nodes of that support.  The output's resolution
+is its own: nothing reads the inputs' quadrature.
 """
 
 import math
@@ -37,16 +35,16 @@ from .errors import DomainError, NumericError
 from .measures import _chebyshev_measure, _edge_matched_rule, shift
 from .transforms import cauchy_nodes
 
-_N_GRID = 2001  # uniform grid over the sum of the supports, to find the edges
-_MARGIN = 0.05  # grid padding beyond that sum, relative to its width
 _TOL = 1e-12  # relative fixed-point tolerance of every subordination solve
 _MAX_ITER = 2000  # subordination map evaluations per solve
-_FLOOR = 1e-9  # density below this fraction of the peak is outside the support
-_EDGE_STEP = 1e-7  # closest approach of an edge probe, relative to the width
-_EDGE_PROBES = 40  # probes allowed per edge
+_FLOOR = 1e-9  # density at a node below this fraction of the peak is a gap
 _DAMPING = 0.5  # Picard step of the subordination solve
 _MASS_TOL = 1e-10  # largest mass error of a returned law
 _OUT_NODES = 1024  # Chebyshev nodes of every convolution output
+_TAU = np.linspace(-12.0, 36.0, 25)  # edge samples, 1/g - 1/g_end ~ e**-tau
+_MAX_NEWTON = 40  # Newton steps per edge search and per inverse Cauchy solve
+_ROOT_EPS = math.sqrt(np.finfo(float).eps)  # Newton's last step is quadratic
+_STEP = 2.0 ** -13  # complex step for G'', relative to the support's distance
 
 
 @dataclass(frozen=True)
@@ -66,7 +64,7 @@ def _h_transform(m, w):
     return 1.0 / cauchy_nodes(m, w) - w
 
 
-def _solve_omega(mu, nu, z, max_iter, start=None, scale=1.0):
+def _solve_omega(mu, nu, z, max_iter, scale=1.0):
     """Vectorized fixed-point solve; returns (omega1, residual, evaluations).
 
     Damped Picard with a vectorized Aitken update every cycle: near the
@@ -79,13 +77,11 @@ def _solve_omega(mu, nu, z, max_iter, start=None, scale=1.0):
     where ``omega_1`` is real, every extrapolation lands a hair below the
     axis, and the damped step alone would only halve ``Im w`` per
     evaluation.  ``max_iter`` counts evaluations of the subordination map.
-    The iteration reaches the same fixed point from any ``start`` in the
-    upper half-plane (``z + 1j`` by default); a start near it only saves
-    evaluations.  A solve stops once a step is within ``_TOL`` of
-    ``max(scale, |w|)``.
+    Every solve starts from ``z + 1j``, and stops once a step is within
+    ``_TOL`` of ``max(scale, |w|)``.
     """
     z = np.asarray(z, dtype=complex)
-    w = z + 1j if start is None else np.array(start, dtype=complex)
+    w = z + 1j
     res = np.full(z.shape, np.inf)
     # the points still iterating, their z and their current iterate
     idx, za, wa = np.arange(z.size), z, w.copy()
@@ -149,111 +145,121 @@ def _is_unit_atom(m):
             and abs(m.atoms[0][1] - 1.0) <= 1e-12)
 
 
-def _real_density(mu, nu, xs, start, scale):
-    """Density of ``mu (+) nu`` at real ``xs``, where its solve converged,
-    and ``omega1`` there.
+def _inverse_cauchy(m, e, s, width, y, u=np.nan):
+    """``u > 0`` with ``1/G_m(w) = y`` at ``w = e + s u**2``, past the edge
+    ``e`` of ``m`` on the side ``s`` (+1 or -1), and ``G'``, ``G''`` there
+    by complex steps (``cauchy_fn`` is analytic off the support).
+    ``1/(w - lo) <= G <= 1/(w - hi)`` brackets ``u**2`` in ``[s y - width,
+    s y]``; Newton in ``u`` is regular at a square-root edge, a step out of
+    the bracket bisects it, and a solve stops one step after every ``w``
+    moved by less than ``sqrt(eps)``."""
+    lo, hi = np.sqrt(np.maximum(s * y - width, 0.0)), np.sqrt(s * y)
+    new, done = u, False
+    for _ in range(_MAX_NEWTON):
+        u = np.where((new >= lo) & (new <= hi) & (new > 0.0), new,
+                     0.5 * (lo + hi))
+        if done:  # G' moved to the last step's end by G''
+            return u, dg + ddg * s * (u * u - d), ddg
+        d = u * u
+        w = e + s * d
+        g, g2 = cauchy_nodes(m, np.stack([w + 1e-20j * d, w + _STEP * 1j * d]))
+        g, dg, ddg = (g.real, g.imag / (1e-20 * d),
+                      2.0 * (g.real - g2.real) / (_STEP * d) ** 2)
+        f = s / g - s * y
+        lo, hi = np.where(f <= 0.0, u, lo), np.where(f >= 0.0, u, hi)
+        new = u + f * g * g / (2.0 * u * dg)
+        done = np.all(np.abs(new * new - d)
+                      <= _ROOT_EPS * (d + _ROOT_EPS * np.abs(w)))
+    return u, dg, ddg
 
-    Inside the support and outside it a solve converges within a few
-    dozen map evaluations; at an edge the contraction factor tends to 1
-    and the solve may stall.
-    """
-    xs = np.asarray(xs, dtype=float)
-    w, res, _ = _solve_omega(mu, nu, xs.astype(complex), _MAX_ITER, start,
-                             scale)
-    ok = res <= _TOL * np.maximum(scale, np.abs(w))
-    return -cauchy_nodes(mu, w).imag / math.pi, ok, w
 
+def _support_edges(mu, nu):
+    """Both support edges of ``mu (+) nu``.  Outside the supports, by
+    R-transform additivity (Voiculescu 1986), ``x(g) = G_mu^-1(g) +
+    G_nu^-1(g) - 1/g`` inverts its Cauchy transform; the right edge is the
+    least ``x`` over ``(0, g_end)``, the left the largest over
+    ``(g_end, 0)``, ``g_end`` the inputs' ``G`` at their outermost points,
+    the smaller in magnitude.  ``dx/d(1/g) = -phi``, ``phi = 1 + g**2
+    (1/G_mu'(w_1) + 1/G_nu'(w_2))``, is -1 far out and ``>= 0`` at a
+    square-root ``g_end`` (Cauchy--Schwarz).  ``phi`` at ``1/g = 1/g_end +
+    s span e**-tau``, ``tau`` in ``_TAU``, ``span = |1/g_end|`` (the widths'
+    sum where both laws end in an atom), brackets its root on both sides
+    at once, and Newton in ``tau`` refines it.  ``phi < 0`` at every sample
+    puts the extremum within rounding of ``g_end``: the last sample is the
+    edge.  ``phi >= 0`` at the first, or ``< -sqrt(eps)`` at the last,
+    means no extremum: ``NumericError``."""
+    (lo1, hi1), (lo2, hi2) = _bounds(mu), _bounds(nu)
+    # one row per side, the right then the left
+    s = np.array([[1.0], [-1.0]])
+    e1, e2 = np.array([[hi1], [lo1]]), np.array([[hi2], [lo2]])
+    with np.errstate(divide="ignore", invalid="ignore"):
+        g_end = np.fmin(np.abs(cauchy_nodes(mu, e1.astype(complex)).real),
+                        np.abs(cauchy_nodes(nu, e2.astype(complex)).real))
+    y_end = s / g_end  # 0 where both laws end in an atom
+    span = np.where(y_end == 0.0, hi1 - lo1 + hi2 - lo2, np.abs(y_end))
 
-def _locate_edges(mu, nu, edges, floor, width, scale):
-    """Both square-root support edges, moved in lockstep.
+    def solve(tau, u1=np.nan, u2=np.nan):
+        """``x``, ``phi = 1 - dw_1/dy - dw_2/dy``, ``d phi/d tau``, and each
+        ``u`` with its ``dw/dy = -G**2/G'``, at ``y = 1/g``."""
+        y = y_end + s * span * np.exp(-tau)
+        u1, d1, dd1 = _inverse_cauchy(mu, e1, s, hi1 - lo1, y, u1)
+        u2, d2, dd2 = _inverse_cauchy(nu, e2, s, hi2 - lo2, y, u2)
+        v1, v2 = -1.0 / (y * y * d1), -1.0 / (y * y * d2)
+        dphi = y * y * (dd1 * v1 ** 3 + dd2 * v2 ** 3) - 2.0 * (v1 + v2) / y
+        return (e1 + s * u1 * u1 + e2 + s * u2 * u2 - y, 1.0 - v1 - v2,
+                dphi * s * span * np.exp(-tau), (u1, v1), (u2, v2))
 
-    Each of ``edges`` is ``(x_out, xs, rho, w)``: ``xs``/``rho`` are
-    three density samples inside the support, the nearest to the edge
-    first, ``w`` is ``omega1`` at the nearest, and ``x_out`` lies
-    outside.  Near an edge ``rho**2`` vanishes linearly, so ``x`` is a
-    smooth function of ``rho**2`` and inverse quadratic interpolation
-    through the three nearest samples estimates the edge at
-    ``rho**2 = 0``.  Each probe then lands a twentieth of the way from
-    that estimate to the nearest sample, but never closer than
-    ``_EDGE_STEP`` widths to the estimate: the edge is approached from
-    the inside, where solves converge fast, and no closer than their
-    accuracy allows.  A probe found outside tightens the bracket, and an
-    estimate outside the bracket gives way to its midpoint.  An edge is
-    done once its nearest sample is within two such steps of the
-    estimate, after one probe at least: grid samples alone lie a grid
-    cell apart, too far for the quadratic to be exact.  Each round
-    solves the probes of the edges still open together, each started
-    from ``omega1`` at its edge's nearest inside sample.
-    """
-    step = _EDGE_STEP * width
-    # per edge: x_out, the three samples, their rho**2, omega1 at the nearest
-    state = [[x_out, list(xs), [r * r for r in rho], w]
-             for x_out, xs, rho, w in edges]
-    found = [None] * len(state)
-    for probes in range(_EDGE_PROBES):
-        open_, at = [], []
-        for k, (x_out, xs, f, _) in enumerate(state):
-            if found[k] is not None:
-                continue
-            sgn = math.copysign(1.0, xs[0] - x_out)
-            e = sum(xs[i] * math.prod(f[j] / (f[j] - f[i])
-                                      for j in range(3) if j != i)
-                    for i in range(3))
-            if not (sgn * (e - x_out) > 0.0 and sgn * (xs[0] - e) > 0.0):
-                e = 0.5 * (x_out + xs[0])
-            gap = sgn * (xs[0] - e)
-            if gap <= 2.0 * step and probes:
-                found[k] = e
-                continue
-            open_.append(k)
-            at.append(e + sgn * max(0.05 * gap, step))
-        if not open_:
-            return found
-        r, ok, w = _real_density(mu, nu, at, [state[k][3] for k in open_],
-                                 scale)
-        for k, x, r_k, ok_k, w_k in zip(open_, at, r, ok, w):
-            s = state[k]
-            if ok_k and r_k > floor:
-                s[1], s[2], s[3] = [x] + s[1][:2], [r_k * r_k] + s[2][:2], w_k
-            else:
-                s[0] = x
-    raise NumericError("support edge not located", residual=max(
-        abs(s[1][0] - s[0]) / width
-        for s, e in zip(state, found) if e is None))
+    x, phi, _, (u1, _), (u2, _) = solve(_TAU)
+    rise = phi >= 0.0
+    k = np.where(rise.any(axis=1), np.argmax(rise, axis=1), _TAU.size)
+    bad = np.where(k == 0, phi[:, 0], -phi[:, -1])
+    if np.any((k == 0) | ((k == _TAU.size) & (bad > _ROOT_EPS))):
+        raise NumericError("the inverse Cauchy transform has no extremum",
+                           residual=float(np.max(bad)))
+    # a side is done at the last sample, or once Newton moves y by less
+    # than sqrt(eps): x is flat to eps there
+    done = (k == _TAU.size)[:, None]
+    k, side = np.minimum(k, _TAU.size - 1), np.arange(2)
+    t_lo, t_hi = _TAU[k - 1, None], _TAU[k, None]
+    k = np.where(done[:, 0] | (phi[side, k] < -phi[side, k - 1]), k, k - 1)
+    tau, edge = _TAU[k, None], x[side, k, None]
+    u1, u2 = u1[side, k, None], u2[side, k, None]
+    for _ in range(_MAX_NEWTON):
+        if done.all():
+            return edge[1, 0], edge[0, 0]
+        edge, phi, dphi, (u1, v1), (u2, v2) = solve(tau, u1, u2)
+        t_lo, t_hi = np.where(phi < 0, tau, t_lo), np.where(phi < 0, t_hi, tau)
+        new = tau - phi / dphi
+        new = np.where((new >= t_lo) & (new <= t_hi), new, 0.5 * (t_lo + t_hi))
+        step = span * np.exp(-tau)  # |dy/d tau|
+        done |= np.abs(new - tau) * step <= _ROOT_EPS * (np.abs(y_end) + step)
+        new = np.where(done, tau, new)
+        dy = s * span * (np.exp(-new) - np.exp(-tau))  # first-order starts
+        u1 = np.sqrt(np.maximum(u1 * u1 + s * v1 * dy, 0.0))
+        u2 = np.sqrt(np.maximum(u2 * u2 + s * v2 * dy, 0.0))
+        tau = new
+    raise NumericError("support edge not located")
 
 
 def free_convolve(mu, nu):
     """Distribution of ``X + Y`` for free ``X ~ mu``, ``Y ~ nu``.
 
     A point mass acts by translation and is handled exactly.  Otherwise
-    the density is solved on the real axis in three rounds, each started
-    from the ``omega_1`` the one before found:
-
-    1. on a uniform grid over the arithmetic sum of the supports (plus a
-       margin), from ``x + 1j``, which brackets the two square-root edges
-       of the support;
-    2. near both edges together to locate them (:func:`_locate_edges`),
-       one solve per probe round, each probe started from ``omega_1`` at
-       its edge's nearest sample inside, first a grid sample and then the
-       last probe found inside;
-    3. at ``_OUT_NODES`` Chebyshev nodes of the support found, started
-       from the grid's ``omega_1`` linearly interpolated (real and
-       imaginary parts) at the nodes.
-
-    The result is the chopped Chebyshev vector of its smooth factor
-    ``rho/sqrt((x-lo)(hi-x))`` at those nodes, whose sums give its
-    density, Cauchy transform and cdf (:func:`_chebyshev_measure`), so
-    the edges themselves are never solved.
+    both support edges come first, exactly (:func:`_support_edges`), then
+    the density at ``_OUT_NODES`` Chebyshev nodes of that support, each
+    solve from ``x + 1j``.  The result is the chopped Chebyshev vector of
+    its smooth factor ``rho/sqrt((x-lo)(hi-x))`` at those nodes, whose sums
+    give its density, Cauchy transform and cdf (:func:`_chebyshev_measure`).
 
     Raises
     ------
     DomainError
         If neither law has an absolutely continuous part.
     NumericError
-        If a solve inside the support fails, if the density vanishes
-        inside its support (only single-interval laws are built), if an
-        edge cannot be located, or if the output's mass is off 1 by more
-        than ``_MASS_TOL``.
+        If an edge cannot be located, a solve at a node fails, the density
+        vanishes inside its support (only single-interval laws are built),
+        the chop finds no plateau in the ``_OUT_NODES`` coefficients (the
+        density is not resolved), or the mass is off 1 by ``_MASS_TOL``.
     """
     if _is_unit_atom(nu):
         return shift(mu, nu.atoms[0][0])
@@ -262,38 +268,18 @@ def free_convolve(mu, nu):
     if mu.support is None and nu.support is None:
         raise DomainError("one law needs an absolutely continuous part")
 
-    lo1, hi1 = _bounds(mu)
-    lo2, hi2 = _bounds(nu)
-    lo, hi = lo1 + lo2, hi1 + hi2
-    pad = _MARGIN * (hi - lo)
+    a, b = _support_edges(mu, nu)
+    t, _ = _edge_matched_rule(_OUT_NODES, 0.5, 0.5)
+    nodes = 0.5 * (a + b) + 0.5 * (b - a) * t
     # solves stop at _TOL times max(scale, |w|): scaled with the output, so
     # a dilated problem stops at the same point, and never looser than 1
-    scale = min(1.0, hi - lo)
-    xs = np.linspace(lo - pad, hi + pad, _N_GRID)
-    rho, ok, w = _real_density(mu, nu, xs, None, scale)
-    floor = _FLOOR * float(np.max(rho, where=ok, initial=0.0))
-    idx = np.flatnonzero(ok & (rho > floor))
-    if idx.size < 3 or idx[0] == 0 or idx[-1] == xs.size - 1:
-        raise NumericError("convolution density not resolved on the grid")
-    i0, i1 = idx[0], idx[-1]
-    if not ok[i0:i1 + 1].all():
+    scale = min(1.0, b - a)
+    w, res, _ = _solve_omega(mu, nu, nodes.astype(complex), _MAX_ITER, scale)
+    if not np.all(res <= _TOL * np.maximum(scale, np.abs(w))):
         raise NumericError("subordination failed inside the support")
-    if idx.size != i1 - i0 + 1:
+    rho = -cauchy_nodes(mu, w).imag / math.pi
+    if not np.all(rho > _FLOOR * np.max(rho)):
         raise NumericError("convolution density vanishes inside its support")
-    width = xs[i1] - xs[i0]
-    a, b = _locate_edges(
-        mu, nu, [(xs[i0 - 1], xs[i0:i0 + 3], rho[i0:i0 + 3], w[i0]),
-                 (xs[i1 + 1], xs[i1:i1 - 3:-1], rho[i1:i1 - 3:-1], w[i1])],
-        floor, width, scale)
-
-    t = _edge_matched_rule(_OUT_NODES, 0.5, 0.5)[0]
-    nodes = 0.5 * (a + b) + 0.5 * (b - a) * t
-    inside = slice(i0, i1 + 1)
-    start = (np.interp(nodes, xs[inside], w[inside].real)
-             + 1j * np.interp(nodes, xs[inside], w[inside].imag))
-    rho, ok, _ = _real_density(mu, nu, nodes, start, scale)
-    if not np.all(ok & (rho > floor)):
-        raise NumericError("subordination failed inside the support")
     out = _chebyshev_measure(a, b, rho / np.sqrt((nodes - a) * (b - nodes)))
     err = abs(out.mass() - 1.0)
     if err > _MASS_TOL:

@@ -35,8 +35,7 @@ from .measures import _rational_upper_mass, _support_root
 from .params import _solve_ratio, solve_spread, spectral_roots
 from .transforms import r_fgig
 
-_FSD_GRID = 10_000  # samples of k(x) = x levy_density(x) over (0, 1/eta)
-_INCREMENT_TOL = 1e-9  # largest relative rise of k still counted as monotone
+_ZOOM = 512  # samples per round of the search for the largest slope of log k
 
 
 @dataclass(frozen=True)
@@ -96,6 +95,7 @@ class FsdReport:
     threshold: float
     is_fsd: bool
     k_monotone: bool
+    max_slope: float  # largest (log k)' on (0, 1/eta), relative to its terms
     atom_weight: float
     agrees: bool
 
@@ -222,9 +222,10 @@ def fsd_report(p):
 
     Laws with ``lam > 0`` carry a Levy atom and are never FSD; for
     ``lam <= 0`` the verdict is the sign of the discriminant.
-    Independently, ``k(x) = x * levy_density(x)`` is sampled on a grid
-    over ``(0, 1/eta)`` and checked for monotone decrease; ``agrees``
-    records whether the two routes coincide.
+    Independently, ``k(x) = x * levy_density(x)`` is monotone iff
+    ``(log k)' <= 0`` on ``(0, 1/eta)``; ``max_slope`` is its maximum, by
+    three rounds of ``_ZOOM`` samples about the last round's largest, over
+    its four terms' absolute sum.  ``agrees`` says if the routes coincide.
     """
     sf = solve_spread(p)
     roots = spectral_roots(p)
@@ -235,13 +236,18 @@ def fsd_report(p):
     # the scale of the cancelled terms
     is_fsd = (p.lam <= 0.0) and (disc <= 1e-12 * (q + 4.0 * abs(s)))
 
-    hi = 1.0 / roots.eta
-    xs = hi * np.arange(1, _FSD_GRID + 1) / (_FSD_GRID + 1)
-    k = xs * levy_density(p, xs)
-    inc = np.diff(k)
-    scale = np.maximum(1.0, np.maximum(np.abs(k[:-1]), np.abs(k[1:])))
-    k_monotone = bool(np.all(inc <= _INCREMENT_TOL * scale))
-    atom_weight = max(p.lam, 0.0)
+    a, d, e = p.alpha, roots.delta, roots.eta
+    lo, hi = 0.0, 1.0 / e
+    for _ in range(3):
+        x = np.linspace(lo, hi, _ZOOM + 2)
+        t = x[1:-1]
+        terms = np.stack([-d / (1.0 - d * t), -0.5 * e / (1.0 - e * t),
+                          -0.5 / t, a / (1.0 - a * t)])
+        slope = terms.sum(axis=0)
+        k = int(np.argmax(slope))
+        lo, hi = x[k], x[k + 2]
+    max_slope = float(slope[k] / np.abs(terms[:, k]).sum())
+    k_monotone, atom_weight = max_slope <= 0.0, max(p.lam, 0.0)
     agrees = is_fsd == (k_monotone and atom_weight == 0.0)
-    return FsdReport(disc, threshold, is_fsd, k_monotone, atom_weight,
-                     agrees)
+    return FsdReport(disc, threshold, is_fsd, k_monotone, max_slope,
+                     atom_weight, agrees)

@@ -42,7 +42,7 @@ from typing import Callable, Optional
 
 import numpy as np
 
-from .errors import DomainError
+from .errors import DomainError, NumericError
 from .params import solve_support
 
 _TWO_PI = 2.0 * math.pi
@@ -403,12 +403,17 @@ def _chebyshev_coefficients(g):
     """``c_k`` with ``g = sum_k c_k U_k(t)`` from the values ``g_j`` at
     ``t_j = cos(theta_j)``, ``theta_j = j pi/(n+1)``, ``j = 1..n``:
     ``c_k = 2/(n+1) sum_j g_j sin(theta_j) sin((k+1) theta_j)``, one DST-I
-    taken by a zero-padded FFT, chopped by :func:`_standard_chop`."""
+    taken by a zero-padded FFT, chopped by :func:`_standard_chop`.  A chop
+    with no plateau raises ``NumericError``: ``g`` is not resolved."""
     n = g.size
     theta = np.arange(1, n + 1) * math.pi / (n + 1)
     f = np.concatenate(([0.0], g * np.sin(theta)))
     c = (-2.0 / (n + 1)) * np.fft.rfft(f, 2 * (n + 1)).imag[1:n + 1]
-    return c[:_standard_chop(c)]
+    keep, mag = _standard_chop(c), np.abs(c)
+    if keep == n:  # the residual is the upper half's largest, relative
+        raise NumericError("Chebyshev series not resolved on its nodes",
+                           residual=float(np.max(mag[n // 2:]) / np.max(mag)))
+    return c[:keep]
 
 
 def _clenshaw_u(c, t):

@@ -155,9 +155,9 @@ def cauchy(m, z):
 def cauchy_nodes(m, z):
     """Cauchy transform without the support and atom checks.
 
-    Vectorized workhorse for the subordination solver, where the query
-    points stay in the upper half-plane: the transform the measure
-    carries, ``m.cauchy_fn(z)``.
+    Vectorized workhorse for free convolution, which queries the upper
+    half-plane and a support's outermost points: the transform the
+    measure carries, ``m.cauchy_fn(z)``.
     """
     return m.cauchy_fn(np.asarray(z, dtype=complex))
 

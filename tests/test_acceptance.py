@@ -202,7 +202,7 @@ def test_c05_fsd():
                 hi = mid
         worst_loc = max(worst_loc, abs(0.5 * (lo + hi) - lam_star))
 
-    # grid monotonicity agrees with the verdict
+    # the slope route's monotonicity agrees with the verdict
     agree = True
     count = 0
     while count < 20:
@@ -216,7 +216,7 @@ def test_c05_fsd():
         count += 1
     ok = fixture_err <= 1e-12 and worst_loc <= 1e-9 and agree
     report(5, ok, f"threshold fixture {fixture_err:.2e} (<=1e-12), bisection "
-                  f"{worst_loc:.2e} (<=1e-9), verdict/grid agree: {agree}")
+                  f"{worst_loc:.2e} (<=1e-9), verdict/slope agree: {agree}")
 
 
 def test_c06_unimodality():

@@ -140,6 +140,7 @@ class TestFsdCommand:
         assert code == 0
         doc = json.loads(out)
         assert doc["is_fsd"] == (doc["discriminant"] <= 0)
+        assert doc["k_monotone"] == (doc["max_log_k_slope"] <= 0)
         assert doc["routes_agree"] is True
 
     def test_fsd_positive_case(self, capsys):

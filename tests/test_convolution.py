@@ -1,11 +1,12 @@
 import math
+from dataclasses import replace
 from functools import partial
 
 import numpy as np
 import pytest
 
 from fgig import DomainError, NaturalParams, NumericError, solve_support
-from fgig import convolution
+from fgig import convolution, measures
 from fgig.convolution import (_MAX_ITER, _solve_omega, free_convolve,
                               subordination_at)
 from fgig.entropy import log_energy
@@ -140,14 +141,25 @@ class TestFreeConvolve:
     @pytest.mark.parametrize("alpha, beta, lam", [
         (0.2536256999333209, 1.0059424650888968, 0.25146110115217557),
         (0.2553491537223743, 1.0169285461346727, 0.3133665529339661)])
-    def test_full_coefficient_budget_stays_right(self, alpha, beta, lam):
-        # the chop finds no plateau at these draws and keeps every
-        # coefficient; the outputs were 7.3e-14 and 4.7e-14 in Kolmogorov
-        # distance from mu(alpha, beta, lam)
+    def test_full_coefficient_budget_stays_right(self, alpha, beta, lam,
+                                                 monkeypatch):
+        # with edges estimated from probes the chop found no plateau at
+        # these draws and kept all 1024 coefficients, 7.3e-14 and 4.7e-14
+        # off mu(alpha, beta, lam) in Kolmogorov distance; with exact
+        # edges it keeps about a hundred
+        kept, real = [], measures._chebyshev_coefficients
+
+        def counted(g):
+            c = real(g)
+            kept.append(c.size)
+            return c
+
+        monkeypatch.setattr(measures, "_chebyshev_coefficients", counted)
         X = build_fgig(NaturalParams(alpha, beta, -lam), 1024)
         Y = build_free_poisson(FreePoissonParams(1.0 / alpha, lam), 1024)
         target = build_fgig(NaturalParams(alpha, beta, lam), 1024)
-        assert kolmogorov_distance(free_convolve(X, Y), target) <= 1e-11
+        assert kolmogorov_distance(free_convolve(X, Y), target) <= 1e-13
+        assert kept and max(kept) < convolution._OUT_NODES
 
     @pytest.mark.parametrize("alpha, beta, lam", [
         (0.028345344044002258, 1.3352911159351498e-05, 5.322871058112715),
@@ -169,21 +181,23 @@ class TestFreeConvolve:
     def test_lost_mass_raises(self, alpha, beta, lam):
         # these outputs were 7.5e-5, 2.4e-6 and 8.4e-9 in Kolmogorov distance
         # from mu(alpha, beta, lam), with the mass 6.1e-5, 1.7e-6 and 7.1e-9
-        # off
+        # off; with exact edges the chop finds no plateau in 1024
+        # coefficients, and the residual is the tail ratio.  The second came
+        # back 5.8e-7 off with its mass within 8.4e-11, where the mass gate
+        # alone cannot see it
         X = build_fgig(NaturalParams(alpha, beta, -lam), 1024)
         Y = build_free_poisson(FreePoissonParams(1.0 / alpha, lam), 1024)
         with pytest.raises(NumericError) as info:
             free_convolve(X, Y)
-        assert info.value.residual > 1e-10
+        assert 0.0 < info.value.residual < math.inf
 
     @pytest.mark.parametrize("alpha, beta, lam", [
         (0.0193, 2e-05, 26.5), (1.22e-06, 1.04e-03, 22.5),
         (0.00159, 0.0169, 47.3)])
     def test_failed_solves_inside_the_support(self, alpha, beta, lam):
-        """Right to 1e-11 or ``NumericError``.  The first two reach the grid
-        check, "subordination failed inside the support" where a grid solve
-        between the outermost resolved samples did not converge; the third
-        reaches the same message from the check at the output's nodes."""
+        """Right to 1e-11 or ``NumericError``: each raises "subordination
+        failed inside the support", where a solve at one of the output's
+        nodes did not converge."""
         X = build_fgig(NaturalParams(alpha, beta, -lam), 1024)
         Y = build_free_poisson(FreePoissonParams(1.0 / alpha, lam), 1024)
         try:
@@ -193,12 +207,50 @@ class TestFreeConvolve:
         target = build_fgig(NaturalParams(alpha, beta, lam), 1024)
         assert kolmogorov_distance(out, target) <= 1e-11
 
-    def test_unlocated_edge_raises(self, gig_poisson_pair, monkeypatch):
-        # the first probe round only estimates the edges, so one round
-        # closes neither
-        monkeypatch.setattr(convolution, "_EDGE_PROBES", 1)
-        with pytest.raises(NumericError, match="support edge not located"):
-            free_convolve(*gig_poisson_pair)
+    def test_no_extremum_raises(self):
+        # a semicircle declared on (-3, 3): out to G at the declared edge
+        # the inverse of G_{mu (+) nu} keeps falling, so the edge search
+        # finds no extremum
+        s = build_semicircle(0.0, 1.0, 256)
+        with pytest.raises(NumericError, match="no extremum") as info:
+            free_convolve(replace(s, support=(-3.0, 3.0)), s)
+        assert info.value.residual > 0.5
+
+    def test_support_edges_are_exact(self):
+        for alpha, beta, lam in [
+                (2.0, 8.0, 1.0), (0.7, 2.5, 2.0), (1.0, 0.3, 0.5),
+                (3.0, 0.5, 3.5), (0.3, 5.0, 0.2),
+                # atoms at 0, left edges next to 0, and a law whose chop
+                # later finds no plateau
+                (1.0, 0.00990766519323947, 0.01), (1.0, 10.0 ** -2.03125, 0.5),
+                (0.917, 9.34e-4, 0.6),
+                # X 5e-12, 1.5e-5 and 3.6e-8 times as wide as Y; at the
+                # last, G' from the step before Newton's last read phi
+                # 1.8e-8 below 0 at g_end, which raised
+                (6.733830176814926e-06, 2.6841322262870424e-05,
+                 7.153207437543185),
+                (0.0062664609307840876, 0.006142389189905828,
+                 2.582976646791718),
+                (0.006492733848929107, 0.011260577362505965,
+                 46.304919261053726),
+                # an inverse solve stopped at sqrt(eps) of the edge's
+                # magnitude, not of the distance to it, left this 1.2e-8
+                # widths off
+                (3.3876664639159566, 6.963593663880275, 33.83061898863367)]:
+            X = build_fgig(NaturalParams(alpha, beta, -lam), 1024)
+            Y = build_free_poisson(FreePoissonParams(1.0 / alpha, lam), 1024)
+            s = solve_support(NaturalParams(alpha, beta, lam))
+            a, b = convolution._support_edges(X, Y)
+            assert max(abs(a - s.a), abs(b - s.b)) <= 4e-15 * (s.b - s.a), (
+                alpha, beta, lam)
+        # both laws end in an atom at 0, so G is unbounded at both left
+        # ends: nu(1, r1) (+) nu(1, r2) = nu(1, r1 + r2), r1 + r2 > 1
+        for r1, r2 in [(0.3, 0.8), (0.6, 0.6)]:
+            a, b = convolution._support_edges(
+                build_free_poisson(FreePoissonParams(1.0, r1), 64),
+                build_free_poisson(FreePoissonParams(1.0, r2), 64))
+            lo, hi = build_free_poisson(FreePoissonParams(1, r1 + r2)).support
+            assert max(abs(a - lo), abs(b - hi)) <= 4e-15 * (hi - lo)
 
     def test_atoms_only_raises(self):
         with pytest.raises(DomainError):
@@ -215,9 +267,10 @@ class TestFreeConvolve:
 
 
 class TestWarmStarts:
-    """Solves started from nearby solutions: the same omega, fewer calls."""
+    """Subordination solves on the real axis, each from ``x + 1j``: where
+    they converge, and how many calls ``free_convolve`` makes."""
 
-    def test_start_does_not_move_omega(self, gig_poisson_pair):
+    def test_cold_solve_converges(self, gig_poisson_pair):
         X, Y = gig_poisson_pair
         s = solve_support(NaturalParams(2.0, 8.0, 1.0))
         width = s.b - s.a
@@ -226,40 +279,35 @@ class TestWarmStarts:
         outside = np.array([s.a - 0.05 * width, s.a - 1e-3 * width,
                             s.b + 1e-3 * width, s.b + 0.05 * width])
         for xs in (inside, outside):
-            z = xs.astype(complex)
-            cold, res, evals = _solve_omega(X, Y, z, _MAX_ITER)
-            assert np.all(res <= 1e-12 * np.abs(cold))
+            w, res, evals = _solve_omega(X, Y, xs.astype(complex), _MAX_ITER)
+            assert np.all(res <= 1e-12 * np.abs(w))
             if xs is outside:
                 # an overshooting Aitken step is projected onto Im w = 0;
                 # discarding it took 63 evaluations to reach Im ~1e-20
-                assert evals <= 20 and np.all(cold.imag == 0.0)
-            near, _, _ = _solve_omega(X, Y, z + 1e-3 * width, _MAX_ITER)
-            for start in (z + 10j, near):
-                w, res, _ = _solve_omega(X, Y, z, _MAX_ITER, start)
-                assert np.all(res <= 1e-12 * np.abs(w))
-                assert np.max(np.abs(w / cold - 1.0)) <= 1e-12
+                assert evals <= 20 and np.all(w.imag == 0.0)
 
     @pytest.mark.parametrize("alpha, beta, lam", [
         (0.688752840374858, 2.5795246324040257, 0.8922273258155636),
         (1.5665844517697218, 0.9403140931611328, 1.5760962234008873)])
     def test_grid_solve_does_not_stall_outside(self, alpha, beta, lam):
-        # free_convolve's grid solve; its exterior points, where omega_1 is
-        # real, took it to 129 and 91 evaluations while an Aitken step
-        # below Im w = Im z was discarded instead of projected
+        # a 2001-point grid over the sum of the supports with a 5% margin;
+        # its exterior points, where omega_1 is real, took the solve to 129
+        # and 91 evaluations while an Aitken step below Im w = Im z was
+        # discarded instead of projected
         X = build_fgig(NaturalParams(alpha, beta, -lam), 1024)
         Y = build_free_poisson(FreePoissonParams(1.0 / alpha, lam), 1024)
         (lo1, hi1), (lo2, hi2) = convolution._bounds(X), convolution._bounds(Y)
         lo, hi = lo1 + lo2, hi1 + hi2
-        pad = convolution._MARGIN * (hi - lo)
-        xs = np.linspace(lo - pad, hi + pad, convolution._N_GRID)
+        pad = 0.05 * (hi - lo)
+        xs = np.linspace(lo - pad, hi + pad, 2001)
         w, res, evals = _solve_omega(X, Y, xs.astype(complex), _MAX_ITER)
         assert np.all(res <= 1e-12 * np.maximum(1.0, np.abs(w)))
         assert evals <= 40
 
     def test_call_counts(self, gig_poisson_pair, monkeypatch):
-        # with every solve started cold this made 488 cauchy_nodes calls,
-        # and one solve per probe per edge; warm started, 219 while an
-        # Aitken step below Im w = Im z was discarded, 147 projected
+        # a grid round, edge probes and a warm-started node round made 147
+        # cauchy_nodes calls; the edge search makes 35 and the node round,
+        # from x + 1j, 27 map evaluations of two calls each: 90 in all
         X, Y = gig_poisson_pair
         calls, sizes = [0], []
 
@@ -274,12 +322,9 @@ class TestWarmStarts:
         monkeypatch.setattr(convolution, "cauchy_nodes", counted_cauchy)
         monkeypatch.setattr(convolution, "_solve_omega", counted_solve)
         free_convolve(X, Y)
-        assert calls[0] <= 160
-        grid, *rounds, node = sizes
-        assert grid == convolution._N_GRID and node == 1024
-        # one solve per probe round, both edges together until one is done
-        assert rounds[0] == 2 and rounds == sorted(rounds, reverse=True)
-        assert set(rounds) <= {1, 2}
+        assert calls[0] <= 100
+        # the nodes are the only points solved by subordination
+        assert sizes == [convolution._OUT_NODES]
 
 
 class TestRealAxisRecovery:

@@ -236,6 +236,21 @@ class TestFsd:
             count += 1
         assert count >= 10
 
+    @pytest.mark.parametrize("eps", [1e-3, 1e-6, 1e-9])
+    def test_routes_agree_next_to_threshold(self, eps):
+        # lam*(1 + eps) is FSD and lam*(1 - eps) is not; the slope of log k
+        # reads about +-0.4 eps there.  A 10,000-point grid of k called
+        # lam*(1 - 1e-6) monotone: k rises by 5e-8 over 6e-4 of (0, 1/eta)
+        rng = np.random.default_rng(15)
+        for _ in range(24):
+            A = 10 ** rng.uniform(-3, 1)
+            B = A * 10 ** rng.uniform(0.02, 2)
+            lam_star = fsd_threshold(A, B)
+            for sign in (1, -1):
+                rep = fsd_report(_natural(A, B, lam_star * (1 + sign * eps)))
+                assert rep.is_fsd == rep.k_monotone == (sign > 0)
+                assert (rep.max_slope <= 0) == (sign > 0) and rep.agrees
+
     def test_discriminant_vanishes_at_threshold(self):
         rng = np.random.default_rng(5)
         for _ in range(5):

@@ -358,8 +358,12 @@ def test_convolution_identity(log_alpha, log_beta, lam):
                     lam=44.17987705838271)
 @hypothesis.example(alpha=6.2347749411398575e-06, beta=0.0012841857612744087,
                     lam=6.205507184970864)
+# left edges 0.002 widths from 0, the density's double pole: 1.75e-11 and
+# 2.44e-11 off with edges estimated from probes
+@hypothesis.example(alpha=1.0, beta=0.00990766519323947, lam=0.01)
+@hypothesis.example(alpha=1.0, beta=10.0 ** -2.03125, lam=0.5)
 def test_convolution_identity_wide(alpha, beta, lam):
-    # the free Poisson identity over the validity box: right to 1e-10, or
+    # the free Poisson identity over the validity box: right to 1e-11, or
     # NumericError
     try:
         out = free_convolve(
@@ -368,7 +372,7 @@ def test_convolution_identity_wide(alpha, beta, lam):
         built = build_fgig(NaturalParams(alpha, beta, lam), 1024)
     except NumericError:
         return
-    assert kolmogorov_distance(out, built) <= 1e-10
+    assert kolmogorov_distance(out, built) <= 1e-11
 
 
 def _dilation_draws(n):
