@@ -13,8 +13,8 @@ import importlib
 
 # each submodule and the public names it exports
 _EXPORTS = {
-    "asymptotics": ("convergence_curve", "limit_measure", "root_limits",
-                    "scaling_exponents"),
+    "asymptotics": ("EndpointAsymptotics", "convergence_curve",
+                    "endpoint_asymptotics", "limit_measure"),
     "characterization": ("CharacterizationReport", "initial_coefficients",
                          "oracle_coefficients", "series_coefficients",
                          "solve_c", "verify_fixed_point", "verify_iterated"),

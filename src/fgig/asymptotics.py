@@ -4,38 +4,32 @@ As ``beta`` drops to zero, ``mu(alpha, beta, lam)`` converges weakly to
 
     nu(1/alpha, lam)                                        lam >= 1,
     (1-lam)/2 * delta_0 + (1+lam)/2 * nu((1+lam)/(2*alpha), 1)   |lam| < 1,
-    delta_0                                                 lam <= -1,
-
-with the support endpoints scaling like ``a ~ beta`` (and ``b`` of order
-one) strictly inside the middle regime, ``a, b ~ beta`` below it, and
-fractional powers ``beta**(2/3)``/``beta**(1/3)`` exactly on the
-boundaries ``lam = 1`` / ``lam = -1``.  The square-root data follow:
-``delta -> alpha/(1-|lam|)`` and ``eta -> infinity`` for ``|lam| > 1``,
-``delta -> -infinity`` and ``eta -> alpha/(1-lam**2)`` for ``|lam| < 1``,
-both unbounded on the boundaries.
+    delta_0                                                 lam <= -1.
 
 The first two limits are the family's laws at ``beta = 0``, with density
 ``sqrt((x-lo)(hi-x)) alpha/(2 pi x)``: on ``nu``'s support, and on
 ``(0, 2(1+lam)/alpha)`` beside the atom ``(1-lam)/2``.
+
+The support endpoints follow ``a = c_a beta**p_a (1 + O(beta**q))``, and
+``b`` likewise, in five regimes (the three open ones and ``lam = +-1``),
+and one square-root datum has a finite limit, reached at the same rate;
+:func:`endpoint_asymptotics` tabulates them.  The correction grows as
+``|lam| -> 1``, where the regimes cross over.
 """
 
 import math
-
-import numpy as np
+from dataclasses import dataclass
 
 from .errors import DomainError
 from .measures import (FreePoissonParams, _rational_law, atom_measure,
                        build_fgig, build_free_poisson, levy_distance)
-from .params import NaturalParams, solve_support
+from .params import NaturalParams
 
 REGIME_LAM_GE_1 = "lambda_ge_1"
 REGIME_ABS_LT_1 = "abs_lambda_lt_1"
 REGIME_LAM_LE_M1 = "lambda_le_minus_1"
 
 _CURVE_NODES = 2048  # nodes of each fGIG law along a convergence curve
-_TAIL = 4  # smallest betas an exponent fit reads
-_FLAT_SLOPE = 0.02  # a fitted slope below this, with a relative variation
-_FLAT_SPREAD = 0.05  # below this, reports exponent zero
 
 
 def limit_regime(lam):
@@ -75,42 +69,41 @@ def convergence_curve(alpha, lam, betas):
             for b in betas]
 
 
-def _fit_exponent(betas, values):
-    logb = np.log(betas)
-    logv = np.log(values)
-    slope = float(np.polyfit(logb, logv, 1)[0])
-    spread = float((values.max() - values.min()) / values.max())
-    if abs(slope) < _FLAT_SLOPE and spread < _FLAT_SPREAD:
-        return 0.0
-    return slope
+@dataclass(frozen=True, slots=True)
+class EndpointAsymptotics:
+    """``a = c_a beta**p_a (1 + O(beta**q))``, ``b`` likewise, and the
+    limits of ``(delta, eta)``, unbounded ones as signed infinities."""
+
+    c_a: float
+    p_a: float
+    c_b: float
+    p_b: float
+    q: float
+    delta_limit: float
+    eta_limit: float
 
 
-def scaling_exponents(alpha, lam, betas):
-    """Power-law exponents ``(p_a, p_b)`` of the support endpoints.
-
-    Least-squares slopes of ``log a`` and ``log b`` against ``log beta``
-    over the four smallest supplied values; a quantity that levels off
-    (slope below 0.02 and relative variation below 5 percent) reports
-    exponent zero.
-    """
-    betas = np.asarray(betas, dtype=float)
-    if betas.size < 4 or np.any(np.diff(betas) >= 0):
-        raise DomainError("need at least four strictly decreasing betas")
-    bs = betas[-_TAIL:]
-    supports = [solve_support(NaturalParams(alpha, float(b), lam)) for b in bs]
-    return (_fit_exponent(bs, np.array([s.a for s in supports])),
-            _fit_exponent(bs, np.array([s.b for s in supports])))
-
-
-def root_limits(alpha, lam):
-    """Limits of ``(delta, eta)`` as ``beta`` drops to zero.
-
-    Unbounded entries are reported as signed infinities.
-    """
+def endpoint_asymptotics(alpha, lam):
+    """The support endpoints and root limits as ``beta`` drops to zero;
+    ``a(alpha, beta, lam) = a(1, alpha beta, lam)/alpha`` gives ``alpha``."""
     if not alpha > 0:
         raise DomainError("alpha must be positive")
-    if abs(lam) > 1.0:
-        return alpha / (1.0 - abs(lam)), math.inf
-    if abs(lam) < 1.0:
-        return -math.inf, alpha / (1.0 - lam * lam)
-    return -math.inf, math.inf
+    inf, s = math.inf, 1.0 + math.sqrt(abs(lam))
+    if abs(lam) < 1.0:  # a ~ beta/(2(1-lam)), b ~ 2(1+lam)/alpha
+        return EndpointAsymptotics(0.5 / (1.0 - lam), 1.0,
+                                   2.0 * (1.0 + lam) / alpha, 0.0, 0.5,
+                                   -inf, alpha / (1.0 - lam * lam))
+    if lam > 1.0:  # a, b ~ (1 -+ sqrt(lam))**2/alpha
+        return EndpointAsymptotics(((lam - 1.0) / s) ** 2 / alpha, 0.0,
+                                   s * s / alpha, 0.0, 1.0,
+                                   alpha / (1.0 - lam), inf)
+    if lam < -1.0:  # a, b ~ beta/(sqrt(-lam) +- 1)**2
+        return EndpointAsymptotics(1.0 / (s * s), 1.0, (s / (lam + 1.0)) ** 2,
+                                   1.0, 1.0, alpha / (1.0 + lam), inf)
+    if lam == 1.0:  # a ~ (16 alpha)**(-1/3) beta**(2/3), b ~ 4/alpha
+        return EndpointAsymptotics((16.0 * alpha) ** (-1.0 / 3.0), 2.0 / 3.0,
+                                   4.0 / alpha, 0.0, 2.0 / 3.0, -inf, inf)
+    if lam == -1.0:  # a ~ beta/4, b ~ 2**(4/3) alpha**(-2/3) beta**(1/3)
+        return EndpointAsymptotics(0.25, 1.0, (4.0 / alpha) ** (2.0 / 3.0),
+                                   1.0 / 3.0, 2.0 / 3.0, -inf, inf)
+    raise DomainError("lam must be finite")

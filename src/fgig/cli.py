@@ -287,10 +287,13 @@ def _run_limits(args):
         _write_csv(args.output, ["beta", "a", "b", "delta", "eta", "distance"],
                    rows)
         return
-    d_lim, e_lim = asymptotics.root_limits(args.alpha, args.lam)
+    asym = asymptotics.endpoint_asymptotics(args.alpha, args.lam)
     out = _report_header(
         args, regime=asymptotics.limit_regime(args.lam),
-        root_limits={"delta": d_lim, "eta": e_lim},
+        root_limits={"delta": asym.delta_limit, "eta": asym.eta_limit},
+        endpoint_asymptotics={"a": {"constant": asym.c_a, "power": asym.p_a},
+                              "b": {"constant": asym.c_b, "power": asym.p_b},
+                              "q": asym.q},
         rows=[{"beta": b, "a": a, "b_end": bb, "delta": d, "eta": e,
                "distance": dist} for b, a, bb, d, e, dist in rows])
     _emit(args.output, _dumps(out))
@@ -389,7 +392,7 @@ def build_parser():
     sp = sub.add_parser("limits", help="small-beta limit diagnostics")
     sp.add_argument("--alpha", type=float, required=True)
     sp.add_argument("--lambda", dest="lam", type=float, required=True)
-    sp.add_argument("--betas", help="comma-separated decreasing list")
+    sp.add_argument("--betas", help="comma-separated list")
     sp.add_argument("--format", choices=("json", "csv"), default="json")
     sp.add_argument("--output")
     sp.set_defaults(func=_run_limits)

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from fgig.errors import DomainError, NumericError
-from fgig.params import spectral_roots
+from fgig.params import NaturalParams, solve_support, spectral_roots
 
 # Oracles: routes and closed forms that the package itself does not use.
 
@@ -102,6 +102,25 @@ def fsd_discriminant_spread(sf):
     return (4.0 * (B + lam * A) * (8.0 * lam ** 2 * A ** 3
                                    - 9.0 * lam ** 2 * A ** 2 * B + B ** 3)
             / (A ** 2 * B * (A - B) ** 2 * (B - lam * A)))
+
+
+def endpoint_deviation(asym, alpha, lam, betas):
+    """Largest ``|L - 1|`` over the Richardson limits ``L`` of
+    ``a/(c_a beta**p_a)``, ``b/(c_b beta**p_b)`` and each finite root over
+    its limit, read from ``asym`` (an ``EndpointAsymptotics``): one step in
+    ``beta**q`` from the ratios at the two ``betas``, larger first."""
+    ratios = []
+    for beta in betas:
+        p = NaturalParams(alpha, beta, lam)
+        s, r = solve_support(p), spectral_roots(p)
+        ratios.append(np.array(
+            [s.a / (asym.c_a * beta ** asym.p_a),
+             s.b / (asym.c_b * beta ** asym.p_b)]
+            + [root / limit for root, limit in ((r.delta, asym.delta_limit),
+                                                (r.eta, asym.eta_limit))
+               if math.isfinite(limit)]))
+    (r1, r2), rho = ratios, (betas[0] / betas[1]) ** asym.q
+    return float(np.max(np.abs(r2 + (r2 - r1) / (rho - 1.0) - 1.0)))
 
 
 @pytest.fixture(scope="session")

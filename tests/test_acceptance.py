@@ -19,7 +19,7 @@ from fgig import (
     solve_support,
     spectral_roots,
 )
-from fgig.asymptotics import convergence_curve, root_limits, scaling_exponents
+from fgig.asymptotics import convergence_curve, endpoint_asymptotics
 from fgig.characterization import (
     compare_series,
     initial_coefficients,
@@ -54,8 +54,8 @@ from fgig.measures import (
 from fgig.params import support_residuals
 from fgig.transforms import fid_certificate, r_fgig, r_free_poisson
 
-from conftest import (bessel_k_half_integer, fsd_discriminant_spread,
-                      quartic_under_root)
+from conftest import (bessel_k_half_integer, endpoint_deviation,
+                      fsd_discriminant_spread, quartic_under_root)
 
 
 def report(number, passed, detail):
@@ -306,26 +306,20 @@ def test_c09_limits():
         worst_curve = max(worst_curve,
                           convergence_curve(1.0, lam, betas)[-1])
 
-    table = {0.0: (1.0, 0.0), 1.0: (2.0 / 3.0, 0.0), -1.0: (1.0, 1.0 / 3.0),
-             2.0: (0.0, 0.0), -3.0: (1.0, 1.0)}
-    fit_betas = np.geomspace(1e-3, 1e-6, 7)
-    worst_exp = 0.0
-    for lam, (ea, eb) in table.items():
-        pa, pb = scaling_exponents(1.0, lam, fit_betas)
-        worst_exp = max(worst_exp, abs(pa - ea), abs(pb - eb))
-
-    worst_root = 0.0
-    for lam in (2.0, 0.5, -0.5, -2.0):
-        d_lim, e_lim = root_limits(1.0, lam)
-        r = spectral_roots(NaturalParams(1.0, 1e-6, lam))
-        if math.isfinite(d_lim):
-            worst_root = max(worst_root, abs(r.delta - d_lim) / abs(d_lim))
-        if math.isfinite(e_lim):
-            worst_root = max(worst_root, abs(r.eta - e_lim) / abs(e_lim))
-    ok = worst_curve <= 0.05 and worst_exp <= 0.05 and worst_root <= 0.01
-    report(9, ok, f"curve at beta=1e-4 {worst_curve:.3f} (<=0.05), exponent "
-                  f"dev {worst_exp:.3f} (<=0.05), root limits {worst_root:.4f}"
-                  f" (<=0.01)")
+    # the endpoints over their closed-form leading terms and the finite
+    # root over its limit, each by one Richardson step in beta**q from
+    # alpha beta = 1e-12 and 1e-14; the worst reading per regime
+    regimes = {"|lam|<1": (0.5, 0.0, -0.5), "lam>1": (2.0, 45.0),
+               "lam<-1": (-3.0, -45.0), "lam=1": (1.0,), "lam=-1": (-1.0,)}
+    worst = {name: max(endpoint_deviation(endpoint_asymptotics(alpha, lam),
+                                          alpha, lam,
+                                          (1e-12 / alpha, 1e-14 / alpha))
+                       for alpha in (1e-3, 1.0, 1e3) for lam in lams)
+             for name, lams in regimes.items()}
+    ok = worst_curve <= 0.05 and max(worst.values()) <= 1e-8
+    readings = ", ".join(f"{name} {dev:.1e}" for name, dev in worst.items())
+    report(9, ok, f"curve at beta=1e-4 {worst_curve:.3f} (<=0.05), endpoints "
+                  f"and root limits by Richardson: {readings} (<=1e-8)")
 
 
 def test_c10_entropy():

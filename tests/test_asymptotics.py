@@ -1,4 +1,5 @@
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -10,15 +11,14 @@ from fgig.asymptotics import (
     REGIME_LAM_GE_1,
     REGIME_LAM_LE_M1,
     convergence_curve,
+    endpoint_asymptotics,
     limit_measure,
     limit_regime,
-    root_limits,
-    scaling_exponents,
 )
 from fgig.measures import build_fgig, levy_distance, moment
 from fgig.params import reparameterize, solve_spread
 
-from conftest import quartic_under_root
+from conftest import endpoint_deviation, quartic_under_root
 
 
 class TestLimitMeasure:
@@ -108,48 +108,76 @@ class TestConvergenceCurve:
 
 
 class TestScalingExponents:
-    BETAS = np.geomspace(1e-3, 1e-6, 7)
-
     @pytest.mark.parametrize("lam,expect", [
-        (0.0, (1.0, 0.0)),
-        (1.0, (2.0 / 3.0, 0.0)),
-        (-1.0, (1.0, 1.0 / 3.0)),
-        (2.0, (0.0, 0.0)),
-        (-3.0, (1.0, 1.0)),
+        (0.0, (1.0, 0.0, 0.5)),
+        (1.0, (2.0 / 3.0, 0.0, 2.0 / 3.0)),
+        (-1.0, (1.0, 1.0 / 3.0, 2.0 / 3.0)),
+        (2.0, (0.0, 0.0, 1.0)),
+        (-3.0, (1.0, 1.0, 1.0)),
     ])
     def test_regime_table(self, lam, expect):
-        p_a, p_b = scaling_exponents(1.0, lam, self.BETAS)
-        assert p_a == pytest.approx(expect[0], abs=0.05)
-        assert p_b == pytest.approx(expect[1], abs=0.05)
+        # the powers of a and b, and the rate q of their corrections
+        asym = endpoint_asymptotics(1.0, lam)
+        assert (asym.p_a, asym.p_b, asym.q) == expect
 
 
 class TestRootLimits:
     def test_above_one(self):
-        d, e = root_limits(1.0, 2.0)
-        assert d == pytest.approx(-1.0)
-        assert math.isinf(e) and e > 0
+        asym = endpoint_asymptotics(1.0, 2.0)
+        assert asym.delta_limit == pytest.approx(-1.0)
+        assert math.isinf(asym.eta_limit) and asym.eta_limit > 0
 
     def test_inside_band(self):
-        d, e = root_limits(1.0, 0.5)
-        assert math.isinf(d) and d < 0
-        assert e == pytest.approx(1.0 / 0.75)
+        asym = endpoint_asymptotics(1.0, 0.5)
+        assert math.isinf(asym.delta_limit) and asym.delta_limit < 0
+        assert asym.eta_limit == pytest.approx(1.0 / 0.75)
 
     def test_boundary(self):
-        d, e = root_limits(1.0, 1.0)
-        assert math.isinf(d) and math.isinf(e)
+        asym = endpoint_asymptotics(1.0, 1.0)
+        assert math.isinf(asym.delta_limit) and math.isinf(asym.eta_limit)
 
     @pytest.mark.parametrize("lam", [2.0, 0.5, -0.5, -2.0])
     def test_numeric_agreement_at_tiny_beta(self, lam):
-        d_lim, e_lim = root_limits(1.0, lam)
+        asym = endpoint_asymptotics(1.0, lam)
         roots = spectral_roots(NaturalParams(1.0, 1e-6, lam))
-        if math.isfinite(d_lim):
-            assert roots.delta == pytest.approx(d_lim, rel=0.01)
+        if math.isfinite(asym.delta_limit):
+            assert roots.delta == pytest.approx(asym.delta_limit, rel=0.01)
         else:
             assert abs(roots.delta) > 100.0
-        if math.isfinite(e_lim):
-            assert roots.eta == pytest.approx(e_lim, rel=0.01)
+        if math.isfinite(asym.eta_limit):
+            assert roots.eta == pytest.approx(asym.eta_limit, rel=0.01)
         else:
             assert roots.eta > 100.0
+
+
+class TestWrongTableFailsC09:
+    """C09's Richardson check reads a wrong table more than 1e-8 off, at
+    the ``alpha beta`` pair where it reads the true table within 1e-8."""
+
+    SQ3 = math.sqrt(3.0)
+    C09 = (1e-12, 1e-14)  # the pair C09 reads
+    # at lam = +-1 and C09's pair the ratios are 1e-8 off already, too
+    # close to 1 for a wrong q to show; here they are 1e-6 off or more
+    COARSE = (1e-6, 1e-8)
+
+    @pytest.mark.parametrize("alpha", [1e-3, 1.0, 1e3])
+    @pytest.mark.parametrize("lam, wrong, pair", [
+        # an earlier table's row beta (sqrt(-lam) -+ 1)**2, off by the
+        # factor (1 + lam)**2
+        (-3.0, dict(c_a=(SQ3 - 1.0) ** 2, c_b=(SQ3 + 1.0) ** 2), C09),
+        (0.5, dict(c_a=1.0 / (2.0 * 1.5)), C09),  # beta/(2(1+lam))
+        (0.5, dict(q=1.0), C09),
+        (0.0, dict(q=1.0), C09),
+        (1.0, dict(q=0.5), COARSE),
+        (-1.0, dict(q=0.5), COARSE),
+    ], ids=["old-row-below-minus-1", "a-with-1+lam", "q-one-at-0.5",
+            "q-one-at-0", "q-half-at-1", "q-half-at-minus-1"])
+    def test_fails(self, alpha, lam, wrong, pair):
+        asym = endpoint_asymptotics(alpha, lam)
+        betas = tuple(x / alpha for x in pair)
+        assert endpoint_deviation(asym, alpha, lam, betas) <= 1e-8
+        assert endpoint_deviation(replace(asym, **wrong), alpha, lam,
+                                  betas) > 1e-8
 
 
 class TestReducedSystems:

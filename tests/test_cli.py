@@ -257,6 +257,12 @@ class TestLimitsCommand:
         doc = json.loads(out)
         assert doc["regime"] == "lambda_le_minus_1"
         assert doc["root_limits"]["eta"] == "inf"
+        # a = beta/(sqrt 2 + 1)**2 and b = beta/(sqrt 2 - 1)**2 at rate beta
+        block, root2 = doc["endpoint_asymptotics"], math.sqrt(2.0)
+        assert block["a"]["constant"] == pytest.approx(3.0 - 2.0 * root2)
+        assert block["b"]["constant"] == pytest.approx(3.0 + 2.0 * root2)
+        assert (block["a"]["power"], block["b"]["power"], block["q"]) == (
+            1.0, 1.0, 1.0)
 
     def test_malformed_betas_is_a_validation_error(self, capsys):
         code = run(["limits", "--alpha", "1", "--lambda", "2",
@@ -437,7 +443,6 @@ class TestImports:
         ("invert_params", "the law of 1/X: mu(beta, alpha, -lam)"),
         ("mode", "the mode that C06 reads"),
         ("r_free_poisson", "the Marchenko--Pastur R-transform C07 reads"),
-        ("scaling_exponents", "the small-beta exponents C09 reads"),
         ("verify_iterated", "all four stages of C08's reciprocal chain"),
     )
 

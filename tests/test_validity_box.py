@@ -18,7 +18,9 @@ with a factor c log-uniform in [1e-6, 1e6], the convolution dilated by c
 against the convolution of the dilated inputs.  The fixed-point series
 against its quadrature oracle with alpha log-uniform in [1e-3, 1e3], lam
 in [1e-3, 50], at order 8 and at orders 2 to 32; ``N'(c)`` over the same
-box with lam in (0, 50] against a 50-digit quotient rule.
+box with lam in (0, 50] against a 50-digit quotient rule.  The small-beta
+endpoint constants and root limits with alpha log-uniform in [1e-3, 1e3]
+and lam in [-50, 50] outside the crossover ``0.9 < |lam| < 1.1``.
 """
 
 import math
@@ -29,6 +31,7 @@ import pytest
 from fgig import (NaturalParams, NumericError, PoleError, from_support,
                   invert_params, reparameterize, solve_support,
                   spectral_roots)
+from fgig.asymptotics import endpoint_asymptotics
 from fgig.characterization import (_initial_k, compare_series, n_prime,
                                    oracle_coefficients, series_coefficients,
                                    solve_c)
@@ -40,6 +43,8 @@ from fgig.measures import (FreePoissonParams, build_fgig, build_free_poisson,
 from fgig.params import solve_spread
 from fgig.transforms import (cauchy, fid_certificate, free_cumulants,
                              r_fgig)
+
+from conftest import endpoint_deviation
 
 hypothesis = pytest.importorskip("hypothesis")
 st = hypothesis.strategies
@@ -469,3 +474,24 @@ def test_n_prime(log_alpha, lam):
         g = a - c / (1 + c * c)
         want = (m * k1 - g * g) / (c * g - m) ** 2
     assert abs(b1 - want) <= 1e-14 * abs(want)
+
+
+@hypothesis.settings(derandomize=True, database=None, deadline=None,
+                     max_examples=300)
+@hypothesis.given(log_alpha=st.floats(-3.0, 3.0),
+                  lam=st.one_of(st.floats(-0.9, 0.9), st.floats(1.1, 50.0),
+                                st.floats(-50.0, -1.1),
+                                st.sampled_from([1.0, -1.0])))
+def test_endpoint_asymptotics(log_alpha, lam):
+    # a/(c_a beta**p_a), b/(c_b beta**p_b) and the finite root over its
+    # limit, by one Richardson step in beta**q from alpha beta = 1e-12 and
+    # 1e-14: within 1e-8 of 1, or the solve raises.  Toward |lam| = 1 the
+    # correction grows (at lam = 0.99, alpha beta = 1e-12, a's ratio is
+    # still 1.4e-3 off), so the crossover is not drawn
+    alpha = 10.0 ** log_alpha
+    try:
+        dev = endpoint_deviation(endpoint_asymptotics(alpha, lam), alpha, lam,
+                                 (1e-12 / alpha, 1e-14 / alpha))
+    except NumericError:
+        return
+    assert dev <= 1e-8
