@@ -21,15 +21,16 @@ import math
 from dataclasses import dataclass
 
 from .errors import DomainError
-from .measures import (FreePoissonParams, _rational_law, atom_measure,
-                       build_fgig, build_free_poisson, levy_distance)
-from .params import NaturalParams
+from .measures import (FreePoissonParams, _crowds_origin, _rational_law,
+                       atom_measure, build_fgig, build_free_poisson,
+                       levy_distance)
+from .params import NaturalParams, solve_support
 
 REGIME_LAM_GE_1 = "lambda_ge_1"
 REGIME_ABS_LT_1 = "abs_lambda_lt_1"
 REGIME_LAM_LE_M1 = "lambda_le_minus_1"
 
-_CURVE_NODES = 2048  # nodes of each fGIG law along a convergence curve
+_CURVE_NODES = 2048  # nodes of a curve law whose support crowds the origin
 
 
 def limit_regime(lam):
@@ -62,11 +63,18 @@ def convergence_curve(alpha, lam, betas):
     distribution functions then stays pinned near the atom mass, so the
     weak-convergence (Levy) metric is the honest yardstick here.  One
     limit law serves the whole curve, so its completed graph is built once.
+    An fGIG law is the builder's default (4096 knots) unless its support
+    crowds the origin, where it gets ``_CURVE_NODES`` (8192 knots or more).
     """
     limit = limit_measure(alpha, lam)
-    return [levy_distance(
-        build_fgig(NaturalParams(alpha, float(b), lam), _CURVE_NODES), limit)
-            for b in betas]
+    curve = []
+    for b in betas:
+        p = NaturalParams(alpha, float(b), lam)
+        s = solve_support(p)
+        m = (build_fgig(p, _CURVE_NODES) if _crowds_origin(s.a, s.b)
+             else build_fgig(p))
+        curve.append(levy_distance(m, limit))
+    return curve
 
 
 @dataclass(frozen=True, slots=True)

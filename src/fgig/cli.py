@@ -276,13 +276,13 @@ def _run_limits(args):
     except ValueError:
         raise DomainError(f"--betas {args.betas!r} is not a comma-separated "
                           "list of numbers") from None
+    triples = [NaturalParams(args.alpha, beta, args.lam) for beta in betas]
     curve = asymptotics.convergence_curve(args.alpha, args.lam, betas)
     rows = []
-    for beta, dist in zip(betas, curve):
-        p = NaturalParams(args.alpha, beta, args.lam)
+    for p, dist in zip(triples, curve):
         s = solve_support(p)
         roots = spectral_roots(p)
-        rows.append((beta, s.a, s.b, roots.delta, roots.eta, dist))
+        rows.append((p.beta, s.a, s.b, roots.delta, roots.eta, dist))
     if args.format == "csv":
         _write_csv(args.output, ["beta", "a", "b", "delta", "eta", "distance"],
                    rows)

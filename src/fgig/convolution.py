@@ -60,8 +60,13 @@ class SubordinationPair:
 
 
 def _h_transform(m, w):
-    """``1/G(w) - w``, a self-map of the upper half-plane."""
-    return 1.0 / cauchy_nodes(m, w) - w
+    """``1/G(w) - w``, a self-map of the upper half-plane: ``Im 1/G(w) >=
+    Im w`` (Bercovici & Voiculescu, 1993), so a negative ``Im h`` is
+    rounding, as where the law is an atom at double precision, and is set
+    to 0; the subordination map then stays off the other law's cut."""
+    h = 1.0 / cauchy_nodes(m, w) - w
+    np.maximum(h.imag, 0.0, out=h.imag)
+    return h
 
 
 def _solve_omega(mu, nu, z, max_iter, scale=1.0):

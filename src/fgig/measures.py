@@ -258,7 +258,10 @@ def _jacobi_measure(lo, hi, g, p_exp=0.5, q_exp=0.5, n=256, atoms=(), *,
     rad = 0.5 * (hi - lo)
     t, w = _edge_matched_rule(n, p_exp, q_exp)
     nodes = mid + rad * t
-    weights = rad ** (p_exp + q_exp + 1.0) * w * g(nodes)
+    try:
+        weights = rad ** (p_exp + q_exp + 1.0) * w * g(nodes)
+    except OverflowError:
+        raise NumericError("support too wide for its weights") from None
     sh, ch = _knot_angles(n_knots)
     total = float(upper(math.pi, 1.0, 0.0))  # the a.c. mass
 
@@ -493,6 +496,12 @@ def fgig_density(p, x):
     return _jacobi_density(s.a, s.b, g, 0.5, 0.5, x)
 
 
+def _crowds_origin(lo, hi):
+    """Whether the origin, the smooth factor's pole, lies within 1e-2
+    support widths below ``lo``: there :func:`_rational_law` bumps ``n``."""
+    return lo / (hi - lo) < 1e-2
+
+
 def _rational_law(lo, hi, alpha, beta, n, atom=0.0):
     """The family's law on ``(lo, hi)``, ``0 <= lo < hi``: the density
 
@@ -522,9 +531,8 @@ def _rational_law(lo, hi, alpha, beta, n, atom=0.0):
         sab = math.sqrt(lo * hi)
         g = partial(_rational_factor, alpha, beta, sab)
         edge, c2 = 0.5, beta / sab
-        ratio = lo / (hi - lo)  # the pole's distance in support widths
-        if ratio < 1e-2:
-            n = int(min(8192, max(n, 14.0 / math.sqrt(ratio))))
+        if _crowds_origin(lo, hi):
+            n = int(min(8192, max(n, 14.0 / math.sqrt(lo / (hi - lo)))))
     return _jacobi_measure(
         lo, hi, g, edge, 0.5, n, ((0.0, atom),) if atom else (),
         cauchy_fn=_rational_cauchy(alpha, beta, lo, hi, atom),
@@ -753,21 +761,25 @@ def _completed_graph(m):
     else:
         x, y = m.cdf_x, m.ac_cdf(m.cdf_x)  # in order already
 
-    slope = np.zeros_like(x)
+    rows = np.zeros((6, x.size))
+    s, gy, h, a, b, c = rows  # b holds the slopes until the cubic needs it
     if m.density is not None:
         lo, hi = m.support
         rho = m.density(np.clip(x, np.nextafter(lo, hi), np.nextafter(hi, lo)))
-        slope = rho / (1.0 + rho)
+        np.divide(rho, 1.0 + rho, out=b)
     vertical = x[:-1] == x[1:]
-    s = x + y
-    h = np.diff(s)
-    rise = np.diff(y)
-    d0 = h * np.where(vertical, 1.0, slope[:-1])
-    d1 = h * np.where(vertical, 1.0, slope[1:])
-    h = np.where(h > 0, h, np.inf)  # a zero-width interval reads as its start
-    return np.vstack((s, y, np.append(h, np.inf), np.append(d0, 0.0),
-                      np.append(3.0 * rise - 2.0 * d0 - d1, 0.0),
-                      np.append(d0 + d1 - 2.0 * rise, 0.0)))
+    np.add(x, y, out=s)
+    gy[:] = y
+    h, rise = h[:-1], c[:-1]
+    np.subtract(s[1:], s[:-1], out=h)
+    np.subtract(y[1:], y[:-1], out=rise)
+    d0 = np.multiply(h, np.where(vertical, 1.0, b[:-1]), out=a[:-1])
+    d1 = h * np.where(vertical, 1.0, b[1:])
+    np.subtract(3.0 * rise - 2.0 * d0, d1, out=b[:-1])
+    np.subtract(d0 + d1, 2.0 * rise, out=rise)
+    np.copyto(h, np.inf, where=~(h > 0))  # a zero width reads as its start
+    rows[2:, -1] = np.inf, 0.0, 0.0, 0.0  # the last (open) interval is flat
+    return rows
 
 
 def _graph_knots(m):
@@ -786,10 +798,16 @@ def _graph_knots(m):
 def _graph_heights(rows, s):
     """Heights at ``s`` of a :func:`_completed_graph`'s ``rows`` taken at
     the last knot at or below each point (its first knot where none is,
-    so ``y[0]`` below the first knot; ``y[-1]`` above the last)."""
+    so ``y[0]`` below the first knot; ``y[-1]`` above the last), by
+    Horner in place."""
     gs, gy, h, a, b, c = rows
-    t = np.maximum(s - gs, 0.0) / h
-    return gy + t * (a + t * (b + t * c))
+    t = np.maximum(s - gs, 0.0)
+    t /= h
+    y = t * c
+    for k in (b, a):
+        y += k
+        y *= t
+    return np.add(y, gy, out=y)
 
 
 def levy_distance(m1, m2):
@@ -826,17 +844,20 @@ def _graph_gap(g1, g2):
         return 0.0
     order = np.argsort(s, kind="stable")
     s = s[order]
-    last = np.append(s[1:] != s[:-1], True)  # the last of each run of ties
-    knots = s[last]
+    last = np.empty(s.size, dtype=bool)  # the last of each run of ties
+    np.not_equal(s[1:], s[:-1], out=last[:-1])
+    last[-1] = True
     upto1 = np.cumsum(order < g1[0].size)[last]
     upto2 = np.flatnonzero(last) + 1 - upto1
-    # the last knot has no midpoint after it and reads itself twice
-    s = np.vstack((knots, np.append(0.5 * (knots[:-1] + knots[1:]),
-                                    knots[-1])))
-    rows1 = np.take(g1, upto1 - 1, axis=1, mode="clip")
-    rows2 = np.take(g2, upto2 - 1, axis=1, mode="clip")
-    return float(np.max(np.abs(_graph_heights(rows1, s)
-                               - _graph_heights(rows2, s))))
+    # the knots, and the midpoints after them; the last knot has no
+    # midpoint after it and reads itself twice
+    pts = np.empty((2, upto1.size))
+    knots = np.compress(last, s, out=pts[0])
+    np.multiply(knots[:-1] + knots[1:], 0.5, out=pts[1, :-1])
+    pts[1, -1] = knots[-1]
+    y1 = _graph_heights(np.take(g1, upto1 - 1, axis=1, mode="clip"), pts)
+    y1 -= _graph_heights(np.take(g2, upto2 - 1, axis=1, mode="clip"), pts)
+    return float(np.max(np.abs(y1, out=y1)))
 
 
 def integrate(m, f):

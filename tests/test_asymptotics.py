@@ -82,8 +82,14 @@ class TestConvergenceCurve:
         assert curve[-1] <= 0.05
         assert all(d2 < d1 for d1, d2 in zip(curve, curve[1:]))
 
-    @pytest.mark.parametrize("lam", [2.0, 0.3, -3.0])
-    def test_one_limit_graph_per_curve(self, monkeypatch, lam):
+    # the nodes of each law: 2048 where its support crowds the origin
+    # (a/(b - a) < 1e-2, at lam = 0.3 below beta = 1e-1), else the
+    # builder's default
+    @pytest.mark.parametrize("lam, nodes", [(2.0, [256] * 4),
+                                            (0.3, [256, 2048, 2048, 2048]),
+                                            (-3.0, [256] * 4)],
+                             ids=["2.0", "0.3", "-3.0"])
+    def test_one_limit_graph_per_curve(self, monkeypatch, lam, nodes):
         # k betas take k fGIG graphs and one limit graph, and give the
         # Levy distances to the limit bit for bit
         calls = []
@@ -98,8 +104,8 @@ class TestConvergenceCurve:
         assert len(calls) == len(self.BETAS) + 1
         limit = limit_measure(0.7, lam)
         assert curve == [levy_distance(
-            build_fgig(NaturalParams(0.7, b, lam), 2048), limit)
-            for b in self.BETAS]
+            build_fgig(NaturalParams(0.7, b, lam), n), limit)
+            for b, n in zip(self.BETAS, nodes)]
 
     def test_lower_regime_support_shrinks(self):
         sf = solve_spread(NaturalParams(1.0, 1e-4, -3.0))

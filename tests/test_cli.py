@@ -264,6 +264,18 @@ class TestLimitsCommand:
         assert (block["a"]["power"], block["b"]["power"], block["q"]) == (
             1.0, 1.0, 1.0)
 
+    def test_overflowing_support_is_a_numeric_failure(self, capsys):
+        # mu(1e-300, 0.1, 0.5) has a support ~3e300 wide, too wide for its
+        # quadrature weights
+        assert run(["limits", "--alpha", "1e-300", "--lambda", "0.5"]) == 3
+        assert capsys.readouterr().err.startswith("fgig: numeric failure: ")
+
+    @pytest.mark.parametrize("lam", ["nan", "inf"])
+    def test_nonfinite_lambda_names_lam(self, capsys, lam):
+        assert run(["limits", "--alpha", "1", "--lambda", lam]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("fgig: validation error: ") and "lam" in err
+
     def test_malformed_betas_is_a_validation_error(self, capsys):
         code = run(["limits", "--alpha", "1", "--lambda", "2",
                     "--betas", "0.1,abc"])

@@ -20,7 +20,10 @@ against its quadrature oracle with alpha log-uniform in [1e-3, 1e3], lam
 in [1e-3, 50], at order 8 and at orders 2 to 32; ``N'(c)`` over the same
 box with lam in (0, 50] against a 50-digit quotient rule.  The small-beta
 endpoint constants and root limits with alpha log-uniform in [1e-3, 1e3]
-and lam in [-50, 50] outside the crossover ``0.9 < |lam| < 1.1``.
+and lam in [-50, 50] outside the crossover ``0.9 < |lam| < 1.1``.  The
+convergence curve's laws over the desk box, alpha log-uniform in
+[1e-3, 1e3] and lam in [-4, 4] at the curve's betas, against 2048-node
+builds.
 """
 
 import math
@@ -31,7 +34,8 @@ import pytest
 from fgig import (NaturalParams, NumericError, PoleError, from_support,
                   invert_params, reparameterize, solve_support,
                   spectral_roots)
-from fgig.asymptotics import endpoint_asymptotics
+from fgig.asymptotics import (convergence_curve, endpoint_asymptotics,
+                              limit_measure)
 from fgig.characterization import (_initial_k, compare_series, n_prime,
                                    oracle_coefficients, series_coefficients,
                                    solve_c)
@@ -39,7 +43,8 @@ from fgig.convolution import free_convolve
 from fgig.entropy import gibbs_bound, gig_entropy, log_bessel_k
 from fgig.levy import levy_triplet, min1x_integral, reconstruct_cumulant
 from fgig.measures import (FreePoissonParams, build_fgig, build_free_poisson,
-                           dilate, kolmogorov_distance)
+                           _crowds_origin, dilate, kolmogorov_distance,
+                           levy_distance)
 from fgig.params import solve_spread
 from fgig.transforms import (cauchy, fid_certificate, free_cumulants,
                              r_fgig)
@@ -380,6 +385,22 @@ def test_convolution_identity_wide(alpha, beta, lam):
     assert kolmogorov_distance(out, built) <= 1e-11
 
 
+# census draws (seed 20261018, numbers 55, 4 and 46) where X is an atom at
+# double precision, 1e-14 to 1e-8 as wide as Y: Im h_X rounded below 0,
+# the subordination map crossed nu's cut, and the solve raised
+@pytest.mark.parametrize("alpha, beta, lam", [
+    (0.00872963474650608, 3.7260280264991987e-06, 48.59829989882032),
+    (7.391459343469453e-05, 0.0008969332343667784, 5.900178280041292),
+    (3.4448461090416287, 2.2405689931512e-06, 22.40803794334307)])
+def test_convolution_identity_atom_input(alpha, beta, lam):
+    # the free Poisson identity where X is all but an atom: right to 1e-11
+    out = free_convolve(
+        build_fgig(NaturalParams(alpha, beta, -lam), 1024),
+        build_free_poisson(FreePoissonParams(1.0 / alpha, lam), 1024))
+    built = build_fgig(NaturalParams(alpha, beta, lam), 1024)
+    assert kolmogorov_distance(out, built) <= 1e-11
+
+
 def _dilation_draws(n):
     """``(alpha, beta, lam, c)``: alpha, beta log-uniform in [0.25, 8], lam
     uniform in [0.1, 4], c log-uniform in [1e-6, 1e6]."""
@@ -495,3 +516,25 @@ def test_endpoint_asymptotics(log_alpha, lam):
     except NumericError:
         return
     assert dev <= 1e-8
+
+
+@hypothesis.settings(derandomize=True, database=None, deadline=None,
+                     max_examples=200)
+@hypothesis.given(log_alpha=st.floats(-3.0, 3.0), lam=st.floats(-4.0, 4.0),
+                  beta=st.sampled_from([1e-2, 1e-3, 1e-4]))
+def test_curve_law_resolution(log_alpha, lam, beta):
+    # a curve law whose support crowds the origin is the 2048-node build,
+    # bit for bit; every other law is the builder's default, whose Levy
+    # distance to the limit reads within 1e-9 of the 2048-node build's
+    alpha = 10.0 ** log_alpha
+    p = NaturalParams(alpha, beta, lam)
+    try:
+        s = solve_support(p)
+    except NumericError:
+        return
+    d, = convergence_curve(alpha, lam, [beta])
+    want = levy_distance(build_fgig(p, 2048), limit_measure(alpha, lam))
+    if _crowds_origin(s.a, s.b):
+        assert d == want
+    else:
+        assert abs(d - want) <= 1e-9
