@@ -21,16 +21,13 @@ import math
 from dataclasses import dataclass
 
 from .errors import DomainError
-from .measures import (FreePoissonParams, _crowds_origin, _rational_law,
-                       atom_measure, build_fgig, build_free_poisson,
-                       levy_distance)
-from .params import NaturalParams, solve_support
+from .measures import (FreePoissonParams, _rational_law, atom_measure,
+                       build_fgig, build_free_poisson, levy_distance)
+from .params import NaturalParams
 
 REGIME_LAM_GE_1 = "lambda_ge_1"
 REGIME_ABS_LT_1 = "abs_lambda_lt_1"
 REGIME_LAM_LE_M1 = "lambda_le_minus_1"
-
-_CURVE_NODES = 2048  # nodes of a curve law whose support crowds the origin
 
 
 def limit_regime(lam):
@@ -63,16 +60,14 @@ def convergence_curve(alpha, lam, betas):
     distribution functions then stays pinned near the atom mass, so the
     weak-convergence (Levy) metric is the honest yardstick here.  One
     limit law serves the whole curve, so its completed graph is built once.
-    An fGIG law is the builder's default (4096 knots) unless its support
-    crowds the origin, where it gets ``_CURVE_NODES`` (8192 knots or more).
+    Every fGIG law is the builder's default, whose knots are
+    :mod:`fgig.measures`' to choose: 4096, or 8192 or more where the
+    support crowds the origin.
     """
     limit = limit_measure(alpha, lam)
     curve = []
     for b in betas:
-        p = NaturalParams(alpha, float(b), lam)
-        s = solve_support(p)
-        m = (build_fgig(p, _CURVE_NODES) if _crowds_origin(s.a, s.b)
-             else build_fgig(p))
+        m = build_fgig(NaturalParams(alpha, float(b), lam))
         curve.append(levy_distance(m, limit))
     return curve
 

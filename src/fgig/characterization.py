@@ -12,11 +12,12 @@ It pins down every Taylor coefficient of ``K`` at the root ``c`` in
 ``N(c) = c``.  There ``g``, ``c g - lam`` and ``N'(c) = q k1 - c^2``
 (:func:`n_prime`) are sums of terms of one sign, so the series algebra does
 not cancel; the recursion raises where its rounding bound allows an order
-more than 1e-10 of error.  The oracle integrates ``M``'s derivative kernels
-``k! x^(k-1)/(1 - c x)^(k+1)`` against the law instead, and raises where
-the law's weights miss more than 1e-11 of its mass.  Both routes return
-the array of ``M``'s coefficients at ``c`` of orders ``0..order``, which
-:func:`compare_series` reads.
+more than 1e-10 of error.  The oracle reads them off ``G_X``'s closed form
+instead, which comes from the density and not from the equation: the
+discrete Cauchy integral of ``M`` on the circle about ``c`` that
+:func:`fgig.transforms.free_cumulants` runs about 0, and ``M(c)`` itself.
+Both routes return the array of ``M``'s coefficients at ``c`` of orders
+``0..order``, which :func:`compare_series` reads.
 
 One chain, ``(Y1 + (Y2 + X)^(-1))^(-1)`` with ``X ~ mu(alpha, beta, -lam)``,
 checks the laws, each stage against its closed form in the family; a caller
@@ -33,24 +34,23 @@ import numpy as np
 
 from .convolution import free_convolve
 from .errors import DomainError, NumericError
-from .measures import (FreePoissonParams, build_fgig, build_free_poisson,
-                       integrate, kolmogorov_distance, pushforward_reciprocal)
-from .params import NaturalParams
-from .transforms import cauchy
+from .measures import (FreePoissonParams, _rational_cauchy, build_fgig,
+                       build_free_poisson, kolmogorov_distance,
+                       pushforward_reciprocal)
+from .params import NaturalParams, solve_support
+from .transforms import _circle_coefficients, cauchy
 
 _SERIES_TOL = 1e-10  # relative accuracy every returned order holds
 # The rounding bound covers each order's own solve, not what earlier orders
 # carry into it; near c = -1 that took the error to 1.9 times the bound.
 _CARRY = 4.0
-_ORACLE_NODES = 2048  # nodes of the law the oracle integrates against
-_ORACLE_MASS_TOL = 1e-11  # largest mass error of that law's weights
 
 
 @dataclass(frozen=True)
 class CharacterizationReport:
     c: float
     series: np.ndarray  # Taylor coefficients of M at c, by the recursion
-    oracle: np.ndarray  # and by quadrature
+    oracle: np.ndarray  # and by the Cauchy integral of G's closed form
     max_rel_dev: float
     fixed_point_distance: float
     stage_distance: float
@@ -224,25 +224,23 @@ def series_coefficients(alpha, lam, order):
 
 
 def oracle_coefficients(alpha, lam, order):
-    """Taylor coefficients of ``M`` at ``c`` by quadrature.
+    """Taylor coefficients of ``M`` at ``c`` from ``G_X``'s closed form.
 
-    ``M(z) = G_X(1/z) = integral z/(1 - z x) dmu(x)`` for
-    ``X ~ mu(alpha, alpha, -lam)``; its derivatives have the closed
-    kernels ``k! x^(k-1)/(1 - z x)^(k+1)``, so no numerical
-    differentiation enters.  Raises ``NumericError`` where the law's
-    weights miss more than ``_ORACLE_MASS_TOL`` of its mass.
+    ``M(w) = G_X(1/w)`` for ``X ~ mu(alpha, alpha, -lam)`` on ``[a, b]`` is
+    analytic off ``[1/b, 1/a]`` (``w = 0`` is removable), so within
+    ``1/b - c`` of ``c``; its coefficients there are the discrete Cauchy
+    integral that :func:`fgig.transforms.free_cumulants` runs, about ``c``
+    on that radius.  ``a0 = G_X(1/c)`` is read pointwise: where ``c`` is
+    tiny, the circle's mean, against the values ``M ~ w`` near the origin,
+    would keep few of its digits.  No weight and no series enters.
     """
     order = _checked_order(order)
     c = solve_c(alpha, lam)
-    x_law = build_fgig(NaturalParams(alpha, alpha, -lam), _ORACLE_NODES)
-    err = abs(x_law.mass() - 1.0)
-    if err > _ORACLE_MASS_TOL:
-        raise NumericError("oracle law lost mass", residual=err)
-    coeffs = np.empty(order + 1)
-    coeffs[0] = integrate(x_law, lambda x: c / (1.0 - c * x))
-    for k in range(1, order + 1):
-        coeffs[k] = integrate(
-            x_law, lambda x, k=k: x ** (k - 1) / (1.0 - c * x) ** (k + 1))
+    s = solve_support(NaturalParams(alpha, alpha, -lam))
+    g = _rational_cauchy(alpha, alpha, s.a, s.b, 0.0)
+    coeffs = _circle_coefficients(lambda w: g(1.0 / (c + w)), order + 1,
+                                  1.0 / s.b - c)
+    coeffs[0] = g(1.0 / c).real
     return coeffs
 
 

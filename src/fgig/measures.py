@@ -498,7 +498,9 @@ def fgig_density(p, x):
 
 def _crowds_origin(lo, hi):
     """Whether the origin, the smooth factor's pole, lies within 1e-2
-    support widths below ``lo``: there :func:`_rational_law` bumps ``n``."""
+    support widths below ``lo``: there :func:`_rational_law` bumps ``n`` and
+    gives the law at least ``2*_DEFAULT_KNOTS`` knots, as the cdf's ramp
+    toward the origin needs for the Levy graph."""
     return lo / (hi - lo) < 1e-2
 
 
@@ -515,13 +517,15 @@ def _rational_law(lo, hi, alpha, beta, n, atom=0.0):
     atom ``(1-lam)/2``.
 
     Spectral quadrature: the smooth factor has its only poles at the
-    origin, so the node count is bumped when the support crowds it.  At
+    origin, so the node count is bumped, and the knot count doubled,
+    when the support crowds it (:func:`_crowds_origin`).  At
     ``lo == 0`` (then ``beta == 0``) the pole meets the edge: the density
     is ``x**(-1/2) sqrt(hi - x) alpha/(2 pi)``, and the nodes switch to
     the Gauss--Jacobi rule of that ``-1/2`` edge.
     """
     if n < 16:
         raise DomainError("node count must be at least 16")
+    knots = _DEFAULT_KNOTS
     if lo == 0.0:
         def g(x, c=alpha / _TWO_PI):
             return np.full_like(np.asarray(x, dtype=float), c)
@@ -533,11 +537,12 @@ def _rational_law(lo, hi, alpha, beta, n, atom=0.0):
         edge, c2 = 0.5, beta / sab
         if _crowds_origin(lo, hi):
             n = int(min(8192, max(n, 14.0 / math.sqrt(lo / (hi - lo)))))
+            knots *= 2
     return _jacobi_measure(
         lo, hi, g, edge, 0.5, n, ((0.0, atom),) if atom else (),
         cauchy_fn=_rational_cauchy(alpha, beta, lo, hi, atom),
         upper=partial(_rational_upper_mass, lo, hi, alpha, c2),
-        n_knots=max(_DEFAULT_KNOTS, min(4 * n, 32768)))
+        n_knots=max(knots, min(4 * n, 32768)))
 
 
 def build_fgig(p, n=256):

@@ -37,11 +37,12 @@ _CUT_POINTS = 400  # Chebyshev points on the cut, and as many left of eta
 # differ by the rounding of 1/u times the conditioning u/(u - alpha).
 _CUT_TOL = 2e-9
 _OFF_CUT_TOL = 1e-15  # |Im r| left of eta, over max |r| on the cut
-# Cauchy-integral circle of free_cumulants, at _CIRCLE times the radius of
-# convergence.  Against 40-digit Levy-measure moments at order 64 (12 draws,
-# alpha, beta in [1e-2, 1e2]) the worst error read 7.5e-12 at 0.9, 2.0e-13
-# at 0.95 and 4.0e-14 at 0.98 with 4096 nodes; at 0.98, 1024 nodes read
-# 1.0e-9 and 2048 read 4.4e-14, so 4096 leaves aliasing at 0.98**4096.
+# Cauchy-integral circle of _circle_coefficients, at _CIRCLE times the
+# radius of convergence.  Against 40-digit Levy-measure moments at order 64
+# (12 draws, alpha, beta in [1e-2, 1e2]) the worst free cumulant read
+# 7.5e-12 at 0.9, 2.0e-13 at 0.95 and 4.0e-14 at 0.98 with 4096 nodes; at
+# 0.98, 1024 nodes read 1.0e-9 and 2048 read 4.4e-14, so 4096 leaves
+# aliasing at 0.98**4096.
 _CIRCLE = 0.98
 _NODES = 4096
 
@@ -166,6 +167,28 @@ def cauchy_nodes(m, z):
 # free cumulants and the divisibility certificate
 # ---------------------------------------------------------------------------
 
+def _circle_coefficients(f, n, radius):
+    """First ``n`` Taylor coefficients at 0 of ``f``, analytic on
+    ``|z| < radius`` and real on the real axis, vectorized.
+
+    The discrete Cauchy integral on ``|z| = rho = _CIRCLE*radius``, the
+    trapezoid rule on an analytic periodic integrand (Trefethen and
+    Weideman, SIAM Review 56, 2014): ``f`` at the lower half of
+    ``_NODES`` points, as ``f(conj z) = conj f(z)`` gives the rest, and one
+    ``irfft``.  Order ``k`` aliases with ``k + _NODES``, which is smaller
+    by about ``_CIRCLE**_NODES``.
+    """
+    rho = _CIRCLE * radius
+    half = _NODES // 2
+    z = rho * np.exp(-1j * math.pi * np.arange(half + 1) / half)
+    scaled = np.fft.irfft(f(z), _NODES)[:n]  # a_k rho**k
+    # rho**-k as mant**-k 2**(-e k): no intermediate over- or underflow
+    mant, e = math.frexp(rho)
+    k = np.arange(n)
+    with np.errstate(over="ignore"):
+        return np.ldexp(scaled / mant ** k, -e * k)
+
+
 def free_cumulants(p, n):
     """First ``n`` free cumulants: Taylor coefficients of the R-transform.
 
@@ -189,16 +212,8 @@ def free_cumulants(p, n):
     n = int(n)
     if not 1 <= n <= 64:
         raise DomainError("cumulant order must be between 1 and 64")
-    rho = _CIRCLE * (spectral_roots(p).eta if p.lam < 0 else p.alpha)
-    # the lower half of the circle; r(conj z) = conj r(z) gives the rest
-    half = _NODES // 2
-    z = rho * np.exp(-1j * math.pi * np.arange(half + 1) / half)
-    scaled = np.fft.irfft(r_fgig(p, z), _NODES)[:n]  # kappa_(k+1) rho**k
-    # rho**-k as mant**-k 2**(-e k): no intermediate over- or underflow
-    mant, e = math.frexp(rho)
-    k = np.arange(n)
-    with np.errstate(over="ignore"):
-        out = np.ldexp(scaled / mant ** k, -e * k)
+    radius = spectral_roots(p).eta if p.lam < 0 else p.alpha
+    out = _circle_coefficients(lambda z: r_fgig(p, z), n, radius)
     bad = np.flatnonzero(~((out >= sys.float_info.min) & (out < math.inf)))
     if bad.size:
         raise NumericError(f"free cumulant of order {bad[0] + 1} is not a "

@@ -82,9 +82,9 @@ class TestConvergenceCurve:
         assert curve[-1] <= 0.05
         assert all(d2 < d1 for d1, d2 in zip(curve, curve[1:]))
 
-    # the nodes of each law: 2048 where its support crowds the origin
-    # (a/(b - a) < 1e-2, at lam = 0.3 below beta = 1e-1), else the
-    # builder's default
+    # each law read as the build of these nodes: a builder's default whose
+    # support crowds the origin (a/(b - a) < 1e-2, at lam = 0.3 below
+    # beta = 1e-1) has the knots of the 2048-node build
     @pytest.mark.parametrize("lam, nodes", [(2.0, [256] * 4),
                                             (0.3, [256, 2048, 2048, 2048]),
                                             (-3.0, [256] * 4)],

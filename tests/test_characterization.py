@@ -287,12 +287,16 @@ class TestOracle:
         with pytest.raises(DomainError):
             oracle_coefficients(1.0, 1.0, order)
 
-    def test_raises_where_its_law_loses_mass(self):
-        # the 2048-node law misses 1.7e-7 of its mass here, and the oracle's
-        # a0 was 2.3e-7 off the closed form c/(1 + c^2)
-        with pytest.raises(NumericError) as info:
-            oracle_coefficients(1e-3, 0.5, 2)
-        assert info.value.residual > 1e-11
+    def test_right_where_a_quadrature_law_loses_mass(self):
+        # a 2048-node law misses 1.7e-7 of its mass here, where a quadrature
+        # oracle's a0 read 2.3e-7 off the closed form c/(1 + c^2); G's
+        # closed form reads a0 to rounding and orders 1..4 with the series
+        alpha, lam = 1e-3, 0.5
+        c = solve_c(alpha, lam)
+        oracle = oracle_coefficients(alpha, lam, 4)
+        assert oracle[0] == pytest.approx(c / (1 + c * c), rel=1e-15)
+        assert compare_series(oracle, series_coefficients(alpha, lam, 4)) \
+            <= 1e-12
 
 
 class TestFixedPoint:

@@ -169,6 +169,14 @@ class TestCdfKnots:
                 want = float(mp.quad(rho, [x, hi]))
                 assert abs(y[-1] - y[n - k] - want) <= 1e-14
 
+    def test_crowding_law_has_twice_the_default_knots(self):
+        # a/(b - a) = 1.6e-3 and 2.1e-3: below 1e-2 the builder's default
+        # has the knots of the 2048-node build, where it had 4096 intervals
+        p = NaturalParams(0.7, 1e-2, 0.3)
+        assert np.array_equal(build_fgig(p).cdf_x, build_fgig(p, 2048).cdf_x)
+        m = build_free_poisson(FreePoissonParams(1.0, 1.2))
+        assert m.cdf_x.size == 8193
+
     def test_semicircle_closed_form(self):
         m = build_semicircle(0.0, 2.0, 64)
         theta = np.arange(4097) * math.pi / 4096
