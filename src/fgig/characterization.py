@@ -68,8 +68,9 @@ def solve_c(alpha, lam):
     bracket is bisected to adjacent floats and the one with the smaller
     residual kept.
     """
-    if not (alpha > 0 and lam > 0):
-        raise DomainError("both parameters must be positive")
+    if not (0 < alpha < math.inf and 0 < lam < math.inf):
+        raise DomainError(f"alpha = {alpha} and lam = {lam} must both be "
+                          "positive and finite")
     lo, hi = -1.0, 0.0
     if not quartic_residual(alpha, lam, lo) > 0 > quartic_residual(
             alpha, lam, hi):

@@ -57,8 +57,9 @@ def _parse_grid(text):
         lo, hi, count = float(parts[0]), float(parts[1]), int(parts[2])
     except ValueError:
         raise DomainError(f"grid spec {text!r} is not lo:hi:count") from None
-    if count < 2 or not hi > lo:
-        raise DomainError("grid spec needs hi > lo and count >= 2")
+    if count < 2 or not -math.inf < lo < hi < math.inf:
+        raise DomainError(f"grid spec {text!r} needs finite lo < hi and "
+                          "count >= 2")
     return np.linspace(lo, hi, count)
 
 
@@ -166,6 +167,8 @@ def _run_transform(args):
     }
     if args.grid:
         xs = _parse_grid(args.grid)
+        if not math.isfinite(args.imag):
+            raise DomainError(f"--imag {args.imag} is not finite")
         zs = xs - 1j * abs(args.imag)
         vals = transforms.r_fgig(p, zs)
         out["r_on_grid"] = {

@@ -30,7 +30,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .errors import PoleError
+from .errors import NumericError, PoleError
 from .measures import _rational_upper_mass, _support_root
 from .params import _solve_ratio, solve_spread, spectral_roots
 from .transforms import r_fgig
@@ -63,8 +63,8 @@ class XWeightedLevy:
         den = big - self.pole * self.gap
         if den == 0:
             raise PoleError("square-root divergence at z = alpha", residue=0.0)
-        c = self.slope * (self.gap * self.pole) ** 2
-        return self.scale * (self.hi / big + c / den)
+        gp = self.gap * self.pole  # c/den, with no (gap/alpha)**2 to overflow
+        return self.scale * (self.hi / big + self.slope * gp * (gp / den))
 
 
 @dataclass(frozen=True)
@@ -145,27 +145,39 @@ def min1x_integral(t):
     """``integral min(1, x) tau(dx)`` over the a.c. part (finiteness check),
     ``sigma((0, m]) + tau((m, L))`` with ``m = min(1, L)``.
 
-    On ``[0, L]`` the ``1/x`` term of ``sigma`` is ``_rational_upper_mass``
-    with ``(c1, c2) = (2 s, 0)``, ``s = sqrt(beta eta)``, and the ``1/x``,
-    ``1/x**2`` terms of ``tau`` with ``(2 s (alpha - delta), 2 s)``.  The
-    pole term, reflected, has ``c1 = 2 s (alpha - delta)/alpha`` in
-    ``sigma`` and alpha times it in ``tau``, and is read at ``pi - theta``.
+    On ``[0, L]`` the ``1/x`` term of ``sigma``, ``s sqrt(x (L - x))/(pi x)``
+    with ``s = sqrt(beta eta)``, has the mass ``s L (phi + sin(phi))/(2 pi)``
+    below ``x = L sin(phi/2)**2``, a sum of positive terms however long the
+    support.  The ``1/x``, ``1/x**2`` terms of ``tau`` are
+    ``_rational_upper_mass`` with ``(c1, c2) = (2 s (alpha - delta), 2 s)``.
+    The pole term, reflected, has ``c1 = 2 s (alpha - delta)/alpha`` in
+    ``sigma`` and alpha times it in ``tau``, and is read at ``phi``.
     """
     g = t.sigma
     s, hi, v = g.scale, g.hi, g.pole
-    pole_total = 0.5 * s * g.slope * (g.gap * v) ** 2
+    gv = g.gap * v
+    pole_total = 0.5 * (s * gv) * (g.slope * gv)  # no factor to overflow
     if hi <= 1.0:
         return 0.5 * s * hi + pole_total
     sh, ch = math.sqrt((hi - 1.0) / hi), math.sqrt(1.0 / hi)  # x = 1
-    theta = 2.0 * math.atan2(sh, ch)
-    near = _rational_upper_mass(0.0, hi, 2.0 * s, 0.0, theta, sh, ch)
+    theta, phi = 2.0 * math.atan2(sh, ch), 2.0 * math.atan2(ch, sh)
+    # the 1/x term of sigma on (0, 1], at phi = pi - theta, a sum of two
+    # positive terms, not its total less the mass above 1
+    near = 0.5 * s * hi * (phi + 2.0 * sh * ch) / math.pi
     far = _rational_upper_mass(0.0, hi, 2.0 * s * g.slope, 2.0 * s,
                                theta, sh, ch)
-    # the pole term of sigma on (0, 1]; tau's on (1, L) is alpha times the rest
+    # the pole term of sigma on (0, 1]; tau's on (1, L) is alpha times the
+    # rest.  Read at the small angle phi, its closed form cancels to about
+    # eps L of itself; as sqrt(x (L - x))/(1 - alpha x) lies between
+    # sqrt(x (L - 1)) and sqrt(x L)/(1 - alpha), it is clamped into
+    # (2 s slope/(3 pi)) [sqrt(L - 1), sqrt(L)/(1 - alpha)], whose width,
+    # (alpha + 1/(2 L)) of itself, leaves no more than 2e-8 of it
     pole_near = _rational_upper_mass(g.lo, v, 2.0 * s * g.slope * v, 0.0,
-                                     2.0 * math.atan2(ch, sh), ch, sh)
-    return float(0.5 * s * hi - near + pole_near
-                 + far + (pole_total - pole_near) / v)
+                                     phi, ch, sh)
+    unit = 2.0 * s * g.slope / (3.0 * math.pi)
+    pole_near = min(max(pole_near, unit * math.sqrt(hi - 1.0)),
+                    unit * math.sqrt(hi) / (1.0 - 1.0 / v))
+    return float(near + pole_near + far + (pole_total - pole_near) / v)
 
 
 def reconstruct_cumulant(t, z):
@@ -191,16 +203,23 @@ def reconstruct_cumulant(t, z):
 # ---------------------------------------------------------------------------
 
 def fsd_threshold(A, B):
-    """Largest shape ``lam`` (most negative boundary) giving an FSD law."""
-    return -B ** 1.5 / (A * math.sqrt(9.0 * B - 8.0 * A))
+    """Largest shape ``lam`` (most negative boundary) giving an FSD law,
+    ``-B**1.5/(A sqrt(9 B - 8 A))``, formed in the ratio ``t = A/B`` as
+    ``-1/(t sqrt(9 - 8 t))``, which neither over- nor underflows."""
+    t = A / B
+    return -1.0 / (t * math.sqrt(9.0 - 8.0 * t))
 
 
 def _fsd_terms(alpha, roots):
     """``(q, s)`` with discriminant ``q - 4 s``: ``q = (delta - 3 alpha)**2``
-    and ``s = 2 alpha eta - 2 eta delta + alpha delta``."""
+    and ``s = 2 alpha eta - 2 eta delta + alpha delta``; ``NumericError``
+    where the discriminant is out of floating-point range."""
     delta, eta = roots.delta, roots.eta
-    return ((delta - 3.0 * alpha) ** 2,
-            2.0 * alpha * eta - 2.0 * eta * delta + alpha * delta)
+    d = delta - 3.0 * alpha
+    q, s = d * d, 2.0 * alpha * eta - 2.0 * eta * delta + alpha * delta
+    if not math.isfinite(q - 4.0 * s):
+        raise NumericError("FSD discriminant is out of floating-point range")
+    return q, s
 
 
 def fsd_discriminant(p):

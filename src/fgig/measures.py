@@ -174,7 +174,8 @@ def _rational_upper_mass(lo, hi, c1, c2, theta, sh, ch):
     sq = (math.sqrt(lo) + math.sqrt(hi)) ** 2
     rho = (hi - lo) / sq
     if rho >= _NARROW:
-        mid, rad, s = 0.5 * (lo + hi), 0.5 * (hi - lo), math.sqrt(lo * hi)
+        mid, rad = 0.5 * (lo + hi), 0.5 * (hi - lo)
+        s = math.sqrt(lo) * math.sqrt(hi)
         A = np.arctan2(math.sqrt(lo / hi) * sh, ch)
         F = mid * theta - rad * sin_t - 2.0 * s * A
         if c2 == 0.0:  # lo may be 0 here
@@ -190,10 +191,11 @@ def _rational_upper_mass(lo, hi, c1, c2, theta, sh, ch):
     y = rho * sin_t / e
     y2 = y * y
     # arctan(y) - y = -y**3 sum_k (-y**2)**k/(2k+3), cut where
-    # (y**2)**k < 1e-17 at the largest y**2, rho**2/(1 - rho**2)
+    # (y**2)**k < 1e-17 at the largest y**2, rho**2/(1 - rho**2); one term
+    # where rho**2 underflows
     acc = np.zeros_like(y)
-    for k in range(math.ceil(math.log(1e-17) / math.log(rr / (1.0 - rr))),
-                   -1, -1):
+    terms = math.ceil(math.log(1e-17) / math.log(rr / (1.0 - rr))) if rr else 0
+    for k in range(terms, -1, -1):
         acc = 1.0 / (2 * k + 3) - y2 * acc
     T = -y * y2 * acc
     base = rr * (theta - np.arctan2(rho * sin_t, e))
@@ -259,9 +261,12 @@ def _jacobi_measure(lo, hi, g, p_exp=0.5, q_exp=0.5, n=256, atoms=(), *,
     t, w = _edge_matched_rule(n, p_exp, q_exp)
     nodes = mid + rad * t
     try:
-        weights = rad ** (p_exp + q_exp + 1.0) * w * g(nodes)
+        with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
+            weights = rad ** (p_exp + q_exp + 1.0) * w * g(nodes)
     except OverflowError:
         raise NumericError("support too wide for its weights") from None
+    if not np.all(np.isfinite(weights)):
+        raise NumericError("weights out of floating-point range")
     sh, ch = _knot_angles(n_knots)
     total = float(upper(math.pi, 1.0, 0.0))  # the a.c. mass
 
@@ -349,7 +354,7 @@ def _rational_cauchy(alpha, beta, a, b, atom):
     g = sa * sb
     A = ((b - a) / (sa + sb)) ** 2
     B = (sa + sb) ** 2
-    k = beta * B / (2.0 * a * b) if beta else 0.0
+    k = beta / (2.0 * a) * (B / b) if beta else 0.0
 
     def cauchy_fn(z):
         z = np.asarray(z, dtype=complex)
@@ -489,11 +494,18 @@ def fgig_density(p, x):
 
         (1/2pi) * sqrt((x-a)(b-x)) * (alpha/x + beta/(sqrt(ab) x^2))
 
-    inside, the density of :func:`build_fgig`.  Vectorized in ``x``.
+    inside, the density of :func:`build_fgig`.  Vectorized in ``x``;
+    ``NumericError`` where a value is out of floating-point range, as where
+    the support is so close to 0 that ``x**2`` underflows.
     """
     s = solve_support(p)
-    g = partial(_rational_factor, p.alpha, p.beta, math.sqrt(s.a * s.b))
-    return _jacobi_density(s.a, s.b, g, 0.5, 0.5, x)
+    g = partial(_rational_factor, p.alpha, p.beta,
+                math.sqrt(s.a) * math.sqrt(s.b))
+    with np.errstate(over="ignore", divide="ignore"):
+        out = _jacobi_density(s.a, s.b, g, 0.5, 0.5, x)
+    if not np.all(np.isfinite(out)):
+        raise NumericError("density out of floating-point range")
+    return out
 
 
 def _crowds_origin(lo, hi):
@@ -532,7 +544,7 @@ def _rational_law(lo, hi, alpha, beta, n, atom=0.0):
 
         edge, c2 = -0.5, 0.0
     else:
-        sab = math.sqrt(lo * hi)
+        sab = math.sqrt(lo) * math.sqrt(hi)
         g = partial(_rational_factor, alpha, beta, sab)
         edge, c2 = 0.5, beta / sab
         if _crowds_origin(lo, hi):

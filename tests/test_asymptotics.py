@@ -107,6 +107,19 @@ class TestConvergenceCurve:
             build_fgig(NaturalParams(0.7, b, lam), n), limit)
             for b, n in zip(self.BETAS, nodes)]
 
+    # the Hermite graph reads these high, 2.8438e-3 and 6.2049e-4, where the
+    # law crowds the origin; the values are the sup of the gap between both
+    # laws' exact cdfs, x + F(x) = s solved at every knot and refined where
+    # the densities meet
+    @pytest.mark.xfail(strict=True, reason="the Levy graph reads a crowding "
+                       "law's distance high")
+    @pytest.mark.parametrize("alpha, lam, exact", [(0.3, -0.5, 1.1603879617e-3),
+                                                   (1.0, 0.0, 4.982345285e-4)])
+    def test_crowding_law_reads_its_exact_distance(self, alpha, lam, exact):
+        m = build_fgig(NaturalParams(alpha, 1e-7, lam))
+        assert levy_distance(m, limit_measure(alpha, lam)) == pytest.approx(
+            exact, rel=1e-6)
+
     def test_lower_regime_support_shrinks(self):
         sf = solve_spread(NaturalParams(1.0, 1e-4, -3.0))
         s = reparameterize(sf)

@@ -132,6 +132,13 @@ class TestDensityCommand:
         assert code == 2
         assert capsys.readouterr().err.startswith("fgig: validation error: ")
 
+    def test_nonfinite_grid_names_the_grid(self, capsys):
+        # -inf passed hi > lo, and the rows read "x": "nan" with exit 0
+        code = run(["density", "--alpha", "2", "--beta", "8", "--lambda", "0",
+                    "--grid=-inf:1:3"])
+        assert code == 2
+        assert "grid spec '-inf:1:3'" in capsys.readouterr().err
+
 
 class TestFsdCommand:
     def test_verdict_consistency(self, capsys):
@@ -183,6 +190,13 @@ class TestTransformCommand:
         assert cert["cut_residual"] <= 2e-9
         assert cert["points"] == 800
 
+
+    def test_nonfinite_imag_names_imag(self, capsys):
+        # exited 3, a numeric failure, for an input that is not a number
+        code = run(["transform", "--alpha", "2", "--beta", "8", "--lambda",
+                    "0", "--grid", "1:4:3", "--imag", "nan"])
+        assert code == 2
+        assert "--imag nan" in capsys.readouterr().err
 
     def test_out_of_range_cumulant_exit_code(self, capsys):
         # kappa_52 overflows: a traceback and exit 1 at order 64, as the
@@ -343,6 +357,15 @@ class TestHeavyCommands:
         assert doc["max_rel_dev"] <= 1e-6
         assert doc["fixed_point_distance"] <= 1e-3
 
+    @pytest.mark.parametrize("alpha, lam, name", [("inf", "1", "alpha = inf"),
+                                                  ("1", "inf", "lam = inf")])
+    def test_fixpoint_nonfinite_input_is_named(self, capsys, alpha, lam,
+                                               name):
+        # exited 3 with "quartic does not change sign on (-1, 0)"
+        assert run(["fixpoint", "--alpha", alpha, "--lambda", lam]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("fgig: validation error: ") and name in err
+
     def test_fixpoint_order_holds_or_fails(self, capsys):
         # order 16 at (8, 0.1) was 1.6e-6 off; order 32 at (0.5, 3) holds
         code, _ = run_capture(capsys, [
@@ -352,6 +375,29 @@ class TestHeavyCommands:
             "fixpoint", "--alpha", "0.5", "--lambda", "3", "--order", "32"])
         assert code == 0
         assert json.loads(out)["max_rel_dev"] <= 1e-10
+
+
+class TestExtremeRates:
+    """Valid triples at rates far outside the validity box: a report of
+    finite numbers, or exit 3; each raised a traceback (exit 1) or, for
+    ``density``, wrote infinite rows."""
+
+    @pytest.mark.parametrize("sub, alpha, beta, lam, code", [
+        ("entropy", "1", "1e-300", "-50", 3),  # lo*hi underflowed to 0
+        ("convolve", "1e300", "1e-300", "0.5", 3),
+        ("density", "1", "1e-300", "-50", 3),  # x**2 underflows
+        ("fsd", "1e-300", "1", "0", 0),  # B**1.5 overflowed
+        ("fsd", "1", "1e-300", "-50", 0),  # A sqrt(9B - 8A) underflowed
+        ("fsd", "1e300", "1", "0", 3),  # (delta - 3 alpha)**2 overflows
+        ("levy", "1e-300", "1", "0.5", 0),  # (gap/alpha)**2 overflowed
+        ("levy", "1e-300", "1e6", "-50", 0),  # log(0) of a vanishing rho**2
+    ])
+    def test_exits_cleanly(self, capsys, sub, alpha, beta, lam, code):
+        assert run([sub, "--alpha", alpha, "--beta", beta, "--lambda",
+                    lam]) == code
+        out = capsys.readouterr().out
+        if code == 0:
+            assert not any(s in out for s in ('"nan"', '"inf"', '"-inf"'))
 
 
 class TestLogging:

@@ -107,6 +107,22 @@ class TestLevyTriplet:
         val = min1x_integral(t)
         assert val == pytest.approx(2.125, rel=1e-8)
 
+    @pytest.mark.parametrize("triple, want", [
+        ((1e-20, 1.0, 0.5), 1.523239544716785),
+        ((1e-100, 1.0, 0.5), 1.5232395447351628),
+        ((1e-300, 1.0, 0.5), 1.5232395447351628),
+        ((1e-200, 1e-6, 0.0), 0.5012732395447352),
+        ((1e-300, 1e6, -50.0), 1248.866925564678),
+    ])
+    def test_min1x_on_the_longest_supports(self, triple, want):
+        # L = 1/eta up to 1e300, against a 40-digit quadrature of tau: the
+        # 1/x term's mass below 1 was its total less the mass above, and the
+        # pole term's a difference of terms eps L of it, which read 2.3e32
+        # at alpha = 1e-100; at alpha = 1e-300 the pole term's total
+        # overflowed, or log(0) was taken
+        t = levy_triplet(NaturalParams(*triple))
+        assert min1x_integral(t) == pytest.approx(want, rel=1e-12)
+
     def test_min1x_with_kink(self):
         # support reaching past 1 exercises the masses read at x = 1
         p = NaturalParams(0.3, 0.2, -1.0)
@@ -197,6 +213,12 @@ class TestFsd:
         # B = 4A/3 maximizes the boundary: threshold -4 sqrt(3)/9
         assert fsd_threshold(3.0, 4.0) == pytest.approx(-4 * math.sqrt(3) / 9,
                                                         abs=1e-12)
+
+    @pytest.mark.parametrize("scale", [1e-300, 1e300])
+    def test_threshold_at_extreme_scales(self, scale):
+        # B**1.5 overflowed, or A sqrt(9 B - 8 A) underflowed to 0
+        assert fsd_threshold(3.0 * scale, 4.0 * scale) == pytest.approx(
+            -4 * math.sqrt(3) / 9, rel=1e-15)
 
     def test_discriminant_forms_agree(self):
         rng = np.random.default_rng(2)
