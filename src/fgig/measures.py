@@ -501,7 +501,7 @@ def fgig_density(p, x):
     s = solve_support(p)
     g = partial(_rational_factor, p.alpha, p.beta,
                 math.sqrt(s.a) * math.sqrt(s.b))
-    with np.errstate(over="ignore", divide="ignore"):
+    with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
         out = _jacobi_density(s.a, s.b, g, 0.5, 0.5, x)
     if not np.all(np.isfinite(out)):
         raise NumericError("density out of floating-point range")

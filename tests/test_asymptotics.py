@@ -113,8 +113,8 @@ class TestConvergenceCurve:
     # the densities meet
     @pytest.mark.xfail(strict=True, reason="the Levy graph reads a crowding "
                        "law's distance high")
-    @pytest.mark.parametrize("alpha, lam, exact", [(0.3, -0.5, 1.1603879617e-3),
-                                                   (1.0, 0.0, 4.982345285e-4)])
+    @pytest.mark.parametrize("alpha, lam, exact", [
+        (0.3, -0.5, 1.1603879617e-3), (1.0, 0.0, 4.982345285e-4)])
     def test_crowding_law_reads_its_exact_distance(self, alpha, lam, exact):
         m = build_fgig(NaturalParams(alpha, 1e-7, lam))
         assert levy_distance(m, limit_measure(alpha, lam)) == pytest.approx(
