@@ -260,12 +260,9 @@ def _jacobi_measure(lo, hi, g, p_exp=0.5, q_exp=0.5, n=256, atoms=(), *,
     rad = 0.5 * (hi - lo)
     t, w = _edge_matched_rule(n, p_exp, q_exp)
     nodes = mid + rad * t
-    try:
-        with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
-            weights = rad ** (p_exp + q_exp + 1.0) * w * g(nodes)
-    except OverflowError:
-        raise NumericError("support too wide for its weights") from None
-    if not np.all(np.isfinite(weights)):
+    with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
+        weights = np.float64(rad) ** (p_exp + q_exp + 1.0) * w * g(nodes)
+    if not np.all(np.isfinite(weights)):  # as for a support ~1e300 wide
         raise NumericError("weights out of floating-point range")
     sh, ch = _knot_angles(n_knots)
     total = float(upper(math.pi, 1.0, 0.0))  # the a.c. mass
