@@ -37,7 +37,7 @@ from .errors import DomainError, NumericError
 from .measures import (FreePoissonParams, _rational_cauchy, build_fgig,
                        build_free_poisson, kolmogorov_distance,
                        pushforward_reciprocal)
-from .params import NaturalParams, solve_support
+from .params import NaturalParams, _bisect, solve_support
 from .transforms import _circle_coefficients, cauchy
 
 _SERIES_TOL = 1e-10  # relative accuracy every returned order holds
@@ -61,26 +61,22 @@ def quartic_residual(alpha, lam, c):
     return alpha * c ** 4 - (1.0 + lam) * c ** 3 + (1.0 - lam) * c - alpha
 
 
+@lru_cache(maxsize=4096)
 def solve_c(alpha, lam):
     """Unique root in ``(-1, 0)`` of the center quartic.
 
     The quartic is ``2 lam > 0`` at ``-1`` and ``-alpha < 0`` at ``0``; the
     bracket is bisected to adjacent floats and the one with the smaller
-    residual kept.
+    residual kept (:func:`fgig.params._bisect`).  Cached, like the support
+    ratio: a report reads ``c`` through several routes.
     """
     if not (0 < alpha < math.inf and 0 < lam < math.inf):
         raise DomainError(f"alpha = {alpha} and lam = {lam} must both be "
                           "positive and finite")
-    lo, hi = -1.0, 0.0
-    if not quartic_residual(alpha, lam, lo) > 0 > quartic_residual(
-            alpha, lam, hi):
+    if not quartic_residual(alpha, lam, -1.0) > 0 > quartic_residual(
+            alpha, lam, 0.0):
         raise NumericError("quartic does not change sign on (-1, 0)")
-    while lo < (mid := 0.5 * (lo + hi)) < hi:
-        if quartic_residual(alpha, lam, mid) > 0:
-            lo = mid
-        else:
-            hi = mid
-    return min(lo, hi, key=lambda c: abs(quartic_residual(alpha, lam, c)))
+    return _bisect(lambda c: quartic_residual(alpha, lam, c), -1.0, 0.0)
 
 
 def _initial_k(alpha, c):

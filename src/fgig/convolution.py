@@ -36,7 +36,13 @@ from .measures import _chebyshev_measure, _edge_matched_rule, shift
 from .transforms import cauchy_nodes
 
 _TOL = 1e-12  # relative fixed-point tolerance of every subordination solve
-_MAX_ITER = 2000  # subordination map evaluations per solve
+# Subordination map evaluations per solve, at a point or on a grid: 4 times
+# the most a converged solve has taken, 65, in the convolution,
+# characterization, acceptance, CLI and validity-box tests.  Censuses with
+# alpha, beta log-uniform in [e**-6, e**6] and lam in [0.1, 20] took at
+# most 39 (200 draws) and 55 (1000 draws), and 200 draws of alpha, beta in
+# [1/4, 8], lam in [0.1, 4] at most 29.
+_MAX_ITER = 260
 _FLOOR = 1e-9  # density at a node below this fraction of the peak is a gap
 _DAMPING = 0.5  # Picard step of the subordination solve
 _MASS_TOL = 1e-10  # largest mass error of a returned law
@@ -69,7 +75,7 @@ def _h_transform(m, w):
     return h
 
 
-def _solve_omega(mu, nu, z, max_iter, scale=1.0):
+def _solve_omega(mu, nu, z, scale=1.0):
     """Vectorized fixed-point solve; returns (omega1, residual, evaluations).
 
     Damped Picard with a vectorized Aitken update every cycle: near the
@@ -81,9 +87,9 @@ def _solve_omega(mu, nu, z, max_iter, scale=1.0):
     projected onto that line rather than discarded.  Outside the support,
     where ``omega_1`` is real, every extrapolation lands a hair below the
     axis, and the damped step alone would only halve ``Im w`` per
-    evaluation.  ``max_iter`` counts evaluations of the subordination map.
-    Every solve starts from ``z + 1j``, and stops once a step is within
-    ``_TOL`` of ``max(scale, |w|)``.
+    evaluation.  Every solve starts from ``z + 1j``, and stops once a step
+    is within ``_TOL`` of ``max(scale, |w|)`` or after ``_MAX_ITER``
+    evaluations of the subordination map.
     """
     z = np.asarray(z, dtype=complex)
     w = z + 1j
@@ -95,7 +101,7 @@ def _solve_omega(mu, nu, z, max_iter, scale=1.0):
     def T(wa, za):
         return za + _h_transform(nu, za + _h_transform(mu, wa))
 
-    while idx.size and evals < max_iter:
+    while idx.size and evals < _MAX_ITER:
         t0 = T(wa, za)
         res[idx] = res_a = np.abs(t0 - wa)
         done = res_a <= _TOL * np.maximum(scale, np.abs(wa))
@@ -104,7 +110,7 @@ def _solve_omega(mu, nu, z, max_iter, scale=1.0):
         keep = ~done
         idx, za, u0, t0 = idx[keep], za[keep], wa[keep], t0[keep]
         wa = u0
-        if not idx.size or evals >= max_iter:
+        if not idx.size or evals >= _MAX_ITER:
             break
         u1 = u0 + _DAMPING * (t0 - u0)
         t1 = T(u1, za)
@@ -120,12 +126,12 @@ def _solve_omega(mu, nu, z, max_iter, scale=1.0):
     return w, res, evals
 
 
-def subordination_at(mu, nu, z, max_iter=500):
+def subordination_at(mu, nu, z):
     """Subordination pair at one point ``z`` of the open upper half-plane."""
     z = complex(z)
     if not z.imag > 0:
         raise DomainError("subordination requires Im z > 0")
-    w1, res, iters = _solve_omega(mu, nu, np.array([z]), max_iter)
+    w1, res, iters = _solve_omega(mu, nu, np.array([z]))
     residual = float(res[0])
     if residual > _TOL * max(1.0, abs(complex(w1[0]))):
         raise NumericError("subordination iteration exhausted",
@@ -279,7 +285,7 @@ def free_convolve(mu, nu):
     # solves stop at _TOL times max(scale, |w|): scaled with the output, so
     # a dilated problem stops at the same point, and never looser than 1
     scale = min(1.0, b - a)
-    w, res, _ = _solve_omega(mu, nu, nodes.astype(complex), _MAX_ITER, scale)
+    w, res, _ = _solve_omega(mu, nu, nodes.astype(complex), scale)
     if not np.all(res <= _TOL * np.maximum(scale, np.abs(w))):
         raise NumericError("subordination failed inside the support")
     rho = -cauchy_nodes(mu, w).imag / math.pi

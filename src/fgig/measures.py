@@ -618,13 +618,20 @@ def mode(p):
     """Location of the density maximum of ``mu(alpha, beta, lam)``.
 
     The derivative's numerator reduces to a quadratic (the cubic terms
-    cancel); its unique root in ``(a, b)`` is the mode.
+    cancel), :func:`mode_quadratic`; its unique root in ``(a, b)`` is the
+    mode.
+
+    Raises
+    ------
+    NumericError
+        If no root lands in ``(a, b)``, as where a coefficient leaves
+        floating-point range: a valid triple always has a mode.
     """
     s = solve_support(p)
     c2, c1, c0 = mode_quadratic(p)
     disc = c1 * c1 - 4.0 * c2 * c0
-    if disc < 0:
-        raise DomainError("mode quadratic has no real root")
+    if not disc >= 0:
+        raise NumericError("mode quadratic has no real root")
     sq = math.sqrt(disc)
     roots = []
     if c2 != 0.0:
@@ -635,21 +642,29 @@ def mode(p):
             roots.append(c0 / qq)
     else:
         roots = [-c0 / c1]
-    inside = [r for r in roots if s.a < r < s.b]
+    sab = math.sqrt(s.a) * math.sqrt(s.b)
+    inside = [x for x in (sab * y for y in roots) if s.a < x < s.b]
     if not inside:
-        raise DomainError("no quadratic root inside the support")
+        raise NumericError("no quadratic root inside the support")
     return float(inside[0])
 
 
 def mode_quadratic(p):
-    """Coefficients (c2, c1, c0) of the mode quadratic."""
+    """Coefficients ``(c2, c1, c0)`` of the mode quadratic in units of
+    ``s = sqrt(a) sqrt(b)``, that is in ``y = x/s``.
+
+    With ``q = (a + b)/s = sqrt(a/b) + sqrt(b/a)``, the support equations
+    take ``alpha`` out of the derivative's numerator, which leaves
+
+        (1 + lam) y**2 + (1 - lam + q beta/s) y - 2 beta/s = 0.
+
+    ``beta/s`` is a term of those equations, so no coefficient forms
+    ``a b``, which under- or overflows at extreme rates.
+    """
     s = solve_support(p)
-    sab = math.sqrt(s.a * s.b)
-    t = p.beta / sab
-    c2 = 2.0 * t - p.alpha * (s.a + s.b)
-    c1 = 2.0 * s.a * s.b * p.alpha - 3.0 * (s.a + s.b) * t
-    c0 = 4.0 * s.a * s.b * t
-    return c2, c1, c0
+    ra, rb = math.sqrt(s.a), math.sqrt(s.b)
+    r = p.beta / (ra * rb)
+    return 1.0 + p.lam, (1.0 - p.lam) + (ra / rb + rb / ra) * r, -2.0 * r
 
 
 def pushforward_reciprocal(m):
@@ -684,12 +699,28 @@ def pushforward_reciprocal(m):
         pos = y > 0
         return np.where(pos, _total - _f(1.0 / np.where(pos, y, 1.0)), 0.0)
 
-    def cauchy_fn(z, _g=m.cauchy_fn, _mean=moment(m, 1)):
-        # G_{1/X}(z) = (1 - G_X(1/z)/z)/z, which tends to -E X at 0
+    def quotient(z, _g=m.cauchy_fn):  # G_{1/X}(z), analytic on |z| < 1/hi
+        return (1.0 - _g(1.0 / z) / z) / z
+
+    @lru_cache(maxsize=None)
+    def taylor():
+        # coefficients of G_{1/X}(u/hi) at 0, -m_{k+1}/hi**k, read on
+        # |u| = 0.98 at the first query near 0, so a law read only through
+        # its cdf never pays for them; at |u| <= 1/2 the terms fall as
+        # (0.5/0.98)**k, below 2e-19 of the largest past the 64th
+        from .transforms import _circle_coefficients  # loaded on first use
+        return _circle_coefficients(lambda u: quotient(u / hi), 64, 1.0)
+
+    def cauchy_fn(z):
+        # the quotient cancels where |z| hi is small, and the series, whose
+        # constant term is -E X, does not
         z = np.asarray(z, dtype=complex)
-        zero = z == 0
-        zi = np.where(zero, 1.0, z)
-        return np.where(zero, -_mean, (1.0 - _g(1.0 / zi) / zi) / zi)
+        near = np.abs(z) * hi <= 0.5
+        out = np.empty_like(z)
+        out[~near] = quotient(z[~near])
+        if near.any():
+            out[near] = np.polyval(taylor()[::-1], z[near] * hi)
+        return out
 
     return SpectralMeasure(atoms=atoms,
                            support=(float(cdf_x[0]), float(cdf_x[-1])),

@@ -230,6 +230,18 @@ def _ratio_factors(mt, w, lam):
     return mt / m, ((m - 1.0) + w) / m, 1.0 + s * mt / m, ((m - s) + s * w) / m
 
 
+def _bisect(f, lo, hi, rising=False):
+    """Root of ``f`` in ``(lo, hi)``, where ``f`` is positive on the side
+    of ``lo`` (of ``hi`` if ``rising``), bisected to adjacent floats.
+    Returns the neighbour with the smaller ``|f|``, the lower on a tie."""
+    while lo < (x := 0.5 * (lo + hi)) < hi:
+        if (f(x) > 0.0) != rising:
+            lo = x
+        else:
+            hi = x
+    return min(lo, hi, key=lambda x: abs(f(x)))
+
+
 @lru_cache(maxsize=4096)
 def _solve_ratio(alpha, beta, lam):
     """The support ratio ``t = A/B`` and the factors built on it.
@@ -262,13 +274,7 @@ def _solve_ratio(alpha, beta, lam):
     def split(x):  # (m t, w), with x = w above m t = 1/2 and x = m t below
         return (1.0 - x, x) if upper else (x, 1.0 - x)
 
-    lo, hi = 0.0, 0.5
-    while lo < (x := 0.5 * (lo + hi)) < hi:
-        if (excess(*split(x)) > 0.0) != upper:
-            lo = x
-        else:
-            hi = x
-    x = min(lo, hi, key=lambda x: abs(excess(*split(x))))
+    x = _bisect(lambda x: excess(*split(x)), 0.0, 0.5, upper)
     t, u, plus, minus = _ratio_factors(*split(x), lam)
     if lam < 0:
         plus, minus = minus, plus

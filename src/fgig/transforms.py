@@ -262,6 +262,12 @@ def fid_certificate(p):
     must vanish.  ``passed`` needs the sign pattern, ``max_imag <=
     _FID_TOL``, ``cut_residual <= _CUT_TOL`` and ``|Im r| <= _OFF_CUT_TOL
     max |r|`` left of ``eta``.
+
+    Raises
+    ------
+    NumericError
+        Where ``cut_residual`` is not finite, as where ``Im r`` or ``tau``
+        on the cut leaves floating-point range at ``alpha = 1e-300``.
     """
     from .levy import levy_density  # levy imports this module
 
@@ -278,6 +284,8 @@ def fid_certificate(p):
     tau = levy_density(p, 1.0 / cut)
     cut_residual = float(np.max(np.abs(r_cut.imag + math.pi * tau / cut ** 2))
                          / scale)
+    if not math.isfinite(cut_residual):
+        raise NumericError("the cut check is out of floating-point range")
     max_im = float(max(np.max(r_cut.imag), np.max(im_left)))
     signs = roots.delta < 0.0 < p.alpha <= eta
     passed = (signs and max_im <= _FID_TOL and cut_residual <= _CUT_TOL

@@ -228,10 +228,11 @@ def test_c06_unimodality():
     for _ in range(20):
         p = random_natural(rng, -4.0, 4.0)
         x = mode(p)
-        c2, c1, c0 = mode_quadratic(p)
-        scale = max(abs(c2 * x * x), abs(c1 * x), abs(c0))
-        worst_res = max(worst_res, abs(c2 * x * x + c1 * x + c0) / scale)
         s = solve_support(p)
+        y = x / (math.sqrt(s.a) * math.sqrt(s.b))  # the quadratic's unit
+        c2, c1, c0 = mode_quadratic(p)
+        scale = max(abs(c2 * y * y), abs(c1 * y), abs(c0))
+        worst_res = max(worst_res, abs(c2 * y * y + c1 * y + c0) / scale)
         xs = np.linspace(s.a, s.b, 10_000)
         ys = fgig_density(p, xs)
         peak = np.max(ys)

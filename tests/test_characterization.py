@@ -19,7 +19,9 @@ from fgig.characterization import (
     verify_fixed_point,
     verify_iterated,
 )
-from fgig.measures import build_fgig
+from fgig.measures import build_fgig, pushforward_reciprocal
+from fgig.params import _bisect
+from fgig.transforms import cauchy
 
 
 def _quotient_rule(alpha, lam, c, k0, k1):
@@ -323,6 +325,38 @@ class TestFixedPoint:
             rep = verify_fixed_point(alpha, lam)
             (_, d1), (_, d2) = verify_iterated(alpha, alpha, lam)[:2]
             assert (rep.stage_distance, rep.fixed_point_distance) == (d1, d2)
+
+    def test_one_center_solve_per_report(self, monkeypatch):
+        # the report, the series (three times) and the oracle each bisected
+        # c: five solves of one root
+        calls = []
+
+        def counted(f, lo, hi, *args):
+            calls.append((lo, hi))
+            return _bisect(f, lo, hi, *args)
+
+        monkeypatch.setattr(characterization, "_bisect", counted)
+        solve_c.cache_clear()
+        for alpha, lam in ((2.0, 1.0), (0.7, 2.5)):
+            calls.clear()
+            verify_fixed_point(alpha, lam)
+            assert calls == [(-1.0, 0.0)]
+
+    def test_key_equation_over_the_grid(self):
+        # 1/X for X ~ mu(alpha, alpha, -lam) is mu(alpha, alpha, lam): its
+        # transform at c against that closed form, and the key equation
+        # 1/c - lam/(G(c) - alpha) = c it enters.  (1 - G_X(1/c)/c)/c
+        # cancelled where |c| is small: 4.1e-9 relative off at (1e-3, 5),
+        # whose residual read 3.3e-6, and 30 of these 225 failed 1e-9
+        for alpha in 10.0 ** np.linspace(-3.0, 3.0, 25):
+            for lam in (0.01, 0.1, 0.5, 1.0, 2.0, 5.0, 10.0, 20.0, 50.0):
+                c = solve_c(alpha, lam)
+                g = cauchy(pushforward_reciprocal(build_fgig(
+                    NaturalParams(alpha, alpha, -lam))), complex(c))
+                want = cauchy(build_fgig(NaturalParams(alpha, alpha, lam)),
+                              complex(c))
+                assert abs(g - want) <= 1e-12 * abs(want), (alpha, lam)
+                assert abs(1.0 / c - lam / (g.real - alpha) - c) <= 1e-9
 
     def test_runs_only_the_stages_it_reports(self, monkeypatch):
         calls = []

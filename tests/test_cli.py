@@ -366,6 +366,15 @@ class TestHeavyCommands:
         err = capsys.readouterr().err
         assert err.startswith("fgig: validation error: ") and name in err
 
+    def test_fixpoint_key_equation_at_a_small_center(self, capsys):
+        # c = -2.5e-4: the reciprocal law's transform cancelled there, and
+        # the key equation read 3.3e-6 against its 1e-9
+        code, out = run_capture(capsys, [
+            "fixpoint", "--alpha", "1e-3", "--lambda", "5"])
+        doc = json.loads(out)
+        assert code == 0 and doc["passed"] is True
+        assert doc["key_eq_residual"] <= 1e-9
+
     def test_fixpoint_order_holds_or_fails(self, capsys):
         # order 16 at (8, 0.1) was 1.6e-6 off; order 32 at (0.5, 3) holds
         code, _ = run_capture(capsys, [

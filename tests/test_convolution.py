@@ -7,8 +7,7 @@ import pytest
 
 from fgig import DomainError, NaturalParams, NumericError, solve_support
 from fgig import convolution, measures
-from fgig.convolution import (_MAX_ITER, _solve_omega, free_convolve,
-                              subordination_at)
+from fgig.convolution import _solve_omega, free_convolve, subordination_at
 from fgig.entropy import log_energy
 from fgig.measures import (
     FreePoissonParams,
@@ -72,11 +71,13 @@ class TestSubordinationAt:
         with pytest.raises(DomainError):
             subordination_at(mu_fgig, mu_fgig, 1.0 - 0.5j)
 
-    def test_iteration_exhaustion_raises(self, mu_fgig, gig_poisson_pair):
+    def test_iteration_exhaustion_raises(self, mu_fgig, gig_poisson_pair,
+                                         monkeypatch):
         from fgig import NumericError
         _, nu = gig_poisson_pair
+        monkeypatch.setattr(convolution, "_MAX_ITER", 1)
         with pytest.raises(NumericError) as info:
-            subordination_at(mu_fgig, nu, 1.5 + 0.8j, max_iter=1)
+            subordination_at(mu_fgig, nu, 1.5 + 0.8j)
         assert info.value.residual is not None
 
 
@@ -279,7 +280,7 @@ class TestWarmStarts:
         outside = np.array([s.a - 0.05 * width, s.a - 1e-3 * width,
                             s.b + 1e-3 * width, s.b + 0.05 * width])
         for xs in (inside, outside):
-            w, res, evals = _solve_omega(X, Y, xs.astype(complex), _MAX_ITER)
+            w, res, evals = _solve_omega(X, Y, xs.astype(complex))
             assert np.all(res <= 1e-12 * np.abs(w))
             if xs is outside:
                 # an overshooting Aitken step is projected onto Im w = 0;
@@ -300,7 +301,7 @@ class TestWarmStarts:
         lo, hi = lo1 + lo2, hi1 + hi2
         pad = 0.05 * (hi - lo)
         xs = np.linspace(lo - pad, hi + pad, 2001)
-        w, res, evals = _solve_omega(X, Y, xs.astype(complex), _MAX_ITER)
+        w, res, evals = _solve_omega(X, Y, xs.astype(complex))
         assert np.all(res <= 1e-12 * np.maximum(1.0, np.abs(w)))
         assert evals <= 40
 

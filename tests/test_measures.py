@@ -275,10 +275,12 @@ class TestMode:
         rng = np.random.default_rng(4)
         for _ in range(20):
             p = random_params(rng)
-            x = mode(p)
+            # the quadratic is in units of sqrt(a) sqrt(b)
+            s = solve_support(p)
+            y = mode(p) / (math.sqrt(s.a) * math.sqrt(s.b))
             c2, c1, c0 = mode_quadratic(p)
-            scale = max(abs(c2) * x * x, abs(c1) * x, abs(c0))
-            assert abs(c2 * x * x + c1 * x + c0) <= 1e-10 * scale
+            scale = max(abs(c2) * y * y, abs(c1) * y, abs(c0))
+            assert abs(c2 * y * y + c1 * y + c0) <= 1e-10 * scale
 
     def test_derivative_sign_change(self):
         rng = np.random.default_rng(5)
