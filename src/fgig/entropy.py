@@ -21,6 +21,7 @@ where both integrands decay double-exponentially; numpy is all they need.
 
 import math
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 
@@ -137,6 +138,9 @@ def maximality_scan(p, perturbations):
 _BLOCK = 64             # nodes added per side per step of the window
 _TAIL = math.exp(-46.0)  # the window ends where |g| falls this far below peak
 _U_MAX = 700.0          # past this, exp(u) leaves the double range
+# nodes per side: a curvature-kappa Gaussian falls e^-46 within 24 steps,
+# and at the floor step 0.1 the window meets |u| = 700 within 14,000
+_MAX_NODES = 256 * _BLOCK
 
 
 def _trapezoid(g, u0, kappa):
@@ -153,8 +157,14 @@ def _trapezoid(g, u0, kappa):
     16 at small ``w`` costs digits at its edge; the floor of 16 keeps the
     rule at twice the step within 1e-9 of this one.  Returns
     ``h``, the node indices ``k`` (``u = u0 + k h``) and ``g`` there.
+
+    Raises :class:`NumericError` where ``h`` cannot move the grid off
+    ``u0``, or where ``g`` has not decayed inside ``|u| <= 700`` and
+    ``_MAX_NODES`` nodes on each side of ``u0``.
     """
     h = 0.4 / math.sqrt(max(kappa, 16.0))
+    if u0 + h == u0:
+        raise NumericError(f"trapezoid step {h:g} is below the ulp of {u0:g}")
     ks = [np.arange(-_BLOCK, _BLOCK + 1)]
     vals = [g(u0 + h * ks[0])]
     top = float(np.max(np.abs(vals[0])))
@@ -162,9 +172,10 @@ def _trapezoid(g, u0, kappa):
         edge = _BLOCK
         while True:
             k = side * np.arange(edge + 1, edge + _BLOCK + 1)
-            if abs(u0 + h * k[-1]) > _U_MAX:
+            if abs(u0 + h * k[-1]) > _U_MAX or edge >= _MAX_NODES:
                 raise NumericError("integrand does not decay inside "
-                                   f"|u| <= {_U_MAX:g}")
+                                   f"|u| <= {_U_MAX:g} and {_MAX_NODES} "
+                                   "nodes of its center")
             v = g(u0 + h * k)
             ks.append(k)
             vals.append(v)
@@ -176,6 +187,7 @@ def _trapezoid(g, u0, kappa):
     return h, np.concatenate(ks), np.concatenate(vals)
 
 
+@lru_cache(maxsize=16)  # gig_entropy and gibbs_bound at one triple share it
 def _log_bessel_sum(order, w):
     """``log S`` with ``S = e^w K_order(w) = 1/2 integral exp(phi(t)) dt``.
 
@@ -249,14 +261,25 @@ def gig_mode(alpha, beta, lam):
     return (m + root) / (2.0 * alpha) if m >= 0 else 2.0 * beta / (root - m)
 
 
+def _converged(h, k, vals):
+    """The trapezoid sum of :func:`_trapezoid`'s output; the sum on every
+    other node is the same rule at twice the step, and the two must agree
+    to ``1e-6 max(1, |value|)`` or :class:`NumericError` is raised."""
+    value = h * float(np.sum(vals))
+    err = abs(value - 2.0 * h * float(np.sum(vals[k % 2 == 0])))
+    if err > 1e-6 * max(1.0, abs(value)):
+        raise NumericError("half-line integral did not converge",
+                           residual=err)
+    return value
+
+
 def halfline_integral(f, split, curvature=1.0):
     """``integral f(x) dx`` over ``(0, inf)`` as a trapezoid sum in ``u = log x``.
 
     ``f`` is vectorized; the grid runs through ``log(split)`` (near the
     bulk of ``f(x) x``) with a step set by ``curvature``, the curvature of
-    ``log|f(x) x|`` in ``u`` there (see :func:`_trapezoid`).  The sum on
-    every other node is the same rule at twice the step; the two must agree
-    to ``1e-6 max(1, |value|)`` or :class:`NumericError` is raised.
+    ``log|f(x) x|`` in ``u`` there (see :func:`_trapezoid`), and the sum
+    must pass :func:`_converged`.
     """
     def g(u):
         x = np.exp(u)
@@ -264,13 +287,7 @@ def halfline_integral(f, split, curvature=1.0):
         # 0 * inf at the extreme tails, where the density underflows first
         return np.where(np.isfinite(val), val, 0.0)
 
-    h, k, vals = _trapezoid(g, math.log(split), curvature)
-    value = h * float(np.sum(vals))
-    err = abs(value - 2.0 * h * float(np.sum(vals[k % 2 == 0])))
-    if err > 1e-6 * max(1.0, abs(value)):
-        raise NumericError("half-line integral did not converge",
-                           residual=err)
-    return value
+    return _converged(*_trapezoid(g, math.log(split), curvature))
 
 
 def classical_entropy(p_eval, V, split=1.0, curvature=1.0):
@@ -287,18 +304,43 @@ def classical_entropy(p_eval, V, split=1.0, curvature=1.0):
     return -halfline_integral(integrand, split, curvature)
 
 
-def gig_entropy(alpha, beta, lam):
-    """``H`` of the classical GIG density under its own potential.
+def _gig_entropy_plus_w(alpha, beta, lam):
+    """``H + w`` of the classical GIG density under its own potential,
+    formed without ``w``.
 
-    ``log S`` is computed once; the grid's curvature is that of the density
-    of ``log x`` at its mode, ``sqrt(w**2 + lam**2)``.
+    With ``(w, c)`` from :func:`_gig_scales`, ``s = log x - c`` and
+    ``u = log x``, the density of ``s`` is ``e^L``,
+    ``L = lam s - log 2 - log S - 2 w sinh(s/2)**2``, so ``log p = L - u``,
+    and the potential is ``V = (1 - lam) u + w + 2 w sinh(s/2)**2``.  Since
+    ``integral e^L ds = 1``,
+
+        H + w = -integral e^L (log p + (1 - lam) u + 2 w sinh(s/2)**2) ds,
+
+    summed in ``s``, through the mode ``asinh(lam/w)`` with curvature
+    ``sqrt(w**2 + lam**2)``: no step falls below the ulp of the grid's
+    center, as it can below that of ``log x``, and no term is of order
+    ``w``.  ``log S`` is computed once.
     """
-    w, _ = _gig_scales(alpha, beta)
-    log_s = _log_bessel_sum(lam, w)
-    return classical_entropy(
-        lambda x: _gig_density(log_s, alpha, beta, lam, x),
-        Potential(alpha, beta, lam), split=gig_mode(alpha, beta, lam),
-        curvature=math.hypot(w, lam))
+    w, c = _gig_scales(alpha, beta)
+    head = math.log(2.0) + _log_bessel_sum(lam, w)
+
+    def g(s):
+        u = s + c
+        with np.errstate(over="ignore", invalid="ignore"):  # far tails
+            bend = 2.0 * w * np.sinh(0.5 * s) ** 2
+            log_xp = lam * s - head - bend
+            density = np.exp(log_xp)
+            val = density * ((log_xp - u) + (1.0 - lam) * u + bend)
+        return np.where(density > 0.0, val, 0.0)
+
+    return -_converged(*_trapezoid(g, math.asinh(lam / w),
+                                   math.hypot(w, lam)))
+
+
+def gig_entropy(alpha, beta, lam):
+    """``H`` of the classical GIG density under its own potential: the
+    sum of :func:`_gig_entropy_plus_w`, less ``w = 2 sqrt(alpha beta)``."""
+    return _gig_entropy_plus_w(alpha, beta, lam) - _gig_scales(alpha, beta)[0]
 
 
 def gibbs_bound(alpha, beta, lam):
@@ -309,3 +351,13 @@ def gibbs_bound(alpha, beta, lam):
     """
     w, c = _gig_scales(alpha, beta)
     return lam * c + math.log(2.0) + log_bessel_k(lam, w)
+
+
+def gibbs_gap(alpha, beta, lam):
+    """:func:`gig_entropy` less :func:`gibbs_bound`, read as
+    ``(H + w) - (-log C + w)`` with neither side formed with ``w``: near
+    ``-w`` both carry a rounding of ``w``'s ulp, which the gap would read
+    at large rates."""
+    w, c = _gig_scales(alpha, beta)
+    return (_gig_entropy_plus_w(alpha, beta, lam)
+            - (lam * c + math.log(2.0) + _log_bessel_sum(lam, w)))

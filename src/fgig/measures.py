@@ -18,8 +18,9 @@ in ``theta`` (a convolution output by a sine series), read at
 :func:`levy_distance` alike.  The Levy metric is the largest vertical gap
 between the two completed cdf graphs along the lines ``x + y = s``, each
 graph a cubic Hermite in ``s`` through knots with slopes
-``rho/(1 + rho)`` (1 along an atom's jump), taken once on the merged
-knots and midpoints with no tolerance.  A law keeps only the knots'
+``rho/(1 + rho)`` (1 along an atom's jump, at least the secant at a
+support's end), taken once on the merged knots and midpoints with no
+tolerance.  A law keeps only the knots'
 abscissas, at the angles ``k pi/N``; their heights come from its ``cdf``,
 once per law.
 Every absolutely continuous measure is built this way or is an affine or
@@ -526,8 +527,11 @@ def _rational_law(lo, hi, alpha, beta, n, atom=0.0):
     atom ``(1-lam)/2``.
 
     Spectral quadrature: the smooth factor has its only poles at the
-    origin, so the node count is bumped, and the knot count doubled,
-    when the support crowds it (:func:`_crowds_origin`).  At
+    origin, so where the support crowds it (:func:`_crowds_origin`) the
+    node count is bumped to at least ``B = 14/sqrt(lo/(hi - lo))``, both
+    capped at 8192, and the law has ``max(2*_DEFAULT_KNOTS, 4 B)`` cdf
+    knots; elsewhere it has ``_DEFAULT_KNOTS``.  The knots are the law's
+    own, so a caller's ``n`` moves no cdf or Levy reading.  At
     ``lo == 0`` (then ``beta == 0``) the pole meets the edge: the density
     is ``x**(-1/2) sqrt(hi - x) alpha/(2 pi)``, and the nodes switch to
     the Gauss--Jacobi rule of that ``-1/2`` edge.
@@ -545,13 +549,13 @@ def _rational_law(lo, hi, alpha, beta, n, atom=0.0):
         g = partial(_rational_factor, alpha, beta, sab)
         edge, c2 = 0.5, beta / sab
         if _crowds_origin(lo, hi):
-            n = int(min(8192, max(n, 14.0 / math.sqrt(lo / (hi - lo)))))
-            knots *= 2
+            bump = int(min(8192, 14.0 / math.sqrt(lo / (hi - lo))))
+            n, knots = min(8192, max(n, bump)), max(2 * knots, 4 * bump)
     return _jacobi_measure(
         lo, hi, g, edge, 0.5, n, ((0.0, atom),) if atom else (),
         cauchy_fn=_rational_cauchy(alpha, beta, lo, hi, atom),
         upper=partial(_rational_upper_mass, lo, hi, alpha, c2),
-        n_knots=max(knots, min(4 * n, 32768)))
+        n_knots=knots)
 
 
 def build_fgig(p, n=256):
@@ -795,7 +799,11 @@ def _completed_graph(m):
     Between knots the height is the cubic Hermite with slopes
     ``dy/ds = rho/(1 + rho)``, ``rho`` the density one ulp inside the
     support, so a ``-1/2`` edge gives 1 and a ``+1/2`` edge 0, and an
-    atom's segment has slope 1 at both ends.
+    atom's segment has slope 1 at both ends.  On the interval inside the
+    support at each of its ends, the edge's slope is at least the
+    interval's secant: a ``+1/2`` edge's zero density holds only at the
+    edge, and where the law crowds the origin that first interval can
+    carry percents of the mass.
     Returns the rows ``(s, y, h, A, B, C)`` of one array: knots, their
     heights and, per interval from each knot on, its width and the cubic
     ``y + t (A + t (B + t C))`` in ``t = (s - s_j)/h``; the last (open)
@@ -808,10 +816,12 @@ def _completed_graph(m):
 
     rows = np.zeros((6, x.size))
     s, gy, h, a, b, c = rows  # b holds the slopes until the cubic needs it
+    ends = ()
     if m.density is not None:
         lo, hi = m.support
         rho = m.density(np.clip(x, np.nextafter(lo, hi), np.nextafter(hi, lo)))
         np.divide(rho, 1.0 + rho, out=b)
+        ends = np.searchsorted(x, (lo, hi), side="right") - (1, 2)
     vertical = x[:-1] == x[1:]
     np.add(x, y, out=s)
     gy[:] = y
@@ -820,6 +830,8 @@ def _completed_graph(m):
     np.subtract(y[1:], y[:-1], out=rise)
     d0 = np.multiply(h, np.where(vertical, 1.0, b[:-1]), out=a[:-1])
     d1 = h * np.where(vertical, 1.0, b[1:])
+    for d, j in zip((d0, d1), ends):  # the secant, h dy/ds, at an edge
+        d[j] = max(d[j], rise[j])
     np.subtract(3.0 * rise - 2.0 * d0, d1, out=b[:-1])
     np.subtract(d0 + d1, 2.0 * rise, out=rise)
     np.copyto(h, np.inf, where=~(h > 0))  # a zero width reads as its start

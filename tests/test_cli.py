@@ -506,6 +506,8 @@ class TestImports:
         ("subordination_at", "the benchmark harness calls it"),
         ("build_semicircle", "the semicircle law, a closed-form input"),
         ("classical_gig_density", "the classical GIG density of C10"),
+        ("classical_entropy", "C10's classical entropy of any density"),
+        ("gig_mode", "the classical GIG density's mode"),
         ("fsd_discriminant", "the discriminant fsd_report forms, alone"),
         ("invert_params", "the law of 1/X: mu(beta, alpha, -lam)"),
         ("mode", "the mode that C06 reads"),

@@ -1,4 +1,5 @@
 import math
+import time
 
 import numpy as np
 import pytest
@@ -10,6 +11,7 @@ from fgig.entropy import (
     classical_gig_density,
     free_entropy,
     gibbs_bound,
+    gibbs_gap,
     gig_entropy,
     gig_mode,
     halfline_integral,
@@ -230,11 +232,49 @@ class TestClassicalEntropy:
         assert len(calls) == 1
 
     def test_gig_entropy_matches_the_direct_route(self):
+        # the general route in log x, against the sum in s that takes the
+        # constant w out of the integrand
         al, be, lam = 1.3, 2.1, 0.7
         direct = classical_entropy(
             lambda x: classical_gig_density(al, be, lam, x),
             Potential(al, be, lam), split=gig_mode(al, be, lam))
-        assert gig_entropy(al, be, lam) == direct
+        assert gig_entropy(al, be, lam) == pytest.approx(direct, rel=1e-12)
+
+    @pytest.mark.parametrize("triple", [(1e-100, 1e300, -50.0),
+                                        (1e100, 1e100, -50.0)])
+    def test_gig_entropy_returns_at_extreme_rates(self, triple):
+        # w = 2e100 puts the step of the grid in log x, 2.8e-51, below the
+        # ulp of its center, 460 at the first triple; in s it is not
+        start = time.perf_counter()
+        try:
+            assert math.isfinite(gig_entropy(*triple))
+        except NumericError:
+            pass
+        assert time.perf_counter() - start <= 5.0
+
+    def test_gibbs_gap_without_w(self):
+        # both sides are -2e8 + O(1); their difference read on the O(1)
+        # parts, where the sum in log x read 2.8e-6
+        assert abs(gibbs_gap(1e8, 1e8, 0.0)) <= 1e-13
+        assert gibbs_gap(1.3, 2.1, 0.7) == pytest.approx(
+            gig_entropy(1.3, 2.1, 0.7) - gibbs_bound(1.3, 2.1, 0.7),
+            abs=1e-15)
+
+    def test_gibbs_bound_shares_the_bessel_sum(self, monkeypatch):
+        # gig_entropy and gibbs_bound at one triple take one trapezoid sum
+        from fgig import entropy
+        entropy._log_bessel_sum.cache_clear()
+        calls = []
+        trapezoid = entropy._trapezoid
+
+        def counted(*args):
+            calls.append(args)
+            return trapezoid(*args)
+
+        monkeypatch.setattr(entropy, "_trapezoid", counted)
+        gig_entropy(1.3, 2.1, 0.7)
+        gibbs_bound(1.3, 2.1, 0.7)
+        assert len(calls) == 2  # the Bessel sum and the entropy's
 
     def test_gibbs_inequality_cross_pairs(self):
         # -int p log p <= -int p log q for densities p, q from the family
@@ -261,6 +301,17 @@ class TestClassicalEntropy:
     def test_halfline_integral_needs_decay(self):
         with pytest.raises(NumericError):
             halfline_integral(lambda x: 1.0 / (1.0 + x), 1.0)
+
+    def test_trapezoid_raises_on_a_flat_integrand(self):
+        # at curvature 1e12 the step is 4e-7, so |u| <= 700 alone would
+        # take 1.75e9 nodes; and at u0 = 460, curvature 1e102, the step
+        # cannot move the grid
+        from fgig.entropy import _trapezoid
+        start = time.perf_counter()
+        for u0, kappa in ((0.0, 1e12), (460.0, 1e102)):
+            with pytest.raises(NumericError):
+                _trapezoid(np.ones_like, u0, kappa)
+        assert time.perf_counter() - start <= 2.0
 
 
 def _xlogy(p, q):

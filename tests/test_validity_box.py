@@ -23,7 +23,10 @@ endpoint constants and root limits with alpha log-uniform in [1e-3, 1e3]
 and lam in [-50, 50] outside the crossover ``0.9 < |lam| < 1.1``.  The
 convergence curve's laws over the desk box, alpha log-uniform in
 [1e-3, 1e3] and lam in [-4, 4] at the curve's betas, against 2048-node
-builds.  The extreme-rate scan, alpha and beta in {1e-300, 1e-100, 1e-6,
+builds; over the same box with beta log-uniform in [1e-7, 1e3], each
+law's cdf knots the same at every node count; at lam in [-20, -1] and
+beta in [1e-7, 1e-1], the Levy distance to the point mass at 0 against
+the root of ``F(eps) + eps = 1``.  The extreme-rate scan, alpha and beta in {1e-300, 1e-100, 1e-6,
 1, 1e6, 1e100, 1e300} and lam in {-50, -1, 0, 0.5, 1, 50}: every light
 functional finite or NumericError, the mode inside the support.
 """
@@ -44,12 +47,12 @@ from fgig.characterization import (_initial_k, compare_series, n_prime,
                                    oracle_coefficients, series_coefficients,
                                    solve_c)
 from fgig.convolution import free_convolve
-from fgig.entropy import (gibbs_bound, gig_entropy, log_bessel_k,
-                          maximality_scan)
+from fgig.entropy import (gibbs_bound, gibbs_gap, gig_entropy,
+                          log_bessel_k, maximality_scan)
 from fgig.levy import (fsd_report, levy_triplet, min1x_integral,
                        reconstruct_cumulant)
 from fgig.measures import (FreePoissonParams, build_fgig, build_free_poisson,
-                           _crowds_origin, dilate, kolmogorov_distance,
+                           dilate, kolmogorov_distance,
                            levy_distance, mode, moment)
 from fgig.params import solve_spread
 from fgig.transforms import (cauchy, fid_certificate, free_cumulants,
@@ -328,6 +331,24 @@ def test_gibbs_gap(log_alpha, log_beta, lam):
 
 
 @hypothesis.settings(derandomize=True, database=None, deadline=None,
+                     max_examples=300)
+@hypothesis.given(log_omega=st.floats(-12.0, 100.0),
+                  lam=st.floats(-50.0, 50.0))
+@hypothesis.example(log_omega=8.0, lam=0.0)
+@hypothesis.example(log_omega=12.0, lam=50.0)
+@hypothesis.example(log_omega=100.0, lam=-50.0)
+def test_gibbs_gap_at_large_rates(log_omega, lam):
+    # at alpha = beta = omega both sides are near -2 omega, and the gap is
+    # read on their O(log omega) parts: right to 1e-9, or NumericError
+    omega = 10.0 ** log_omega
+    try:
+        gap = gibbs_gap(omega, omega, lam)
+    except NumericError:
+        return
+    assert abs(gap) <= 1e-9
+
+
+@hypothesis.settings(derandomize=True, database=None, deadline=None,
                      max_examples=25)
 @hypothesis.given(log_alpha=st.floats(math.log(0.25), math.log(8.0)),
                   log_beta=st.floats(math.log(0.25), math.log(8.0)),
@@ -525,24 +546,79 @@ def test_endpoint_asymptotics(log_alpha, lam):
 @hypothesis.given(log_alpha=st.floats(-3.0, 3.0), lam=st.floats(-4.0, 4.0),
                   beta=st.sampled_from([1e-2, 1e-3, 1e-4]))
 def test_curve_law_resolution(log_alpha, lam, beta):
-    # every curve law is the builder's default: where its support crowds
-    # the origin it has the 2048-node build's knots, and reads its Levy
-    # distance to the limit bit for bit; elsewhere within 1e-9 of it
+    # every curve law is the builder's default, whose knots are the law's
+    # own: it reads the 2048-node build's Levy distance to the limit bit
+    # for bit, where its support crowds the origin and elsewhere
     alpha = 10.0 ** log_alpha
     p = NaturalParams(alpha, beta, lam)
     try:
-        s = solve_support(p)
+        d, = convergence_curve(alpha, lam, [beta])
     except NumericError:
         return
-    d, = convergence_curve(alpha, lam, [beta])
-    want = levy_distance(build_fgig(p, 2048), limit_measure(alpha, lam))
-    if _crowds_origin(s.a, s.b):
-        assert d == want
-    else:
-        assert abs(d - want) <= 1e-9
+    assert d == levy_distance(build_fgig(p, 2048), limit_measure(alpha, lam))
+
+
+def _delta0_distance(m):
+    """The Levy distance of a law on ``[0, inf)`` to the point mass at 0,
+    the smallest ``eps`` with ``F(eps) + eps >= 1``, bisected to adjacent
+    floats on its cdf: the Levy graph is not read."""
+    lo, hi = 0.0, 1.0
+    while (mid := 0.5 * (lo + hi)) not in (lo, hi):
+        if m.cdf(mid) + mid >= 1.0:
+            hi = mid
+        else:
+            lo = mid
+    return hi
+
+
+@hypothesis.settings(derandomize=True, database=None, deadline=None,
+                     max_examples=200)
+@hypothesis.given(log_alpha=st.floats(-3.0, 3.0),
+                  log_beta=st.floats(-7.0, -1.0), lam=st.floats(-20.0, -1.0))
+def test_levy_distance_to_the_point_mass(log_alpha, log_beta, lam):
+    # at lam <= -1 the small-beta limit is the point mass at 0, where the
+    # Levy metric binds only at x = 0: the graph's reading against the
+    # root of F(eps) + eps = 1, within 1e-8 relative, or within an ulp of
+    # 1 where eps < 2.2e-8 and both read F at 1 - eps only to that ulp
+    # (1.3e-16 off, 1.5e-8 relative, at (1, 1e-7, -19))
+    alpha = 10.0 ** log_alpha
+    try:
+        m = build_fgig(NaturalParams(alpha, 10.0 ** log_beta, lam))
+    except NumericError:
+        return
+    want = _delta0_distance(m)
+    d = levy_distance(m, limit_measure(alpha, lam))
+    assert abs(d - want) <= max(1e-8 * want, np.finfo(float).eps)
+
+
+@hypothesis.settings(derandomize=True, database=None, deadline=None,
+                     max_examples=100)
+@hypothesis.given(log_alpha=st.floats(-3.0, 3.0),
+                  log_beta=st.floats(-7.0, 3.0), lam=st.floats(-4.0, 4.0))
+# crowding laws: their node bumps 913, 2827 and the 8192 cap give 8192,
+# 11308 and 32768 knots
+@hypothesis.example(log_alpha=0.0, log_beta=-3.0, lam=0.0)
+@hypothesis.example(log_alpha=0.0, log_beta=-4.0, lam=0.0)
+@hypothesis.example(log_alpha=math.log10(0.3), log_beta=-7.0, lam=-0.5)
+def test_knots_are_the_laws_own(log_alpha, log_beta, lam):
+    # the builder's node count moves no cdf knot, where the support
+    # crowds the origin and elsewhere
+    p = NaturalParams(10.0 ** log_alpha, 10.0 ** log_beta, lam)
+    try:
+        knots = [build_fgig(p, n).cdf_x for n in (64, 256, 512, 1024, 2048)]
+    except NumericError:
+        return
+    assert all(np.array_equal(k, knots[0]) for k in knots[1:])
 
 
 _RATES = (1e-300, 1e-100, 1e-6, 1.0, 1e6, 1e100, 1e300)
+# the functionals that need no support solve, read at every triple
+_UNSOLVED = {
+    "gig_entropy": lambda p: gig_entropy(p.alpha, p.beta, p.lam),
+    "gibbs_bound": lambda p: gibbs_bound(p.alpha, p.beta, p.lam),
+    "log_bessel_k": lambda p: log_bessel_k(
+        p.lam, 2.0 * math.sqrt(p.alpha) * math.sqrt(p.beta)),
+}
 _SCANNED = {
     "mode": mode,
     "fid_certificate": fid_certificate,
@@ -550,8 +626,6 @@ _SCANNED = {
     "free_cumulants": lambda p: free_cumulants(p, 8),
     "levy_triplet": levy_triplet,
     "fsd_report": fsd_report,
-    "gig_entropy": lambda p: gig_entropy(p.alpha, p.beta, p.lam),
-    "gibbs_bound": lambda p: gibbs_bound(p.alpha, p.beta, p.lam),
     "mass": lambda p: build_fgig(p).mass(),
     "moment": lambda p: moment(build_fgig(p), 1),
     "maximality_scan": lambda p: maximality_scan(p, [1.1, 0.9]),
@@ -577,13 +651,16 @@ def _finite(x):
 def test_extreme_rates(alpha, beta, lam):
     # mode raised ZeroDivisionError at 17 of these triples and DomainError
     # at 26, as a*b under- or overflowed; fid_certificate returned an
-    # infinite or NaN cut_residual at 22
+    # infinite or NaN cut_residual at 22; gig_entropy did not return at
+    # (1e-100, 1e300, -50) and (1e100, 1e100, -50)
     p = NaturalParams(alpha, beta, lam)
+    scanned = dict(_UNSOLVED)
     try:
         s = solve_support(p)
+        scanned.update(_SCANNED)
     except NumericError:
-        return  # the support solves at 168 of the 294
-    for name, fn in _SCANNED.items():
+        pass  # the support solves at 168 of the 294
+    for name, fn in scanned.items():
         try:
             out = fn(p)
         except NumericError:
