@@ -21,9 +21,10 @@ directly, with no extrapolation towards the axis; outside the support
 
 :func:`free_convolve` finds both support edges as the extrema of the
 real inverse of the output's Cauchy transform (as Olver & Nadakuditi,
-arXiv:1203.1958, invert Cauchy transforms), then solves at
-``_OUT_NODES`` Chebyshev nodes of that support.  The output's resolution
-is its own: nothing reads the inputs' quadrature.
+arXiv:1203.1958, invert Cauchy transforms), then solves at nested levels
+of Chebyshev nodes of that support until the chop finds a plateau, as
+chebfun does (Aurentz & Trefethen, ACM TOMS 43, 2017).  The output's
+resolution is its own: nothing reads the inputs' quadrature.
 """
 
 import math
@@ -32,7 +33,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DomainError, NumericError
-from .measures import _chebyshev_measure, _edge_matched_rule, shift
+from .measures import (_chebyshev_coefficients, _chebyshev_measure,
+                       _edge_matched_rule, shift)
 from .transforms import cauchy_nodes
 
 _TOL = 1e-12  # relative fixed-point tolerance of every subordination solve
@@ -46,7 +48,10 @@ _MAX_ITER = 260
 _FLOOR = 1e-9  # density at a node below this fraction of the peak is a gap
 _DAMPING = 0.5  # Picard step of the subordination solve
 _MASS_TOL = 1e-10  # largest mass error of a returned law
-_OUT_NODES = 1024  # Chebyshev nodes of every convolution output
+# Chebyshev node counts of a convolution output, tried in turn; a level's
+# angles j pi/(n+1) are the last's at a stride, and every other one is new.
+# Below 127 a level saves less than its mostly fixed numpy overhead costs
+_LEVELS = (127, 255, 511, 1023)
 _TAU = np.linspace(-12.0, 36.0, 25)  # edge samples, 1/g - 1/g_end ~ e**-tau
 _MAX_NEWTON = 40  # Newton steps per edge search and per inverse Cauchy solve
 _ROOT_EPS = math.sqrt(np.finfo(float).eps)  # Newton's last step is quadratic
@@ -257,10 +262,12 @@ def free_convolve(mu, nu):
 
     A point mass acts by translation and is handled exactly.  Otherwise
     both support edges come first, exactly (:func:`_support_edges`), then
-    the density at ``_OUT_NODES`` Chebyshev nodes of that support, each
-    solve from ``x + 1j``.  The result is the chopped Chebyshev vector of
-    its smooth factor ``rho/sqrt((x-lo)(hi-x))`` at those nodes, whose sums
-    give its density, Cauchy transform and cdf (:func:`_chebyshev_measure`).
+    the density at ``n = 127`` Chebyshev nodes of that support, each solve
+    from ``x + 1j``; where the chop of its smooth factor
+    ``rho/sqrt((x-lo)(hi-x))`` finds no plateau, ``n`` goes to ``2n + 1``,
+    up to 1023, and only the new nodes are solved (``_LEVELS``).  The
+    result is that chopped Chebyshev vector, whose sums give its density,
+    Cauchy transform and cdf, on ``n + 1`` knots (:func:`_chebyshev_measure`).
 
     Raises
     ------
@@ -269,7 +276,7 @@ def free_convolve(mu, nu):
     NumericError
         If an edge cannot be located, a solve at a node fails, the density
         vanishes inside its support (only single-interval laws are built),
-        the chop finds no plateau in the ``_OUT_NODES`` coefficients (the
+        the chop finds no plateau at 1023 nodes, the last level (the
         density is not resolved), or the mass is off 1 by ``_MASS_TOL``.
     """
     if _is_unit_atom(nu):
@@ -280,18 +287,30 @@ def free_convolve(mu, nu):
         raise DomainError("one law needs an absolutely continuous part")
 
     a, b = _support_edges(mu, nu)
-    t, _ = _edge_matched_rule(_OUT_NODES, 0.5, 0.5)
+    t, _ = _edge_matched_rule(_LEVELS[-1], 0.5, 0.5)
     nodes = 0.5 * (a + b) + 0.5 * (b - a) * t
+    rho = np.empty_like(nodes)
     # solves stop at _TOL times max(scale, |w|): scaled with the output, so
     # a dilated problem stops at the same point, and never looser than 1
     scale = min(1.0, b - a)
-    w, res, _ = _solve_omega(mu, nu, nodes.astype(complex), scale)
-    if not np.all(res <= _TOL * np.maximum(scale, np.abs(w))):
-        raise NumericError("subordination failed inside the support")
-    rho = -cauchy_nodes(mu, w).imag / math.pi
-    if not np.all(rho > _FLOOR * np.max(rho)):
-        raise NumericError("convolution density vanishes inside its support")
-    out = _chebyshev_measure(a, b, rho / np.sqrt((nodes - a) * (b - nodes)))
+    for n in _LEVELS:
+        step = (_LEVELS[-1] + 1) // (n + 1)
+        new = slice(step - 1, None, step if n == _LEVELS[0] else 2 * step)
+        w, res, _ = _solve_omega(mu, nu, nodes[new].astype(complex), scale)
+        if not np.all(res <= _TOL * np.maximum(scale, np.abs(w))):
+            raise NumericError("subordination failed inside the support")
+        rho[new] = -cauchy_nodes(mu, w).imag / math.pi
+        x, r = nodes[step - 1::step], rho[step - 1::step]
+        if not np.all(r > _FLOOR * np.max(r)):
+            raise NumericError(
+                "convolution density vanishes inside its support")
+        try:
+            c = _chebyshev_coefficients(r / np.sqrt((x - a) * (b - x)))
+            break
+        except NumericError:  # not resolved at this level
+            if n == _LEVELS[-1]:
+                raise
+    out = _chebyshev_measure(a, b, c, n)
     err = abs(out.mass() - 1.0)
     if err > _MASS_TOL:
         raise NumericError("convolution density lost mass", residual=err)

@@ -431,9 +431,9 @@ def _clenshaw_u(c, t):
     return b1
 
 
-def _chebyshev_measure(lo, hi, values):
-    """Measure with density ``sqrt((x-lo)(hi-x)) g(x)``, ``g`` kept as the
-    chopped :func:`_chebyshev_coefficients` of its ``values`` at the ``n``
+def _chebyshev_measure(lo, hi, c, n):
+    """Measure with density ``sqrt((x-lo)(hi-x)) g(x)``, ``g`` kept as its
+    chopped :func:`_chebyshev_coefficients` ``c`` from its values at ``n``
     Chebyshev nodes, in ``t = (x - mid)/rad``; three sums over them:
 
     - ``g`` itself by :func:`_clenshaw_u`;
@@ -447,7 +447,6 @@ def _chebyshev_measure(lo, hi, values):
 
     The knot abscissas sit at the node angles and the two edges.
     """
-    c = _chebyshev_coefficients(values)
     mid, rad = 0.5 * (lo + hi), 0.5 * (hi - lo)
     horner = math.pi * rad * c[::-1]  # highest order first
     e = np.append(c, (0.0, 0.0)) - np.append((0.0, 0.0), c)  # c_m - c_{m-2}
@@ -466,8 +465,8 @@ def _chebyshev_measure(lo, hi, values):
                                   * _clenshaw_u(e, (ch - sh) * (ch + sh)))
 
     return _jacobi_measure(lo, hi, lambda x: _clenshaw_u(c, (x - mid) / rad),
-                           0.5, 0.5, values.size, cauchy_fn=cauchy_fn,
-                           upper=upper, n_knots=values.size + 1)
+                           0.5, 0.5, n, cauchy_fn=cauchy_fn,
+                           upper=upper, n_knots=n + 1)
 
 
 def _semicircle_cauchy(center, radius):

@@ -103,9 +103,13 @@ def r_fgig(p, z):
     # the root is positive left of eta and, on the cut right of it,
     # +i sqrt(beta (x - eta)), its limit from below
     v = 2.0 * (zz - roots.delta) * np.sqrt(beta * (roots.eta - zz))
-    # |u - v| >= |u + v| exactly where Re(u conj v) <= 0; both factors
-    # are chosen before dividing, so no zero denominator is formed
-    conj = u.real * v.real + u.imag * v.imag <= 0.0
+    # |u - v| >= |u + v| exactly where Re(u conj v) <= 0, read on u and v
+    # scaled by powers of 2, so no product over- or underflows; both
+    # factors are chosen before dividing, so no zero denominator is formed
+    ku, kv = (np.frexp(np.maximum(abs(f.real), abs(f.imag)))[1]
+              for f in (u, v))
+    conj = (np.ldexp(u.real, -ku) * np.ldexp(v.real, -kv)
+            + np.ldexp(u.imag, -ku) * np.ldexp(v.imag, -kv)) <= 0.0
     with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
         num = u + v
         den = 2.0 * zz * (alpha - zz)

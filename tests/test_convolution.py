@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from fgig import DomainError, NaturalParams, NumericError, solve_support
-from fgig import convolution, measures
+from fgig import convolution
 from fgig.convolution import _solve_omega, free_convolve, subordination_at
 from fgig.entropy import log_energy
 from fgig.measures import (
@@ -130,7 +130,7 @@ class TestFreeConvolve:
             outs.append(free_convolve(
                 build_fgig(NaturalParams(2.0, 8.0, -lam), n), Y))
         first = outs[0]
-        assert first.nodes.size == convolution._OUT_NODES
+        assert first.nodes.size == convolution._LEVELS[0]
         for out in outs[1:]:
             for name in ("nodes", "cdf_x"):
                 np.testing.assert_array_equal(getattr(out, name),
@@ -147,20 +147,20 @@ class TestFreeConvolve:
         # with edges estimated from probes the chop found no plateau at
         # these draws and kept all 1024 coefficients, 7.3e-14 and 4.7e-14
         # off mu(alpha, beta, lam) in Kolmogorov distance; with exact
-        # edges it keeps about a hundred
-        kept, real = [], measures._chebyshev_coefficients
+        # edges it keeps about a hundred, at the second level
+        kept, real = [], convolution._chebyshev_coefficients
 
         def counted(g):
             c = real(g)
             kept.append(c.size)
             return c
 
-        monkeypatch.setattr(measures, "_chebyshev_coefficients", counted)
+        monkeypatch.setattr(convolution, "_chebyshev_coefficients", counted)
         X = build_fgig(NaturalParams(alpha, beta, -lam), 1024)
         Y = build_free_poisson(FreePoissonParams(1.0 / alpha, lam), 1024)
         target = build_fgig(NaturalParams(alpha, beta, lam), 1024)
         assert kolmogorov_distance(free_convolve(X, Y), target) <= 1e-13
-        assert kept and max(kept) < convolution._OUT_NODES
+        assert kept and max(kept) < convolution._LEVELS[-1]
 
     @pytest.mark.parametrize("alpha, beta, lam", [
         (0.028345344044002258, 1.3352911159351498e-05, 5.322871058112715),
@@ -307,8 +307,9 @@ class TestWarmStarts:
 
     def test_call_counts(self, gig_poisson_pair, monkeypatch):
         # a grid round, edge probes and a warm-started node round made 147
-        # cauchy_nodes calls; the edge search makes 35 and the node round,
-        # from x + 1j, 27 map evaluations of two calls each: 90 in all
+        # cauchy_nodes calls; the edge search makes 35 and the node round
+        # at the first level, 127 nodes, where the chop finds a plateau,
+        # 21 map evaluations from x + 1j of two calls each: 78 in all
         X, Y = gig_poisson_pair
         calls, sizes = [0], []
 
@@ -325,7 +326,39 @@ class TestWarmStarts:
         free_convolve(X, Y)
         assert calls[0] <= 100
         # the nodes are the only points solved by subordination
-        assert sizes == [convolution._OUT_NODES]
+        assert sizes == [convolution._LEVELS[0]]
+
+    @pytest.mark.parametrize("alpha, beta, lam, level", [
+        (0.016950539890672425, 3.859259212799306, 0.9744459584315289, 255),
+        (0.010163830751862842, 1.212268649840905, 0.8008307686878712, 511),
+        # 2.7e-13 off at the 1024 nodes of a single round
+        (0.1480768898682347, 0.02443783014950398, 0.15553105491696195, 1023),
+        # not resolved at 1024 nodes either
+        (0.003353879476853829, 0.2157194130904362, 0.7039708582438214,
+         None)])
+    def test_levels_solve_each_node_once(self, alpha, beta, lam, level,
+                                         monkeypatch):
+        # census draws (seed 7) that stop at each later level: a level
+        # solves only the nodes between the last level's, from x + 1j
+        sizes = []
+
+        def counted_solve(mu, nu, z, *args):
+            sizes.append(np.size(z))
+            return _solve_omega(mu, nu, z, *args)
+
+        monkeypatch.setattr(convolution, "_solve_omega", counted_solve)
+        X = build_fgig(NaturalParams(alpha, beta, -lam), 1024)
+        Y = build_free_poisson(FreePoissonParams(1.0 / alpha, lam), 1024)
+        if level is None:
+            with pytest.raises(NumericError, match="not resolved"):
+                free_convolve(X, Y)
+        else:
+            out = free_convolve(X, Y)
+            target = build_fgig(NaturalParams(alpha, beta, lam), 1024)
+            assert out.nodes.size == level
+            assert kolmogorov_distance(out, target) <= 1e-11
+        rounds = {255: 2, 511: 3}.get(level, 4)
+        assert sizes == [127, 128, 256, 512][:rounds]
 
 
 class TestRealAxisRecovery:
